@@ -232,8 +232,9 @@ int main(int argc, char** argv) {
     };
     auto arrive_provider = [&] {
       const cca::Point& pos = provider_pool[next_provider++ % provider_pool.size()];
-      warm_engine.InsertProvider(pos, s.k);
-      cold_engine.InsertProvider(pos, s.k);
+      // value() aborts on a rejected insert, like the customer path above.
+      warm_engine.InsertProvider(pos, s.k).value();
+      cold_engine.InsertProvider(pos, s.k).value();
     };
     for (std::size_t q = 0; q < s.nq; ++q) arrive_provider();
     for (std::size_t p = 0; p < s.np; ++p) arrive_customer();

@@ -1,8 +1,5 @@
-// Micro-benchmark for the SSPA flow kernel: dense relax scan vs. the
-// grid-pruned relax vs. the shared-frontier relax (one SharedCellSweep
-// subscribed to by every provider: identical relax trajectory, but only
-// first cell materialisations charge the index-read ledger), across
-// problem sizes.
+// Micro-benchmark for the SSPA flow kernel: the hierarchical ring relax
+// across problem sizes and customer distributions.
 //
 // Prints a human-readable table and writes a machine-readable
 // `BENCH_sspa.json` (array of runs: n_q, n_p, k, mode, dist, relaxes,
@@ -15,22 +12,21 @@
 //   bench_micro_flow [--out BENCH_sspa.json] [--max-np N] [--dense-max-np N]
 //                    [--threads N] [--repeat R] [--best-of B]
 //
-// --dense-max-np caps the sizes the dense baseline is run at (the dense
-// scan is quadratic; the default still covers the 10k-customer point the
-// acceptance bar is measured at). --repeat replicates every solve R times
-// and --threads drives the replicas through the concurrent QueryRunner
+// Every row is the default relax (mode "grid"). --dense-max-np (default
+// 1000) additionally solves the shapes up to N customers with the
+// reference scan (SspaConfig::use_grid = false) as an unrecorded cost
+// cross-check; the bench exits 1 on any mismatch. The reference is
+// quadratic, so keep N small. --repeat replicates every solve R times and
+// --threads drives the replicas through the concurrent QueryRunner
 // (src/runtime) over one shared grid; reported counters stay per-solve
 // (replicas are bit-identical), and a throughput line is printed per run.
-// The defaults (1/1) keep the legacy direct-solve path. --best-of B
-// (default 3) re-runs every direct solve B times and reports the minimum
-// wall clock — counters are deterministic, the clock is not, and the
-// hierarchy-vs-flat comparisons below are wall-clock claims.
+// The defaults (1/1) keep the direct-solve path. --best-of B (default 3)
+// re-runs every direct solve B times and reports the minimum wall clock —
+// counters are deterministic, the clock is not.
 //
 // Workloads: the uniform sweep covers the historical size trajectory; on
 // top of it the 10k-customer shape is re-run under clustered and skewed
-// customer distributions with an explicit hierarchy-off row ("grid-flat")
-// so BENCH_sspa.json records the adaptive hierarchy's skew win next to
-// the flat-grid cost it must bit-match.
+// customer distributions, where the hierarchy's per-region split matters.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -101,7 +97,7 @@ struct Run {
 };
 
 void PrintRow(const Run& r) {
-  std::printf("%6zu %8zu %4d %-9s %-9s %14llu %14llu %12llu %12llu %10llu %10llu %10llu %10llu "
+  std::printf("%6zu %8zu %4d %-9s %-9s %14llu %14llu %12llu %12llu %10llu %10llu %10llu "
               "%8llu %8llu %10.1f %12.1f\n",
               r.nq, r.np, r.k, r.mode, r.dist,
               static_cast<unsigned long long>(r.result.metrics.dijkstra_relaxes),
@@ -111,14 +107,13 @@ void PrintRow(const Run& r) {
               static_cast<unsigned long long>(r.result.metrics.grid_rings_scanned),
               static_cast<unsigned long long>(r.result.metrics.grid_cursor_cells),
               static_cast<unsigned long long>(r.result.metrics.cells_pruned),
-              static_cast<unsigned long long>(r.result.metrics.dense_cells_checked),
               static_cast<unsigned long long>(r.result.metrics.coarse_tails_pruned),
               static_cast<unsigned long long>(r.result.metrics.coarse_cells_descended),
               r.result.metrics.cpu_millis, r.result.matching.cost());
   std::fflush(stdout);
 }
 
-// Runs `config` directly (threads == 1, repeat == 1: the legacy exact
+// Runs `config` directly (threads == 1, repeat == 1: the direct-solve
 // path, re-timed best-of-`best_of`) or as `repeat` replicas through a
 // QueryRunner over `index`. The returned result is the first replica's
 // (all replicas are bit-identical — the runner's determinism contract);
@@ -178,7 +173,7 @@ void WriteJson(const std::vector<Run>& runs, const std::string& path) {
                  "  {\"n_q\": %zu, \"n_p\": %zu, \"k\": %d, \"mode\": \"%s\", \"dist\": \"%s\", "
                  "\"relaxes\": %llu, \"relaxes_pruned\": %llu, "
                  "\"distances_computed\": %llu, \"cells_pruned\": %llu, "
-                 "\"dense_cells_checked\": %llu, \"coarse_tails_pruned\": %llu, "
+                 "\"coarse_tails_pruned\": %llu, "
                  "\"coarse_cells_descended\": %llu, \"hier_splits\": %llu, \"pops\": %llu, "
                  "\"grid_rings_scanned\": %llu, \"grid_cursor_cells\": %llu, "
                  "\"shared_frontier_cell_fetches\": %llu, \"shared_frontier_fanout\": %llu, "
@@ -189,7 +184,6 @@ void WriteJson(const std::vector<Run>& runs, const std::string& path) {
                  static_cast<unsigned long long>(m.relaxes_pruned),
                  static_cast<unsigned long long>(m.distances_computed),
                  static_cast<unsigned long long>(m.cells_pruned),
-                 static_cast<unsigned long long>(m.dense_cells_checked),
                  static_cast<unsigned long long>(m.coarse_tails_pruned),
                  static_cast<unsigned long long>(m.coarse_cells_descended),
                  static_cast<unsigned long long>(m.hier_splits),
@@ -211,7 +205,7 @@ void WriteJson(const std::vector<Run>& runs, const std::string& path) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_sspa.json";
   std::size_t max_np = 20000;
-  std::size_t dense_max_np = 10000;
+  std::size_t dense_max_np = 1000;
   std::size_t threads = 1;
   std::size_t repeat = 1;
   std::size_t best_of = 3;
@@ -256,108 +250,41 @@ int main(int argc, char** argv) {
       {50, 5000, 40}, {100, 10000, 40}, {100, 20000, 80},
   };
 
-  std::printf("%6s %8s %4s %-9s %-9s %14s %14s %12s %12s %10s %10s %10s %10s %8s %8s %10s %12s\n",
+  std::printf("%6s %8s %4s %-9s %-9s %14s %14s %12s %12s %10s %10s %10s %8s %8s %10s %12s\n",
               "nq", "np", "k", "mode", "dist", "relaxes", "pruned", "distances", "pops", "rings",
-              "cells", "cellspr", "densechk", "ctailpr", "cdesc", "millis", "cost");
+              "cells", "cellspr", "ctailpr", "cdesc", "millis", "cost");
   std::vector<Run> runs;
-  for (const Shape& s : shapes) {
-    if (s.np > max_np) continue;
-    const cca::Problem problem = MakeBenchProblem(s.nq, s.np, s.k, "uniform");
+  const auto run_grid = [&](const Shape& s, const char* dist) {
+    const cca::Problem problem = MakeBenchProblem(s.nq, s.np, s.k, dist);
     // Shared read-only relax grid for the runner path (SSPA never touches
     // the R-tree, so skip the bulk load).
     cca::SharedIndex::Options index_options;
     index_options.build_customer_db = false;
     const cca::SharedIndex index(problem.customers, index_options);
-    cca::SspaConfig grid_config;
-    grid_config.use_grid = true;
-    runs.push_back(Run{s.nq, s.np, s.k, "grid", "uniform",
-                       RunSspa(problem, grid_config, index, threads, repeat, best_of)});
-    const std::size_t grid_run = runs.size() - 1;
+    runs.push_back(Run{s.nq, s.np, s.k, "grid", dist,
+                       RunSspa(problem, cca::SspaConfig{}, index, threads, repeat, best_of)});
     PrintRow(runs.back());
-    {
-      // Shared-frontier relax: same trajectory, amortised cell ledger
-      // (providers popped at similar keys stop re-charging shared cells).
-      cca::SspaConfig shared_config;
-      shared_config.use_grid = true;
-      shared_config.use_shared_frontier = true;
-      runs.push_back(Run{s.nq, s.np, s.k, "shared", "uniform",
-                         RunSspa(problem, shared_config, index, threads, repeat, best_of)});
-      PrintRow(runs.back());
-      const Run& g = runs[grid_run];
-      const Run& sh = runs[runs.size() - 1];
-      if (std::abs(g.result.matching.cost() - sh.result.matching.cost()) >
-              1e-6 * std::max(1.0, g.result.matching.cost()) ||
-          sh.result.metrics.grid_cursor_cells > g.result.metrics.grid_cursor_cells) {
-        std::fprintf(stderr, "SHARED-FRONTIER MISMATCH at nq=%zu np=%zu\n", s.nq, s.np);
-        return 1;
-      }
+    if (s.np > dense_max_np) return true;
+    cca::SspaConfig reference;
+    reference.use_grid = false;
+    const double want = cca::SolveSspa(problem, reference).matching.cost();
+    const double got = runs.back().result.matching.cost();
+    if (std::abs(got - want) > 1e-6 * std::max(1.0, want)) {
+      std::fprintf(stderr, "COST MISMATCH grid=%.6f reference=%.6f at nq=%zu np=%zu %s\n", got,
+                   want, s.nq, s.np, dist);
+      return false;
     }
-    if (s.np <= dense_max_np) {
-      cca::SspaConfig dense_config;
-      dense_config.use_grid = false;
-      runs.push_back(Run{s.nq, s.np, s.k, "dense", "uniform",
-                         RunSspa(problem, dense_config, index, threads, repeat, best_of)});
-      PrintRow(runs.back());
-      const Run& g = runs[grid_run];
-      const Run& d = runs[runs.size() - 1];
-      if (std::abs(g.result.matching.cost() - d.result.matching.cost()) >
-              1e-6 * std::max(1.0, d.result.matching.cost())) {
-        std::fprintf(stderr, "COST MISMATCH grid=%.6f dense=%.6f at nq=%zu np=%zu\n",
-                     g.result.matching.cost(), d.result.matching.cost(), s.nq, s.np);
-        return 1;
-      }
-    }
+    return true;
+  };
+  for (const Shape& s : shapes) {
+    if (s.np <= max_np && !run_grid(s, "uniform")) return 1;
   }
-
   // Non-uniform workloads at the acceptance shape: the hierarchy's
-  // adaptive split only matters when occupancy is uneven, so these rows
-  // carry the skew win BENCH_sspa.json is gated on. "grid" runs the
-  // default hierarchical relax; "grid-flat" pins use_hierarchy off — the
-  // A/B pair must agree on cost/pops/augmentations exactly (the coarse
-  // bound is certified never to change the trajectory), and on skewed
-  // data the hierarchical row must win wall clock.
+  // adaptive split only matters when occupancy is uneven.
   const Shape skew_shape{100, 10000, 40};
   if (skew_shape.np <= max_np) {
     for (const char* dist : {"clustered", "skewed"}) {
-      const cca::Problem problem =
-          MakeBenchProblem(skew_shape.nq, skew_shape.np, skew_shape.k, dist);
-      cca::SharedIndex::Options index_options;
-      index_options.build_customer_db = false;
-      const cca::SharedIndex index(problem.customers, index_options);
-      cca::SspaConfig grid_config;
-      grid_config.use_grid = true;
-      runs.push_back(Run{skew_shape.nq, skew_shape.np, skew_shape.k, "grid", dist,
-                         RunSspa(problem, grid_config, index, threads, repeat, best_of)});
-      const std::size_t hier_run = runs.size() - 1;
-      PrintRow(runs.back());
-      cca::SspaConfig flat_config;
-      flat_config.use_grid = true;
-      flat_config.use_hierarchy = false;
-      runs.push_back(Run{skew_shape.nq, skew_shape.np, skew_shape.k, "grid-flat", dist,
-                         RunSspa(problem, flat_config, index, threads, repeat, best_of)});
-      const std::size_t flat_run = runs.size() - 1;
-      PrintRow(runs.back());
-      const Run& hier = runs[hier_run];
-      const Run& flat = runs[flat_run];
-      const double flat_cost = flat.result.matching.cost();
-      if (std::abs(hier.result.matching.cost() - flat_cost) >
-              1e-6 * std::max(1.0, flat_cost) ||
-          hier.result.metrics.dijkstra_pops != flat.result.metrics.dijkstra_pops ||
-          hier.result.metrics.augmentations != flat.result.metrics.augmentations) {
-        std::fprintf(stderr, "HIERARCHY MISMATCH vs flat grid on %s data\n", dist);
-        return 1;
-      }
-      cca::SspaConfig shared_config;
-      shared_config.use_grid = true;
-      shared_config.use_shared_frontier = true;
-      runs.push_back(Run{skew_shape.nq, skew_shape.np, skew_shape.k, "shared", dist,
-                         RunSspa(problem, shared_config, index, threads, repeat, best_of)});
-      PrintRow(runs.back());
-      if (std::abs(runs.back().result.matching.cost() - flat_cost) >
-          1e-6 * std::max(1.0, flat_cost)) {
-        std::fprintf(stderr, "SHARED-FRONTIER MISMATCH on %s data\n", dist);
-        return 1;
-      }
+      if (!run_grid(skew_shape, dist)) return 1;
     }
   }
   WriteJson(runs, out_path);

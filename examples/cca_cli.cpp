@@ -5,8 +5,7 @@
 // Usage:
 //   cca_cli [--solver ida|nia|ria|sspa|greedy|sa|ca] [--nq N] [--np N]
 //           [--k N] [--delta D] [--theta T] [--dist-q u|c] [--dist-p u|c]
-//           [--seed S] [--no-pua] [--no-ann] [--dense] [--no-cell-floors]
-//           [--no-hierarchy] [--hier-split-threshold N]
+//           [--seed S] [--no-pua] [--no-ann] [--dense]
 //           [--backend auto|rtree|ann|grid|grid-batched]
 //           [--threads N] [--repeat R] [--trace-out FILE]
 //
@@ -16,23 +15,16 @@
 // throughput/latency lines are appended. sa/ca are per-call stateful over
 // the approximation pipeline and are not routed through the runner.
 //
-// --dense switches SSPA to the literal every-customer relax scan (the
-// grid-pruned relax is the default); use it for A/B comparisons.
-// --no-cell-floors disables SSPA's per-cell tau floors and the fused
-// early-reject distance kernel (SspaConfig::use_cell_floors), falling back
-// to the legacy global-floor pruning — the second A/B axis.
-// --no-hierarchy drops SSPA from the two-level hierarchical grid (the
-// default, with --no-cell-floors off) to the flat grid — the third A/B
-// axis; --hier-split-threshold N overrides the coarse-cell occupancy above
-// which the hierarchy splits a cell into finer children (0 = auto). Both
-// are SSPA-only (and meaningless without cell floors), so other solvers —
-// and --no-cell-floors runs — reject them.
+// --dense switches SSPA from the hierarchical ring relax (the default) to
+// the reference every-customer scan (SspaConfig::use_grid = false), the
+// test oracle; costs must agree. It is SSPA-only, so other solvers reject
+// it.
 // --backend selects the candidate-discovery backend of the exact solvers:
 // independent R-tree NN iterators, the grouped ANN traversal, grid ring
 // cursors over the memory-resident customer array, or the batched shared
 // frontier (grid-batched: Hilbert-grouped providers sharing one cell sweep
-// per group). For --solver sspa, grid-batched serves the relax scans from
-// the shared sweep too (SspaConfig::use_shared_frontier).
+// per group). SSPA has no shared-sweep relax, so --solver sspa rejects
+// grid-batched.
 // --trace-out writes a Chrome trace (chrome://tracing / perfetto) of the
 // solve's spans; it needs a tracing-enabled build (-DCCA_ENABLE_TRACING=ON)
 // and hard-errors otherwise, per the no-silently-ignored-flags rule.
@@ -70,11 +62,6 @@ struct Args {
   bool use_pua = true;
   bool use_ann = true;
   bool dense_sspa = false;
-  bool cell_floors = true;
-  bool hierarchy = true;
-  bool hierarchy_flag_given = false;       // --no-hierarchy on the command line
-  bool split_threshold_given = false;      // --hier-split-threshold on the command line
-  std::size_t hier_split_threshold = 0;  // 0 = builder auto
   std::string backend = "auto";
   std::size_t threads = 1;
   std::size_t repeat = 1;
@@ -137,14 +124,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->use_ann = false;
     } else if (flag == "--dense") {
       args->dense_sspa = true;
-    } else if (flag == "--no-cell-floors") {
-      args->cell_floors = false;
-    } else if (flag == "--no-hierarchy") {
-      args->hierarchy = false;
-      args->hierarchy_flag_given = true;
-    } else if (flag == "--hier-split-threshold") {
-      args->hier_split_threshold = static_cast<std::size_t>(std::atoll(next()));
-      args->split_threshold_given = true;
     } else if (flag == "--backend") {
       args->backend = next();
     } else if (flag == "--threads") {
@@ -188,8 +167,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: cca_cli [--solver ida|nia|ria|sspa|greedy|sa|ca] [--nq N] [--np N]\n"
                  "               [--k N] [--delta D] [--theta T] [--dist-q u|c] [--dist-p u|c]\n"
-                 "               [--seed S] [--no-pua] [--no-ann] [--dense] [--no-cell-floors]\n"
-                 "               [--no-hierarchy] [--hier-split-threshold N]\n"
+                 "               [--seed S] [--no-pua] [--no-ann] [--dense]\n"
                  "               [--backend auto|rtree|ann|grid|grid-batched]\n"
                  "               [--threads N] [--repeat R] [--trace-out FILE]\n");
     return 2;
@@ -232,35 +210,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The hierarchy flags only steer SSPA's relax grid (same pattern as the
-  // --threads/--repeat solver check below: flags a run would silently
-  // ignore are hard errors, not no-ops).
-  if ((args.hierarchy_flag_given || args.split_threshold_given) && args.solver != "sspa") {
-    std::fprintf(stderr, "--no-hierarchy/--hier-split-threshold support --solver sspa only\n");
+  // Flags a run would silently ignore are hard errors, not no-ops (same
+  // pattern as the --threads/--repeat solver check below).
+  if (args.dense_sspa && args.solver != "sspa") {
+    std::fprintf(stderr, "--dense supports --solver sspa only\n");
     return 2;
   }
-  if ((args.hierarchy_flag_given || args.split_threshold_given) && !args.cell_floors) {
-    std::fprintf(stderr, "--no-hierarchy/--hier-split-threshold need cell floors: the "
-                         "hierarchy aggregates them, so --no-cell-floors already disables it\n");
-    return 2;
-  }
-  if (args.split_threshold_given && !args.hierarchy) {
-    std::fprintf(stderr, "--hier-split-threshold is meaningless with --no-hierarchy\n");
-    return 2;
-  }
-
   SspaConfig sspa;
   if (args.solver == "sspa") {
-    if (args.dense_sspa && args.backend == "grid-batched") {
-      std::fprintf(stderr, "--dense and --backend grid-batched are mutually exclusive: "
-                           "the dense scan never touches the grid\n");
+    if (args.backend == "grid-batched") {
+      std::fprintf(stderr, "--backend grid-batched does not apply to --solver sspa: "
+                           "SSPA has no shared-sweep relax\n");
       return 2;
     }
     sspa.use_grid = !args.dense_sspa;
-    sspa.use_cell_floors = args.cell_floors;
-    sspa.use_hierarchy = args.hierarchy;
-    sspa.hier_split_threshold = args.hier_split_threshold;
-    sspa.use_shared_frontier = args.backend == "grid-batched";
   }
 
   const bool runnable = args.solver == "ida" || args.solver == "nia" || args.solver == "ria" ||
@@ -352,8 +315,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(metrics.dijkstra_relaxes));
   std::printf("relaxes_pruned=%llu\n", static_cast<unsigned long long>(metrics.relaxes_pruned));
   std::printf("cells_pruned=%llu\n", static_cast<unsigned long long>(metrics.cells_pruned));
-  std::printf("dense_cells_checked=%llu\n",
-              static_cast<unsigned long long>(metrics.dense_cells_checked));
   std::printf("coarse_tails_pruned=%llu\n",
               static_cast<unsigned long long>(metrics.coarse_tails_pruned));
   std::printf("coarse_cells_descended=%llu\n",

@@ -37,7 +37,6 @@ inline constexpr double kIoMillisPerFault = 10.0;
   X(relaxes_pruned, "relaxes_pruned")                       \
   X(distances_computed, "distances_computed")               \
   X(cells_pruned, "cells_pruned")                           \
-  X(dense_cells_checked, "dense_cells_checked")             \
   X(coarse_tails_pruned, "coarse_tails_pruned")             \
   X(coarse_cells_descended, "coarse_cells_descended")       \
   X(hier_splits, "hier_splits")                             \
@@ -75,19 +74,10 @@ struct Metrics {
   // and are counted in relaxes_pruned instead). This is the quadratic term
   // the cell-level pruning exists to kill; CI gates it via bench_diff.py.
   std::uint64_t distances_computed = 0;
-  // Whole cells skipped by the per-cell reduced-cost bound
-  // (mindist + per-cell tau floor) during *ring-ordered* relax scans, the
-  // cell-granular counterpart of relaxes_pruned.
+  // Fine cells skipped by their own reduced-cost bound (mindist + fine tau
+  // floor) during the hierarchical ring relax, the cell-granular
+  // counterpart of relaxes_pruned.
   std::uint64_t cells_pruned = 0;
-  // Cells examined by the cell-partitioned dense fallback (every occupied
-  // cell, every provider pop — RelaxDenseCells in src/flow/sspa.cc).
-  // Deliberately separate from cells_pruned: the dense sweep's O(#cells)
-  // bound checks per pop run to hundreds of millions at bench scale and
-  // would swamp the grid-mode pruning signal if charged to one counter.
-  // With the hierarchical grid the same counter covers the output-sensitive
-  // sweep: one unit per coarse cell examined plus one per fine child
-  // actually descended into, so the >=10x collapse is visible on one axis.
-  std::uint64_t dense_cells_checked = 0;
   // Hierarchical grid (geo/hier_grid.h): coarse cells whose aggregated
   // bound (mindist + coarse tau floor) failed the reduced-cost test, so
   // their entire fine-cell tail exited in O(1)...

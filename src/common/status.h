@@ -12,6 +12,8 @@
 //   * There are no exceptions anywhere in the library; `StatusOr::value()`
 //     on an error aborts with the message — use `ok()` / `status()` when
 //     the error is expected.
+//   * Both types are [[nodiscard]]: a dropped result is a compiler warning,
+//     so no rejection goes unseen.
 //
 // Error taxonomy (mirrors the canonical codes; see src/runtime/README.md
 // "Failure model" for which layers emit which):
@@ -58,7 +60,7 @@ inline const char* StatusCodeName(StatusCode code) {
   return "UNKNOWN";
 }
 
-class Status {
+class [[nodiscard]] Status {
  public:
   Status() : code_(StatusCode::kOk) {}
   Status(StatusCode code, std::string message)
@@ -114,7 +116,7 @@ namespace internal_status {
 // rejections (bad input, deadline); accessing `value()` on an error is a
 // caller bug and aborts loudly rather than returning garbage.
 template <typename T>
-class StatusOr {
+class [[nodiscard]] StatusOr {
  public:
   // Implicit from a value (the common return path).
   StatusOr(T value) : status_(), value_(std::move(value)), has_value_(true) {}

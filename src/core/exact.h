@@ -67,9 +67,7 @@ struct ExactConfig {
   DiscoveryBackend discovery_backend = DiscoveryBackend::kAuto;
   // Grid backend resolution for NN *streaming*: average customers per
   // cell; <= 0 falls back to a coarse default (~256/cell — fat cells
-  // amortise cursor fetches the way R-tree leaf pages do). Deliberately
-  // named apart from SspaConfig::grid_target_per_cell, whose <= 0 means
-  // density auto-tuning toward *fine* relax-pruning cells.
+  // amortise cursor fetches the way R-tree leaf pages do).
   double grid_stream_target_per_cell = 0.0;
   // IDA only: enable the full-provider distance lift in pending-edge keys.
   // Disabling it reduces IDA's bound to NIA's (ablation switch).

@@ -75,11 +75,11 @@ class GroupedNnSource : public NnSource {
 class GridNnSource : public NnSource {
  public:
   GridNnSource(const std::vector<Point>& customers, const std::vector<Provider>& providers,
-               double target_per_cell, const UniformGrid* shared_grid, Metrics* metrics)
-      : owned_grid_(shared_grid != nullptr
+               double target_per_cell, const UniformGrid* borrowed_grid, Metrics* metrics)
+      : owned_grid_(borrowed_grid != nullptr
                         ? nullptr
                         : std::make_unique<UniformGrid>(customers, target_per_cell)),
-        grid_(shared_grid != nullptr ? shared_grid : owned_grid_.get()),
+        grid_(borrowed_grid != nullptr ? borrowed_grid : owned_grid_.get()),
         metrics_(metrics) {
     cursors_.reserve(providers.size());
     for (const auto& q : providers) cursors_.emplace_back(*grid_, q.pos);
@@ -185,11 +185,11 @@ class BatchedGridSource : public NnSource {
  public:
   BatchedGridSource(const std::vector<Point>& customers, const std::vector<Provider>& providers,
                     double target_per_cell, std::size_t max_group_size, const Rect& world,
-                    const UniformGrid* shared_grid, Metrics* metrics)
-      : owned_grid_(shared_grid != nullptr
+                    const UniformGrid* borrowed_grid, Metrics* metrics)
+      : owned_grid_(borrowed_grid != nullptr
                         ? nullptr
                         : std::make_unique<UniformGrid>(customers, target_per_cell)),
-        grid_(shared_grid != nullptr ? shared_grid : owned_grid_.get()),
+        grid_(borrowed_grid != nullptr ? borrowed_grid : owned_grid_.get()),
         metrics_(metrics) {
     std::vector<Point> positions;
     positions.reserve(providers.size());

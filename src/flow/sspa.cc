@@ -10,10 +10,8 @@
 #include "common/indexed_heap.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "geo/grid.h"
 #include "geo/grid_cursor.h"
 #include "geo/hier_grid.h"
-#include "geo/shared_frontier.h"
 
 namespace cca {
 namespace {
@@ -93,8 +91,8 @@ class SspaSolver {
         alpha_(nq_ + np_ + 1, kInf),
         prev_(nq_ + np_ + 1, -1),
         heap_(nq_ + np_ + 1) {
-    // Warm start: adopt the caller's duals before any floor table is built
-    // so the tables can be seeded consistently (the Dijkstra global-floor
+    // Warm start: adopt the caller's duals before the floor table is built
+    // so it can be seeded consistently (the Dijkstra global-floor
     // assert checks min_tau_p_ against tau_p_ on every run). Negative
     // entries are clamped — the solver's invariants assume tau >= 0 — and
     // feasibility (including adoption of any initial_matching flow) is
@@ -111,61 +109,23 @@ class SspaSolver {
     // or cold), and it keeps the virtual node at the bottom of the heap so
     // real capacity is exhausted before the overflow path is ever explored.
     if (overflow_ > 0) tau_q_[real_nq_] = penalty_;
-    // The hierarchical grid subsumes the flat one whenever the cell floors
-    // it aggregates exist: with use_cell_floors + use_hierarchy no flat
-    // grid is built at all, and both relax strategies route through the
-    // coarse-over-fine paths. A caller-owned shared grid of either flavour
-    // replaces the private build; everything mutable (tau floors, cursors,
-    // sweeps) stays per-solve.
-    if (config_.use_cell_floors && config_.use_hierarchy && np_ > 0) {
+    // The hierarchical ring relax owns (or borrows) the grid, the tau floors
+    // and one ring cursor reset per provider pop; everything mutable stays
+    // per-solve. The reference scan reads the customer SoA directly.
+    if (np_ == 0) return;
+    if (config_.use_grid) {
       if (config_.shared_hier_grid != nullptr) {
         hier_ = config_.shared_hier_grid;
+        assert(hier_->size() == np_ && "shared_hier_grid must index problem.customers");
       } else {
-        HierarchicalGrid::Options opts;
-        const double fine = config_.grid_target_per_cell > 0.0
-                                ? config_.grid_target_per_cell
-                                : UniformGrid::kDefaultTargetPerCell;
-        opts.fine_target_per_cell = fine;
-        opts.coarse_target_per_cell = 16.0 * fine;
-        opts.split_threshold = config_.hier_split_threshold;
-        owned_hier_ = std::make_unique<HierarchicalGrid>(problem.customers, opts);
+        owned_hier_ = std::make_unique<HierarchicalGrid>(problem.customers);
         hier_ = owned_hier_.get();
       }
-      hier_floors_ = warm_ ? std::make_unique<HierTauTable>(*hier_, tau_p_)
-                           : std::make_unique<HierTauTable>(*hier_);
-      if (config_.use_grid) {
-        if (config_.use_shared_frontier && np_ >= config_.shared_frontier_min_customers) {
-          hier_sweep_ = std::make_unique<HierCellSweep>(*hier_);
-        } else {
-          hier_private_ = std::make_unique<PrivateHierSweep>(*hier_);
-        }
-      }
-      return;
-    }
-    // Flat-grid paths (hierarchy off, or floors off so there is nothing to
-    // aggregate): the grid serves two masters, ring-ordered discovery
-    // (use_grid) and the per-cell tau floors (use_cell_floors — which the
-    // dense fallback also uses to partition its scan). Legacy dense (both
-    // off) stays index-free.
-    if ((config_.use_grid || config_.use_cell_floors) && np_ > 0) {
-      if (config_.shared_grid != nullptr) {
-        grid_ = config_.shared_grid;
-      } else {
-        owned_grid_ =
-            std::make_unique<UniformGrid>(problem.customers, config_.grid_target_per_cell);
-        grid_ = owned_grid_.get();
-      }
-      if (config_.use_cell_floors) {
-        tau_floors_ = warm_ ? std::make_unique<CellTauTable>(*grid_, tau_p_)
-                            : std::make_unique<CellTauTable>(*grid_);
-      }
-    }
-    if (config_.use_grid && np_ > 0) {
-      if (config_.use_shared_frontier && np_ >= config_.shared_frontier_min_customers) {
-        shared_sweep_ = std::make_unique<SharedCellSweep>(*grid_);
-      } else {
-        relax_cursor_ = std::make_unique<GridRingCursor>(*grid_, Point{});
-      }
+      floors_ = warm_ ? std::make_unique<HierTauTable>(*hier_, tau_p_)
+                      : std::make_unique<HierTauTable>(*hier_);
+      cursor_ = std::make_unique<HierRingCursor>(*hier_, Point{});
+    } else {
+      coords_.Assign(problem.customers);
     }
   }
 
@@ -265,8 +225,8 @@ class SspaSolver {
   //      zero flow, so feasibility is two one-sided constraints: forward
   //      edges q->p need tau_q <= dist + tau_p — repaired by clamping
   //      tau_q down to min_p(dist + tau_p), a tau-augmented
-  //      nearest-neighbour query served by the same cell-floor pruning
-  //      the relax loops use — and sink edges p->t (cost 0) need
+  //      nearest-neighbour query served by the same hierarchical floors
+  //      the relax loop uses — and sink edges p->t (cost 0) need
   //      tau_t >= tau_p for every customer, all of which are unsaturated,
   //      so tau_t = max_p tau_p. (Cold solves keep tau_t = 0, where the
   //      invariant "tau_p == 0 while unsaturated" makes it vacuous.)
@@ -398,11 +358,7 @@ class SspaSolver {
       const double tight = tau_q_[q] - Distance(problem_.providers[q].pos, problem_.customers[p]);
       if (tight > tau_p_[p]) {
         tau_p_[p] = tight;
-        if (hier_floors_) {
-          hier_floors_->Raise(p, tight);
-        } else if (tau_floors_) {
-          tau_floors_->Raise(p, tight);
-        }
+        if (floors_) floors_->Raise(p, tight);
       }
     }
     for (std::size_t q = 0; q < real_nq_; ++q) {
@@ -453,50 +409,17 @@ class SspaSolver {
 
   // min over customers p of dist(q, p) + tau_p[p], except that the caller
   // only needs values below `cutoff` (q's current tau_q): anything >=
-  // cutoff certifies the dual as-is, so cells bounded by mindist + cell
-  // floor >= best are skipped wholesale. Customers q itself serves need no
+  // cutoff certifies the dual as-is, so the hierarchical walk skips cells
+  // bounded by mindist + floor >= best. Customers q itself serves need no
   // exclusion: their arcs were tightened to dist + tau_p == tau_q, so they
-  // cap the min at exactly the cutoff without ever clamping it. Exhaustive
-  // walk, no ring ordering — repairs run once per solve, not per pop.
-  double TauAugmentedNn(std::size_t q, double cutoff, Metrics* metrics) {
+  // cap the min at exactly the cutoff without ever clamping it.
+  double TauAugmentedNn(std::size_t q, double cutoff, Metrics* metrics) const {
     const Point q_pos = problem_.providers[q].pos;
+    if (floors_) return floors_->MinAugmentedDistance(q_pos, cutoff, &metrics->distances_computed);
     double best = cutoff;
-    if (hier_floors_) {
-      const HierarchicalGrid& grid = *hier_;
-      for (const std::int32_t cc : grid.nonempty_coarse()) {
-        const auto c = static_cast<std::size_t>(cc);
-        if (MinDist(q_pos, grid.CoarseRect(c)) + hier_floors_->CoarseFloor(c) >= best) continue;
-        const std::size_t fine_end = grid.fine_end(c);
-        for (std::size_t f = grid.fine_begin(c); f < fine_end; ++f) {
-          if (grid.fine_cell_begin(f) == grid.fine_cell_end(f)) continue;
-          if (MinDist(q_pos, grid.FineRect(f)) + hier_floors_->FineFloor(f) >= best) continue;
-          best = SliceMinTau(q_pos, grid.FineCell(f), hier_floors_->values(), best, metrics);
-        }
-      }
-      return best;
-    }
-    if (tau_floors_) {
-      for (const std::int32_t cc : grid_->nonempty_cells()) {
-        const auto c = static_cast<std::size_t>(cc);
-        if (MinDist(q_pos, grid_->CellRect(c)) + tau_floors_->CellFloor(c) >= best) continue;
-        best = SliceMinTau(q_pos, grid_->Cell(c), tau_floors_->values(), best, metrics);
-      }
-      return best;
-    }
-    // Index-free fallback (legacy dense / no-floor configs): scan all of P.
     for (std::size_t p = 0; p < np_; ++p) {
       metrics->distances_computed += 1;
       best = std::min(best, Distance(q_pos, problem_.customers[p]) + tau_p_[p]);
-    }
-    return best;
-  }
-
-  double SliceMinTau(const Point& q_pos, const UniformGrid::CellSlice& slice,
-                     const double* tau_values, double best, Metrics* metrics) {
-    const double* taus = tau_values + slice.first_slot;
-    metrics->distances_computed += slice.count;
-    for (std::size_t i = 0; i < slice.count; ++i) {
-      best = std::min(best, Distance(q_pos, Point{slice.xs[i], slice.ys[i]}) + taus[i]);
     }
     return best;
   }
@@ -514,23 +437,14 @@ class SspaSolver {
     run_ub_ = kInf;
     std::fill(alpha_.begin(), alpha_.end(), kInf);
     std::fill(prev_.begin(), prev_.end(), -1);
-    if (grid_ || hier_) {
+    if (floors_) {
       // Floor of tau(p) over every customer: together with a ring's
       // geometric mindist it lower-bounds the reduced cost of all edges
-      // into the ring. The cell-floor table keeps it current across
+      // into the ring. The floor table keeps it current across
       // augmentations (only touched cells were updated, and the cached
-      // global min rescans cell floors only when displaced); the legacy
-      // path rescans all of tau_p instead.
-      if (hier_floors_) {
-        min_tau_p_ = hier_floors_->GlobalFloor();
-        assert(np_ == 0 || min_tau_p_ == *std::min_element(tau_p_.begin(), tau_p_.end()));
-      } else if (tau_floors_) {
-        min_tau_p_ = tau_floors_->GlobalFloor();
-        assert(np_ == 0 || min_tau_p_ == *std::min_element(tau_p_.begin(), tau_p_.end()));
-      } else {
-        min_tau_p_ = 0.0;
-        if (np_ > 0) min_tau_p_ = *std::min_element(tau_p_.begin(), tau_p_.end());
-      }
+      // global min rescans coarse floors only when displaced).
+      min_tau_p_ = floors_->GlobalFloor();
+      assert(min_tau_p_ == *std::min_element(tau_p_.begin(), tau_p_.end()));
     }
     for (std::size_t q = 0; q < nq_; ++q) {
       if (used_q_[q] < ProviderCapacity(q)) {
@@ -551,12 +465,10 @@ class SspaSolver {
       if (static_cast<std::size_t>(u) < nq_) {
         if (overflow_ > 0 && static_cast<std::size_t>(u) == real_nq_) {
           RelaxVirtual(metrics);
-        } else if (config_.use_grid && hier_) {
+        } else if (floors_) {
           RelaxProviderHier(static_cast<std::size_t>(u), metrics);
-        } else if (config_.use_grid && grid_) {
-          RelaxProviderGrid(static_cast<std::size_t>(u), metrics);
         } else {
-          RelaxProviderDense(static_cast<std::size_t>(u), metrics);
+          RelaxProviderReference(static_cast<std::size_t>(u), metrics);
         }
       } else {
         RelaxCustomer(static_cast<std::size_t>(u) - nq_, metrics);
@@ -575,68 +487,69 @@ class SspaSolver {
     }
   }
 
-  // Forward-relaxes the edges q -> {customers in the slice}. `ids` indexes
-  // the global customer arrays; `xs`/`ys` are the matching coordinate
-  // slices (cell-clustered in grid mode, the plain SoA in dense mode).
-  // With `ub_prune` set (the index-free dense scan), candidates whose
-  // label could not beat the certified upper bound min(alpha(t), run_ub)
-  // are skipped before touching the heap — the per-candidate analogue of
-  // the grid's cell bound (the README invariant covers both).
-  void RelaxSlice(std::size_t q, const Point& q_pos, const std::int32_t* ids, const double* xs,
-                  const double* ys, std::size_t count, bool ub_prune, Metrics* metrics) {
-    double dist[kDistanceBlock];
+  // Relaxes q -> p at label `cand`; p with sink residual completes an
+  // s~>q->p->t path of cost cand + rc(p->t), which upper-bounds this run's
+  // shortest-path cost and so arms every downstream bound even before the
+  // sink holds a tentative label. rc(p->t) is 0 whenever tau_t is 0 (cold
+  // and flow-adopting warm starts alike); duals-only warm starts carry
+  // tau_t = max tau_p, so there it is tau_t - tau_p >= 0.
+  void RelaxForward(std::size_t q, std::size_t p, double cand, Metrics* metrics) {
+    ++metrics->dijkstra_relaxes;
+    if (sink_flow_[p] < problem_.weight(p)) {
+      const double through = cand + std::max(tau_t_ - tau_p_[p], 0.0);
+      if (through < run_ub_) run_ub_ = through;
+    }
+    Relax(static_cast<int>(nq_ + p), cand, static_cast<int>(q));
+  }
+
+  // Certified upper bound on this run's shortest-path cost.
+  double SinkUpperBound() const {
+    return std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_);
+  }
+
+  // The reference relax: every customer on every provider pop, skipping
+  // (before touching the heap) candidates whose label could not beat the
+  // certified upper bound min(alpha(t), run_ub) — the per-candidate
+  // analogue of the hierarchical path's cell bounds (the README invariant
+  // covers both).
+  void RelaxProviderReference(std::size_t q, Metrics* metrics) {
+    const Point q_pos = problem_.providers[q].pos;
     const double base = alpha_[q] - tau_q_[q];
-    for (std::size_t begin = 0; begin < count; begin += kDistanceBlock) {
-      const std::size_t block = std::min(kDistanceBlock, count - begin);
-      DistanceBlock(q_pos, xs + begin, ys + begin, block, dist);
+    double dist[kDistanceBlock];
+    for (std::size_t begin = 0; begin < np_; begin += kDistanceBlock) {
+      const std::size_t block = std::min(kDistanceBlock, np_ - begin);
+      DistanceBlock(q_pos, coords_.x.data() + begin, coords_.y.data() + begin, block, dist);
       metrics->distances_computed += block;
       for (std::size_t i = 0; i < block; ++i) {
-        const auto p = static_cast<std::size_t>(ids[begin + i]);
+        const std::size_t p = begin + i;
         // A saturated unit edge only has its reverse direction left.
         if (unit_customers_ && serving_[p] == static_cast<std::int32_t>(q)) continue;
-        const double w = dist[i] + base + tau_p_[p];
-        const double cand = std::max(w, alpha_[q]);
-        if (ub_prune &&
-            cand >= std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_)) {
+        const double cand = std::max(dist[i] + base + tau_p_[p], alpha_[q]);
+        if (cand >= SinkUpperBound()) {
           ++metrics->relaxes_pruned;
           continue;
         }
-        ++metrics->dijkstra_relaxes;
-        // p with sink residual completes an s~>q->p->t path of cost
-        // cand + rc(p->t): that upper-bounds this run's shortest-path
-        // cost, which arms the ring early exit even before the sink holds
-        // a tentative label. rc(p->t) is 0 whenever tau_t is 0 (cold and
-        // flow-adopting warm starts alike); duals-only warm starts carry
-        // tau_t = max tau_p, so there it is tau_t - tau_p >= 0.
-        if (sink_flow_[p] < problem_.weight(p)) {
-          const double through = cand + std::max(tau_t_ - tau_p_[p], 0.0);
-          if (through < run_ub_) run_ub_ = through;
-        }
-        Relax(static_cast<int>(nq_ + p), cand, static_cast<int>(q));
+        RelaxForward(q, p, cand, metrics);
       }
     }
   }
 
-  // Fused-kernel relax over one cell-clustered slice: DistanceBlockSelect
-  // rejects every candidate whose label lower bound
+  // Fused-kernel relax over one fine cell: DistanceBlockSelect rejects
+  // every candidate whose label lower bound
   //     dist + base + tau(p)  (base = alpha(q) - tau(q))
   // cannot beat the certified upper bound min(alpha(t), run_ub) — evaluated
   // in squared space against the slot-aligned tau slice, so rejected lanes
   // never pay a sqrt — and compacts the survivors, which are the only lanes
   // the heap-relax loop below ever touches. The cutoff is re-read per block
   // because run_ub only tightens as survivors complete s~>q->p->t paths.
-  // `tau_values` is the slot-ordered tau array of whichever floor table
-  // clustered the slice (flat CellTauTable or hierarchical HierTauTable —
-  // their slot layouts differ, so the caller picks).
   void RelaxSliceSelect(std::size_t q, const Point& q_pos, const UniformGrid::CellSlice& slice,
-                        double base, const double* tau_values, Metrics* metrics) {
+                        double base, Metrics* metrics) {
     std::int32_t keep[kDistanceBlock];
     double d2[kDistanceBlock];
-    const double* taus = tau_values + slice.first_slot;
+    const double* taus = floors_->values() + slice.first_slot;
     for (std::size_t begin = 0; begin < slice.count; begin += kDistanceBlock) {
       const std::size_t block = std::min(kDistanceBlock, slice.count - begin);
-      const double cutoff =
-          std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_) - base;
+      const double cutoff = SinkUpperBound() - base;
       const std::size_t kept = DistanceBlockSelect(q_pos, slice.xs + begin, slice.ys + begin,
                                                    taus + begin, block, cutoff, keep, d2);
       metrics->relaxes_pruned += block - kept;
@@ -651,228 +564,40 @@ class SspaSolver {
         // closes a cheaper complete path), so the block-start kernel
         // verdict is necessary but no longer sufficient. Still in squared
         // space: only lanes that will actually be relaxed pay the sqrt.
-        const double ub = std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_);
+        const double ub = SinkUpperBound();
         const double r = ub - base - tau_p_[p];
         if (alpha_[q] >= ub || r <= 0.0 || d2[i] >= r * r) {
           ++metrics->relaxes_pruned;
           continue;
         }
-        const double cand = std::max(std::sqrt(d2[i]) + base + tau_p_[p], alpha_[q]);
         ++metrics->distances_computed;
-        ++metrics->dijkstra_relaxes;
-        // p with sink residual completes an s~>q->p->t path of cost
-        // cand + rc(p->t), arming every downstream bound (rc(p->t) is
-        // tau_t - tau_p >= 0, with tau_t = 0 outside duals-only warm
-        // starts — see RelaxSlice).
-        if (sink_flow_[p] < problem_.weight(p)) {
-          const double through = cand + std::max(tau_t_ - tau_p_[p], 0.0);
-          if (through < run_ub_) run_ub_ = through;
-        }
-        Relax(static_cast<int>(nq_ + p), cand, static_cast<int>(q));
+        RelaxForward(q, p, std::max(std::sqrt(d2[i]) + base + tau_p_[p], alpha_[q]), metrics);
       }
     }
   }
 
-  void RelaxProviderDense(std::size_t q, Metrics* metrics) {
-    if (hier_floors_) {
-      RelaxDenseHier(q, metrics);
-      return;
-    }
-    if (tau_floors_) {
-      RelaxDenseCells(q, metrics);
-      return;
-    }
-    EnsureDenseArrays();
-    RelaxSlice(q, problem_.providers[q].pos, identity_.data(), coords_.x.data(), coords_.y.data(),
-               np_, /*ub_prune=*/true, metrics);
-  }
-
-  // The cell-partitioned dense fallback: same index-free spirit (no ring
-  // ordering, no early exit — every occupied cell is examined on every
-  // pop), but the examination unit is a cell, not a customer. Cells whose
-  // best possible reduced cost (mindist + per-cell tau floor) cannot beat
-  // the certified upper bound are skipped wholesale, and surviving cells
-  // run through the fused kernel — so the scan's quadratic term is paid in
-  // O(1) per-cell bound checks, not per-candidate distances.
-  void RelaxDenseCells(std::size_t q, Metrics* metrics) {
-    const Point q_pos = problem_.providers[q].pos;
-    const double base = alpha_[q] - tau_q_[q];
-    for (const std::int32_t cell : grid_->nonempty_cells()) {
-      const auto c = static_cast<std::size_t>(cell);
-      // Every occupied cell is examined on every pop; that exhaustive walk
-      // is the dense fallback's defining cost and gets its own counter.
-      // `cells_pruned` stays reserved for the ring path, where a pruned
-      // cell is an actual early-exit win rather than the common case —
-      // folding these walks in there used to inflate it ~10000x.
-      ++metrics->dense_cells_checked;
-      const double sink_ub = std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_);
-      const double bound =
-          MinDist(q_pos, grid_->CellRect(c)) + base + tau_floors_->CellFloor(c);
-      if (std::max(bound, alpha_[q]) >= sink_ub) {
-        metrics->relaxes_pruned += grid_->cell_end(c) - grid_->cell_begin(c);
-        continue;
-      }
-      RelaxSliceSelect(q, q_pos, grid_->Cell(c), base, tau_floors_->values(), metrics);
-    }
-  }
-
-  // Output-sensitive dense fallback over the hierarchy: the exhaustive
-  // walk's unit is now a *coarse* cell, and a coarse cell whose aggregated
-  // bound (mindist + coarse tau floor) cannot beat the certified upper
-  // bound retires all of its children in that one check — the walk only
-  // descends to fine granularity where the aggregate survives, collapsing
-  // the flat fallback's O(#cells) term to O(#coarse + opened children).
-  // Both levels charge dense_cells_checked (the per-pop examination unit),
-  // so the flat-vs-hier collapse is visible on one counter axis.
-  void RelaxDenseHier(std::size_t q, Metrics* metrics) {
-    const Point q_pos = problem_.providers[q].pos;
-    const double base = alpha_[q] - tau_q_[q];
-    const HierarchicalGrid& grid = *hier_;
-    for (const std::int32_t cc : grid.nonempty_coarse()) {
-      const auto c = static_cast<std::size_t>(cc);
-      ++metrics->dense_cells_checked;
-      const double sink_ub = std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_);
-      const double bound =
-          MinDist(q_pos, grid.CoarseRect(c)) + base + hier_floors_->CoarseFloor(c);
-      if (std::max(bound, alpha_[q]) >= sink_ub) {
-        metrics->relaxes_pruned += grid.coarse_count(c);
-        ++metrics->coarse_tails_pruned;
-        continue;
-      }
-      ++metrics->coarse_cells_descended;
-      const std::size_t fine_end = grid.fine_end(c);
-      for (std::size_t f = grid.fine_begin(c); f < fine_end; ++f) {
-        const std::size_t count = grid.fine_cell_end(f) - grid.fine_cell_begin(f);
-        if (count == 0) continue;
-        ++metrics->dense_cells_checked;
-        // Re-read per fine cell: relaxing a child can tighten run_ub_.
-        const double fine_ub = std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_);
-        const double fine_bound =
-            MinDist(q_pos, grid.FineRect(f)) + base + hier_floors_->FineFloor(f);
-        if (std::max(fine_bound, alpha_[q]) >= fine_ub) {
-          metrics->relaxes_pruned += count;
-          continue;
-        }
-        RelaxSliceSelect(q, q_pos, grid.FineCell(f), base, hier_floors_->values(), metrics);
-      }
-    }
-  }
-
-  // Grid-pruned relax: pull candidate cells off a GridRingCursor (the
-  // shared discovery primitive, geo/grid_cursor.h) in rings of increasing
-  // minimum distance from q, and stop as soon as the lower bound on the
-  // label any remaining customer could receive
+  // Hierarchical ring relax: pull coarse cells off the HierRingCursor in
+  // rings of increasing minimum distance from q and stop as soon as the
+  // lower bound on the label any remaining customer could receive
   //     alpha(q) + max(TailMinDist - tau(q) + min_p tau(p), 0)
-  // reaches the tentative sink label: such labels can neither beat the
+  // reaches the certified upper bound: such labels can neither beat the
   // shortest path of this run nor move the potentials afterwards (the
-  // invariant is spelled out in src/flow/README.md).
-  void RelaxProviderGrid(std::size_t q, Metrics* metrics) {
-    const Point q_pos = problem_.providers[q].pos;
-    if (shared_sweep_ != nullptr) {
-      // Shared sweep: identical scan order, but cells another provider
-      // already materialised are served resident — only first fetches
-      // charge the index-read ledger.
-      shared_sweep_->Reset(q_pos);
-      const SharedFrontierStats before = shared_sweep_->stats();
-      RelaxOverCursor(q, q_pos, *shared_sweep_, metrics);
-      const SharedFrontierStats& after = shared_sweep_->stats();
-      const std::uint64_t fetches = after.cell_fetches - before.cell_fetches;
-      metrics->grid_cursor_cells += fetches;
-      metrics->index_node_accesses += fetches;
-      metrics->shared_frontier_cell_fetches += fetches;
-      metrics->shared_frontier_fanout += after.fanout - before.fanout;
-      return;
-    }
-    GridRingCursor& cursor = *relax_cursor_;
-    cursor.Reset(q_pos);
-    RelaxOverCursor(q, q_pos, cursor, metrics);
-    // The cursor's own counter is the source of truth for cell charging
-    // (same convention as GridNnSource); it was reset at scan start.
-    metrics->grid_cursor_cells += cursor.cells_visited();
-    metrics->index_node_accesses += cursor.cells_visited();
-  }
-
-  // The relax scan itself, generic over the cursor flavour (private
-  // GridRingCursor or SharedCellSweep — both expose TailMinDist /
-  // NextCell / points_remaining). Charging stays with the caller.
-  template <typename Cursor>
-  void RelaxOverCursor(std::size_t q, const Point& q_pos, Cursor& cursor, Metrics* metrics) {
-    const double base = alpha_[q] - tau_q_[q];
-    const double slack = base + min_tau_p_;
-    int last_ring = -1;
-    while (true) {
-      // `sink_ub` only shrinks while cells are scanned (run_ub_ picks up
-      // completed s~>t paths), so re-read it per cell.
-      const double sink_ub = std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_);
-      if (std::max(cursor.TailMinDist() + slack, alpha_[q]) >= sink_ub) {
-        metrics->relaxes_pruned += cursor.points_remaining();
-        break;
-      }
-      const auto cell = cursor.NextCell();
-      if (!cell) break;
-      if (cell->ring != last_ring) {
-        last_ring = cell->ring;
-        ++metrics->grid_rings_scanned;
-      }
-      // Per-cell refinement of the same bound (nothing between the sink_ub
-      // read and this check can tighten run_ub_, so sink_ub is current).
-      // With floors on, the cell's own tau floor replaces the global one —
-      // cells whose residents' potentials all grew are skipped even when
-      // the ring bound (held down by the global floor) cannot exit yet.
-      const double floor = tau_floors_ ? tau_floors_->CellFloor(cell->cell) : min_tau_p_;
-      if (std::max(cell->min_dist + base + floor, alpha_[q]) >= sink_ub) {
-        metrics->relaxes_pruned += cell->slice.count;
-        ++metrics->cells_pruned;
-        continue;
-      }
-      if (tau_floors_) {
-        RelaxSliceSelect(q, q_pos, cell->slice, base, tau_floors_->values(), metrics);
-      } else {
-        RelaxSlice(q, q_pos, cell->slice.ids, cell->slice.xs, cell->slice.ys, cell->slice.count,
-                   /*ub_prune=*/false, metrics);
-      }
-    }
-  }
-
-  // Hierarchical ring relax: same outer contract as RelaxProviderGrid, but
-  // the cursor serves *coarse* cells and the charging unit is the fine
-  // cells actually opened — coarse-tail rejections never touch the fetch
-  // ledger (the whole point: rejected regions cost one compare, not s^2).
-  void RelaxProviderHier(std::size_t q, Metrics* metrics) {
-    const Point q_pos = problem_.providers[q].pos;
-    if (hier_sweep_ != nullptr) {
-      hier_sweep_->Reset(q_pos);
-      const SharedFrontierStats before = hier_sweep_->stats();
-      RelaxOverHier(q, q_pos, *hier_sweep_, metrics);
-      const SharedFrontierStats& after = hier_sweep_->stats();
-      const std::uint64_t fetches = after.cell_fetches - before.cell_fetches;
-      metrics->grid_cursor_cells += fetches;
-      metrics->index_node_accesses += fetches;
-      metrics->shared_frontier_cell_fetches += fetches;
-      metrics->shared_frontier_fanout += after.fanout - before.fanout;
-      return;
-    }
-    PrivateHierSweep& sweep = *hier_private_;
-    sweep.Reset(q_pos);
-    RelaxOverHier(q, q_pos, sweep, metrics);
-    metrics->grid_cursor_cells += sweep.fetches;
-    metrics->index_node_accesses += sweep.fetches;
-  }
-
-  // The hierarchical relax scan, generic over the sweep flavour (private
-  // PrivateHierSweep or shared HierCellSweep — both expose TailMinDist /
-  // NextCoarse / points_remaining / ChargeFine). Three nested bounds, each
-  // a certified reduced-cost lower bound so the matchings stay identical
-  // to every other strategy (src/geo/README.md): the coarse ring tail
+  // invariant is spelled out in src/flow/README.md). Three nested bounds,
+  // each a certified reduced-cost lower bound so the matchings stay
+  // identical to the reference (src/geo/README.md): the coarse ring tail
   // (global floor), the coarse cell (aggregated coarse floor, the O(1)
   // tail exit), and the fine cell (its own floor), with the fused kernel
-  // below that.
-  template <typename Sweep>
-  void RelaxOverHier(std::size_t q, const Point& q_pos, Sweep& sweep, Metrics* metrics) {
+  // below that. The charging unit is the fine cells actually opened —
+  // coarse-tail rejections never touch the fetch ledger.
+  void RelaxProviderHier(std::size_t q, Metrics* metrics) {
     const HierarchicalGrid& grid = *hier_;
+    const Point q_pos = problem_.providers[q].pos;
+    HierRingCursor& cursor = *cursor_;
+    cursor.Reset(q_pos);
     const double base = alpha_[q] - tau_q_[q];
     const double slack = base + min_tau_p_;
     int last_ring = -1;
+    std::uint64_t opened = 0;
     struct FineRef {
       double min_dist;
       std::int32_t fine;
@@ -881,12 +606,12 @@ class SspaSolver {
     while (true) {
       // `sink_ub` only shrinks while cells are scanned (run_ub_ picks up
       // completed s~>t paths), so re-read it per coarse cell.
-      const double sink_ub = std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_);
-      if (std::max(sweep.TailMinDist() + slack, alpha_[q]) >= sink_ub) {
-        metrics->relaxes_pruned += sweep.points_remaining();
+      const double sink_ub = SinkUpperBound();
+      if (std::max(cursor.TailMinDist() + slack, alpha_[q]) >= sink_ub) {
+        metrics->relaxes_pruned += cursor.points_remaining();
         break;
       }
-      const auto coarse = sweep.NextCoarse();
+      const auto coarse = cursor.NextCoarse();
       if (!coarse) break;
       if (coarse->ring != last_ring) {
         last_ring = coarse->ring;
@@ -895,8 +620,7 @@ class SspaSolver {
       // The O(1) coarse-tail exit: the aggregated floor bounds every child,
       // so a failed coarse cell retires all of its residents in one compare
       // (nothing between the sink_ub read and here tightens run_ub_).
-      const double coarse_bound =
-          coarse->min_dist + base + hier_floors_->CoarseFloor(coarse->cell);
+      const double coarse_bound = coarse->min_dist + base + floors_->CoarseFloor(coarse->cell);
       if (std::max(coarse_bound, alpha_[q]) >= sink_ub) {
         metrics->relaxes_pruned += coarse->count;
         ++metrics->coarse_tails_pruned;
@@ -919,19 +643,19 @@ class SspaSolver {
       }
       for (std::size_t i = 0; i < n; ++i) {
         const auto f = static_cast<std::size_t>(fines[i].fine);
-        const std::size_t count = grid.fine_cell_end(f) - grid.fine_cell_begin(f);
         // Re-read per fine cell: relaxing a sibling can tighten run_ub_.
-        const double fine_ub = std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_);
-        const double fine_bound = fines[i].min_dist + base + hier_floors_->FineFloor(f);
-        if (std::max(fine_bound, alpha_[q]) >= fine_ub) {
-          metrics->relaxes_pruned += count;
+        const double fine_bound = fines[i].min_dist + base + floors_->FineFloor(f);
+        if (std::max(fine_bound, alpha_[q]) >= SinkUpperBound()) {
+          metrics->relaxes_pruned += grid.fine_cell_end(f) - grid.fine_cell_begin(f);
           ++metrics->cells_pruned;
           continue;
         }
-        sweep.ChargeFine(f);
-        RelaxSliceSelect(q, q_pos, grid.FineCell(f), base, hier_floors_->values(), metrics);
+        ++opened;
+        RelaxSliceSelect(q, q_pos, grid.FineCell(f), base, metrics);
       }
     }
+    metrics->grid_cursor_cells += opened;
+    metrics->index_node_accesses += opened;
   }
 
   // Relax step for the virtual overflow slot: one flat-penalty edge to
@@ -947,16 +671,11 @@ class SspaSolver {
       // A saturated unit edge only has its reverse direction left.
       if (unit_customers_ && serving_[p] == static_cast<std::int32_t>(q)) continue;
       const double cand = std::max(base + tau_p_[p], alpha_[q]);
-      if (cand >= std::min(alpha_[static_cast<std::size_t>(Sink())], run_ub_)) {
+      if (cand >= SinkUpperBound()) {
         ++metrics->relaxes_pruned;
         continue;
       }
-      ++metrics->dijkstra_relaxes;
-      if (sink_flow_[p] < problem_.weight(p)) {
-        const double through = cand + std::max(tau_t_ - tau_p_[p], 0.0);
-        if (through < run_ub_) run_ub_ = through;
-      }
-      Relax(static_cast<int>(nq_ + p), cand, static_cast<int>(q));
+      RelaxForward(q, p, cand, metrics);
     }
   }
 
@@ -1037,15 +756,10 @@ class SspaSolver {
         const std::size_t p = static_cast<std::size_t>(u) - nq_;
         tau_p_[p] += delta;
         // Customer potentials only grow, so the incremental floor update
-        // stays within the floor tables' monotone contract. Only the
-        // touched cells (and, for the hierarchy, the coarse cells they
-        // cascade into) do any work — this replaced the per-run O(|P|)
-        // min rescan.
-        if (hier_floors_) {
-          hier_floors_->Raise(p, tau_p_[p]);
-        } else if (tau_floors_) {
-          tau_floors_->Raise(p, tau_p_[p]);
-        }
+        // stays within the floor table's monotone contract. Only the
+        // touched fine cells and the coarse cells they cascade into do any
+        // work.
+        if (floors_) floors_->Raise(p, tau_p_[p]);
       }
     }
   }
@@ -1112,35 +826,9 @@ class SspaSolver {
     }
   }
 
-  // The dense scan's SoA snapshot and identity id slice, built on first
-  // use only (grid mode never needs them).
-  void EnsureDenseArrays() {
-    if (identity_.size() == np_) return;
-    coords_.Assign(problem_.customers);
-    identity_.resize(np_);
-    for (std::size_t i = 0; i < np_; ++i) identity_[i] = static_cast<std::int32_t>(i);
-  }
-
   struct FlowRec {
     std::int32_t provider;
     std::int64_t units;
-  };
-
-  // Private-cursor flavour of the hierarchical sweep: same surface as
-  // HierCellSweep, but with no cross-pop residency every opened fine cell
-  // is a fetch (the exact analogue of GridRingCursor's per-scan charging).
-  struct PrivateHierSweep {
-    explicit PrivateHierSweep(const HierarchicalGrid& grid) : cursor(grid, Point{}) {}
-    void Reset(const Point& query) {
-      cursor.Reset(query);
-      fetches = 0;
-    }
-    double TailMinDist() const { return cursor.TailMinDist(); }
-    std::size_t points_remaining() const { return cursor.points_remaining(); }
-    std::optional<HierRingCursor::CoarseView> NextCoarse() { return cursor.NextCoarse(); }
-    void ChargeFine(std::size_t /*fine*/) { ++fetches; }
-    HierRingCursor cursor;
-    std::uint64_t fetches = 0;
   };
 
   const Problem& problem_;
@@ -1153,17 +841,11 @@ class SspaSolver {
   std::size_t nq_;             // real_nq_ plus the virtual slot if active
   std::size_t np_;
   bool unit_customers_;
-  PointsSoA coords_;  // legacy dense mode only, built lazily
-  std::unique_ptr<UniformGrid> owned_grid_;  // null when borrowing config_.shared_grid
-  const UniformGrid* grid_ = nullptr;
-  std::unique_ptr<CellTauTable> tau_floors_;        // use_cell_floors mode
-  std::unique_ptr<GridRingCursor> relax_cursor_;    // reset per provider pop
-  std::unique_ptr<SharedCellSweep> shared_sweep_;  // use_shared_frontier mode
+  PointsSoA coords_;  // reference scan only
   std::unique_ptr<HierarchicalGrid> owned_hier_;  // null when borrowing shared_hier_grid
-  const HierarchicalGrid* hier_ = nullptr;        // set iff the hierarchy is active
-  std::unique_ptr<HierTauTable> hier_floors_;
-  std::unique_ptr<PrivateHierSweep> hier_private_;  // hier ring scans, private flavour
-  std::unique_ptr<HierCellSweep> hier_sweep_;       // ... shared-frontier flavour
+  const HierarchicalGrid* hier_ = nullptr;        // set iff the ring relax is active
+  std::unique_ptr<HierTauTable> floors_;          // tau_p floors over hier_
+  std::unique_ptr<HierRingCursor> cursor_;        // reset per provider pop
   bool warm_ = false;     // initial_potentials adopted (RepairDuals will run)
   double tau_t_ = 0.0;    // sink potential; 0 except duals-only warm starts (max seed tau_p)
   double min_tau_p_ = 0.0;
@@ -1174,7 +856,6 @@ class SspaSolver {
   std::vector<std::int64_t> sink_flow_;
   std::vector<std::int32_t> serving_;        // unit customers: provider or -1
   std::vector<std::vector<FlowRec>> flows_;  // weighted: sorted by provider
-  std::vector<std::int32_t> identity_;       // dense relax id slice, built lazily
   std::vector<double> alpha_;
   std::vector<int> prev_;
   IndexedHeap heap_;

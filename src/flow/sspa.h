@@ -8,21 +8,18 @@
 // `conceptual_edges` metric reports the full graph size that a literal
 // implementation would allocate.
 //
-// Two relax strategies share one solver:
-//   * grid (default): provider pops pull candidate customers from a uniform
-//     grid in expanding rings and stop as soon as the ring lower bound on
-//     reduced cost can no longer improve the tentative sink label — the
-//     matchings stay cost-identical to the dense scan while the relax count
-//     drops by orders of magnitude (see src/flow/README.md for the
-//     invariant);
-//   * dense: the every-customer-per-pop scan, kept as the A/B escape hatch
-//     (`--dense` in cca_cli / bench_micro_flow).
-// Orthogonally, per-cell tau floors (use_cell_floors, default on) tighten
-// the per-cell bound to the cell's own potential floor and route scanned
-// cells through the fused DistanceBlockSelect kernel, so candidates that
-// cannot beat the certified upper bound are rejected before any sqrt or
-// heap work — and the dense scan is partitioned through the same cells,
-// ending its quadratic distance term (src/flow/README.md).
+// One production relax path plus one reference:
+//   * hierarchical ring relax (default): provider pops pull customers from
+//     a two-level HierarchicalGrid (geo/hier_grid.h) in expanding coarse
+//     rings and stop as soon as the ring lower bound on reduced cost can no
+//     longer improve the tentative sink label. Coarse cells whose
+//     aggregated tau floor rules them out are rejected in O(1), surviving
+//     fine cells run through the fused DistanceBlockSelect kernel, so the
+//     matchings stay cost-identical to the reference while the relax count
+//     drops by orders of magnitude (src/flow/README.md has the invariant);
+//   * reference (use_grid = false): the index-free scan of every customer
+//     on every provider pop, with only the per-candidate upper-bound prune.
+//     It exists as the test oracle (`--dense` in cca_cli).
 #ifndef CCA_FLOW_SSPA_H_
 #define CCA_FLOW_SSPA_H_
 
@@ -35,7 +32,6 @@
 
 namespace cca {
 
-class UniformGrid;
 class HierarchicalGrid;
 
 // Node potentials (duals) of one SSPA solve, indexed like the problem's
@@ -57,69 +53,20 @@ struct SspaPotentials {
 };
 
 struct SspaConfig {
-  // Pull relax candidates from the uniform grid with ring lower-bound early
-  // exit. Off = dense scan of every customer on every provider pop (which
-  // still applies the per-candidate run_ub prune — index-free, but no
-  // longer relaxing candidates that cannot beat the certified upper bound).
+  // Hierarchical ring relax. Off = the reference scan of every customer on
+  // every provider pop (index-free; it still applies the per-candidate
+  // run_ub prune, so candidates that cannot beat the certified upper bound
+  // are never relaxed). Matchings, augmentation counts and (up to boundary
+  // ties) pop counts agree between the two.
   bool use_grid = true;
-  // Grid resolution: average number of customers per cell; <= 0 auto-tunes
-  // the resolution from the instance's density (UniformGrid rebuilds with
-  // finer cells when the point set is skewed).
-  double grid_target_per_cell = 4.0;
-  // Serve the relax scans from one SharedCellSweep subscribed to by every
-  // provider instead of a private per-solver ring cursor: providers popped
-  // at similar keys re-scan overlapping cells, and the sweep keeps swept
-  // cells resident so only first materialisations charge an index read
-  // (geo/shared_frontier.h). Relax order and matchings are identical to
-  // the private-cursor path; only the cell-fetch ledger changes.
-  bool use_shared_frontier = false;
-  // Per-cell tau_p floors (geo/grid.h CellTauTable), maintained
-  // incrementally as augmentations move the potentials. They (a) replace
-  // the O(|P|) min-scan that used to open every Dijkstra run, (b) tighten
-  // the per-cell reduced-cost bound so whole cells are skipped where the
-  // global floor could not justify it, and (c) feed the fused
-  // DistanceBlockSelect kernel, which rejects candidates against a squared
-  // per-lane threshold before any sqrt or heap work. With floors on, the
-  // dense fallback also partitions its scan through the same grid cells
-  // instead of streaming all of |P| per pop. Matchings, pop counts and
-  // augmentation counts are identical either way (the bound is a certified
-  // lower bound; see src/flow/README.md); off keeps the legacy global-floor
-  // paths as the A/B escape hatch.
-  bool use_cell_floors = true;
-  // The shared sweep's per-solve setup (resident-set allocation, per-pop
-  // stats deltas) is pure overhead on instances small enough that every
-  // scan is already cheap; below this many customers `use_shared_frontier`
-  // silently falls back to the private per-solver cursor (identical relax
-  // trajectory, zero shared-frontier metrics). Set to 0 to force the sweep.
-  std::size_t shared_frontier_min_customers = 256;
-  // Prebuilt grid for the relax scans, owned by the caller (the runtime's
-  // SharedIndex shares one across concurrent queries). Must cover the same
-  // customers at the resolution grid_target_per_cell would produce; null
-  // means each solve builds a private grid. Only the grid geometry is
-  // shared — per-query mutable state (tau floors, cursors, sweeps) stays
-  // private to the solve either way.
-  const UniformGrid* shared_grid = nullptr;
-  // Two-level hierarchical grid (geo/hier_grid.h) instead of the flat one.
-  // Requires use_cell_floors (the hierarchy is the floor table's coarse
-  // aggregation; without floors there is nothing to aggregate, so the flag
-  // silently degrades to the flat paths). When active it upgrades every
-  // relax strategy: the ring scan rejects whole coarse cells against
-  //     mindist(coarse) + coarse tau floor >= min(alpha(t), run_ub)
-  // in O(1) (Metrics::coarse_tails_pruned) and descends into fine children
-  // only when the aggregate survives (coarse_cells_descended); the dense
-  // fallback becomes output-sensitive the same way (its O(#cells) walk
-  // shrinks to O(#coarse + opened children)); and the resolution adapts
-  // per region — overfull coarse cells split finer (hier_splits), where
-  // the flat auto-tuner had to pick one global resolution. Matchings, pop
-  // counts and augmentation counts are identical on/off: the coarse floor
-  // under-estimates its children's floors, so every coarse rejection is a
-  // union of per-cell rejections the flat path already proves sound
-  // (src/geo/README.md). Off = flat grid, the A/B soundness gate.
-  bool use_hierarchy = true;
-  // Coarse-cell occupancy above which the builder splits the cell into
-  // finer children; 0 auto-derives 4x the fine target per cell.
-  std::size_t hier_split_threshold = 0;
-  // Prebuilt hierarchical grid, same ownership contract as shared_grid.
+  // Prebuilt hierarchical grid for the relax scans, owned by the caller
+  // (the runtime's SharedIndex shares one across concurrent queries, the
+  // AssignmentEngine one across Resolves). Any HierarchicalGrid over
+  // exactly problem.customers is valid: its shape (Options) moves the
+  // relax counters, never the matching. Null means each solve builds a
+  // private grid with default Options. Only the geometry is shared — the
+  // tau floors and the ring cursor stay private to the solve. Ignored by
+  // the reference scan.
   const HierarchicalGrid* shared_hier_grid = nullptr;
   // Infeasible-instance graceful degradation. When total demand exceeds
   // total capacity, gamma = total capacity and a plain solve returns the

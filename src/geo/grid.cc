@@ -1,58 +1,29 @@
 #include "geo/grid.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
 namespace cca {
 
 UniformGrid::UniformGrid(const std::vector<Point>& points, double target_per_cell) {
+  assert(target_per_cell > 0.0);
   for (const auto& p : points) bounds_.Expand(p);
   if (bounds_.empty()) bounds_ = Rect::FromPoint(Point{0.0, 0.0});
-  if (target_per_cell > 0.0) {
-    Build(points, target_per_cell);
-    return;
-  }
-  // Auto-tune: measure occupancy at the default resolution. On skewed
-  // inputs most of the bounding box is empty, so the occupied cells hold
-  // far more than the target; shrinking the cell area by target/occupancy
-  // brings the occupied mean back to the target (clamped so the cell count
-  // stays O(n)).
-  Build(points, kDefaultTargetPerCell);
-  const double occupancy = MeanOccupancy();
-  if (occupancy > 1.5 * kDefaultTargetPerCell) {
-    const double tuned =
-        std::max(1.0, kDefaultTargetPerCell * (kDefaultTargetPerCell / occupancy));
-    // Skip the rebuild when the tuned target resolves to the resolution
-    // already built (degenerate extents clamp to the same cell geometry):
-    // re-binning the points would reproduce the CSR arrays bit for bit.
-    double cell = 0.0;
-    int cols = 0, rows = 0;
-    ResolutionFor(points.size(), tuned, &cell, &cols, &rows);
-    if (cell != cell_ || cols != cols_ || rows != rows_) Build(points, tuned);
-  }
-}
-
-void UniformGrid::ResolutionFor(std::size_t n_points, double target_per_cell, double* cell,
-                                int* cols, int* rows) const {
   const double w = bounds_.width();
   const double h = bounds_.height();
-  const double n = static_cast<double>(n_points);
-  const double cells_target = std::max(1.0, n / std::max(1.0, target_per_cell));
+  const double cells_target =
+      std::max(1.0, static_cast<double>(points.size()) / std::max(1.0, target_per_cell));
   if (w > 0.0 && h > 0.0) {
-    *cell = std::sqrt(w * h / cells_target);
+    cell_ = std::sqrt(w * h / cells_target);
   } else if (w > 0.0 || h > 0.0) {
-    *cell = std::max(w, h) / cells_target;  // collinear: one row/column
+    cell_ = std::max(w, h) / cells_target;  // collinear: one row/column
   } else {
-    *cell = 1.0;  // all points coincide (or empty): a single cell
+    cell_ = 1.0;  // all points coincide (or empty): a single cell
   }
-  *cols = std::max(1, static_cast<int>(std::ceil(w / *cell)));
-  *rows = std::max(1, static_cast<int>(std::ceil(h / *cell)));
-}
-
-void UniformGrid::Build(const std::vector<Point>& points, double target_per_cell) {
-  ++build_count_;
-  ResolutionFor(points.size(), target_per_cell, &cell_, &cols_, &rows_);
+  cols_ = std::max(1, static_cast<int>(std::ceil(w / cell_)));
+  rows_ = std::max(1, static_cast<int>(std::ceil(h / cell_)));
 
   const std::size_t num_cells = static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
   start_.assign(num_cells + 1, 0);
@@ -77,23 +48,9 @@ void UniformGrid::Build(const std::vector<Point>& points, double target_per_cell
     ys_[slot] = points[i].y;
     slot_of_[i] = static_cast<std::int32_t>(slot);
   }
-  nonempty_cells_.clear();
   for (std::size_t c = 0; c < num_cells; ++c) {
     if (start_[c + 1] > start_[c]) nonempty_cells_.push_back(static_cast<std::int32_t>(c));
   }
-}
-
-std::size_t UniformGrid::NonEmptyCells() const {
-  std::size_t occupied = 0;
-  for (std::size_t c = 0; c + 1 < start_.size(); ++c) {
-    if (start_[c + 1] > start_[c]) ++occupied;
-  }
-  return occupied;
-}
-
-double UniformGrid::MeanOccupancy() const {
-  const std::size_t occupied = NonEmptyCells();
-  return occupied == 0 ? 0.0 : static_cast<double>(items_.size()) / static_cast<double>(occupied);
 }
 
 void UniformGrid::Locate(const Point& q, int* cx, int* cy) const {

@@ -42,14 +42,10 @@ class UniformGrid {
   // Default resolution: average points per cell the builder aims for.
   static constexpr double kDefaultTargetPerCell = 4.0;
 
-  // Builds the grid over `points`. `target_per_cell` tunes the resolution;
-  // degenerate inputs (empty set, collinear points, all-equal points) fall
-  // back to a single row/column/cell. A non-positive `target_per_cell`
-  // auto-tunes the resolution from the instance's density: the grid is
-  // first built at the default resolution, and when the point set turns
-  // out skewed (occupied cells far above target because most of the
-  // bounding box is empty), it is rebuilt with a proportionally finer cell
-  // so the *occupied* cells land near the target again.
+  // Builds the grid over `points`. `target_per_cell` (must be positive)
+  // tunes the resolution; degenerate inputs (empty set, collinear points,
+  // all-equal points) fall back to a single row/column/cell. Skewed inputs
+  // are the HierarchicalGrid's business (geo/hier_grid.h).
   explicit UniformGrid(const std::vector<Point>& points,
                        double target_per_cell = kDefaultTargetPerCell);
 
@@ -58,16 +54,6 @@ class UniformGrid {
   int rows() const { return rows_; }
   double cell_size() const { return cell_; }
   const Rect& bounds() const { return bounds_; }
-
-  // Occupancy diagnostics (used by the auto-tuner and its tests).
-  std::size_t NonEmptyCells() const;
-  // Average number of points per *occupied* cell (0 for an empty grid).
-  double MeanOccupancy() const;
-  // CSR (re)builds performed so far: 1 for a fixed resolution, 2 when the
-  // auto-tuner rebuilt finer — and still 1 when the tuned target resolves
-  // to the resolution already built (degenerate extents), which the tuner
-  // skips as a no-op.
-  int build_count() const { return build_count_; }
 
   // Cell coordinates of `q`, clamped into the grid.
   void Locate(const Point& q, int* cx, int* cy) const;
@@ -99,15 +85,11 @@ class UniformGrid {
     return static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
   }
 
-  // Linear-index flavours of the cell accessors, for callers that sweep
-  // cells without ring geometry (the cell-partitioned dense SSPA scan).
+  // Linear-index flavour of Cell, for callers that sweep cells without
+  // ring geometry.
   CellSlice Cell(std::size_t cell_index) const {
     return Cell(static_cast<int>(cell_index % static_cast<std::size_t>(cols_)),
                 static_cast<int>(cell_index / static_cast<std::size_t>(cols_)));
-  }
-  Rect CellRect(std::size_t cell_index) const {
-    return CellRect(static_cast<int>(cell_index % static_cast<std::size_t>(cols_)),
-                    static_cast<int>(cell_index / static_cast<std::size_t>(cols_)));
   }
 
   // Inverse maps of the clustered layout: the cell holding point `i`, and
@@ -128,9 +110,9 @@ class UniformGrid {
     return static_cast<std::size_t>(start_[cell_index + 1]);
   }
 
-  // Linear indices of the occupied cells, ascending (built once per
-  // (re)build; the dense cell sweep and CellTauTable's global-floor rescan
-  // iterate it instead of the full cols*rows lattice).
+  // Linear indices of the occupied cells, ascending (CellTauTable's
+  // global-floor rescan iterates it instead of the full cols*rows
+  // lattice).
   const std::vector<std::int32_t>& nonempty_cells() const { return nonempty_cells_; }
 
   // Calls fn(cx, cy, slice) for every non-empty cell of ring `ring` around
@@ -162,16 +144,6 @@ class UniformGrid {
   }
 
  private:
-  // Resolution Build would choose for `n` points at `target_per_cell`
-  // (pure function of bounds_ — lets the auto-tuner detect no-op rebuilds
-  // without touching the CSR arrays).
-  void ResolutionFor(std::size_t n, double target_per_cell, double* cell, int* cols,
-                     int* rows) const;
-
-  // (Re)builds the CSR layout at the given resolution; `bounds_` must
-  // already be set.
-  void Build(const std::vector<Point>& points, double target_per_cell);
-
   template <typename Fn>
   void VisitCell(int cx, int cy, Fn& fn) const {
     const CellSlice slice = Cell(cx, cy);
@@ -182,7 +154,6 @@ class UniformGrid {
   double cell_ = 1.0;
   int cols_ = 1;
   int rows_ = 1;
-  int build_count_ = 0;
   std::vector<std::int32_t> start_;  // CSR: cell -> first slot, size cols*rows+1
   std::vector<std::int32_t> items_;  // point ids, clustered by cell
   std::vector<double> xs_;           // coordinates aligned with items_

@@ -292,6 +292,27 @@ void HierTauTable::Set(std::size_t point_id, double value) {
   }
 }
 
+double HierTauTable::MinAugmentedDistance(const Point& q, double cutoff,
+                                          std::uint64_t* distances) const {
+  const HierarchicalGrid& grid = *grid_;
+  double best = cutoff;
+  for (const std::int32_t cc : grid.nonempty_coarse()) {
+    const auto c = static_cast<std::size_t>(cc);
+    if (MinDist(q, grid.CoarseRect(c)) + coarse_floors_[c] >= best) continue;
+    for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
+      if (grid.fine_cell_begin(f) == grid.fine_cell_end(f)) continue;
+      if (MinDist(q, grid.FineRect(f)) + fine_floors_[f] >= best) continue;
+      const UniformGrid::CellSlice slice = grid.FineCell(f);
+      const double* taus = values_.data() + slice.first_slot;
+      *distances += slice.count;
+      for (std::size_t i = 0; i < slice.count; ++i) {
+        best = std::min(best, Distance(q, Point{slice.xs[i], slice.ys[i]}) + taus[i]);
+      }
+    }
+  }
+  return best;
+}
+
 double HierTauTable::GlobalFloor() {
   if (global_dirty_) {
     global_dirty_ = false;

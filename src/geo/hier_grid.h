@@ -6,8 +6,8 @@
 // (quadtree-style, but the split factor adapts per region instead of
 // recursing to a fixed depth). Sparse regions keep a single fine cell per
 // coarse cell, dense regions get up to max_split x max_split children — the
-// per-region answer to the flat auto-tuner's one-resolution-fits-all
-// mis-sizing on skewed inputs.
+// per-region answer to a flat grid's one-resolution-fits-all mis-sizing on
+// skewed inputs.
 //
 // The coarse level carries the aggregates the SSPA pruning stack consumes
 // (see src/geo/README.md for the contract):
@@ -224,6 +224,16 @@ class HierTauTable {
   // Slot-ordered value array aligned with the grid's clustered slices:
   // values()[slice.first_slot + i] is the value of slice.ids[i].
   const double* values() const { return values_.data(); }
+
+  // Tau-augmented nearest neighbour: min over residents p of
+  // dist(q, p) + value(p), or `cutoff` when nothing goes below it (pass
+  // +infinity for an unbounded query). Coarse and fine cells whose
+  // MinDist + floor cannot beat the running best are skipped wholesale;
+  // removed residents read +infinity and never win. Exhaustive walk, no
+  // ring ordering: callers run it once per provider per solve (SSPA dual
+  // repair) or once per provider arrival (AssignmentEngine seeds). Adds
+  // the distances it computes to `*distances`.
+  double MinAugmentedDistance(const Point& q, double cutoff, std::uint64_t* distances) const;
 
  private:
   // Shared write path: assigns the value and restores fine/coarse/global

@@ -72,31 +72,4 @@ double SharedFrontier::PeekDistance(int q) {
   return heap.empty() ? std::numeric_limits<double>::infinity() : heap.top().dist;
 }
 
-SharedCellSweep::SharedCellSweep(const UniformGrid& grid)
-    : cursor_(grid, Point{}), resident_(grid.num_cells(), 0) {}
-
-std::optional<GridRingCursor::CellView> SharedCellSweep::NextCell() {
-  const auto cell = cursor_.NextCell();
-  if (!cell) return cell;
-  auto& slot = resident_[cell->cell];
-  if (slot == 0) {
-    slot = 1;
-    ++stats_.cell_fetches;
-  }
-  ++stats_.fanout;
-  return cell;
-}
-
-HierCellSweep::HierCellSweep(const HierarchicalGrid& grid)
-    : cursor_(grid, Point{}), resident_(grid.num_fine(), 0) {}
-
-void HierCellSweep::ChargeFine(std::size_t fine) {
-  auto& slot = resident_[fine];
-  if (slot == 0) {
-    slot = 1;
-    ++stats_.cell_fetches;
-  }
-  ++stats_.fanout;
-}
-
 }  // namespace cca

@@ -2,27 +2,18 @@
 //
 // Per-provider `GridNnCursor`s re-fetch the same cells when nearby
 // providers sweep overlapping neighbourhoods (ROADMAP: "Batched
-// multi-provider relaxation"). The two structures here amortise those cell
+// multi-provider relaxation"). `SharedFrontier` amortises those cell
 // visits, the grid analogue of the paper's grouped-ANN traversal
-// (Section 3.4.2, rtree/ann_iterator.h):
-//
-//   * `SharedFrontier` serves one *group* of subscribed query points with
-//     exact incremental NN streams from a single cell sweep. Cells expand
-//     on demand in the demanding subscriber's mindist order; each first
-//     expansion is one `cell_fetches` unit and its points are multiplexed
-//     into the candidate heap of every active subscriber that has not been
-//     handed the cell yet (`fanout` counts the deliveries). A subscriber's
-//     walker skips cells it already received, so while subscribers stay
-//     active a cell is fetched at most once per frontier no matter how
-//     many of them need it. (Unsubscribing *terminates* a stream and
-//     releases its queued candidates; see `Unsubscribe`.)
-//   * `SharedCellSweep` is the re-scannable flavour for relax-style
-//     consumers (the SSPA grid relax re-scans each provider's
-//     neighbourhood on every pop with fresh bounds, so points cannot be
-//     handed out eagerly): every scan walks its own ring order, but a cell
-//     is charged as a fetch only on its first materialisation — later
-//     serves of a resident cell are `fanout` (the sweep keeps swept cells
-//     resident, like a buffer that never evicts the frontier).
+// (Section 3.4.2, rtree/ann_iterator.h): it serves one *group* of
+// subscribed query points with exact incremental NN streams from a single
+// cell sweep. Cells expand on demand in the demanding subscriber's mindist
+// order; each first expansion is one `cell_fetches` unit and its points
+// are multiplexed into the candidate heap of every active subscriber that
+// has not been handed the cell yet (`fanout` counts the deliveries). A
+// subscriber's walker skips cells it already received, so while
+// subscribers stay active a cell is fetched at most once per frontier no
+// matter how many of them need it. (Unsubscribing *terminates* a stream
+// and releases its queued candidates; see `Unsubscribe`.)
 //
 // Soundness of the per-subscriber tail bounds (the core/README.md
 // contract): subscriber q's uncertified candidates all lie in cells q's
@@ -45,7 +36,7 @@
 
 namespace cca {
 
-// Cell-fetch accounting shared by both frontier flavours. `cell_fetches`
+// Cell-fetch accounting of a SharedFrontier. `cell_fetches`
 // counts first materialisations (the index-read unit, charged into
 // Metrics::grid_cursor_cells / index_node_accesses by callers);
 // `fanout` counts cell -> subscriber deliveries, so fanout / cell_fetches
@@ -113,65 +104,6 @@ class SharedFrontier {
   void Refine(int q);
 
   std::vector<Subscriber> subs_;
-  SharedFrontierStats stats_;
-};
-
-// Re-scannable shared sweep: one embedded ring cursor (Reset per scan)
-// over a resident-cell set shared by all scans. Mirrors the subset of the
-// GridRingCursor API the SSPA relax loop consumes.
-class SharedCellSweep {
- public:
-  explicit SharedCellSweep(const UniformGrid& grid);
-
-  // Rewinds onto a new query point (one scan per provider pop).
-  void Reset(const Point& query) { cursor_.Reset(query); }
-
-  double TailMinDist() const { return cursor_.TailMinDist(); }
-  std::size_t points_remaining() const { return cursor_.points_remaining(); }
-
-  // Next non-empty cell in the current scan's ring order; charges a fetch
-  // on first materialisation, a fanout unit on every serve.
-  std::optional<GridRingCursor::CellView> NextCell();
-
-  const SharedFrontierStats& stats() const { return stats_; }
-
- private:
-  GridRingCursor cursor_;
-  std::vector<char> resident_;
-  SharedFrontierStats stats_;
-};
-
-// Re-scannable shared sweep over a HierarchicalGrid, the hierarchical
-// sibling of SharedCellSweep. Coarse-cell traversal passes straight through
-// (coarse cells are aggregate reads, not index fetches); residency is
-// tracked per *fine* cell, and the consumer charges a fine cell via
-// ChargeFine only when its bounds failed to reject it and the slice is
-// actually opened — so coarse-tail rejections keep unopened regions out of
-// the fetch ledger entirely, and re-scans of a resident fine cell cost a
-// fanout unit, not a fetch.
-class HierCellSweep {
- public:
-  explicit HierCellSweep(const HierarchicalGrid& grid);
-
-  // Rewinds onto a new query point (one scan per provider pop).
-  void Reset(const Point& query) { cursor_.Reset(query); }
-
-  double TailMinDist() const { return cursor_.TailMinDist(); }
-  std::size_t points_remaining() const { return cursor_.points_remaining(); }
-
-  // Next occupied coarse cell in the current scan's ring order.
-  std::optional<HierRingCursor::CoarseView> NextCoarse() { return cursor_.NextCoarse(); }
-
-  // Accounts an opened fine cell: a fetch on first materialisation across
-  // all scans, a fanout unit on every open.
-  void ChargeFine(std::size_t fine);
-
-  const HierarchicalGrid& grid() const { return cursor_.grid(); }
-  const SharedFrontierStats& stats() const { return stats_; }
-
- private:
-  HierRingCursor cursor_;
-  std::vector<char> resident_;
   SharedFrontierStats stats_;
 };
 

@@ -92,7 +92,7 @@ bool AssignmentEngine::RemoveCustomer(Id id) {
   const std::size_t idx = it->second;
   // Mask the departed customer out of the retained NN floors so provider
   // seeds computed before the next rebuild cannot lean on it
-  // (CellTauTable::Remove refloors its cell exactly).
+  // (HierTauTable::Remove refloors its cells exactly).
   if (nn_slot_[idx] >= 0) {
     if (nn_floors_) nn_floors_->Remove(static_cast<std::size_t>(nn_slot_[idx]));
   } else {
@@ -135,19 +135,11 @@ double AssignmentEngine::WarmCustomerDual(const Point& pos) const {
 
 double AssignmentEngine::WarmProviderDual(const Point& pos) const {
   double best = kInf;
-  if (nn_grid_ && nn_floors_) {
-    // Tau-augmented NN over the last snapshot: cells whose geometric lower
-    // bound plus dual floor cannot beat the best candidate are skipped
-    // wholesale; removed residents read +infinity and never win.
-    for (const std::int32_t cc : nn_grid_->nonempty_cells()) {
-      const auto c = static_cast<std::size_t>(cc);
-      if (MinDist(pos, nn_grid_->CellRect(c)) + nn_floors_->CellFloor(c) >= best) continue;
-      const UniformGrid::CellSlice slice = nn_grid_->Cell(c);
-      const double* taus = nn_floors_->values() + slice.first_slot;
-      for (std::size_t i = 0; i < slice.count; ++i) {
-        best = std::min(best, Distance(pos, Point{slice.xs[i], slice.ys[i]}) + taus[i]);
-      }
-    }
+  if (nn_floors_) {
+    // Tau-augmented NN over the last snapshot; removed residents read
+    // +infinity and never win.
+    std::uint64_t distances = 0;
+    best = nn_floors_->MinAugmentedDistance(pos, kInf, &distances);
   }
   if (nn_pending_ > 0) {
     // Customers inserted after the snapshot live outside the grid until
@@ -161,27 +153,13 @@ double AssignmentEngine::WarmProviderDual(const Point& pos) const {
 }
 
 void AssignmentEngine::RebuildIndexesIfStale() {
-  if (!customers_dirty_ && nn_grid_) return;
-  // Population changed (or first solve): the shared solve index and the
-  // engine-side NN snapshot are rebuilt over the current customers. The
-  // grids use problem indices as point ids, so a rebuild — not tombstone
-  // surgery — keeps every id dense; the version flag makes it O(1) to
-  // detect that nothing changed and skip all of this.
-  const SspaConfig& cfg = options_.sspa;
-  solve_grid_.reset();
-  solve_hier_.reset();
-  if (cfg.use_cell_floors && cfg.use_hierarchy) {
-    HierarchicalGrid::Options opts;
-    const double fine = cfg.grid_target_per_cell > 0.0 ? cfg.grid_target_per_cell
-                                                       : UniformGrid::kDefaultTargetPerCell;
-    opts.fine_target_per_cell = fine;
-    opts.coarse_target_per_cell = 16.0 * fine;
-    opts.split_threshold = cfg.hier_split_threshold;
-    solve_hier_ = std::make_unique<HierarchicalGrid>(problem_.customers, opts);
-  } else if (cfg.use_grid || cfg.use_cell_floors) {
-    solve_grid_ = std::make_unique<UniformGrid>(problem_.customers, cfg.grid_target_per_cell);
-  }
-  nn_grid_ = std::make_unique<UniformGrid>(problem_.customers);
+  if (!customers_dirty_ && solve_hier_) return;
+  // Population changed (or first solve): the shared solve index is rebuilt
+  // over the current customers. The grid uses problem indices as point
+  // ids, so a rebuild — not tombstone surgery — keeps every id dense; the
+  // version flag makes it O(1) to detect that nothing changed and skip all
+  // of this.
+  solve_hier_ = std::make_unique<HierarchicalGrid>(problem_.customers);
   nn_floors_.reset();  // reseeded from fresh duals after the solve
   for (std::size_t i = 0; i < nn_slot_.size(); ++i) {
     nn_slot_[i] = static_cast<std::int32_t>(i);
@@ -195,7 +173,6 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
   Timer timer;
   RebuildIndexesIfStale();
   SspaConfig cfg = options_.sspa;
-  cfg.shared_grid = solve_grid_.get();
   cfg.shared_hier_grid = solve_hier_.get();
   // The serving engine always degrades gracefully on infeasible snapshots:
   // demand the capacity cannot absorb routes to the solver's virtual
@@ -277,7 +254,7 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
     // the NN floors are refreshed, because RebuildIndexesIfStale may have
     // just rebuilt the grid they must stay aligned with.
     out.degraded = true;
-    if (nn_grid_) nn_floors_ = std::make_unique<CellTauTable>(*nn_grid_, duals_.tau_p);
+    nn_floors_ = std::make_unique<HierTauTable>(*solve_hier_, duals_.tau_p);
     return out;
   }
   if (warm) VerifyAgainstCold(cfg, out.cost);
@@ -292,7 +269,7 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
   have_solution_ = true;
   // Refresh the NN floors to this solve's duals (the grid itself only
   // rebuilds on population change).
-  nn_floors_ = std::make_unique<CellTauTable>(*nn_grid_, duals_.tau_p);
+  nn_floors_ = std::make_unique<HierTauTable>(*solve_hier_, duals_.tau_p);
   return out;
 }
 

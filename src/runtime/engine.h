@@ -19,19 +19,18 @@
 //     entry, an inserted customer is seeded at the smallest value feasible
 //     against every provider dual (max_q(tau_q - dist), clamped at 0), an
 //     inserted provider at the largest (a tau-augmented nearest-neighbour
-//     query, min_p(dist + tau_p), served by the retained cell-floor
-//     table). The solver's own repair pass remains the safety net, so
-//     seed quality affects only speed — never the matching
-//     (src/runtime/README.md has the soundness argument).
-//   * Index invalidation by population version. The customer grid (flat or
-//     hierarchical, per the configured solve strategy) is rebuilt only on
-//     a Resolve that follows a customer insert/remove and is shared with
-//     the solver via SspaConfig::shared_grid / shared_hier_grid; provider
-//     churn never invalidates it. The engine-side nearest-neighbour
-//     bookkeeping (grid + CellTauTable) follows the same policy, with
-//     customer removals masked incrementally via CellTauTable::Remove and
-//     post-snapshot inserts served from a linear side list until the next
-//     rebuild folds them in.
+//     query, min_p(dist + tau_p), served by a HierTauTable over the
+//     solve's own hierarchical grid). The solver's own repair pass remains
+//     the safety net, so seed quality affects only speed — never the
+//     matching (src/runtime/README.md has the soundness argument).
+//   * Index invalidation by population version. The customer
+//     HierarchicalGrid is rebuilt only on a Resolve that follows a customer
+//     insert/remove and is shared with the solver via
+//     SspaConfig::shared_hier_grid; provider churn never invalidates it.
+//     The provider-arrival seeds read the same grid through a HierTauTable
+//     of the last solve's duals, with customer removals masked
+//     incrementally via HierTauTable::Remove and post-snapshot inserts
+//     served from a linear side list until the next rebuild folds them in.
 //
 // Correctness anchor: a warm-started Resolve is cost-identical to a cold
 // solve of the same snapshot. Debug builds assert it on every Resolve
@@ -57,7 +56,6 @@
 #include "core/matching.h"
 #include "core/problem.h"
 #include "flow/sspa.h"
-#include "geo/grid.h"
 #include "geo/hier_grid.h"
 
 namespace cca {
@@ -69,8 +67,8 @@ class AssignmentEngine {
 
   struct Options {
     // Base solve configuration. The engine owns the shared index and warm
-    // duals, so shared_grid / shared_hier_grid / initial_potentials are
-    // overwritten per Resolve; every other knob passes through.
+    // state, so shared_hier_grid / initial_potentials / initial_matching
+    // are overwritten per Resolve; every other knob passes through.
     SspaConfig sspa;
     // Seed each solve with the previous solve's duals. Off = every
     // Resolve is a cold solve (the A/B switch the churn suite and
@@ -217,16 +215,13 @@ class AssignmentEngine {
   bool have_solution_ = false;
 
   // Shared solve index over the customers, rebuilt only when the customer
-  // population changed since it was built (flat or hierarchical, matching
-  // the configured solve strategy).
-  std::unique_ptr<UniformGrid> solve_grid_;
+  // population changed since it was built.
   std::unique_ptr<HierarchicalGrid> solve_hier_;
-  // Engine-side tau-augmented NN bookkeeping: a flat grid over the
-  // customers as of the last Resolve plus the cell floors of their duals.
-  // `nn_slot_[i]` is customer i's point id in that snapshot (-1 = inserted
-  // after it; served from the linear side scan until the next rebuild).
-  std::unique_ptr<UniformGrid> nn_grid_;
-  std::unique_ptr<CellTauTable> nn_floors_;
+  // Provider-arrival seeds: the floors of the last solve's customer duals
+  // over solve_hier_. `nn_slot_[i]` is customer i's point id in that
+  // snapshot (-1 = inserted after it; served from the linear side scan
+  // until the next rebuild).
+  std::unique_ptr<HierTauTable> nn_floors_;
   std::vector<std::int32_t> nn_slot_;
   std::size_t nn_pending_ = 0;  // customers with nn_slot_ == -1 (side scan)
   bool customers_dirty_ = true;

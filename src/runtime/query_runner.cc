@@ -25,25 +25,13 @@ SharedIndex::SharedIndex(std::vector<Point> customers, const Options& options)
     probe.grid_stream_target_per_cell = options.stream_target_per_cell;
     stream_target_per_cell_ = ResolveGridTargetPerCell(probe);
     stream_grid_ = std::make_unique<UniformGrid>(customers_, stream_target_per_cell_);
-    relax_target_per_cell_ = options.relax_target_per_cell;
-    relax_grid_ = std::make_unique<UniformGrid>(customers_, relax_target_per_cell_);
-    // Hierarchical siblings at the same fine resolutions, with the standard
-    // 16x-coarser aggregation level (the ratio SspaSolver's private build
-    // uses, so a borrowed and an owned hierarchy are interchangeable).
-    hier_split_threshold_ = options.hier_split_threshold;
+    // Hierarchical sibling at the same fine resolution, with the standard
+    // 16x-coarser aggregation level.
     HierarchicalGrid::Options stream_opts;
     stream_opts.fine_target_per_cell = stream_target_per_cell_;
     stream_opts.coarse_target_per_cell = 16.0 * stream_target_per_cell_;
-    stream_opts.split_threshold = hier_split_threshold_;
     stream_hier_ = std::make_unique<HierarchicalGrid>(customers_, stream_opts);
-    const double relax_fine = relax_target_per_cell_ > 0.0
-                                  ? relax_target_per_cell_
-                                  : UniformGrid::kDefaultTargetPerCell;
-    HierarchicalGrid::Options relax_opts;
-    relax_opts.fine_target_per_cell = relax_fine;
-    relax_opts.coarse_target_per_cell = 16.0 * relax_fine;
-    relax_opts.split_threshold = hier_split_threshold_;
-    relax_hier_ = std::make_unique<HierarchicalGrid>(customers_, relax_opts);
+    relax_hier_ = std::make_unique<HierarchicalGrid>(customers_);
   }
 }
 
@@ -120,10 +108,11 @@ void QueryRunner::WorkerLoop() {
 }
 
 QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
-  // Borrowing is gated on matching size + resolution: a spec whose problem
-  // carries a different customer set (documented as unsupported) or whose
-  // config wants another resolution silently keeps its private build, so a
-  // mismatched injection can never change results.
+  // Borrowing is gated on matching size (+ resolution for the streaming
+  // grids): a spec whose problem carries a different customer set
+  // (documented as unsupported) or whose config wants another streaming
+  // resolution silently keeps its private build, so a mismatched injection
+  // can never change results.
   const bool same_customers = spec.problem.customers.size() == index_->customers().size();
 
   QueryOutcome outcome;
@@ -133,16 +122,7 @@ QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
   switch (spec.solver) {
     case QuerySolver::kSspa: {
       SspaConfig config = spec.sspa;
-      if (config.shared_grid == nullptr && same_customers &&
-          config.grid_target_per_cell == index_->relax_target_per_cell()) {
-        config.shared_grid = index_->relax_grid();
-      }
-      // The hierarchical relax grid borrows under the same contract, plus a
-      // matching split threshold (the hierarchy's one extra shape knob).
-      if (config.use_hierarchy && config.use_cell_floors &&
-          config.shared_hier_grid == nullptr && same_customers &&
-          config.grid_target_per_cell == index_->relax_target_per_cell() &&
-          config.hier_split_threshold == index_->hier_split_threshold()) {
+      if (config.shared_hier_grid == nullptr && same_customers) {
         config.shared_hier_grid = index_->relax_hier();
       }
       SspaResult r = SolveSspa(spec.problem, config);

@@ -4,9 +4,9 @@
 // The paper benchmarks one assignment at a time; a serving system runs a
 // *stream* of them (new provider fleets, what-if capacity configurations,
 // rolling re-assignments) against one slowly-changing customer set. The
-// expensive read-only state — the R-tree with its LRU buffer and the two
-// uniform grids (coarse streaming cells for NN discovery, fine cells for
-// the SSPA relax) — is built once into a SharedIndex and shared by every
+// expensive read-only state — the R-tree with its LRU buffer, the
+// streaming grids for NN discovery and the hierarchical grid for the SSPA
+// relax — is built once into a SharedIndex and shared by every
 // in-flight query; all mutable solver state (potentials, heaps, cursors,
 // tau floors, metrics) is private to the executing query. No query ever
 // writes shared state, so no locks are taken on the query path: the only
@@ -52,15 +52,9 @@ class SharedIndex {
     // Non-positive resolves to the exact solvers' coarse default, matching
     // what a private per-solve build would produce.
     double stream_target_per_cell = 0.0;
-    // Relax-grid resolution (SSPA). Matches SspaConfig's default.
-    double relax_target_per_cell = UniformGrid::kDefaultTargetPerCell;
     // Build the R-tree CustomerDb (needed by the kRTree* backends and the
     // greedy baseline; grid-only workloads can skip the bulk load).
     bool build_customer_db = true;
-    // Split threshold for the shared hierarchical grids (0 = the builder's
-    // auto default); must match a query's hier_split_threshold for the
-    // shared hierarchy to be injected.
-    std::size_t hier_split_threshold = 0;
     CustomerDb::Options db;
   };
 
@@ -74,29 +68,24 @@ class SharedIndex {
   // Null when Options::build_customer_db was false.
   CustomerDb* db() const { return db_.get(); }
   const UniformGrid* stream_grid() const { return stream_grid_.get(); }
-  const UniformGrid* relax_grid() const { return relax_grid_.get(); }
-  // Hierarchical siblings of the two flat grids (geo/hier_grid.h), built at
-  // the same fine resolutions with the standard 16x-coarser top level:
-  // injected into SSPA solves running with use_hierarchy and into exact
-  // kGrid solves that opt into the hierarchical stream.
+  // Hierarchical sibling of the streaming grid (geo/hier_grid.h), built at
+  // the same fine resolution with the standard 16x-coarser top level, for
+  // exact kGrid solves that opt into the hierarchical stream.
   const HierarchicalGrid* stream_hier() const { return stream_hier_.get(); }
+  // The SSPA relax grid: HierarchicalGrid with default Options, the shape
+  // a private SSPA build uses (null for an empty customer set).
   const HierarchicalGrid* relax_hier() const { return relax_hier_.get(); }
-  // Resolved resolutions the grids were built at (used by QueryRunner to
-  // decide whether a query's config can borrow them).
+  // Resolved resolution the streaming grids were built at (used by
+  // QueryRunner to decide whether a query's config can borrow them).
   double stream_target_per_cell() const { return stream_target_per_cell_; }
-  double relax_target_per_cell() const { return relax_target_per_cell_; }
-  std::size_t hier_split_threshold() const { return hier_split_threshold_; }
 
  private:
   std::vector<Point> customers_;
   std::unique_ptr<CustomerDb> db_;
   std::unique_ptr<UniformGrid> stream_grid_;
-  std::unique_ptr<UniformGrid> relax_grid_;
   std::unique_ptr<HierarchicalGrid> stream_hier_;
   std::unique_ptr<HierarchicalGrid> relax_hier_;
   double stream_target_per_cell_ = 0.0;
-  double relax_target_per_cell_ = 0.0;
-  std::size_t hier_split_threshold_ = 0;
 };
 
 // Which solver a QuerySpec runs.
@@ -111,9 +100,10 @@ enum class QuerySolver {
 // One independent assignment query. `problem.customers` must be the shared
 // index's customer set (same points, same order) — providers, weights and
 // configs are free per query. The runner injects the shared grids into the
-// configs when the requested resolution matches the index's; a config that
-// asks for a different resolution (or pre-set shared grids) is honoured
-// as-is and falls back to a private build.
+// configs: the SSPA relax grid whenever the customer counts match (its
+// shape never changes a matching), the streaming grids only when the
+// requested resolution matches the index's. Pre-set shared grids are
+// honoured as-is.
 struct QuerySpec {
   QuerySolver solver = QuerySolver::kIda;
   Problem problem;

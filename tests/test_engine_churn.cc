@@ -4,7 +4,9 @@
 // snapshot, across insert/remove churn of both point sets, every point
 // distribution and unit/weighted customers.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -46,7 +48,6 @@ struct ChurnSpec {
 // no initial potentials — the reference the warm path must match.
 double ColdCost(const Problem& problem, const SspaConfig& base) {
   SspaConfig cold = base;
-  cold.shared_grid = nullptr;
   cold.shared_hier_grid = nullptr;
   cold.initial_potentials = nullptr;
   cold.initial_matching = nullptr;
@@ -136,18 +137,11 @@ TEST(EngineChurn, ClusteredWeighted) { RunChurn({Dist::kClustered, true, 14, 500
 TEST(EngineChurn, SkewedUnit) { RunChurn({Dist::kSkewed, false, 15, 500, {}}); }
 TEST(EngineChurn, SkewedWeighted) { RunChurn({Dist::kSkewed, true, 16, 500, {}}); }
 
-TEST(EngineChurn, FlatGridConfig) {
-  ChurnSpec spec{Dist::kClustered, false, 17, 300, {}};
-  spec.sspa.use_hierarchy = false;
-  RunChurn(spec);
-}
-
-TEST(EngineChurn, DenseNoFloorsConfig) {
-  // Legacy index-free solve paths under warm start (no tau tables at all).
+TEST(EngineChurn, ReferenceScanConfig) {
+  // The index-free reference solve path under warm start (no tau tables
+  // inside the solver; the engine still keeps its own seed floors).
   ChurnSpec spec{Dist::kUniform, true, 18, 200, {}};
   spec.sspa.use_grid = false;
-  spec.sspa.use_cell_floors = false;
-  spec.sspa.use_hierarchy = false;
   RunChurn(spec);
 }
 
@@ -162,7 +156,7 @@ TEST(EngineChurn, VerifyColdOptionAgrees) {
   const auto pts = test::RandomPoints(64, 21);
   std::vector<AssignmentEngine::Id> ids;
   for (int q = 0; q < 4; ++q) {
-    engine.InsertProvider(pts[static_cast<std::size_t>(q)], 8);
+    ASSERT_TRUE(engine.InsertProvider(pts[static_cast<std::size_t>(q)], 8).ok());
   }
   for (std::size_t p = 4; p < pts.size(); ++p) ids.push_back(engine.InsertCustomer(pts[p]).value());
   engine.Resolve();
@@ -216,7 +210,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
   Rng rng(271);
   const auto q_pts = test::RandomPoints(4, 61);
   const auto p_pts = test::RandomPoints(64, 62);
-  for (const auto& q : q_pts) engine.InsertProvider(q, 5);  // capacity 20
+  for (const auto& q : q_pts) ASSERT_TRUE(engine.InsertProvider(q, 5).ok());  // capacity 20
   std::vector<AssignmentEngine::Id> ids;
   std::size_t next = 0;
   Metrics totals;
@@ -276,7 +270,7 @@ TEST(EngineChurn, DeadlineBreachDegradesWithoutCrashing) {
   AssignmentEngine engine(options);
   const auto q_pts = test::RandomPoints(5, 71);
   const auto p_pts = test::RandomPoints(40, 72);
-  for (const auto& q : q_pts) engine.InsertProvider(q, 4);
+  for (const auto& q : q_pts) ASSERT_TRUE(engine.InsertProvider(q, 4).ok());
   std::vector<AssignmentEngine::Id> ids;
   for (const auto& p : p_pts) ids.push_back(engine.InsertCustomer(p).value());
 
@@ -299,8 +293,10 @@ TEST(EngineChurn, DeadlineBreachDegradesWithoutCrashing) {
   AssignmentEngine::Options relaxed;
   relaxed.resolve_deadline_ms = 60'000.0;
   AssignmentEngine reference(relaxed);
-  for (const auto& q : q_pts) reference.InsertProvider(q, 4);
-  for (std::size_t p = 0; p + 3 < p_pts.size(); ++p) reference.InsertCustomer(p_pts[p]);
+  for (const auto& q : q_pts) ASSERT_TRUE(reference.InsertProvider(q, 4).ok());
+  for (std::size_t p = 0; p + 3 < p_pts.size(); ++p) {
+    ASSERT_TRUE(reference.InsertCustomer(p_pts[p]).ok());
+  }
   const auto out = reference.Resolve();
   EXPECT_FALSE(out.degraded);
   const SspaResult cold = SolveSspa(reference.problem(), SspaConfig{});
@@ -385,7 +381,7 @@ TEST(EngineChurn, WarmStartReducesPopsOnSmallPerturbation) {
   const auto p_pts = test::RandomPoints(1500, 42);
   Rng rng(43);
   for (const auto& q : q_pts) {
-    engine.InsertProvider(q, static_cast<std::int32_t>(rng.UniformInt(60, 80)));
+    ASSERT_TRUE(engine.InsertProvider(q, static_cast<std::int32_t>(rng.UniformInt(60, 80))).ok());
   }
   std::vector<AssignmentEngine::Id> ids;
   for (const auto& p : p_pts) ids.push_back(engine.InsertCustomer(p).value());
@@ -412,6 +408,96 @@ TEST(EngineChurn, WarmStartReducesPopsOnSmallPerturbation) {
   // Nearly all of the previous flow must survive adoption — that is the
   // mechanism behind the two inequalities above.
   EXPECT_GT(warm.metrics.warm_units_adopted, 1400u);
+}
+
+// The provider-arrival seed, pinned against brute force: the largest dual
+// feasible against every live customer, max(0, min_p dist + tau_p). The
+// engine serves it from the hierarchical floors of the last solve's duals,
+// with departures masked out and post-snapshot inserts on a side scan.
+// Nothing else checks this value — an overestimate is silently repaired by
+// the solver and an underestimate only costs speed, so the warm/cold cost
+// anchor cannot catch a wrong seed.
+double BruteForceProviderSeed(const AssignmentEngine& engine, const Point& pos) {
+  const Problem& problem = engine.problem();
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t p = 0; p < problem.customers.size(); ++p) {
+    best = std::min(best, Distance(pos, problem.customers[p]) + engine.potentials().tau_p[p]);
+  }
+  return std::isinf(best) ? 0.0 : std::max(best, 0.0);
+}
+
+// Index of the customer minimising dist(pos, p) + tau_p.
+std::size_t SeedArgmin(const AssignmentEngine& engine, const Point& pos) {
+  const Problem& problem = engine.problem();
+  std::size_t arg = 0;
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t p = 0; p < problem.customers.size(); ++p) {
+    const double v = Distance(pos, problem.customers[p]) + engine.potentials().tau_p[p];
+    if (v < best) {
+      best = v;
+      arg = p;
+    }
+  }
+  return arg;
+}
+
+void ExpectProviderSeed(AssignmentEngine* engine, const Point& pos, const std::string& tag) {
+  const double want = BruteForceProviderSeed(*engine, pos);
+  ASSERT_TRUE(engine->InsertProvider(pos, 3).ok()) << tag;
+  EXPECT_EQ(engine->potentials().tau_q.back(), want) << tag;
+}
+
+TEST(EngineChurn, ProviderArrivalSeedMatchesBruteForce) {
+  AssignmentEngine engine;
+  Rng rng(61);
+  std::vector<AssignmentEngine::Id> customers, providers;
+  for (const Point& pos : test::RandomPoints(8, 62)) {
+    providers.push_back(
+        engine.InsertProvider(pos, static_cast<std::int32_t>(rng.UniformInt(30, 45))).value());
+  }
+  for (const Point& pos : test::ClusteredPoints(300, 63)) {
+    customers.push_back(engine.InsertCustomer(pos).value());
+  }
+  engine.Resolve();
+  const auto& tau_p = engine.potentials().tau_p;
+  // Capacity pressure leaves positive customer duals: the seed is not the
+  // plain nearest-neighbour distance.
+  ASSERT_GT(*std::max_element(tau_p.begin(), tau_p.end()), 0.0);
+
+  // Depart the customer each probe would otherwise lean on, plus a random
+  // handful: the masked floors must not serve them.
+  const std::vector<Point> probes = {Point{500.0, 500.0}, Point{120.0, 880.0},
+                                     Point{-300.0, 1400.0}};
+  for (const Point& probe : probes) {
+    const AssignmentEngine::Id id = engine.customer_id(SeedArgmin(engine, probe));
+    ASSERT_TRUE(engine.RemoveCustomer(id));
+    customers.erase(std::find(customers.begin(), customers.end(), id));
+  }
+  for (int i = 0; i < 20; ++i) {
+    const std::size_t j = rng.NextBelow(customers.size());
+    ASSERT_TRUE(engine.RemoveCustomer(customers[j]));
+    customers[j] = customers.back();
+    customers.pop_back();
+  }
+  // Pending inserts (not in the index until the next Resolve), one of them
+  // right next to a probe so the side scan decides that seed.
+  std::vector<Point> pending = test::RandomPoints(15, 64);
+  pending.push_back(Point{121.0, 879.0});
+  for (const Point& pos : pending) customers.push_back(engine.InsertCustomer(pos).value());
+  ASSERT_TRUE(engine.RemoveProvider(providers[3]));
+
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    ExpectProviderSeed(&engine, probes[i], "probe " + std::to_string(i));
+  }
+  for (const Point& pos : test::RandomPoints(10, 65)) {
+    ExpectProviderSeed(&engine, pos, "random arrival");
+  }
+
+  // Every customer gone: nothing constrains the new dual, so it seeds at 0.
+  for (const AssignmentEngine::Id id : customers) ASSERT_TRUE(engine.RemoveCustomer(id));
+  ASSERT_EQ(engine.num_customers(), 0u);
+  ExpectProviderSeed(&engine, Point{400.0, 300.0}, "empty");
+  EXPECT_EQ(engine.potentials().tau_q.back(), 0.0);
 }
 
 }  // namespace

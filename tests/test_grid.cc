@@ -145,66 +145,5 @@ TEST(UniformGridTest, ResolutionTracksTarget) {
             static_cast<long>(coarse.cols()) * coarse.rows());
 }
 
-TEST(UniformGridTest, AutoTuneRefinesSkewedOccupancy) {
-  // 90% of the mass in a corner strip, the rest spread across the world:
-  // at the static default most points share a handful of cells.
-  Rng rng(31);
-  std::vector<Point> pts;
-  for (int i = 0; i < 2000; ++i) {
-    if (rng.NextDouble() < 0.9) {
-      pts.push_back(Point{rng.Uniform(0.0, 60.0), rng.Uniform(0.0, 40.0)});
-    } else {
-      pts.push_back(Point{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)});
-    }
-  }
-  const UniformGrid fixed(pts);      // static default resolution
-  const UniformGrid tuned(pts, 0.0); // auto-tuned
-  EXPECT_GT(fixed.MeanOccupancy(), 1.5 * UniformGrid::kDefaultTargetPerCell)
-      << "instance not skewed enough to exercise the tuner";
-  EXPECT_LT(tuned.MeanOccupancy(), fixed.MeanOccupancy());
-  EXPECT_GT(tuned.NonEmptyCells(), fixed.NonEmptyCells());
-  // Every point still lands in exactly one cell at the tuned resolution.
-  EXPECT_EQ(EnumerateAll(tuned, Point{30, 20}).size(), pts.size());
-}
-
-TEST(UniformGridTest, AutoTuneLeavesUniformDataAlone) {
-  const auto pts = UniformPoints(1000, 37);
-  const UniformGrid fixed(pts);
-  const UniformGrid tuned(pts, 0.0);
-  EXPECT_EQ(tuned.cols(), fixed.cols());
-  EXPECT_EQ(tuned.rows(), fixed.rows());
-  // Occupancy on target: the tuner never rebuilt.
-  EXPECT_EQ(tuned.build_count(), 1);
-}
-
-TEST(UniformGridTest, AutoTuneRebuildCountsOneRebuild) {
-  // The skewed instance from AutoTuneRefinesSkewedOccupancy retunes
-  // exactly once: measure pass plus one finer rebuild.
-  Rng rng(31);
-  std::vector<Point> pts;
-  for (int i = 0; i < 2000; ++i) {
-    if (rng.NextDouble() < 0.9) {
-      pts.push_back(Point{rng.Uniform(0.0, 60.0), rng.Uniform(0.0, 40.0)});
-    } else {
-      pts.push_back(Point{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)});
-    }
-  }
-  const UniformGrid tuned(pts, 0.0);
-  EXPECT_EQ(tuned.build_count(), 2);
-}
-
-TEST(UniformGridTest, AutoTuneSkipsNoOpRebuild) {
-  // Co-located points trip the occupancy trigger (everything in one cell)
-  // but the tuned target resolves to the same degenerate 1x1 resolution —
-  // the rebuild would reproduce the grid bit for bit, so it is skipped.
-  const std::vector<Point> pts(16, Point{42.0, 17.0});
-  const UniformGrid tuned(pts, 0.0);
-  EXPECT_GT(tuned.MeanOccupancy(), 1.5 * UniformGrid::kDefaultTargetPerCell);
-  EXPECT_EQ(tuned.cols(), 1);
-  EXPECT_EQ(tuned.rows(), 1);
-  EXPECT_EQ(tuned.build_count(), 1);
-  EXPECT_EQ(tuned.Cell(0, 0).count, pts.size());
-}
-
 }  // namespace
 }  // namespace cca

@@ -61,19 +61,19 @@ TEST(MetricsTest, AccumulateAddsEverything) {
 TEST(MetricsTest, MergeAndPlusEqualsMatchAccumulate) {
   Metrics a, b;
   a.dijkstra_pops = 4;
-  a.dense_cells_checked = 9;
+  a.coarse_tails_pruned = 9;
   b.dijkstra_pops = 6;
-  b.dense_cells_checked = 1;
+  b.coarse_tails_pruned = 1;
   b.augmentations = 2;
   Metrics via_merge = a;
   via_merge.Merge(b);
   Metrics via_plus = a;
   via_plus += b;
   EXPECT_EQ(via_merge.dijkstra_pops, 10u);
-  EXPECT_EQ(via_merge.dense_cells_checked, 10u);
+  EXPECT_EQ(via_merge.coarse_tails_pruned, 10u);
   EXPECT_EQ(via_merge.augmentations, 2u);
   EXPECT_EQ(via_plus.dijkstra_pops, via_merge.dijkstra_pops);
-  EXPECT_EQ(via_plus.dense_cells_checked, via_merge.dense_cells_checked);
+  EXPECT_EQ(via_plus.coarse_tails_pruned, via_merge.coarse_tails_pruned);
   EXPECT_EQ(via_plus.augmentations, via_merge.augmentations);
 }
 

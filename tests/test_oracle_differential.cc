@@ -107,7 +107,6 @@ TEST(OracleDifferential, SolversMatchHungarianOnRandomInstances) {
         const ExactResult ida = SolveIda(problem, db.get(), config);
         SspaConfig sspa_config;
         sspa_config.use_grid = case_index % 2 == 0;
-        sspa_config.use_shared_frontier = case_index % 4 == 2;
         const SspaResult sspa = SolveSspa(problem, sspa_config);
 
         std::string error;

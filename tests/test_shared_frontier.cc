@@ -10,12 +10,10 @@
 #include <limits>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/exact.h"
 #include "core/greedy.h"
 #include "core/matching.h"
 #include "core/nn_source.h"
-#include "flow/sspa.h"
 #include "geo/grid_cursor.h"
 #include "geo/shared_frontier.h"
 #include "test_util.h"
@@ -206,23 +204,6 @@ TEST(SharedFrontierTest, UnsubscribeReleasesQueuedCandidatesAndSlot) {
   EXPECT_FALSE(frontier.subscribed(1));
 }
 
-TEST(SharedCellSweepTest, ResidentCellsChargeOnlyOnce) {
-  const auto pts = test::RandomPoints(200, 67);
-  const UniformGrid grid(pts, 8.0);
-  SharedCellSweep sweep(grid);
-  sweep.Reset(Point{300, 300});
-  std::size_t served_first = 0;
-  while (sweep.NextCell()) ++served_first;
-  const std::uint64_t fetches_first = sweep.stats().cell_fetches;
-  EXPECT_EQ(fetches_first, served_first);  // cold sweep: every serve is a fetch
-  // Second scan from a nearby query: same cells, all resident.
-  sweep.Reset(Point{310, 295});
-  std::size_t served_second = 0;
-  while (sweep.NextCell()) ++served_second;
-  EXPECT_EQ(sweep.stats().cell_fetches, fetches_first);
-  EXPECT_EQ(sweep.stats().fanout, served_first + served_second);
-}
-
 // Greedy retires providers as their capacity saturates — the end-to-end
 // exercise of NnSource::Retire on the batched backend.
 TEST(SharedFrontierBackend, GreedyRetiresProvidersAndMatchesGridBackend) {
@@ -241,68 +222,6 @@ TEST(SharedFrontierBackend, GreedyRetiresProvidersAndMatchesGridBackend) {
   const double g = SolveGreedySm(problem, db.get(), grid).matching.cost();
   const double b = SolveGreedySm(problem, db.get(), batched).matching.cost();
   EXPECT_NEAR(g, b, 1e-9);
-}
-
-// SSPA on the shared sweep: identical relax trajectory (same cells in the
-// same order), identical matchings — only the cell-fetch ledger shrinks.
-TEST(SharedFrontierBackend, SspaSharedSweepMatchesPrivateCursor) {
-  for (const bool weighted : {false, true}) {
-    test::InstanceSpec spec;
-    spec.nq = 12;
-    spec.np = 400;
-    spec.k_lo = 2;
-    spec.k_hi = 8;
-    spec.seed = weighted ? 73u : 79u;
-    Problem problem = test::RandomProblem(spec);
-    if (weighted) {
-      Rng rng(5);
-      problem.weights.resize(problem.customers.size());
-      for (auto& w : problem.weights) w = static_cast<std::int32_t>(rng.UniformInt(1, 3));
-    }
-    SspaConfig plain;
-    SspaConfig shared = plain;
-    shared.use_shared_frontier = true;
-    const SspaResult a = SolveSspa(problem, plain);
-    const SspaResult b = SolveSspa(problem, shared);
-    EXPECT_NEAR(a.matching.cost(), b.matching.cost(), 1e-6);
-    EXPECT_EQ(a.metrics.dijkstra_relaxes, b.metrics.dijkstra_relaxes);
-    EXPECT_EQ(a.metrics.grid_rings_scanned, b.metrics.grid_rings_scanned);
-    EXPECT_LE(b.metrics.grid_cursor_cells, a.metrics.grid_cursor_cells);
-    EXPECT_EQ(b.metrics.shared_frontier_fanout, a.metrics.grid_cursor_cells);
-    EXPECT_GT(b.metrics.shared_frontier_cell_fetches, 0u);
-  }
-}
-
-// Below SspaConfig::shared_frontier_min_customers the sweep's per-solve
-// setup is pure overhead (the 10x200 bench row paid ~5x wall clock for
-// it), so small instances silently fall back to the private cursor:
-// identical relax trajectory and matching, zero shared-frontier metrics.
-TEST(SharedFrontierBackend, SspaSmallInstanceFallsBackToPrivateCursor) {
-  test::InstanceSpec spec;
-  spec.nq = 10;
-  spec.np = 200;  // below the default 256-customer threshold
-  spec.k_lo = 2;
-  spec.k_hi = 5;
-  spec.seed = 83;
-  const Problem problem = test::RandomProblem(spec);
-  SspaConfig plain;
-  SspaConfig shared = plain;
-  shared.use_shared_frontier = true;
-  const SspaResult a = SolveSspa(problem, plain);
-  const SspaResult b = SolveSspa(problem, shared);
-  EXPECT_EQ(b.metrics.shared_frontier_cell_fetches, 0u);
-  EXPECT_EQ(b.metrics.shared_frontier_fanout, 0u);
-  EXPECT_EQ(b.metrics.grid_cursor_cells, a.metrics.grid_cursor_cells);
-  EXPECT_EQ(b.metrics.dijkstra_relaxes, a.metrics.dijkstra_relaxes);
-  EXPECT_NEAR(a.matching.cost(), b.matching.cost(), 1e-9);
-  // Forcing the sweep (threshold 0) still works and still matches.
-  SspaConfig forced = shared;
-  forced.shared_frontier_min_customers = 0;
-  const SspaResult c = SolveSspa(problem, forced);
-  EXPECT_GT(c.metrics.shared_frontier_cell_fetches, 0u);
-  EXPECT_LT(c.metrics.grid_cursor_cells, a.metrics.grid_cursor_cells);
-  EXPECT_EQ(c.metrics.dijkstra_relaxes, a.metrics.dijkstra_relaxes);
-  EXPECT_NEAR(a.matching.cost(), c.matching.cost(), 1e-9);
 }
 
 // The acceptance-bar regression guard: at |Q|=100, |P|=10k the batched

@@ -1,7 +1,8 @@
-// Property test: grid-pruned SSPA and dense SSPA must produce matchings of
-// equal total cost (the optimum is unique in cost, not in pairing) on
-// seeded random instances across distributions, plus a relax-count
-// regression guard for the pruning itself.
+// Property test: the hierarchical ring relax and the reference scan must
+// produce matchings of equal total cost (the optimum is unique in cost, not
+// in pairing) with the same augmentation structure on seeded random
+// instances across distributions, plus a relax-count regression guard for
+// the pruning itself.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -23,22 +24,9 @@ SspaResult RunDense(const Problem& problem) {
   return SolveSspa(problem, config);
 }
 
-// Every relax-strategy flavour the solver has: grid / dense x per-cell tau
-// floors on (fused DistanceBlockSelect kernel) / off (legacy global-floor
-// paths), plus the shared-frontier sweep with floors.
-SspaResult RunFlavour(const Problem& problem, bool use_grid, bool floors,
-                      bool shared = false) {
-  SspaConfig config;
-  config.use_grid = use_grid;
-  config.use_cell_floors = floors;
-  config.use_shared_frontier = shared;
-  config.shared_frontier_min_customers = 0;  // exercise the sweep at any size
-  return SolveSspa(problem, config);
-}
-
-// Candidates the dense scan looked at: it examines every customer on every
-// provider pop and either relaxes it or prunes it against the certified
-// upper bound, so relaxes + pruned equals the pre-prune dense relax count.
+// Candidates the reference scan looked at: it examines every customer on
+// every provider pop and either relaxes it or prunes it against the
+// certified upper bound, so relaxes + pruned equals the pre-prune count.
 std::uint64_t DenseExamined(const SspaResult& dense) {
   return dense.metrics.dijkstra_relaxes + dense.metrics.relaxes_pruned;
 }
@@ -60,6 +48,13 @@ void ExpectEquivalent(const Problem& problem, const std::string& label) {
   EXPECT_LE(grid.metrics.dijkstra_relaxes, DenseExamined(dense) * 11 / 10 + 8) << label;
   // Identical augmentation structure: both run one Dijkstra per path.
   EXPECT_EQ(grid.metrics.augmentations, dense.metrics.augmentations) << label;
+  // Pops agree up to boundary ties: at most a handful of tied nodes per
+  // Dijkstra run surface before the sink in enumeration-dependent order
+  // (tests/test_sspa_hier_equivalence.cc spells out why).
+  const auto pop_gap = grid.metrics.dijkstra_pops > dense.metrics.dijkstra_pops
+                           ? grid.metrics.dijkstra_pops - dense.metrics.dijkstra_pops
+                           : dense.metrics.dijkstra_pops - grid.metrics.dijkstra_pops;
+  EXPECT_LE(pop_gap, dense.metrics.augmentations) << label;
 }
 
 Problem SkewedProblem(std::size_t nq, std::size_t np, std::int32_t k_lo, std::int32_t k_hi,
@@ -148,71 +143,9 @@ TEST(SspaGridEquivalence, DegenerateGeometries) {
   ExpectEquivalent(coincident, "coincident");
 }
 
-// Cell-floor on/off equivalence: the per-cell tau floors and the fused
-// early-reject kernel may only skip candidates whose label could not have
-// influenced the run, so costs, pop counts and augmentation counts must be
-// identical with pruning on vs off, across distributions, unit and
-// weighted, grid and dense and shared-sweep relax strategies.
-void ExpectCellFloorEquivalent(const Problem& problem, const std::string& label) {
-  const SspaResult off = RunFlavour(problem, /*use_grid=*/true, /*floors=*/false);
-  for (const bool use_grid : {true, false}) {
-    const SspaResult on = RunFlavour(problem, use_grid, /*floors=*/true);
-    const std::string sub = label + (use_grid ? " grid" : " dense");
-    std::string error;
-    EXPECT_TRUE(ValidateMatching(problem, on.matching, &error)) << sub << ": " << error;
-    EXPECT_NEAR(on.matching.cost(), off.matching.cost(),
-                1e-6 * std::max(1.0, off.matching.cost()))
-        << sub;
-    EXPECT_EQ(on.metrics.dijkstra_pops, off.metrics.dijkstra_pops) << sub;
-    EXPECT_EQ(on.metrics.augmentations, off.metrics.augmentations) << sub;
-    // The kernel never relaxes a candidate the legacy path pruned.
-    EXPECT_LE(on.metrics.dijkstra_relaxes, off.metrics.dijkstra_relaxes) << sub;
-  }
-  const SspaResult shared = RunFlavour(problem, /*use_grid=*/true, /*floors=*/true,
-                                       /*shared=*/true);
-  EXPECT_NEAR(shared.matching.cost(), off.matching.cost(),
-              1e-6 * std::max(1.0, off.matching.cost()))
-      << label << " shared";
-  EXPECT_EQ(shared.metrics.dijkstra_pops, off.metrics.dijkstra_pops) << label << " shared";
-  EXPECT_EQ(shared.metrics.augmentations, off.metrics.augmentations) << label << " shared";
-}
-
-TEST(SspaCellFloorEquivalence, UniformClusteredSkewedUnitAndWeighted) {
-  for (const bool weighted : {false, true}) {
-    for (int kind = 0; kind < 3; ++kind) {
-      for (std::uint64_t seed = 50; seed <= 52; ++seed) {
-        Problem problem;
-        std::string label;
-        if (kind == 2) {
-          problem = SkewedProblem(7, 110, 1, 5, seed);
-          label = "skewed";
-        } else {
-          test::InstanceSpec spec;
-          spec.nq = 8;
-          spec.np = 130;
-          spec.k_lo = 2;
-          spec.k_hi = 7;
-          spec.clustered_q = kind == 1;
-          spec.clustered_p = kind == 1;
-          spec.seed = seed;
-          problem = test::RandomProblem(spec);
-          label = kind == 1 ? "clustered" : "uniform";
-        }
-        if (weighted) {
-          Rng rng(seed * 11 + 1);
-          problem.weights.resize(problem.customers.size());
-          for (auto& w : problem.weights) w = static_cast<std::int32_t>(rng.UniformInt(1, 4));
-          label += " weighted";
-        }
-        ExpectCellFloorEquivalent(problem, label + " seed " + std::to_string(seed));
-      }
-    }
-  }
-}
-
 // The pruning regression guard: on a mid-size uniform instance the grid
-// path must relax at least 5x fewer edges than the candidates the dense
-// scan has to examine.
+// path must relax at least 5x fewer edges than the candidates the
+// reference scan has to examine.
 TEST(SspaGridEquivalence, PruningActuallyPrunes) {
   test::InstanceSpec spec;
   spec.nq = 20;
@@ -238,34 +171,9 @@ TEST(SspaGridEquivalence, PruningActuallyPrunes) {
   EXPECT_LE(grid.metrics.distances_computed, grid.metrics.dijkstra_relaxes);
   EXPECT_LE(grid.metrics.distances_computed * 5, DenseExamined(dense))
       << "distances=" << grid.metrics.distances_computed;
-  // With the cell partition + kernel, even the dense fallback stops
-  // materialising every examined candidate's distance.
-  EXPECT_LE(dense.metrics.distances_computed * 5, DenseExamined(dense))
-      << "dense distances=" << dense.metrics.distances_computed;
 }
 
-// Legacy flavours (floors off) must keep their historical accounting:
-// every examined dense candidate pays a distance, and the grid path pays
-// one per scanned-cell resident.
-TEST(SspaGridEquivalence, LegacyFlavoursStillMaterialiseEveryDistance) {
-  test::InstanceSpec spec;
-  spec.nq = 6;
-  spec.np = 300;
-  spec.k_lo = 4;
-  spec.k_hi = 4;
-  spec.seed = 9;
-  const Problem problem = test::RandomProblem(spec);
-  const SspaResult dense_off = RunFlavour(problem, /*use_grid=*/false, /*floors=*/false);
-  // Every scanned lane pays a distance (examined = relaxed + pruned; the
-  // handful of saturated-serving lanes are scanned but counted as neither).
-  EXPECT_GE(dense_off.metrics.distances_computed, DenseExamined(dense_off));
-  const SspaResult grid_off = RunFlavour(problem, /*use_grid=*/true, /*floors=*/false);
-  EXPECT_GT(grid_off.metrics.distances_computed, 0u);
-  const SspaResult grid_on = RunFlavour(problem, /*use_grid=*/true, /*floors=*/true);
-  EXPECT_LT(grid_on.metrics.distances_computed, grid_off.metrics.distances_computed);
-}
-
-// The dense fallback's upper-bound prune (index-free run_ub trick): it must
+// The reference scan's upper-bound prune (index-free run_ub trick): it must
 // actually skip heap work on a capacity-scarce instance, without changing
 // the optimum.
 TEST(SspaGridEquivalence, DenseUpperBoundPruneActive) {
@@ -281,24 +189,6 @@ TEST(SspaGridEquivalence, DenseUpperBoundPruneActive) {
   EXPECT_LT(dense.metrics.dijkstra_relaxes, DenseExamined(dense));
   EXPECT_NEAR(dense.matching.cost(), RunGrid(problem).matching.cost(),
               1e-6 * std::max(1.0, dense.matching.cost()));
-}
-
-// Auto-tuned resolution (grid_target_per_cell <= 0) must stay cost-exact,
-// including on the skewed instances that motivated it.
-TEST(SspaGridEquivalence, AutoTunedResolutionEquivalence) {
-  for (std::uint64_t seed = 40; seed <= 43; ++seed) {
-    const Problem problem = SkewedProblem(7, 120, 1, 5, seed);
-    SspaConfig config;
-    config.use_grid = true;
-    config.grid_target_per_cell = 0.0;  // auto-tune from density
-    const SspaResult tuned = SolveSspa(problem, config);
-    const SspaResult dense = RunDense(problem);
-    std::string error;
-    EXPECT_TRUE(ValidateMatching(problem, tuned.matching, &error)) << error;
-    EXPECT_NEAR(tuned.matching.cost(), dense.matching.cost(),
-                1e-6 * std::max(1.0, dense.matching.cost()))
-        << "auto-tuned seed " << seed;
-  }
 }
 
 }  // namespace

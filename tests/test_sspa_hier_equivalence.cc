@@ -1,13 +1,12 @@
-// A/B soundness gate for the hierarchical adaptive grid (geo/hier_grid.h):
-// SSPA with use_hierarchy on and off must produce the *same trajectory* —
-// matching cost, Dijkstra pops and augmentation count all agree — because
-// the coarse-tail rejection only ever discards relaxes certified
-// irrelevant (coarse floor <= every resident tau, so the coarse bound is a
-// union of per-cell bounds already proven sound). Randomized across
-// distributions (uniform / clustered / skewed), unit and weighted
-// customers, and every relax flavour (ring grid, dense fallback,
-// shared-frontier sweep), plus the output-sensitivity regression guard for
-// the hierarchical dense fallback.
+// Soundness gate for the hierarchical ring relax (geo/hier_grid.h): SSPA
+// on the two-level grid and the index-free reference scan must produce the
+// *same trajectory* — matching cost, Dijkstra pops (up to boundary ties)
+// and augmentation count all agree — because every coarse, fine and
+// per-lane rejection only ever discards relaxes certified irrelevant
+// (coarse floor <= every resident tau, fine floor likewise). Randomized
+// across distributions (uniform / clustered / skewed) and unit and weighted
+// customers; the grid's shape (split threshold) and its provenance (a
+// SharedIndex-borrowed grid) must not matter either.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,32 +14,23 @@
 
 #include "common/rng.h"
 #include "flow/sspa.h"
+#include "geo/hier_grid.h"
 #include "runtime/query_runner.h"
 #include "test_util.h"
 
 namespace cca {
 namespace {
 
-enum class Relax { kGrid, kDense, kShared };
-
-SspaResult RunFlavour(const Problem& problem, Relax relax, bool hierarchy) {
+SspaResult Solve(const Problem& problem, bool use_grid) {
   SspaConfig config;
-  config.use_grid = relax != Relax::kDense;
-  config.use_shared_frontier = relax == Relax::kShared;
-  config.shared_frontier_min_customers = 0;  // exercise the sweep at any size
-  config.use_hierarchy = hierarchy;
+  config.use_grid = use_grid;
   return SolveSspa(problem, config);
 }
 
-const char* Name(Relax relax) {
-  switch (relax) {
-    case Relax::kGrid:
-      return "grid";
-    case Relax::kDense:
-      return "dense";
-    default:
-      return "shared";
-  }
+std::uint64_t PopGap(const SspaResult& a, const SspaResult& b) {
+  return a.metrics.dijkstra_pops > b.metrics.dijkstra_pops
+             ? a.metrics.dijkstra_pops - b.metrics.dijkstra_pops
+             : b.metrics.dijkstra_pops - a.metrics.dijkstra_pops;
 }
 
 // Identical trajectory: cost within float tolerance, augmentation count
@@ -49,38 +39,38 @@ const char* Name(Relax relax) {
 // and zero-reduced-cost arcs after potential updates routinely put more
 // nodes at exactly that key; which of those tied nodes the binary heap
 // surfaces before the sink depends on insertion history, which
-// legitimately differs between coarse-first and flat cell enumeration.
-// Labels strictly below the path distance — and hence the matching and
-// the augmentation structure — are enumeration-order independent, which
-// is what the coarse bound's soundness argument certifies. The existing
-// grid-vs-dense suite gates the same way for the same reason. Relax
-// counts may drift further and are not compared: the order shifts *which*
-// certified-irrelevant candidates get bound-checked, never the labels.)
-void ExpectSameTrajectory(const Problem& problem, const std::string& label) {
-  for (const Relax relax : {Relax::kGrid, Relax::kDense, Relax::kShared}) {
-    const SspaResult on = RunFlavour(problem, relax, /*hierarchy=*/true);
-    const SspaResult off = RunFlavour(problem, relax, /*hierarchy=*/false);
-    const std::string tag = label + " " + Name(relax);
-    std::string error;
-    EXPECT_TRUE(ValidateMatching(problem, on.matching, &error)) << tag << ": " << error;
-    EXPECT_NEAR(on.matching.cost(), off.matching.cost(),
-                1e-6 * std::max(1.0, off.matching.cost()))
-        << tag;
-    // At most a handful of tie pops per Dijkstra run; one run per
-    // augmentation bounds the total drift.
-    const auto pop_gap = on.metrics.dijkstra_pops > off.metrics.dijkstra_pops
-                             ? on.metrics.dijkstra_pops - off.metrics.dijkstra_pops
-                             : off.metrics.dijkstra_pops - on.metrics.dijkstra_pops;
-    EXPECT_LE(pop_gap, off.metrics.augmentations) << tag;
-    EXPECT_EQ(on.metrics.augmentations, off.metrics.augmentations) << tag;
-    // The hierarchy actually engaged (it is not equivalence-by-vacuity):
-    // every flavour routes through the two-level structure when on.
-    if (problem.customers.size() > 1) {
-      EXPECT_GT(on.metrics.coarse_cells_descended + on.metrics.coarse_tails_pruned, 0u) << tag;
-      EXPECT_EQ(off.metrics.coarse_cells_descended, 0u) << tag;
-      EXPECT_EQ(off.metrics.coarse_tails_pruned, 0u) << tag;
-      EXPECT_EQ(off.metrics.hier_splits, 0u) << tag;
-    }
+// legitimately differs between coarse-first ring enumeration and the
+// reference's index order. Labels strictly below the path distance — and
+// hence the matching and the augmentation structure — are
+// enumeration-order independent, which is what the bounds' soundness
+// argument certifies. Relax counts may drift further and are not
+// compared: the order shifts *which* certified-irrelevant candidates get
+// bound-checked, never the labels.)
+void ExpectSameTrajectory(const SspaResult& got, const SspaResult& reference,
+                          const std::string& tag) {
+  EXPECT_NEAR(got.matching.cost(), reference.matching.cost(),
+              1e-6 * std::max(1.0, reference.matching.cost()))
+      << tag;
+  // At most a handful of tie pops per Dijkstra run; one run per
+  // augmentation bounds the total drift.
+  EXPECT_LE(PopGap(got, reference), reference.metrics.augmentations) << tag;
+  EXPECT_EQ(got.metrics.augmentations, reference.metrics.augmentations) << tag;
+}
+
+void ExpectMatchesReference(const Problem& problem, const std::string& label) {
+  const SspaResult hier = Solve(problem, /*use_grid=*/true);
+  const SspaResult reference = Solve(problem, /*use_grid=*/false);
+  std::string error;
+  EXPECT_TRUE(ValidateMatching(problem, hier.matching, &error)) << label << ": " << error;
+  ExpectSameTrajectory(hier, reference, label);
+  // The hierarchy actually engaged (it is not equivalence-by-vacuity), and
+  // the reference never touches it.
+  if (problem.customers.size() > 1) {
+    EXPECT_GT(hier.metrics.coarse_cells_descended + hier.metrics.coarse_tails_pruned, 0u)
+        << label;
+    EXPECT_EQ(reference.metrics.coarse_cells_descended, 0u) << label;
+    EXPECT_EQ(reference.metrics.coarse_tails_pruned, 0u) << label;
+    EXPECT_EQ(reference.metrics.hier_splits, 0u) << label;
   }
 }
 
@@ -113,8 +103,8 @@ TEST(SspaHierEquivalence, RandomizedAcrossDistributionsAndWeights) {
     for (const bool weighted : {false, true}) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         const Problem problem = MakeInstance(dist, 6 + seed, 120 + 60 * seed, weighted, seed);
-        ExpectSameTrajectory(problem, std::string(dist) + (weighted ? " weighted" : " unit") +
-                                          " seed " + std::to_string(seed));
+        ExpectMatchesReference(problem, std::string(dist) + (weighted ? " weighted" : " unit") +
+                                            " seed " + std::to_string(seed));
       }
     }
   }
@@ -124,23 +114,16 @@ TEST(SspaHierEquivalence, SplitThresholdVariantsAgree) {
   // The split policy only redistributes points between fine cells; any
   // threshold (including "never split") must leave the trajectory alone.
   const Problem problem = MakeInstance("skewed", 8, 400, /*weighted=*/true, 5);
-  SspaConfig base;
-  base.use_grid = true;
-  base.use_hierarchy = true;
-  const SspaResult reference = SolveSspa(problem, base);
+  const SspaResult reference = Solve(problem, /*use_grid=*/false);
   for (const std::size_t threshold : {1u, 64u, 100000u}) {
-    SspaConfig config = base;
-    config.hier_split_threshold = threshold;
+    HierarchicalGrid::Options options;
+    options.split_threshold = threshold;
+    const HierarchicalGrid grid(problem.customers, options);
+    SspaConfig config;
+    config.shared_hier_grid = &grid;
     const SspaResult got = SolveSspa(problem, config);
-    EXPECT_NEAR(got.matching.cost(), reference.matching.cost(),
-                1e-6 * std::max(1.0, reference.matching.cost()))
-        << "threshold " << threshold;
-    const auto pop_gap = got.metrics.dijkstra_pops > reference.metrics.dijkstra_pops
-                             ? got.metrics.dijkstra_pops - reference.metrics.dijkstra_pops
-                             : reference.metrics.dijkstra_pops - got.metrics.dijkstra_pops;
-    EXPECT_LE(pop_gap, reference.metrics.augmentations) << "threshold " << threshold;
-    EXPECT_EQ(got.metrics.augmentations, reference.metrics.augmentations)
-        << "threshold " << threshold;
+    ExpectSameTrajectory(got, reference, "threshold " + std::to_string(threshold));
+    EXPECT_EQ(got.metrics.hier_splits, grid.splits()) << "threshold " << threshold;
   }
 }
 
@@ -156,8 +139,6 @@ TEST(SspaHierEquivalence, SharedIndexInjectionMatchesPrivateBuild) {
   QuerySpec spec;
   spec.solver = QuerySolver::kSspa;
   spec.problem = problem;
-  spec.sspa.use_grid = true;
-  spec.sspa.use_hierarchy = true;
   const QueryOutcome outcome = runner.Run({spec}).front();
   const SspaResult direct = SolveSspa(problem, spec.sspa);
   EXPECT_NEAR(outcome.matching.cost(), direct.matching.cost(),
@@ -167,40 +148,6 @@ TEST(SspaHierEquivalence, SharedIndexInjectionMatchesPrivateBuild) {
   EXPECT_EQ(outcome.metrics.coarse_tails_pruned, direct.metrics.coarse_tails_pruned);
   EXPECT_EQ(outcome.metrics.coarse_cells_descended, direct.metrics.coarse_cells_descended);
   EXPECT_EQ(outcome.metrics.hier_splits, direct.metrics.hier_splits);
-}
-
-// The output-sensitivity claim the dense fallback's hierarchy exists for:
-// descending only into coarse cells whose aggregated floor survives the
-// reduced-cost test must collapse dense_cells_checked by a large constant
-// factor. The acceptance-bar shape (100x10k, >=10x) runs in Release only;
-// Debug keeps a smaller shape with a proportionally softer bar so the
-// guard still trips on a broken descent filter without minutes of -O0.
-TEST(SspaHierEquivalence, DenseDescentCollapsesCellChecks) {
-#ifdef NDEBUG
-  const std::size_t nq = 100, np = 10000;
-  const double min_ratio = 10.0;
-#else
-  const std::size_t nq = 30, np = 2500;
-  const double min_ratio = 3.0;
-#endif
-  Problem problem;
-  const auto q_pts = test::RandomPoints(nq, 71);
-  Rng rng(73);
-  for (const auto& pos : q_pts) {
-    problem.providers.push_back(Provider{pos, static_cast<std::int32_t>(np / nq / 2)});
-  }
-  problem.customers = test::RandomPoints(np, 72);
-  const SspaResult hier = RunFlavour(problem, Relax::kDense, /*hierarchy=*/true);
-  const SspaResult flat = RunFlavour(problem, Relax::kDense, /*hierarchy=*/false);
-  EXPECT_NEAR(hier.matching.cost(), flat.matching.cost(),
-              1e-6 * std::max(1.0, flat.matching.cost()));
-  EXPECT_EQ(hier.metrics.augmentations, flat.metrics.augmentations);
-  ASSERT_GT(hier.metrics.dense_cells_checked, 0u);
-  const double ratio = static_cast<double>(flat.metrics.dense_cells_checked) /
-                       static_cast<double>(hier.metrics.dense_cells_checked);
-  EXPECT_GE(ratio, min_ratio) << "dense descent stopped being output-sensitive: "
-                              << flat.metrics.dense_cells_checked << " flat vs "
-                              << hier.metrics.dense_cells_checked << " hierarchical";
 }
 
 }  // namespace

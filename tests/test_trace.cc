@@ -146,7 +146,7 @@ TEST(EngineStatsTest, SnapshotTracksChurnAndResolves) {
   const std::vector<Point> providers = test::RandomPoints(4, 21);
   const std::vector<Point> customers = test::RandomPoints(30, 22);
   std::vector<AssignmentEngine::Id> customer_ids;
-  for (const Point& pos : providers) engine.InsertProvider(pos, 10);
+  for (const Point& pos : providers) ASSERT_TRUE(engine.InsertProvider(pos, 10).ok());
   for (const Point& pos : customers) customer_ids.push_back(engine.InsertCustomer(pos).value());
 
   AssignmentEngine::Stats s = engine.stats();
@@ -199,15 +199,15 @@ TEST(EngineStatsTest, SnapshotTracksChurnAndResolves) {
 
   // A snapshot is a copy: mutating the engine afterwards must not change it.
   const AssignmentEngine::Stats frozen = engine.stats();
-  engine.InsertCustomer(Point{1.0, 2.0});
+  ASSERT_TRUE(engine.InsertCustomer(Point{1.0, 2.0}).ok());
   EXPECT_EQ(frozen.customers_inserted, 32u);
   EXPECT_EQ(engine.stats().customers_inserted, 33u);
 }
 
 TEST(EngineStatsTest, ToJsonCarriesTheHeadlineFields) {
   AssignmentEngine engine;
-  for (const Point& pos : test::RandomPoints(3, 31)) engine.InsertProvider(pos, 8);
-  for (const Point& pos : test::RandomPoints(12, 32)) engine.InsertCustomer(pos);
+  for (const Point& pos : test::RandomPoints(3, 31)) ASSERT_TRUE(engine.InsertProvider(pos, 8).ok());
+  for (const Point& pos : test::RandomPoints(12, 32)) ASSERT_TRUE(engine.InsertCustomer(pos).ok());
   engine.Resolve();
   engine.Resolve();
   const std::string json = engine.stats().ToJson();

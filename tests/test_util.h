@@ -53,8 +53,8 @@ inline std::vector<Point> ClusteredPoints(std::size_t n, std::uint64_t seed, int
 }
 
 // Skewed points: 90% of the mass packed into a small hot rectangle at the
-// origin, the rest uniform across the world (exercises the grid
-// auto-tuner and non-uniform cell occupancy).
+// origin, the rest uniform across the world (exercises the hierarchical
+// grid's per-region splits and non-uniform cell occupancy).
 inline std::vector<Point> SkewedPoints(std::size_t n, std::uint64_t seed, double hot_w = 80.0,
                                        double hot_h = 50.0) {
   Rng rng(seed);

@@ -42,13 +42,11 @@ COUNTER_KEYS = (
     "grid_rings_scanned",
     "grid_cursor_cells",
     "shared_frontier_cell_fetches",
-    # Hierarchical-grid activity (geo/hier_grid.h). dense_cells_checked is
-    # the output-sensitivity headline (the hierarchical dense fallback must
-    # keep its >=10x collapse at 100x10k); the coarse counters pin how much
-    # work the two-level sweep does. coarse_tails_pruned growth would be an
-    # improvement, but a pruned tail is also a descent avoided, so both
-    # directions of drift are gated and a deliberate trade needs a comment.
-    "dense_cells_checked",
+    # Hierarchical-grid activity (geo/hier_grid.h): the coarse counters pin
+    # how much work the two-level sweep does. coarse_tails_pruned growth
+    # would be an improvement, but a pruned tail is also a descent avoided,
+    # so both directions of drift are gated and a deliberate trade needs a
+    # comment.
     "coarse_tails_pruned",
     "coarse_cells_descended",
     "hier_splits",
