@@ -33,7 +33,7 @@ int main() {
   }
   {
     ExactConfig config;
-    config.use_ann_grouping = false;
+    config.discovery_backend = DiscoveryBackend::kRTreePlain;
     ExactRow("-ANN", "IDA",
              ColdRun(w.db.get(), [&] { return SolveIda(w.problem, w.db.get(), config); }));
   }

@@ -5,7 +5,7 @@
 // Usage:
 //   cca_cli [--solver ida|nia|ria|sspa|greedy|sa|ca] [--nq N] [--np N]
 //           [--k N] [--delta D] [--theta T] [--dist-q u|c] [--dist-p u|c]
-//           [--seed S] [--no-pua] [--no-ann] [--dense]
+//           [--seed S] [--no-pua] [--dense]
 //           [--backend auto|rtree|ann|grid|grid-batched]
 //           [--threads N] [--repeat R] [--trace-out FILE]
 //
@@ -23,8 +23,11 @@
 // independent R-tree NN iterators, the grouped ANN traversal, grid ring
 // cursors over the memory-resident customer array, or the batched shared
 // frontier (grid-batched: Hilbert-grouped providers sharing one cell sweep
-// per group). SSPA has no shared-sweep relax, so --solver sspa rejects
-// grid-batched.
+// per group). `auto` is the grouped ANN traversal for more than one
+// provider, else the plain R-tree iterators.
+// --backend (other than auto) and --no-pua configure the exact solvers'
+// discovery and Dijkstra reuse; SSPA has neither, so --solver sspa rejects
+// them.
 // --trace-out writes a Chrome trace (chrome://tracing / perfetto) of the
 // solve's spans; it needs a tracing-enabled build (-DCCA_ENABLE_TRACING=ON)
 // and hard-errors otherwise, per the no-silently-ignored-flags rule.
@@ -60,7 +63,6 @@ struct Args {
   bool clustered_p = true;
   std::uint64_t seed = 1;
   bool use_pua = true;
-  bool use_ann = true;
   bool dense_sspa = false;
   std::string backend = "auto";
   std::size_t threads = 1;
@@ -120,8 +122,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->seed = static_cast<std::uint64_t>(std::atoll(next()));
     } else if (flag == "--no-pua") {
       args->use_pua = false;
-    } else if (flag == "--no-ann") {
-      args->use_ann = false;
     } else if (flag == "--dense") {
       args->dense_sspa = true;
     } else if (flag == "--backend") {
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: cca_cli [--solver ida|nia|ria|sspa|greedy|sa|ca] [--nq N] [--np N]\n"
                  "               [--k N] [--delta D] [--theta T] [--dist-q u|c] [--dist-p u|c]\n"
-                 "               [--seed S] [--no-pua] [--no-ann] [--dense]\n"
+                 "               [--seed S] [--no-pua] [--dense]\n"
                  "               [--backend auto|rtree|ann|grid|grid-batched]\n"
                  "               [--threads N] [--repeat R] [--trace-out FILE]\n");
     return 2;
@@ -196,7 +196,6 @@ int main(int argc, char** argv) {
   ExactConfig exact;
   exact.theta = args.theta;
   exact.use_pua = args.use_pua;
-  exact.use_ann_grouping = args.use_ann;
   if (args.backend == "rtree") {
     exact.discovery_backend = DiscoveryBackend::kRTreePlain;
   } else if (args.backend == "ann") {
@@ -218,9 +217,9 @@ int main(int argc, char** argv) {
   }
   SspaConfig sspa;
   if (args.solver == "sspa") {
-    if (args.backend == "grid-batched") {
-      std::fprintf(stderr, "--backend grid-batched does not apply to --solver sspa: "
-                           "SSPA has no shared-sweep relax\n");
+    if (args.backend != "auto" || !args.use_pua) {
+      std::fprintf(stderr, "%s does not apply to --solver sspa\n",
+                   args.backend != "auto" ? "--backend" : "--no-pua");
       return 2;
     }
     sspa.use_grid = !args.dense_sspa;

@@ -12,7 +12,7 @@ IncrementalEngine::IncrementalEngine(const Problem& problem, const Config& confi
       config_(config),
       metrics_(metrics),
       nq_(problem.providers.size()),
-      unit_(config.unit_edges),
+      unit_(problem.weights.empty()),
       gamma_(problem.Gamma()) {
   used_.assign(nq_, 0);
   tau_q_delta_.assign(nq_, 0.0);

@@ -27,8 +27,9 @@
 //   * PUA (paper Algorithm 5): inserting an edge into a live Dijkstra run
 //     repairs distances with a decrease-key cascade and resumes, instead of
 //     recomputing from scratch (switchable via Config::use_pua);
-//   * weighted customers (sink capacities > 1) with bottleneck multi-unit
-//     augmentation, required by the CA concise matching (Section 4.2).
+//   * weighted customers (sink capacities > 1, a non-empty
+//     Problem::weights) with bottleneck multi-unit augmentation, required
+//     by the CA concise matching (Section 4.2).
 #ifndef CCA_CORE_ENGINE_H_
 #define CCA_CORE_ENGINE_H_
 
@@ -51,9 +52,6 @@ class IncrementalEngine {
     // Reuse Dijkstra state across edge insertions within one iteration
     // (paper Section 3.4.1). Off = recompute from scratch each time.
     bool use_pua = true;
-    // Provider->customer edges have capacity 1 (the exact CCA setting).
-    // False leaves them node-bounded, as needed for weighted customers.
-    bool unit_edges = true;
   };
 
   IncrementalEngine(const Problem& problem, const Config& config, Metrics* metrics);
@@ -176,6 +174,8 @@ class IncrementalEngine {
   Metrics* metrics_;
 
   std::size_t nq_;
+  // Unweighted problem: provider->customer edges have capacity 1 (the exact
+  // CCA setting). Weighted customers leave them node-bounded.
   bool unit_;
   std::int64_t gamma_;
   std::int64_t assigned_ = 0;

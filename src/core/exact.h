@@ -26,7 +26,6 @@
 namespace cca {
 
 class UniformGrid;
-class HierarchicalGrid;
 
 // Candidate-discovery backend for the exact solvers (see src/core/README.md
 // for the layer contract). All backends yield cost-identical matchings;
@@ -41,7 +40,7 @@ class HierarchicalGrid;
 //                  cell sweep (geo/shared_frontier.h) — a cell is fetched
 //                  once per group and multiplexed to every member.
 enum class DiscoveryBackend {
-  kAuto = 0,  // honour `use_ann_grouping` (the legacy switch)
+  kAuto = 0,  // kRTreeGrouped for more than one provider, else kRTreePlain
   kRTreePlain,
   kRTreeGrouped,
   kGrid,
@@ -53,44 +52,20 @@ struct ExactConfig {
   double theta = 0.8;
   // Reuse Dijkstra computations across edge insertions (paper 3.4.1).
   bool use_pua = true;
-  // Serve NN streams through the grouped ANN traversal (paper 3.4.2).
-  // Consulted only when discovery_backend == kAuto.
-  bool use_ann_grouping = true;
+  // Providers per Hilbert group of the grouped ANN traversal (kRTreeGrouped).
   std::size_t ann_group_size = 8;
-  // Providers per SharedFrontier group (kGridBatched); 0 picks the
-  // default. Grid streaming cells (~256 points) are fatter than R-tree
-  // leaf pages and multiplexing a fetched cell is cheap in-memory work,
-  // so the sweet spot sits above the ANN group size: 16 roughly halves
-  // the fetch count again versus groups of 8 at |Q|=100, |P|=10k.
-  std::size_t batch_group_size = 0;
   // How RIA/NIA/IDA (and the greedy baseline) discover spatial candidates.
   DiscoveryBackend discovery_backend = DiscoveryBackend::kAuto;
-  // Grid backend resolution for NN *streaming*: average customers per
-  // cell; <= 0 falls back to a coarse default (~256/cell — fat cells
-  // amortise cursor fetches the way R-tree leaf pages do).
-  double grid_stream_target_per_cell = 0.0;
   // IDA only: enable the full-provider distance lift in pending-edge keys.
   // Disabling it reduces IDA's bound to NIA's (ablation switch).
   bool ida_distance_lift = true;
   // Prebuilt grid for the kGrid/kGridBatched backends, owned by the caller
   // (the runtime's SharedIndex builds one per customer set and shares it
   // across concurrent queries). Must cover the same points the solver is
-  // given, at the resolution grid_stream_target_per_cell would produce;
-  // null means each solve builds (and owns) a private grid. The grid is
-  // read-only during solves, so sharing is safe.
+  // given, built at kNnStreamTargetPerCell (core/nn_source.h); null means
+  // each solve builds (and owns) a private grid. The grid is read-only
+  // during solves, so sharing is safe.
   const UniformGrid* shared_stream_grid = nullptr;
-  // kGrid only: serve the NN streams from a two-level HierarchicalGrid
-  // (geo/hier_grid.h) instead of the flat streaming grid — coarse cells
-  // park their occupied children on a mindist heap and a fine cell is
-  // materialised only when its bound is due, so dense far-away regions are
-  // never opened (src/geo/README.md). The stream stays exact and ordered
-  // identically; only the fetch ledger changes. Default OFF so the
-  // paper-figure trajectories keep their flat-grid ledgers; kGridBatched
-  // ignores the flag (the SharedFrontier multiplexer is flat-cell keyed).
-  bool use_hierarchy = false;
-  // Prebuilt hierarchical stream grid, same ownership contract as
-  // shared_stream_grid.
-  const HierarchicalGrid* shared_stream_hier = nullptr;
 };
 
 struct ExactResult {

@@ -20,10 +20,7 @@ ExactResult SolveNia(const Problem& problem, CustomerDb* db, const ExactConfig& 
   Timer timer;
   IoScope io(db, &result.metrics);
 
-  IncrementalEngine::Config engine_config;
-  engine_config.use_pua = config.use_pua;
-  engine_config.unit_edges = problem.weights.empty();
-  IncrementalEngine engine(problem, engine_config, &result.metrics);
+  IncrementalEngine engine(problem, IncrementalEngine::Config{config.use_pua}, &result.metrics);
 
   auto source = MakeNnSource(db, problem, config, &result.metrics);
   EdgeFrontier frontier(problem, source.get(), &result.metrics);

@@ -2,7 +2,7 @@
 //
 // `NnSource` hands out, per service provider, the next nearest customer on
 // demand. The interface is backend-neutral — a `Hit` is just (customer id,
-// distance), with no R-tree types leaking through — and three backends
+// distance), with no R-tree types leaking through — and four backends
 // implement it (see src/core/README.md for the layer contract):
 //
 //   * PlainNnSource    independent best-first R-tree iterators, one per
@@ -60,13 +60,17 @@ class NnSource {
   virtual void Retire(int q) { (void)q; }
 };
 
-// Resolves kAuto against the legacy `use_ann_grouping` switch.
-DiscoveryBackend ResolveDiscoveryBackend(const ExactConfig& config, std::size_t num_providers);
+// Grid resolution for NN *streaming* (kGrid/kGridBatched), in average
+// customers per cell. Unlike the SSPA relax (which wants fine cells for
+// pruning granularity), an NN cursor keeps every fetched point in its
+// candidate heap, so fat cells simply amortise the per-fetch cost — one
+// fetch is one contiguous SoA scan, the grid analogue of reading an R-tree
+// leaf page.
+inline constexpr double kNnStreamTargetPerCell = 256.0;
 
-// Resolves ExactConfig::grid_stream_target_per_cell for the exact-solver
-// grid backend: non-positive falls back to a coarse streaming default
-// (fat cells amortise cursor fetches the way R-tree leaf pages do).
-double ResolveGridTargetPerCell(const ExactConfig& config);
+// Resolves kAuto: the grouped ANN traversal when there is more than one
+// provider to group, otherwise the plain per-provider iterator.
+DiscoveryBackend ResolveDiscoveryBackend(const ExactConfig& config, std::size_t num_providers);
 
 // Factory honouring ExactConfig::discovery_backend. The grid backend reads
 // `db->points()` and reports its cursor cells into `metrics`

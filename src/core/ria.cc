@@ -33,10 +33,7 @@ ExactResult SolveRia(const Problem& problem, CustomerDb* db, const ExactConfig& 
   Timer timer;
   IoScope io(db, &result.metrics);
 
-  IncrementalEngine::Config engine_config;
-  engine_config.use_pua = config.use_pua;
-  engine_config.unit_edges = problem.weights.empty();
-  IncrementalEngine engine(problem, engine_config, &result.metrics);
+  IncrementalEngine engine(problem, IncrementalEngine::Config{config.use_pua}, &result.metrics);
 
   const double world_diag = problem.World().Diagonal();
   const auto nq = problem.providers.size();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/trace.h"
-
 namespace cca {
 
 GridRingCursor::GridRingCursor(const UniformGrid& grid, const Point& query) : grid_(&grid) {
@@ -95,7 +93,6 @@ void HierRingCursor::Reset(const Point& query) {
   max_ring_ = grid_->MaxRing(query);
   exhausted_ = false;
   points_remaining_ = grid_->size();
-  coarse_visited_ = 0;
   FillRing();
 }
 
@@ -129,65 +126,12 @@ void HierRingCursor::FillRing() {
 std::optional<HierRingCursor::CoarseView> HierRingCursor::NextCoarse() {
   if (exhausted_) return std::nullopt;
   const CoarseView cell = buffer_[pos_++];
-  ++coarse_visited_;
   points_remaining_ -= cell.count;
   if (pos_ == buffer_.size()) {
     ++ring_;
     FillRing();
   }
   return cell;
-}
-
-HierNnCursor::HierNnCursor(const HierarchicalGrid& grid, const Point& query)
-    : coarse_(grid, query), query_(query) {}
-
-double HierNnCursor::FrontierBound() const {
-  double bound = coarse_.TailMinDist();
-  if (!fine_heap_.empty()) bound = std::min(bound, fine_heap_.top().min_dist);
-  return bound;
-}
-
-void HierNnCursor::Refine() {
-  const HierarchicalGrid& grid = coarse_.grid();
-  while (heap_.empty() || heap_.top().dist > FrontierBound()) {
-    // Open whichever frontier entry owns the bound: the parked fine cell if
-    // it is at least as close as every unserved coarse cell, otherwise the
-    // next coarse cell (whose occupied children then join the fine heap).
-    if (!fine_heap_.empty() && fine_heap_.top().min_dist <= coarse_.TailMinDist()) {
-      const auto f = static_cast<std::size_t>(fine_heap_.top().fine);
-      fine_heap_.pop();
-      ++fine_visited_;
-      CCA_TRACE_SPAN_VAR(descend_span, "hier.descend");
-      descend_span.Arg("fine_cell", static_cast<std::uint64_t>(f));
-      const UniformGrid::CellSlice slice = grid.FineCell(f);
-      for (std::size_t i = 0; i < slice.count; ++i) {
-        heap_.push(NnCandidate{Distance(query_, Point{slice.xs[i], slice.ys[i]}), slice.ids[i]});
-      }
-      continue;
-    }
-    const auto coarse = coarse_.NextCoarse();
-    if (!coarse) {
-      if (fine_heap_.empty()) break;  // grid fully drained
-      continue;
-    }
-    for (std::size_t f = coarse->fine_begin; f < coarse->fine_end; ++f) {
-      if (grid.fine_cell_end(f) == grid.fine_cell_begin(f)) continue;
-      fine_heap_.push(FineEntry{MinDist(query_, grid.FineRect(f)), static_cast<std::int32_t>(f)});
-    }
-  }
-}
-
-std::optional<std::pair<std::int32_t, double>> HierNnCursor::Next() {
-  Refine();
-  if (heap_.empty()) return std::nullopt;
-  const NnCandidate top = heap_.top();
-  heap_.pop();
-  return std::make_pair(top.oid, top.dist);
-}
-
-double HierNnCursor::PeekDistance() {
-  Refine();
-  return heap_.empty() ? std::numeric_limits<double>::infinity() : heap_.top().dist;
 }
 
 }  // namespace cca

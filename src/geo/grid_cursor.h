@@ -1,9 +1,10 @@
-// Stateful candidate-discovery cursors over a UniformGrid.
+// Stateful candidate-discovery cursors over the customer grids.
 //
-// This is the shared primitive behind every grid-backed discovery path:
-// the spatially-pruned SSPA relax (src/flow/sspa.cc), the grid NN source
-// that drives NIA/IDA's edge frontier (src/core/nn_source.cc), and RIA's
-// grid-backed annular range search. The contract (see src/core/README.md):
+// These are the shared primitives behind every grid-backed discovery path:
+// the grid NN sources that drive NIA/IDA's edge frontier and RIA's grid
+// annuli (src/core/nn_source.cc, directly or through SharedFrontier), and
+// the hierarchical SSPA relax (src/flow/sspa.cc). The contract (see
+// src/core/README.md):
 //
 //   * `GridRingCursor` enumerates the non-empty cells around one query
 //     point in expanding Chebyshev rings, cells within a ring served in
@@ -14,14 +15,16 @@
 //     nearest-neighbour stream (non-decreasing point distances) by holding
 //     fetched points in a candidate heap and serving the top as soon as its
 //     distance is within `TailMinDist()`.
+//   * `HierRingCursor` is GridRingCursor's coarse-level sibling over a
+//     HierarchicalGrid, serving SSPA's coarse-tail exit.
 // (RIA's nested annular batches need no separate range primitive: the
 // grid backend drains a persistent NN stream per provider up to each new
 // T, so inner cells are never re-fetched across batches — see
 // src/core/ria.cc.)
 //
-// Both cursors report the number of cells fetched so backends can be compared
-// apples-to-apples against R-tree node accesses (Metrics::grid_cursor_cells
-// / Metrics::index_node_accesses).
+// The flat cursors report the number of cells fetched so backends can be
+// compared apples-to-apples against R-tree node accesses
+// (Metrics::grid_cursor_cells / Metrics::index_node_accesses).
 #ifndef CCA_GEO_GRID_CURSOR_H_
 #define CCA_GEO_GRID_CURSOR_H_
 
@@ -183,12 +186,6 @@ class HierRingCursor {
   // Points held by coarse cells not yet returned (for prune accounting).
   std::size_t points_remaining() const { return points_remaining_; }
 
-  // Coarse cells served so far (coarse-level traversal work; fine-cell
-  // fetches are charged by the consumer, which decides what to open).
-  std::uint64_t coarse_visited() const { return coarse_visited_; }
-
-  const HierarchicalGrid& grid() const { return *grid_; }
-
  private:
   void FillRing();
 
@@ -200,52 +197,7 @@ class HierRingCursor {
   double next_ring_bound_ = 0.0;  // grid_->RingTailMinDist(query, ring_ + 1)
   std::size_t pos_ = 0;
   std::size_t points_remaining_ = 0;
-  std::uint64_t coarse_visited_ = 0;
   std::vector<CoarseView> buffer_;
-};
-
-// Exact incremental NN stream over a HierarchicalGrid, mirroring
-// GridNnCursor's contract (non-decreasing distances; fetched equal-distance
-// candidates served in ascending id order). Two-stage best-first refinement:
-// coarse cells stream in from a HierRingCursor and park their occupied fine
-// children on a min-heap keyed by MinDist(query, fine rect); a fine cell is
-// materialised into the candidate heap only when its bound is due, so dense
-// far-away regions never get opened.
-class HierNnCursor {
- public:
-  HierNnCursor(const HierarchicalGrid& grid, const Point& query);
-
-  std::optional<std::pair<std::int32_t, double>> Next();
-
-  // Distance the next Next() would return (+infinity when exhausted); may
-  // fetch cells to find out.
-  double PeekDistance();
-
-  // Fine cells materialised (the ledger comparable to GridNnCursor's
-  // cells_visited; coarse traversal is not charged here).
-  std::uint64_t cells_visited() const { return fine_visited_; }
-
- private:
-  struct FineEntry {
-    double min_dist;
-    std::int32_t fine;
-  };
-  struct FineFarther {
-    bool operator()(const FineEntry& a, const FineEntry& b) const {
-      return a.min_dist != b.min_dist ? a.min_dist > b.min_dist : a.fine > b.fine;
-    }
-  };
-
-  // Certified lower bound on every not-yet-materialised point: coarse cells
-  // still in the ring cursor, plus fine cells parked on the heap.
-  double FrontierBound() const;
-  void Refine();
-
-  HierRingCursor coarse_;
-  Point query_;
-  std::uint64_t fine_visited_ = 0;
-  std::priority_queue<FineEntry, std::vector<FineEntry>, FineFarther> fine_heap_;
-  std::priority_queue<NnCandidate, std::vector<NnCandidate>, NnCandidateFarther> heap_;
 };
 
 }  // namespace cca

@@ -1,6 +1,7 @@
 #include "runtime/query_runner.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/timer.h"
 #include "common/trace.h"
@@ -8,6 +9,12 @@
 #include "core/nn_source.h"
 
 namespace cca {
+namespace {
+
+// Indexed by QuerySolver.
+constexpr const char* kSolverNames[] = {"sspa", "ria", "nia", "ida", "greedy"};
+
+}  // namespace
 
 SharedIndex::SharedIndex(std::vector<Point> customers)
     : SharedIndex(std::move(customers), Options()) {}
@@ -18,19 +25,7 @@ SharedIndex::SharedIndex(std::vector<Point> customers, const Options& options)
     db_ = std::make_unique<CustomerDb>(customers_, options.db);
   }
   if (!customers_.empty()) {
-    // Resolve the streaming target exactly the way MakeNnSource would for a
-    // config that leaves grid_stream_target_per_cell unset, so a default
-    // config's private build and the shared grid are interchangeable.
-    ExactConfig probe;
-    probe.grid_stream_target_per_cell = options.stream_target_per_cell;
-    stream_target_per_cell_ = ResolveGridTargetPerCell(probe);
-    stream_grid_ = std::make_unique<UniformGrid>(customers_, stream_target_per_cell_);
-    // Hierarchical sibling at the same fine resolution, with the standard
-    // 16x-coarser aggregation level.
-    HierarchicalGrid::Options stream_opts;
-    stream_opts.fine_target_per_cell = stream_target_per_cell_;
-    stream_opts.coarse_target_per_cell = 16.0 * stream_target_per_cell_;
-    stream_hier_ = std::make_unique<HierarchicalGrid>(customers_, stream_opts);
+    stream_grid_ = std::make_unique<UniformGrid>(customers_, kNnStreamTargetPerCell);
     relax_hier_ = std::make_unique<HierarchicalGrid>(customers_);
   }
 }
@@ -108,11 +103,9 @@ void QueryRunner::WorkerLoop() {
 }
 
 QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
-  // Borrowing is gated on matching size (+ resolution for the streaming
-  // grids): a spec whose problem carries a different customer set
-  // (documented as unsupported) or whose config wants another streaming
-  // resolution silently keeps its private build, so a mismatched injection
-  // can never change results.
+  // Borrowing is gated on matching size: a spec whose problem carries a
+  // different customer set (documented as unsupported) silently keeps its
+  // private build, so a mismatched injection can never change results.
   const bool same_customers = spec.problem.customers.size() == index_->customers().size();
 
   QueryOutcome outcome;
@@ -132,16 +125,17 @@ QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
     }
     default: {
       ExactConfig config = spec.exact;
-      if (config.shared_stream_grid == nullptr && same_customers &&
-          ResolveGridTargetPerCell(config) == index_->stream_target_per_cell()) {
+      if (config.shared_stream_grid == nullptr && same_customers) {
         config.shared_stream_grid = index_->stream_grid();
       }
-      if (config.use_hierarchy && config.shared_stream_hier == nullptr && same_customers &&
-          ResolveGridTargetPerCell(config) == index_->stream_target_per_cell()) {
-        config.shared_stream_hier = index_->stream_hier();
-      }
       CustomerDb* db = index_->db();
-      assert(db != nullptr && "exact/greedy queries need the SharedIndex CustomerDb");
+      if (db == nullptr) {
+        std::fprintf(stderr,
+                     "QueryRunner: %s query needs the SharedIndex CustomerDb "
+                     "(built with build_customer_db = false)\n",
+                     kSolverNames[static_cast<int>(spec.solver)]);
+        std::abort();
+      }
       ExactResult r;
       switch (spec.solver) {
         case QuerySolver::kRia:

@@ -5,7 +5,7 @@
 // *stream* of them (new provider fleets, what-if capacity configurations,
 // rolling re-assignments) against one slowly-changing customer set. The
 // expensive read-only state — the R-tree with its LRU buffer, the
-// streaming grids for NN discovery and the hierarchical grid for the SSPA
+// streaming grid for NN discovery and the hierarchical grid for the SSPA
 // relax — is built once into a SharedIndex and shared by every
 // in-flight query; all mutable solver state (potentials, heaps, cursors,
 // tau floors, metrics) is private to the executing query. No query ever
@@ -48,12 +48,9 @@ namespace cca {
 class SharedIndex {
  public:
   struct Options {
-    // Streaming-grid resolution (NN discovery; kGrid/kGridBatched).
-    // Non-positive resolves to the exact solvers' coarse default, matching
-    // what a private per-solve build would produce.
-    double stream_target_per_cell = 0.0;
-    // Build the R-tree CustomerDb (needed by the kRTree* backends and the
-    // greedy baseline; grid-only workloads can skip the bulk load).
+    // Build the R-tree CustomerDb. Every RIA/NIA/IDA/greedy query needs it
+    // (the grid backends read its point array, the R-tree backends its
+    // tree), so only SSPA-only batches can skip the bulk load.
     bool build_customer_db = true;
     CustomerDb::Options db;
   };
@@ -67,25 +64,18 @@ class SharedIndex {
   const std::vector<Point>& customers() const { return customers_; }
   // Null when Options::build_customer_db was false.
   CustomerDb* db() const { return db_.get(); }
+  // The NN streaming grid at kNnStreamTargetPerCell, the shape a private
+  // kGrid/kGridBatched build uses (null for an empty customer set).
   const UniformGrid* stream_grid() const { return stream_grid_.get(); }
-  // Hierarchical sibling of the streaming grid (geo/hier_grid.h), built at
-  // the same fine resolution with the standard 16x-coarser top level, for
-  // exact kGrid solves that opt into the hierarchical stream.
-  const HierarchicalGrid* stream_hier() const { return stream_hier_.get(); }
   // The SSPA relax grid: HierarchicalGrid with default Options, the shape
   // a private SSPA build uses (null for an empty customer set).
   const HierarchicalGrid* relax_hier() const { return relax_hier_.get(); }
-  // Resolved resolution the streaming grids were built at (used by
-  // QueryRunner to decide whether a query's config can borrow them).
-  double stream_target_per_cell() const { return stream_target_per_cell_; }
 
  private:
   std::vector<Point> customers_;
   std::unique_ptr<CustomerDb> db_;
   std::unique_ptr<UniformGrid> stream_grid_;
-  std::unique_ptr<HierarchicalGrid> stream_hier_;
   std::unique_ptr<HierarchicalGrid> relax_hier_;
-  double stream_target_per_cell_ = 0.0;
 };
 
 // Which solver a QuerySpec runs.
@@ -100,10 +90,12 @@ enum class QuerySolver {
 // One independent assignment query. `problem.customers` must be the shared
 // index's customer set (same points, same order) — providers, weights and
 // configs are free per query. The runner injects the shared grids into the
-// configs: the SSPA relax grid whenever the customer counts match (its
-// shape never changes a matching), the streaming grids only when the
-// requested resolution matches the index's. Pre-set shared grids are
-// honoured as-is.
+// configs whenever the customer counts match: the SSPA relax grid for SSPA,
+// the streaming grid for the exact solvers and greedy (both are built at
+// the shape a private build would use, so borrowing never changes a
+// matching). Pre-set shared grids are honoured as-is. RIA/NIA/IDA/greedy
+// queries need the index's CustomerDb; running one on an index built
+// without it aborts with a one-line message.
 struct QuerySpec {
   QuerySolver solver = QuerySolver::kIda;
   Problem problem;

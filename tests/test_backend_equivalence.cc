@@ -3,7 +3,9 @@
 // (plain or grouped-ANN) or from grid ring cursors, across uniform,
 // clustered and skewed instances, unit and weighted. Plus the node-access
 // regression guard: at |P|=10k memory-resident, the grid backend must do
-// >= 5x less index work than independent R-tree NN iterators.
+// >= 5x less index work than independent R-tree NN iterators. Plus the
+// kAuto resolution pin: auto is the grouped ANN traversal for more than one
+// provider and the plain iterators otherwise, ledger for ledger.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +14,7 @@
 #include "core/exact.h"
 #include "core/greedy.h"
 #include "core/matching.h"
+#include "core/nn_source.h"
 #include "test_util.h"
 
 namespace cca {
@@ -142,6 +145,32 @@ TEST(BackendEquivalence, PlainBackendAndGreedyStillWork) {
   const double g2 =
       SolveGreedySm(problem, db.get(), BackendConfig(DiscoveryBackend::kGrid)).matching.cost();
   EXPECT_NEAR(g1, g2, 1e-9);
+}
+
+TEST(BackendEquivalence, AutoResolvesToGroupedOrPlainByProviderCount) {
+  for (const std::size_t nq : {std::size_t{1}, std::size_t{6}}) {
+    test::InstanceSpec spec;
+    spec.nq = nq;
+    spec.np = 300;
+    spec.k_lo = 4;
+    spec.k_hi = 12;
+    spec.seed = 70 + nq;
+    const Problem problem = test::RandomProblem(spec);
+    const DiscoveryBackend resolved =
+        nq > 1 ? DiscoveryBackend::kRTreeGrouped : DiscoveryBackend::kRTreePlain;
+    EXPECT_EQ(ResolveDiscoveryBackend(BackendConfig(DiscoveryBackend::kAuto), nq), resolved);
+    auto db = test::MakeDb(problem);
+    db->CoolDown();
+    const ExactResult automatic =
+        SolveIda(problem, db.get(), BackendConfig(DiscoveryBackend::kAuto));
+    db->CoolDown();
+    const ExactResult pinned = SolveIda(problem, db.get(), BackendConfig(resolved));
+    const std::string label = "nq=" + std::to_string(nq);
+    EXPECT_EQ(automatic.matching.cost(), pinned.matching.cost()) << label;
+    EXPECT_EQ(automatic.metrics.node_accesses, pinned.metrics.node_accesses) << label;
+    EXPECT_EQ(automatic.metrics.edges_inserted, pinned.metrics.edges_inserted) << label;
+    EXPECT_GT(automatic.metrics.node_accesses, 0u) << label;
+  }
 }
 
 // The acceptance-bar regression guard: grid-backed IDA at |P|=10k

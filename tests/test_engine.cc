@@ -21,7 +21,6 @@ Matching RunEngineAllEdges(const Problem& problem, bool use_pua, bool check_inva
   Metrics metrics;
   IncrementalEngine::Config config;
   config.use_pua = use_pua;
-  config.unit_edges = problem.weights.empty();
   IncrementalEngine engine(problem, config, &metrics);
   for (std::size_t q = 0; q < problem.providers.size(); ++q) {
     for (std::size_t p = 0; p < problem.customers.size(); ++p) {

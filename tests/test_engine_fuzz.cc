@@ -124,7 +124,6 @@ TEST(EngineFuzzTest, WeightedCustomersRandomised) {
 
     Metrics metrics;
     IncrementalEngine::Config config;
-    config.unit_edges = false;
     IncrementalEngine engine(problem, config, &metrics);
     for (std::size_t q = 0; q < problem.providers.size(); ++q) {
       for (std::size_t p = 0; p < problem.customers.size(); ++p) {

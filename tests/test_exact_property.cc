@@ -44,7 +44,7 @@ ExactConfig NoPua() {
 
 ExactConfig NoAnn() {
   ExactConfig c;
-  c.use_ann_grouping = false;
+  c.discovery_backend = DiscoveryBackend::kRTreePlain;
   return c;
 }
 

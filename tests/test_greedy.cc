@@ -74,9 +74,8 @@ TEST(GreedySmTest, DeterministicAcrossNnSources) {
   }();
   auto db = test::MakeDb(problem);
   ExactConfig plain;
-  plain.use_ann_grouping = false;
+  plain.discovery_backend = DiscoveryBackend::kRTreePlain;
   ExactConfig grouped;
-  grouped.use_ann_grouping = true;
   const double a = SolveGreedySm(problem, db.get(), plain).matching.cost();
   const double b = SolveGreedySm(problem, db.get(), grouped).matching.cost();
   EXPECT_NEAR(a, b, 1e-9);

@@ -2,8 +2,8 @@
 // (geo/hier_grid.h): structural invariants of the coarse/fine CSR, the
 // adaptive split policy, the coarse ring-tail lower bound, the exactness
 // of the two-level tau floors under randomized monotone raises (the
-// aggregation invariant the SSPA coarse-tail rejection is sound against),
-// and the hierarchical NN cursor's ordered-stream contract.
+// aggregation invariant the SSPA coarse-tail rejection is sound against)
+// and the coarse ring cursor's bound contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -263,35 +263,6 @@ TEST(HierTauTableTest, SeededEditsRefloorEveryLevelExactly) {
       table.Insert(i, truth[i]);
     }
     if (round % 25 == 24) check_exact();
-  }
-}
-
-TEST(HierNnCursorTest, StreamsAllPointsInExactDistanceOrder) {
-  for (std::uint64_t seed : {61u, 62u}) {
-    const auto pts = seed % 2 == 0 ? SkewedPoints(500, seed) : ClusteredPoints(500, seed);
-    const HierarchicalGrid grid(pts);
-    Rng rng(seed * 17);
-    for (int trial = 0; trial < 5; ++trial) {
-      const Point q{rng.Uniform(-50.0, 1050.0), rng.Uniform(-50.0, 1050.0)};
-      std::vector<double> sorted;
-      sorted.reserve(pts.size());
-      for (const Point& p : pts) sorted.push_back(Dist(q, p));
-      std::sort(sorted.begin(), sorted.end());
-      HierNnCursor cursor(grid, q);
-      std::set<std::int32_t> seen;
-      for (std::size_t rank = 0; rank < pts.size(); ++rank) {
-        EXPECT_NEAR(cursor.PeekDistance(), sorted[rank], 1e-9);
-        const auto next = cursor.Next();
-        ASSERT_TRUE(next.has_value());
-        EXPECT_NEAR(next->second, sorted[rank], 1e-9);
-        EXPECT_NEAR(next->second, Dist(q, pts[static_cast<std::size_t>(next->first)]), 1e-9);
-        EXPECT_TRUE(seen.insert(next->first).second);
-      }
-      EXPECT_FALSE(cursor.Next().has_value());
-      EXPECT_EQ(cursor.PeekDistance(), std::numeric_limits<double>::infinity());
-      // Laziness: a full drain may open every fine cell but never more.
-      EXPECT_LE(cursor.cells_visited(), grid.num_fine());
-    }
   }
 }
 

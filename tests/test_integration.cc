@@ -71,9 +71,8 @@ TEST_F(IntegrationTest, IoAccountingBehaves) {
 
 TEST_F(IntegrationTest, GroupedAnnReducesIo) {
   ExactConfig grouped;
-  grouped.use_ann_grouping = true;
   ExactConfig plain;
-  plain.use_ann_grouping = false;
+  plain.discovery_backend = DiscoveryBackend::kRTreePlain;
   db_->CoolDown();
   const ExactResult with_ann = SolveIda(problem_, db_.get(), grouped);
   db_->CoolDown();

@@ -197,6 +197,30 @@ TEST(QueryRunnerTest, WeightedSspaRunsThroughTheRunner) {
   }
 }
 
+// Exact and greedy queries read the index's CustomerDb (point array or
+// R-tree). On an index built without it the runner must fail loudly in
+// every build type, naming the solver, instead of dereferencing null.
+TEST(QueryRunnerDeathTest, ExactQueryWithoutCustomerDbAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<Point> customers = test::RandomPoints(60, 12);
+  SharedIndex::Options options;
+  options.build_customer_db = false;
+  const SharedIndex index(customers, options);
+  QuerySpec spec;
+  spec.problem.customers = customers;
+  spec.problem.providers.push_back(Provider{Point{500.0, 500.0}, 3});
+  const auto run = [&index](const QuerySpec& s) {
+    QueryRunner runner(&index, 1);
+    runner.Run({s});
+  };
+  spec.solver = QuerySolver::kNia;
+  spec.exact.discovery_backend = DiscoveryBackend::kGrid;
+  EXPECT_DEATH(run(spec), "nia query needs the SharedIndex CustomerDb");
+  spec.solver = QuerySolver::kGreedy;
+  spec.exact.discovery_backend = DiscoveryBackend::kRTreePlain;
+  EXPECT_DEATH(run(spec), "greedy query needs the SharedIndex CustomerDb");
+}
+
 // --- raw shared-structure stress --------------------------------------------
 
 // Many threads each drain a private GridNnCursor over ONE shared grid; every
