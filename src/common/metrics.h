@@ -90,17 +90,15 @@ struct Metrics {
   // count per solve-owned or shared grid consulted; a pure build-shape
   // diagnostic for the per-region adaptation).
   std::uint64_t hier_splits = 0;
-  // Warm-started solves only (flow/sspa.h SspaConfig::initial_potentials):
-  // provider duals the feasibility-repair pass had to clamp down before the
-  // first Dijkstra run. Zero on cold solves; on a warm solve it counts how
-  // much of the previous dual solution drifted infeasible (matched edges
-  // plus whatever churn perturbed).
+  // Warm-started solves only (flow/sspa.h SspaWarmStart): provider duals
+  // AdoptFlow's clamp pass had to lower before the first Dijkstra run.
+  // Zero on cold solves; on a warm solve it counts how much of the previous
+  // dual solution drifted infeasible around the adopted flow.
   std::uint64_t dual_repairs = 0;
-  // Flow-carrying warm starts (SspaConfig::initial_matching): units of the
-  // previous matching re-adopted because their arc stayed residually
-  // feasible under the seed duals (ample-capacity regime only — see
-  // RepairDuals in src/flow/sspa.cc). adopted close to gamma is the
-  // small-perturbation fast path: only gamma - adopted units are
+  // Warm-started solves only: units of the previous matching re-adopted as
+  // initial flow because their arc stayed tight and uncontested under the
+  // seed duals (AdoptFlow in src/flow/sspa.cc). adopted close to gamma is
+  // the small-perturbation fast path: only gamma - adopted units are
   // re-augmented.
   std::uint64_t warm_units_adopted = 0;
 
@@ -138,12 +136,6 @@ struct Metrics {
   // stay exact under concurrency because no bundle is ever shared between
   // threads.
   void Merge(const Metrics& other);
-  Metrics& operator+=(const Metrics& other) {
-    Merge(other);
-    return *this;
-  }
-  // Legacy spelling of Merge.
-  void Accumulate(const Metrics& other) { Merge(other); }
 
   // Human-readable one-line summary, used by examples and benches:
   // `label=value` for every non-zero counter in the field table, then

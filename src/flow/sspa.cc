@@ -19,24 +19,20 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Virtual-provider capacity: the demand the real providers cannot absorb
-// (0 on feasible instances or when overflow routing is off).
+// (0 on feasible instances and on cold solves — only a warm start needs the
+// ample regime, see SspaWarmStart).
 std::int64_t ComputeOverflow(const Problem& problem, const SspaConfig& config) {
-  if (!config.allow_overflow) return 0;
-  std::int64_t capacity = 0;
-  for (const Provider& q : problem.providers) capacity += q.capacity;
-  std::int64_t weight = 0;
-  for (std::size_t p = 0; p < problem.customers.size(); ++p) weight += problem.weight(p);
-  return std::max<std::int64_t>(0, weight - capacity);
+  if (config.warm == nullptr) return 0;
+  return std::max<std::int64_t>(0, problem.TotalWeight() - problem.TotalCapacity());
 }
 
-// The documented default penalty: 2x the bounding-box diagonal of all
-// points + 1, strictly above any real edge cost. The matching itself is
+// The virtual edge cost: 2x the bounding-box diagonal of all points + 1,
+// strictly above any real edge cost. The matching itself is
 // penalty-independent (the virtual capacity equals the overflow exactly,
-// so real capacity always saturates — see SspaConfig::allow_overflow);
-// staying above every distance keeps Dijkstra's path ordering treating the
-// virtual provider as the strict last resort.
-double ComputeOverflowPenalty(const Problem& problem, const SspaConfig& config) {
-  if (config.overflow_penalty > 0.0) return config.overflow_penalty;
+// so real capacity always saturates — see SspaWarmStart); staying above
+// every distance keeps Dijkstra's path ordering treating the virtual
+// provider as the strict last resort.
+double ComputeOverflowPenalty(const Problem& problem) {
   double lo_x = kInf, lo_y = kInf, hi_x = -kInf, hi_y = -kInf;
   const auto grow = [&](const Point& pt) {
     lo_x = std::min(lo_x, pt.x);
@@ -55,7 +51,7 @@ double ComputeOverflowPenalty(const Problem& problem, const SspaConfig& config) 
 // t = nq+np. The source is implicit: Dijkstra seeds every provider with
 // remaining capacity at alpha = tau(q) (reduced cost of s->q).
 //
-// Overflow mode (SspaConfig::allow_overflow, infeasible instances only):
+// Overflow mode (warm solves of infeasible instances only):
 // nq includes one extra *virtual* provider slot at index real_nq with
 // capacity = overflow and a flat-cost edge (penalty_) to every customer.
 // All generic machinery — seeding, Augment's path walk, flow records,
@@ -78,7 +74,7 @@ class SspaSolver {
         config_(config),
         real_nq_(problem.providers.size()),
         overflow_(ComputeOverflow(problem, config)),
-        penalty_(overflow_ > 0 ? ComputeOverflowPenalty(problem, config) : 0.0),
+        penalty_(overflow_ > 0 ? ComputeOverflowPenalty(problem) : 0.0),
         nq_(real_nq_ + (overflow_ > 0 ? 1 : 0)),
         np_(problem.customers.size()),
         unit_customers_(problem.weights.empty()),
@@ -95,19 +91,18 @@ class SspaSolver {
     // so it can be seeded consistently (the Dijkstra global-floor
     // assert checks min_tau_p_ against tau_p_ on every run). Negative
     // entries are clamped — the solver's invariants assume tau >= 0 — and
-    // feasibility (including adoption of any initial_matching flow) is
-    // restored by RepairDuals before the first Dijkstra run.
-    if (config_.initial_potentials != nullptr) {
-      const SspaPotentials& init = *config_.initial_potentials;
+    // feasibility around the adopted flow is restored by AdoptFlow before
+    // the first Dijkstra run.
+    if (config_.warm != nullptr) {
+      const SspaPotentials& init = config_.warm->potentials;
       assert(init.tau_q.size() == real_nq_ && init.tau_p.size() == np_);
       for (std::size_t q = 0; q < real_nq_; ++q) tau_q_[q] = std::max(0.0, init.tau_q[q]);
       for (std::size_t p = 0; p < np_; ++p) tau_p_[p] = std::max(0.0, init.tau_p[p]);
-      warm_ = true;
     }
     // The virtual provider's dual always seeds at the penalty: feasible for
-    // every edge (reduced cost penalty + tau_p - penalty = tau_p >= 0, warm
-    // or cold), and it keeps the virtual node at the bottom of the heap so
-    // real capacity is exhausted before the overflow path is ever explored.
+    // every edge (reduced cost penalty + tau_p - penalty = tau_p >= 0), and
+    // it keeps the virtual node at the bottom of the heap so real capacity
+    // is exhausted before the overflow path is ever explored.
     if (overflow_ > 0) tau_q_[real_nq_] = penalty_;
     // The hierarchical ring relax owns (or borrows) the grid, the tau floors
     // and one ring cursor reset per provider pop; everything mutable stays
@@ -121,8 +116,8 @@ class SspaSolver {
         owned_hier_ = std::make_unique<HierarchicalGrid>(problem.customers);
         hier_ = owned_hier_.get();
       }
-      floors_ = warm_ ? std::make_unique<HierTauTable>(*hier_, tau_p_)
-                      : std::make_unique<HierTauTable>(*hier_);
+      floors_ = config_.warm != nullptr ? std::make_unique<HierTauTable>(*hier_, tau_p_)
+                                        : std::make_unique<HierTauTable>(*hier_);
       cursor_ = std::make_unique<HierRingCursor>(*hier_, Point{});
     } else {
       coords_.Assign(problem.customers);
@@ -138,12 +133,12 @@ class SspaSolver {
     // Build-shape diagnostic: how many coarse cells the (owned or shared)
     // hierarchy subdivided, charged once per solve that consults it.
     if (hier_ != nullptr) result.metrics.hier_splits += hier_->splits();
-    if (warm_) RepairDuals(&result.metrics);
+    if (config_.warm != nullptr) AdoptFlow(&result.metrics);
     // Overflow mode raises the target to the total weight: the virtual
     // provider absorbs exactly the demand the real capacity cannot.
     std::int64_t remaining = problem_.Gamma() + overflow_;
-    // Flow adopted from a warm start (initial_matching) already sits on
-    // tight arcs; only the deficit is re-augmented. Zero on cold solves.
+    // Flow adopted from a warm start already sits on tight arcs; only the
+    // deficit is re-augmented. Zero on cold solves.
     for (std::size_t p = 0; p < np_; ++p) remaining -= sink_flow_[p];
     assert(remaining >= 0);
     while (remaining > 0) {
@@ -180,7 +175,7 @@ class SspaSolver {
     // Export the final duals: they certify this matching's optimality and
     // are the warm seed for a follow-up solve on a perturbed instance.
     // The virtual slot is internal and stripped — callers feed these back
-    // as initial_potentials sized to the *real* provider array.
+    // as SspaWarmStart::potentials sized to the *real* provider array.
     result.potentials.tau_q.assign(tau_q_.begin(), tau_q_.begin() + static_cast<std::ptrdiff_t>(real_nq_));
     result.potentials.tau_p = tau_p_;
     result.metrics.cpu_millis = timer.ElapsedMillis();
@@ -208,63 +203,12 @@ class SspaSolver {
   }
 
   // Restores the warm-start invariants before the first Dijkstra run (the
-  // full soundness argument lives in src/runtime/README.md):
-  //
-  //   1. With initial_matching set and gamma == total weight (ample
-  //      capacity — every customer saturates by the end, the regime a
-  //      dispatch engine lives in), previous pairs that survive churn are
-  //      adopted as initial flow and the duals are repaired around them
-  //      (AdoptFlow below). The solve then continues as if those
-  //      augmentations had already happened, and only the deficit is
-  //      re-augmented. In the capacity-limited regime (gamma < total
-  //      weight) the sink potential couples every unsaturated customer's
-  //      dual, and keeping adopted flow consistent with it would need
-  //      cascading evictions; adoption is skipped there — duals-only warm
-  //      start, exact but not faster.
-  //   2. Duals-only warm starts (no matching, or capacity-limited) carry
-  //      zero flow, so feasibility is two one-sided constraints: forward
-  //      edges q->p need tau_q <= dist + tau_p — repaired by clamping
-  //      tau_q down to min_p(dist + tau_p), a tau-augmented
-  //      nearest-neighbour query served by the same hierarchical floors
-  //      the relax loop uses — and sink edges p->t (cost 0) need
-  //      tau_t >= tau_p for every customer, all of which are unsaturated,
-  //      so tau_t = max_p tau_p. (Cold solves keep tau_t = 0, where the
-  //      invariant "tau_p == 0 while unsaturated" makes it vacuous.)
-  //
-  // With feasibility restored, every residual reduced cost Dijkstra can
-  // relax is >= 0 and the remaining successive shortest paths are exact
-  // for any seed duals and any candidate matching (AdoptFlow additionally
-  // sheds the adopted pairs that churn turned into negative residual
-  // cycles — pass e below) — the label clamps in the relax loops
-  // degenerate to no-ops (up to FP noise), and all ring/cell bounds stay
-  // certified lower bounds. Seed quality only decides how much flow
-  // survives adoption, never the final cost.
-  void RepairDuals(Metrics* metrics) {
-    CCA_TRACE_SPAN_VAR(span, "sspa.repair_duals");
-    std::int64_t total_weight = 0;
-    for (std::size_t p = 0; p < np_; ++p) total_weight += problem_.weight(p);
-    // Overflow mode restores the ample regime on infeasible instances: the
-    // effective gamma (real capacity + virtual overflow) is the total
-    // weight, so flow adoption stays sound across the feasibility boundary.
-    const bool ample = problem_.Gamma() + overflow_ >= total_weight;
-    if (ample && config_.initial_matching != nullptr) {
-      AdoptFlow(metrics);
-      return;
-    }
-    for (std::size_t q = 0; q < real_nq_; ++q) {
-      const double best = TauAugmentedNn(q, tau_q_[q], metrics);
-      if (best < tau_q_[q]) {
-        tau_q_[q] = best;
-        ++metrics->dual_repairs;
-      }
-    }
-    tau_t_ = 0.0;
-    for (std::size_t p = 0; p < np_; ++p) tau_t_ = std::max(tau_t_, tau_p_[p]);
-  }
-
-  // Flow-carrying warm start (ample regime): adopt surviving pairs, then
-  // repair the duals around them and shed the pairs churn has invalidated
-  // — five single passes, no fixpoint iteration:
+  // full soundness argument lives in src/runtime/README.md). A warm solve
+  // always runs in the ample regime (gamma plus the virtual overflow equals
+  // the total weight — every customer saturates by the end), so previous
+  // pairs that survive churn are adopted as initial flow, the duals are
+  // repaired around them and the pairs churn has invalidated are shed —
+  // five single passes, no fixpoint iteration:
   //
   //   a. Every churn-valid pair (in-range endpoints, capacity and weight
   //      respected) takes its flow provisionally. Anything else is
@@ -313,20 +257,20 @@ class SspaSolver {
   //      keeps small, and the O(|adopted| * |Q|) scan is noise next to
   //      one Dijkstra run.
   //
-  // Sink edges need no repair: tau_t stays 0 and every unsaturated
-  // customer's sink edge relaxes at exactly +0, which makes each Dijkstra
-  // run target the nearest deficit — the successive-shortest-path scheme
-  // for the transportation formulation, where deficits live at the
-  // customers and "serve this arrival instead of that one" is a change of
-  // deficit vector, not a comparable flow. What that scheme does require
-  // is the absence of the capacity-neutral negative cycles pass e just
-  // removed. With passes a-e done the duals are feasible on every edge
-  // Dijkstra relaxes, the adopted arcs are tight (r == 0), and each
-  // remaining augmentation re-optimally absorbs one deficit unit
-  // (re-routing adopted flow through reverse edges where profitable), so
-  // the final matching is cost-identical to a cold solve — asserted by
-  // AssignmentEngine::VerifyAgainstCold in Debug builds and enforced by
-  // bench_engine_dispatch's warm/cold cross-check.
+  // Sink edges need no repair: the sink potential stays 0 and every
+  // unsaturated customer's sink edge relaxes at exactly +0, which makes
+  // each Dijkstra run target the nearest deficit — the
+  // successive-shortest-path scheme for the transportation formulation,
+  // where deficits live at the customers and "serve this arrival instead
+  // of that one" is a change of deficit vector, not a comparable flow.
+  // What that scheme does require is the absence of the capacity-neutral
+  // negative cycles pass e just removed. With passes a-e done the duals
+  // are feasible on every edge Dijkstra relaxes, the adopted arcs are
+  // tight (r == 0), and each remaining augmentation re-optimally absorbs
+  // one deficit unit (re-routing adopted flow through reverse edges where
+  // profitable), so the final matching is cost-identical to a cold solve —
+  // asserted by AssignmentEngine::VerifyAgainstCold in Debug builds and
+  // enforced by bench_engine_dispatch's warm/cold cross-check.
   void AdoptFlow(Metrics* metrics) {
     CCA_TRACE_SPAN_VAR(span, "sspa.adopt_flow");
     struct Adopted {
@@ -334,8 +278,8 @@ class SspaSolver {
       std::int64_t units;
     };
     std::vector<Adopted> adopted;
-    adopted.reserve(config_.initial_matching->pairs.size());
-    for (const MatchPair& pair : config_.initial_matching->pairs) {
+    adopted.reserve(config_.warm->matching.pairs.size());
+    for (const MatchPair& pair : config_.warm->matching.pairs) {
       if (pair.provider < 0 || pair.customer < 0 || pair.units <= 0) continue;
       const auto q = static_cast<std::size_t>(pair.provider);
       const auto p = static_cast<std::size_t>(pair.customer);
@@ -404,7 +348,6 @@ class SspaSolver {
       sink_flow_[p] -= a.units;
       metrics->warm_units_adopted -= static_cast<std::uint64_t>(a.units);
     }
-    tau_t_ = 0.0;
   }
 
   // min over customers p of dist(q, p) + tau_p[p], except that the caller
@@ -488,17 +431,13 @@ class SspaSolver {
   }
 
   // Relaxes q -> p at label `cand`; p with sink residual completes an
-  // s~>q->p->t path of cost cand + rc(p->t), which upper-bounds this run's
-  // shortest-path cost and so arms every downstream bound even before the
-  // sink holds a tentative label. rc(p->t) is 0 whenever tau_t is 0 (cold
-  // and flow-adopting warm starts alike); duals-only warm starts carry
-  // tau_t = max tau_p, so there it is tau_t - tau_p >= 0.
+  // s~>q->p->t path of cost cand (the sink edge relaxes at +0, see
+  // RelaxCustomer), which upper-bounds this run's shortest-path cost and so
+  // arms every downstream bound even before the sink holds a tentative
+  // label.
   void RelaxForward(std::size_t q, std::size_t p, double cand, Metrics* metrics) {
     ++metrics->dijkstra_relaxes;
-    if (sink_flow_[p] < problem_.weight(p)) {
-      const double through = cand + std::max(tau_t_ - tau_p_[p], 0.0);
-      if (through < run_ub_) run_ub_ = through;
-    }
+    if (sink_flow_[p] < problem_.weight(p) && cand < run_ub_) run_ub_ = cand;
     Relax(static_cast<int>(nq_ + p), cand, static_cast<int>(q));
   }
 
@@ -680,16 +619,13 @@ class SspaSolver {
   }
 
   void RelaxCustomer(std::size_t p, Metrics* metrics) {
-    // Sink edge (cost 0, reduced tau_t - tau_p). With tau_t = 0 — cold
-    // and flow-adopting warm starts — the clamp relaxes every unsaturated
-    // customer at +0, making each run target the nearest deficit (the
-    // transportation-SSP reading in AdoptFlow's comment). Duals-only warm
-    // starts set tau_t = max tau_p, so there the reduced cost is a true
-    // tau_t - tau_p >= 0.
+    // Sink edge (cost 0, sink potential 0, reduced cost clamped from
+    // -tau_p to +0): every unsaturated customer relaxes at its own label,
+    // making each run target the nearest deficit (the transportation-SSP
+    // reading in AdoptFlow's comment).
     if (sink_flow_[p] < problem_.weight(p)) {
       ++metrics->dijkstra_relaxes;
-      Relax(Sink(), alpha_[nq_ + p] + std::max(tau_t_ - tau_p_[p], 0.0),
-            static_cast<int>(nq_ + p));
+      Relax(Sink(), alpha_[nq_ + p], static_cast<int>(nq_ + p));
     }
     // Reverse edges toward providers currently serving p.
     ForEachFlow(p, [&](std::int32_t provider, std::int64_t /*units*/) {
@@ -846,8 +782,6 @@ class SspaSolver {
   const HierarchicalGrid* hier_ = nullptr;        // set iff the ring relax is active
   std::unique_ptr<HierTauTable> floors_;          // tau_p floors over hier_
   std::unique_ptr<HierRingCursor> cursor_;        // reset per provider pop
-  bool warm_ = false;     // initial_potentials adopted (RepairDuals will run)
-  double tau_t_ = 0.0;    // sink potential; 0 except duals-only warm starts (max seed tau_p)
   double min_tau_p_ = 0.0;
   double run_ub_ = kInf;  // best known complete-path cost this Dijkstra run
   std::vector<double> tau_q_;

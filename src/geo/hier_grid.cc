@@ -231,65 +231,38 @@ HierTauTable::HierTauTable(const HierarchicalGrid& grid, const std::vector<doubl
 }
 
 void HierTauTable::Raise(std::size_t point_id, double value) {
-  if (value <= values_[grid_->slot_of_point(point_id)]) {
-    return;  // monotone contract: never lower a value
-  }
-  Set(point_id, value);
-}
-
-void HierTauTable::Remove(std::size_t point_id) {
-  Set(point_id, std::numeric_limits<double>::infinity());
-}
-
-void HierTauTable::Set(std::size_t point_id, double value) {
   const std::size_t slot = grid_->slot_of_point(point_id);
   const double old = values_[slot];
-  if (value == old) return;
+  if (value <= old) return;  // monotone contract: never lower a value
   values_[slot] = value;
+  // Only a resident at the fine cell's minimum can move its floor (old >
+  // floor means another resident holds it): rescan the cell. Residents
+  // raised to +infinity read +infinity, so a fully-removed fine cell
+  // floors at +infinity.
   const std::size_t fine = grid_->fine_of_point(point_id);
-  double fine_floor = fine_floors_[fine];
-  if (value < fine_floor) {
-    // New fine minimum: no rescan needed.
-    fine_floor = value;
-  } else if (old <= fine_floors_[fine]) {
-    // The old value held the fine cell's minimum (old > floor means
-    // another resident holds it): rescan. Removed residents read
-    // +infinity, so a fully-removed fine cell floors at +infinity.
-    const std::size_t end = grid_->fine_cell_end(fine);
-    fine_floor = values_[grid_->fine_cell_begin(fine)];
-    for (std::size_t s = grid_->fine_cell_begin(fine) + 1; s < end; ++s) {
-      fine_floor = std::min(fine_floor, values_[s]);
-    }
-  }
-  if (fine_floor == fine_floors_[fine]) return;
   const double old_fine = fine_floors_[fine];
+  if (old > old_fine) return;
+  const std::size_t end = grid_->fine_cell_end(fine);
+  double fine_floor = values_[grid_->fine_cell_begin(fine)];
+  for (std::size_t s = grid_->fine_cell_begin(fine) + 1; s < end; ++s) {
+    fine_floor = std::min(fine_floor, values_[s]);
+  }
+  if (fine_floor == old_fine) return;
   fine_floors_[fine] = fine_floor;
   // Cascade one level up: the coarse floor is the min over child fine
   // floors, so it only moves when the child holding it moved.
   const std::size_t coarse = grid_->coarse_of_point(point_id);
-  double coarse_floor = coarse_floors_[coarse];
-  if (fine_floor < coarse_floor) {
-    coarse_floor = fine_floor;
-  } else if (old_fine <= coarse_floors_[coarse]) {
-    coarse_floor = std::numeric_limits<double>::infinity();
-    const std::size_t fine_end = grid_->fine_end(coarse);
-    for (std::size_t f = grid_->fine_begin(coarse); f < fine_end; ++f) {
-      coarse_floor = std::min(coarse_floor, fine_floors_[f]);
-    }
+  if (old_fine > coarse_floors_[coarse]) return;
+  double coarse_floor = std::numeric_limits<double>::infinity();
+  const std::size_t fine_end = grid_->fine_end(coarse);
+  for (std::size_t f = grid_->fine_begin(coarse); f < fine_end; ++f) {
+    coarse_floor = std::min(coarse_floor, fine_floors_[f]);
   }
-  if (coarse_floor != coarse_floors_[coarse]) {
-    if (!global_dirty_) {
-      if (coarse_floor < global_floor_) {
-        // Lowered below the cached global: the new global is exactly this.
-        global_floor_ = coarse_floor;
-      } else if (coarse_floors_[coarse] == global_floor_) {
-        // The global floor only moves with the coarse cell that held it;
-        // defer the rescan until someone asks.
-        global_dirty_ = true;
-      }
-    }
-    coarse_floors_[coarse] = coarse_floor;
-  }
+  if (coarse_floor == coarse_floors_[coarse]) return;
+  // The global floor only moves with the coarse cell that held it; defer
+  // the rescan until someone asks.
+  if (coarse_floors_[coarse] == global_floor_) global_dirty_ = true;
+  coarse_floors_[coarse] = coarse_floor;
 }
 
 double HierTauTable::MinAugmentedDistance(const Point& q, double cutoff,

@@ -191,10 +191,9 @@ class HierarchicalGrid {
 // child f, and every floor is a lower bound on its residents' values — is
 // maintained exactly (src/geo/README.md spells out why that makes the
 // coarse-tail rejection sound under in-flight monotone raises).
-// Population edits follow the CellTauTable contract (src/geo/grid.h):
-// `Remove`/`Insert` mask residents out of (or re-admit them into) every
-// floor level with exact refloors in both directions, and are only legal
-// *between* solves — a solve in flight stays on the monotone Raise.
+// Raise is the only write: a departed resident is masked out by raising it
+// to +infinity (AssignmentEngine does this between solves), and a new one
+// waits for the next rebuild, so no floor ever has to move down.
 class HierTauTable {
  public:
   explicit HierTauTable(const HierarchicalGrid& grid);
@@ -203,17 +202,10 @@ class HierTauTable {
   HierTauTable(const HierarchicalGrid& grid, const std::vector<double>& initial);
 
   // Raises point `point_id` to `value` (lower values are ignored, keeping
-  // the monotone contract) and restores the exactness of its fine and
-  // coarse floors.
+  // the monotone contract) and restores the exactness of its fine, coarse
+  // and global floors. Raising to +infinity removes the point: it never
+  // wins a floor or a MinAugmentedDistance query again.
   void Raise(std::size_t point_id, double value);
-
-  // Removes point `point_id` from the population: its value becomes
-  // +infinity and the fine -> coarse -> global floors refloor exactly.
-  void Remove(std::size_t point_id);
-
-  // (Re)admits point `point_id` at `value`, lowering or reflooring every
-  // level as needed.
-  void Insert(std::size_t point_id, double value) { Set(point_id, value); }
 
   double FineFloor(std::size_t f) const { return fine_floors_[f]; }
   double CoarseFloor(std::size_t c) const { return coarse_floors_[c]; }
@@ -229,17 +221,13 @@ class HierTauTable {
   // dist(q, p) + value(p), or `cutoff` when nothing goes below it (pass
   // +infinity for an unbounded query). Coarse and fine cells whose
   // MinDist + floor cannot beat the running best are skipped wholesale;
-  // removed residents read +infinity and never win. Exhaustive walk, no
-  // ring ordering: callers run it once per provider per solve (SSPA dual
-  // repair) or once per provider arrival (AssignmentEngine seeds). Adds
+  // residents raised to +infinity never win. Exhaustive walk, no
+  // ring ordering: callers run it once per provider per warm solve (SSPA's
+  // clamp pass) or once per provider arrival (AssignmentEngine seeds). Adds
   // the distances it computes to `*distances`.
   double MinAugmentedDistance(const Point& q, double cutoff, std::uint64_t* distances) const;
 
  private:
-  // Shared write path: assigns the value and restores fine/coarse/global
-  // floor exactness in whichever direction the minima moved.
-  void Set(std::size_t point_id, double value);
-
   const HierarchicalGrid* grid_;
   std::vector<double> values_;         // slot-ordered
   std::vector<double> fine_floors_;    // per fine cell; +infinity when empty

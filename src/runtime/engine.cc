@@ -54,7 +54,7 @@ StatusOr<AssignmentEngine::Id> AssignmentEngine::InsertCustomer(const Point& pos
   // for all q keeps the existing provider duals untouched. Before the
   // first solve every dual is zero anyway.
   problem_.customers.push_back(pos);
-  duals_.tau_p.push_back(have_solution_ ? WarmCustomerDual(pos) : 0.0);
+  warm_.potentials.tau_p.push_back(have_solution_ ? WarmCustomerDual(pos) : 0.0);
   nn_slot_.push_back(-1);
   ++nn_pending_;
   const Id id = next_id_++;
@@ -78,7 +78,7 @@ StatusOr<AssignmentEngine::Id> AssignmentEngine::InsertProvider(const Point& pos
   // seeding exactly keeps the repair a no-op for everyone else.
   const double seed = have_solution_ ? WarmProviderDual(pos) : 0.0;
   problem_.providers.push_back(Provider{pos, capacity});
-  duals_.tau_q.push_back(seed);
+  warm_.potentials.tau_q.push_back(seed);
   const Id id = next_id_++;
   provider_ids_.push_back(id);
   provider_index_.emplace(id, problem_.providers.size() - 1);
@@ -91,17 +91,17 @@ bool AssignmentEngine::RemoveCustomer(Id id) {
   if (it == customer_index_.end()) return false;
   const std::size_t idx = it->second;
   // Mask the departed customer out of the retained NN floors so provider
-  // seeds computed before the next rebuild cannot lean on it
-  // (HierTauTable::Remove refloors its cells exactly).
+  // seeds computed before the next rebuild cannot lean on it: raised to
+  // +infinity it never wins, and its cells refloor exactly.
   if (nn_slot_[idx] >= 0) {
-    if (nn_floors_) nn_floors_->Remove(static_cast<std::size_t>(nn_slot_[idx]));
+    if (nn_floors_) nn_floors_->Raise(static_cast<std::size_t>(nn_slot_[idx]), kInf);
   } else {
     --nn_pending_;
   }
   customer_index_.erase(it);
   SwapRemove(&problem_.customers, idx);
   if (!problem_.weights.empty()) SwapRemove(&problem_.weights, idx);
-  SwapRemove(&duals_.tau_p, idx);
+  SwapRemove(&warm_.potentials.tau_p, idx);
   SwapRemove(&nn_slot_, idx);
   SwapRemove(&customer_ids_, idx);
   if (idx < customer_ids_.size()) customer_index_[customer_ids_[idx]] = idx;
@@ -116,7 +116,7 @@ bool AssignmentEngine::RemoveProvider(Id id) {
   const std::size_t idx = it->second;
   provider_index_.erase(it);
   SwapRemove(&problem_.providers, idx);
-  SwapRemove(&duals_.tau_q, idx);
+  SwapRemove(&warm_.potentials.tau_q, idx);
   SwapRemove(&provider_ids_, idx);
   if (idx < provider_ids_.size()) provider_index_[provider_ids_[idx]] = idx;
   // Provider churn never touches the customer indexes: dropping a dual
@@ -128,7 +128,7 @@ bool AssignmentEngine::RemoveProvider(Id id) {
 double AssignmentEngine::WarmCustomerDual(const Point& pos) const {
   double seed = 0.0;
   for (std::size_t q = 0; q < problem_.providers.size(); ++q) {
-    seed = std::max(seed, duals_.tau_q[q] - Distance(problem_.providers[q].pos, pos));
+    seed = std::max(seed, warm_.potentials.tau_q[q] - Distance(problem_.providers[q].pos, pos));
   }
   return seed;
 }
@@ -146,7 +146,7 @@ double AssignmentEngine::WarmProviderDual(const Point& pos) const {
     // the next rebuild; their seeds are already feasible duals.
     for (std::size_t p = 0; p < nn_slot_.size(); ++p) {
       if (nn_slot_[p] >= 0) continue;
-      best = std::min(best, Distance(pos, problem_.customers[p]) + duals_.tau_p[p]);
+      best = std::min(best, Distance(pos, problem_.customers[p]) + warm_.potentials.tau_p[p]);
     }
   }
   return best == kInf ? 0.0 : std::max(best, 0.0);
@@ -172,30 +172,28 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
   CCA_TRACE_SPAN_VAR(span, "engine.resolve");
   Timer timer;
   RebuildIndexesIfStale();
-  SspaConfig cfg = options_.sspa;
+  SspaConfig cfg;
+  cfg.use_grid = options_.use_grid;
   cfg.shared_hier_grid = solve_hier_.get();
-  // The serving engine always degrades gracefully on infeasible snapshots:
-  // demand the capacity cannot absorb routes to the solver's virtual
-  // overflow provider and comes back as the unassigned ledger instead of
-  // aborting (no-op while the snapshot stays feasible — the virtual slot
-  // only materialises when total demand exceeds total capacity).
-  cfg.allow_overflow = true;
   const bool warm = options_.warm_start && have_solution_;
-  cfg.initial_potentials = warm ? &duals_ : nullptr;
-  // Previous flow remapped through the churn: pairs whose endpoints left
-  // drop out; the solver re-checks tightness and capacity on the rest.
-  Matching adopt;
   if (warm) {
-    adopt.pairs.reserve(last_flow_.size());
+    // Previous flow remapped through the churn: pairs whose endpoints left
+    // drop out; the solver re-checks tightness and capacity on the rest.
+    // Infeasible snapshots degrade gracefully either way: a cold solve is
+    // the plain min-cost partial solve, a warm one routes the overflow to
+    // its virtual provider (SspaWarmStart); both report the unserved
+    // demand in the unassigned ledger.
+    warm_.matching.pairs.clear();
+    warm_.matching.pairs.reserve(last_flow_.size());
     for (const FlowRec& rec : last_flow_) {
       const auto qi = provider_index_.find(rec.provider);
       if (qi == provider_index_.end()) continue;
       const auto pi = customer_index_.find(rec.customer);
       if (pi == customer_index_.end()) continue;
-      adopt.Add(static_cast<std::int32_t>(qi->second), static_cast<std::int32_t>(pi->second),
-                rec.units, 0.0);
+      warm_.matching.Add(static_cast<std::int32_t>(qi->second),
+                         static_cast<std::int32_t>(pi->second), rec.units, 0.0);
     }
-    cfg.initial_matching = &adopt;
+    cfg.warm = &warm_;
   }
   // Deadline: the solver gets whatever is left of the Resolve budget after
   // the rebuild + warm-start assembly above. A budget already spent before
@@ -246,7 +244,7 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
     stats_.units_matched += static_cast<std::uint64_t>(pair.units);
   }
   if (degraded) {
-    // Retained state is deliberately untouched: duals_ and last_flow_
+    // Retained state is deliberately untouched: the duals and last_flow_
     // still describe the last *optimal* solve, so the next Resolve
     // warm-starts from certified ground, not from the greedy stop-gap
     // (whose flow is feasible but not min-cost for its value — adopting
@@ -254,11 +252,11 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
     // the NN floors are refreshed, because RebuildIndexesIfStale may have
     // just rebuilt the grid they must stay aligned with.
     out.degraded = true;
-    nn_floors_ = std::make_unique<HierTauTable>(*solve_hier_, duals_.tau_p);
+    nn_floors_ = std::make_unique<HierTauTable>(*solve_hier_, warm_.potentials.tau_p);
     return out;
   }
-  if (warm) VerifyAgainstCold(cfg, out.cost);
-  duals_ = std::move(res.potentials);
+  if (warm) VerifyAgainstCold(out.cost);
+  warm_.potentials = std::move(res.potentials);
   last_flow_.clear();
   last_flow_.reserve(out.matching.pairs.size());
   for (const MatchPair& pair : out.matching.pairs) {
@@ -269,7 +267,7 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
   have_solution_ = true;
   // Refresh the NN floors to this solve's duals (the grid itself only
   // rebuilds on population change).
-  nn_floors_ = std::make_unique<HierTauTable>(*solve_hier_, duals_.tau_p);
+  nn_floors_ = std::make_unique<HierTauTable>(*solve_hier_, warm_.potentials.tau_p);
   return out;
 }
 
@@ -365,13 +363,15 @@ std::string AssignmentEngine::Stats::ToJson() const {
   return std::string(buf);
 }
 
-void AssignmentEngine::VerifyAgainstCold(const SspaConfig& warm_config, double warm_cost) {
+void AssignmentEngine::VerifyAgainstCold(double warm_cost) {
 #ifdef NDEBUG
   if (!options_.verify_cold) return;
 #endif
-  SspaConfig cold = warm_config;
-  cold.initial_potentials = nullptr;
-  cold.initial_matching = nullptr;
+  // A fresh config, not the Resolve's: the cold reference must run to
+  // completion, so it must not inherit the remaining Resolve deadline.
+  SspaConfig cold;
+  cold.use_grid = options_.use_grid;
+  cold.shared_hier_grid = solve_hier_.get();
   const SspaResult res = SolveSspa(problem_, cold);
   const double cold_cost = res.matching.cost();
   // Both solves are exact optima of the same instance; anything beyond

@@ -10,10 +10,9 @@
 //
 //   * Warm-started duals *and flow*. Every solve exports its node
 //     potentials (SspaResult::potentials) and the next solve is seeded
-//     with them (SspaConfig::initial_potentials) together with the
-//     previous matching remapped through the churn
-//     (SspaConfig::initial_matching): pairs that survived and stayed tight
-//     are adopted as initial flow, so only the perturbed units are
+//     with them together with the previous matching remapped through the
+//     churn (SspaConfig::warm): pairs that survived and stayed tight are
+//     adopted as initial flow, so only the perturbed units are
 //     re-augmented. Between solves the engine keeps the dual vectors
 //     aligned with the point sets: removals drop the
 //     entry, an inserted customer is seeded at the smallest value feasible
@@ -29,7 +28,7 @@
 //     SspaConfig::shared_hier_grid; provider churn never invalidates it.
 //     The provider-arrival seeds read the same grid through a HierTauTable
 //     of the last solve's duals, with customer removals masked
-//     incrementally via HierTauTable::Remove and post-snapshot inserts
+//     incrementally by raising them to +infinity and post-snapshot inserts
 //     served from a linear side list until the next rebuild folds them in.
 //
 // Correctness anchor: a warm-started Resolve is cost-identical to a cold
@@ -66,11 +65,11 @@ class AssignmentEngine {
   using Id = std::int64_t;
 
   struct Options {
-    // Base solve configuration. The engine owns the shared index and warm
-    // state, so shared_hier_grid / initial_potentials / initial_matching
-    // are overwritten per Resolve; every other knob passes through.
-    SspaConfig sspa;
-    // Seed each solve with the previous solve's duals. Off = every
+    // SspaConfig::use_grid for every solve (Resolve and the cold
+    // cross-check). Off = the index-free reference scan; the engine still
+    // keeps its own grid for the provider-arrival seeds.
+    bool use_grid = true;
+    // Seed each solve with the previous solve's duals and flow. Off = every
     // Resolve is a cold solve (the A/B switch the churn suite and
     // bench_engine_dispatch compare against).
     bool warm_start = true;
@@ -184,13 +183,13 @@ class AssignmentEngine {
   bool has_solution() const { return have_solution_; }
   // Duals retained from the last Resolve, aligned with problem()'s arrays
   // (entries for points inserted since are their feasibility seeds).
-  const SspaPotentials& potentials() const { return duals_; }
+  const SspaPotentials& potentials() const { return warm_.potentials; }
 
  private:
   double WarmCustomerDual(const Point& pos) const;
   double WarmProviderDual(const Point& pos) const;
   void RebuildIndexesIfStale();
-  void VerifyAgainstCold(const SspaConfig& warm_config, double warm_cost);
+  void VerifyAgainstCold(double warm_cost);
   void BuildDegradedOutcome(ResolveOutcome* out) const;
 
   Options options_;
@@ -201,9 +200,11 @@ class AssignmentEngine {
   std::unordered_map<Id, std::size_t> provider_index_;
   Id next_id_ = 0;
 
-  // Duals aligned with problem_'s arrays at all times (zero-seeded before
-  // the first solve).
-  SspaPotentials duals_;
+  // Warm-start state handed to the solver. `potentials` holds the duals,
+  // aligned with problem_'s arrays at all times (zero-seeded before the
+  // first solve); `matching` is rebuilt from last_flow_ at each warm
+  // Resolve.
+  SspaWarmStart warm_;
   // Previous solve's flow keyed by stable ids, remapped to current indices
   // at the next warm Resolve (pairs with departed endpoints drop out).
   struct FlowRec {

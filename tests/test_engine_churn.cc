@@ -41,25 +41,23 @@ struct ChurnSpec {
   bool weighted = false;
   std::uint64_t seed = 1;
   int events = 500;
-  SspaConfig sspa;  // base solve config (shared grids / potentials ignored)
+  bool use_grid = true;  // AssignmentEngine::Options::use_grid
 };
 
 // Cold-solves the engine's current snapshot from scratch: no shared index,
-// no initial potentials — the reference the warm path must match.
-double ColdCost(const Problem& problem, const SspaConfig& base) {
-  SspaConfig cold = base;
-  cold.shared_hier_grid = nullptr;
-  cold.initial_potentials = nullptr;
-  cold.initial_matching = nullptr;
+// no warm start — the reference the warm path must match.
+double ColdCost(const Problem& problem, bool use_grid) {
+  SspaConfig cold;
+  cold.use_grid = use_grid;
   return SolveSspa(problem, cold).matching.cost();
 }
 
-void ExpectResolveMatchesCold(AssignmentEngine* engine, const SspaConfig& base,
-                              Metrics* totals, int* warm_resolves) {
+void ExpectResolveMatchesCold(AssignmentEngine* engine, bool use_grid, Metrics* totals,
+                              int* warm_resolves) {
   const AssignmentEngine::ResolveOutcome out = engine->Resolve();
   std::string error;
   ASSERT_TRUE(ValidateMatching(engine->problem(), out.matching, &error)) << error;
-  const double cold = ColdCost(engine->problem(), base);
+  const double cold = ColdCost(engine->problem(), use_grid);
   const double tol = 1e-9 * std::max(1.0, std::abs(cold));
   EXPECT_NEAR(out.cost, cold, tol)
       << "warm=" << out.warm << " |Q|=" << engine->num_providers()
@@ -77,7 +75,7 @@ void RunChurn(const ChurnSpec& spec) {
   std::size_t next_customer = 0, next_provider = 0;
 
   AssignmentEngine::Options options;
-  options.sspa = spec.sspa;
+  options.use_grid = spec.use_grid;
   options.warm_start = true;
   AssignmentEngine engine(options);
 
@@ -98,7 +96,7 @@ void RunChurn(const ChurnSpec& spec) {
 
   Metrics totals;
   int warm_resolves = 0;
-  ExpectResolveMatchesCold(&engine, spec.sspa, &totals, &warm_resolves);
+  ExpectResolveMatchesCold(&engine, spec.use_grid, &totals, &warm_resolves);
 
   for (int e = 0; e < spec.events; ++e) {
     const double r = rng.NextDouble();
@@ -117,11 +115,11 @@ void RunChurn(const ChurnSpec& spec) {
       providers[i] = providers.back();
       providers.pop_back();
     } else {
-      ExpectResolveMatchesCold(&engine, spec.sspa, &totals, &warm_resolves);
+      ExpectResolveMatchesCold(&engine, spec.use_grid, &totals, &warm_resolves);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
-  ExpectResolveMatchesCold(&engine, spec.sspa, &totals, &warm_resolves);
+  ExpectResolveMatchesCold(&engine, spec.use_grid, &totals, &warm_resolves);
 
   // The sequence must actually exercise the warm path, and churn between
   // solves leaves some previous duals infeasible, so the repair pass has
@@ -130,19 +128,17 @@ void RunChurn(const ChurnSpec& spec) {
   EXPECT_GT(totals.dual_repairs, 0u);
 }
 
-TEST(EngineChurn, UniformUnit) { RunChurn({Dist::kUniform, false, 11, 500, {}}); }
-TEST(EngineChurn, UniformWeighted) { RunChurn({Dist::kUniform, true, 12, 500, {}}); }
-TEST(EngineChurn, ClusteredUnit) { RunChurn({Dist::kClustered, false, 13, 500, {}}); }
-TEST(EngineChurn, ClusteredWeighted) { RunChurn({Dist::kClustered, true, 14, 500, {}}); }
-TEST(EngineChurn, SkewedUnit) { RunChurn({Dist::kSkewed, false, 15, 500, {}}); }
-TEST(EngineChurn, SkewedWeighted) { RunChurn({Dist::kSkewed, true, 16, 500, {}}); }
+TEST(EngineChurn, UniformUnit) { RunChurn({Dist::kUniform, false, 11, 500}); }
+TEST(EngineChurn, UniformWeighted) { RunChurn({Dist::kUniform, true, 12, 500}); }
+TEST(EngineChurn, ClusteredUnit) { RunChurn({Dist::kClustered, false, 13, 500}); }
+TEST(EngineChurn, ClusteredWeighted) { RunChurn({Dist::kClustered, true, 14, 500}); }
+TEST(EngineChurn, SkewedUnit) { RunChurn({Dist::kSkewed, false, 15, 500}); }
+TEST(EngineChurn, SkewedWeighted) { RunChurn({Dist::kSkewed, true, 16, 500}); }
 
 TEST(EngineChurn, ReferenceScanConfig) {
   // The index-free reference solve path under warm start (no tau tables
   // inside the solver; the engine still keeps its own seed floors).
-  ChurnSpec spec{Dist::kUniform, true, 18, 200, {}};
-  spec.sspa.use_grid = false;
-  RunChurn(spec);
+  RunChurn({Dist::kUniform, true, 18, 200, /*use_grid=*/false});
 }
 
 TEST(EngineChurn, VerifyColdOptionAgrees) {
@@ -172,6 +168,39 @@ TEST(EngineChurn, VerifyColdOptionAgrees) {
     const auto out = engine.Resolve();
     EXPECT_TRUE(out.warm);
   }
+}
+
+TEST(EngineChurn, VerifyColdIgnoresResolveDeadline) {
+  // The cold cross-check must run to completion whatever is left of the
+  // Resolve budget. Here the warm Resolve is cheap (every unit is adopted,
+  // zero augmentations, so its deadline is never even checked) while the
+  // cold re-solve of the same snapshot is not: 100000 far-away unit
+  // providers enter every Dijkstra run's heap. A cold solve that inherited
+  // the remaining budget would stop with a partial matching and the cost
+  // check would abort.
+  AssignmentEngine::Options options;
+  options.verify_cold = true;
+  options.resolve_deadline_ms = 50.0;
+  AssignmentEngine engine(options);
+  for (const Point& pos : test::RandomPoints(30, 81)) {
+    ASSERT_TRUE(engine.InsertProvider(pos, 20).ok());
+  }
+  for (const Point& pos : test::RandomPoints(20, 82)) {
+    ASSERT_TRUE(engine.InsertCustomer(pos).ok());
+  }
+  const auto first = engine.Resolve();
+  ASSERT_FALSE(first.warm);
+  ASSERT_FALSE(first.degraded);
+  // They contest nobody: every customer keeps its nearest provider.
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(engine.InsertProvider(Point{1e6, 1e6}, 1).ok());
+  }
+  const auto second = engine.Resolve();
+  EXPECT_TRUE(second.warm);
+  EXPECT_FALSE(second.degraded);
+  EXPECT_EQ(second.metrics.augmentations, 0u);
+  EXPECT_EQ(second.metrics.warm_units_adopted, 20u);
+  EXPECT_EQ(second.cost, first.cost);
 }
 
 // Asserts the outcome's unassigned ledger is the exact per-customer
@@ -218,7 +247,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
 
   // Phase 1: feasible (12 < 20). Nothing unassigned.
   for (int i = 0; i < 12; ++i) ids.push_back(engine.InsertCustomer(p_pts[next++]).value());
-  ExpectResolveMatchesCold(&engine, SspaConfig{}, &totals, &warm_resolves);
+  ExpectResolveMatchesCold(&engine, true, &totals, &warm_resolves);
   {
     const auto out = engine.Resolve();
     EXPECT_FALSE(out.degraded);
@@ -229,7 +258,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
   // Phase 2: infeasible (22 > 20), deepening across several resolves.
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 10; ++i) ids.push_back(engine.InsertCustomer(p_pts[next++]).value());
-    ExpectResolveMatchesCold(&engine, SspaConfig{}, &totals, &warm_resolves);
+    ExpectResolveMatchesCold(&engine, true, &totals, &warm_resolves);
     if (::testing::Test::HasFatalFailure()) return;
     const auto out = engine.Resolve();
     EXPECT_FALSE(out.degraded);
@@ -245,7 +274,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
     ids[i] = ids.back();
     ids.pop_back();
   }
-  ExpectResolveMatchesCold(&engine, SspaConfig{}, &totals, &warm_resolves);
+  ExpectResolveMatchesCold(&engine, true, &totals, &warm_resolves);
   {
     const auto out = engine.Resolve();
     EXPECT_FALSE(out.degraded);

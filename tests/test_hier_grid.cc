@@ -225,24 +225,26 @@ TEST(HierTauTableTest, FloorsStayExactUnderRandomizedRaises) {
 }
 
 // Between-solve population edits (the AssignmentEngine contract): seeded
-// construction starts exact at every level, and Remove / Insert refloor
-// fine -> coarse -> global exactly in both directions — including a fine
-// cell whose residents are all removed reading +infinity.
-TEST(HierTauTableTest, SeededEditsRefloorEveryLevelExactly) {
+// construction starts exact at every level, and raises — including to
+// +infinity, which masks a departed resident out — refloor fine -> coarse
+// -> global exactly, down to a fine cell whose residents are all removed
+// reading +infinity.
+TEST(HierTauTableTest, SeededRaisesAndRemovalsRefloorEveryLevelExactly) {
   const auto pts = ClusteredPoints(400, 57);
   const HierarchicalGrid grid(pts);
   std::vector<double> truth(pts.size());
   Rng rng(21);
   for (auto& v : truth) v = rng.Uniform(0.0, 40.0);
   HierTauTable table(grid, truth);
+  const double inf = std::numeric_limits<double>::infinity();
   const auto check_exact = [&] {
-    std::vector<double> fine_truth(grid.num_fine(), std::numeric_limits<double>::infinity());
+    std::vector<double> fine_truth(grid.num_fine(), inf);
     for (std::size_t i = 0; i < pts.size(); ++i) {
       fine_truth[grid.fine_of_point(i)] = std::min(fine_truth[grid.fine_of_point(i)], truth[i]);
     }
-    double global_truth = std::numeric_limits<double>::infinity();
+    double global_truth = inf;
     for (std::size_t c = 0; c < grid.num_coarse(); ++c) {
-      double coarse_truth = std::numeric_limits<double>::infinity();
+      double coarse_truth = inf;
       for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
         ASSERT_DOUBLE_EQ(table.FineFloor(f), fine_truth[f]);
         coarse_truth = std::min(coarse_truth, fine_truth[f]);
@@ -255,15 +257,26 @@ TEST(HierTauTableTest, SeededEditsRefloorEveryLevelExactly) {
   check_exact();  // seeded construction is exact before any edit
   for (int round = 0; round < 150; ++round) {
     const std::size_t i = static_cast<std::size_t>(rng.NextBelow(pts.size()));
-    if (rng.NextDouble() < 0.4) {
-      truth[i] = std::numeric_limits<double>::infinity();
-      table.Remove(i);
-    } else {
-      truth[i] = rng.Uniform(0.0, 40.0);  // may lower OR raise a live value
-      table.Insert(i, truth[i]);
-    }
+    const double value = rng.NextDouble() < 0.4 ? inf : truth[i] + rng.Uniform(0.0, 20.0);
+    truth[i] = value;
+    table.Raise(i, value);
     if (round % 25 == 24) check_exact();
   }
+  // Remove every resident of the fullest fine cell: it floors at +infinity.
+  std::size_t fullest = 0;
+  for (std::size_t f = 1; f < grid.num_fine(); ++f) {
+    if (grid.fine_cell_end(f) - grid.fine_cell_begin(f) >
+        grid.fine_cell_end(fullest) - grid.fine_cell_begin(fullest)) {
+      fullest = f;
+    }
+  }
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (grid.fine_of_point(i) != fullest) continue;
+    truth[i] = inf;
+    table.Raise(i, inf);
+  }
+  EXPECT_EQ(table.FineFloor(fullest), inf);
+  check_exact();
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ TEST(MetricsTest, IoTimeModel) {
   EXPECT_DOUBLE_EQ(m.total_millis(), 82.5);
 }
 
-TEST(MetricsTest, AccumulateAddsEverything) {
+TEST(MetricsTest, MergeAddsEverything) {
   Metrics a, b;
   a.edges_inserted = 3;
   a.dijkstra_runs = 2;
@@ -50,39 +50,12 @@ TEST(MetricsTest, AccumulateAddsEverything) {
   b.page_faults = 4;
   b.cpu_millis = 2.0;
   b.fast_path_assigns = 6;
-  a.Accumulate(b);
+  a.Merge(b);
   EXPECT_EQ(a.edges_inserted, 13u);
   EXPECT_EQ(a.dijkstra_runs, 3u);
   EXPECT_EQ(a.page_faults, 5u);
   EXPECT_EQ(a.fast_path_assigns, 6u);
   EXPECT_DOUBLE_EQ(a.cpu_millis, 7.0);
-}
-
-TEST(MetricsTest, MergeAndPlusEqualsMatchAccumulate) {
-  Metrics a, b;
-  a.dijkstra_pops = 4;
-  a.coarse_tails_pruned = 9;
-  b.dijkstra_pops = 6;
-  b.coarse_tails_pruned = 1;
-  b.augmentations = 2;
-  Metrics via_merge = a;
-  via_merge.Merge(b);
-  Metrics via_plus = a;
-  via_plus += b;
-  EXPECT_EQ(via_merge.dijkstra_pops, 10u);
-  EXPECT_EQ(via_merge.coarse_tails_pruned, 10u);
-  EXPECT_EQ(via_merge.augmentations, 2u);
-  EXPECT_EQ(via_plus.dijkstra_pops, via_merge.dijkstra_pops);
-  EXPECT_EQ(via_plus.coarse_tails_pruned, via_merge.coarse_tails_pruned);
-  EXPECT_EQ(via_plus.augmentations, via_merge.augmentations);
-}
-
-TEST(MetricsTest, PlusEqualsChains) {
-  Metrics total, q1, q2;
-  q1.page_faults = 2;
-  q2.page_faults = 3;
-  (total += q1) += q2;
-  EXPECT_EQ(total.page_faults, 5u);
 }
 
 TEST(MetricsTest, ResetClears) {

@@ -131,11 +131,12 @@ TEST(OracleDifferential, InfeasibleInstancesMatchHungarianPartialOptimum) {
   // oracle's transpose orientation assigns every provider slot a customer:
   // the independent min-cost *partial* optimum of size gamma = total
   // capacity. Both SSPA flavours must reproduce its cost — the plain
-  // capacity-limited solve directly, and the overflow solve through its
-  // real sub-matching (the virtual slot's capacity equals the overflow
-  // exactly, so every feasible flow saturates the real providers and the
-  // penalty never biases which real pairs win). The overflow solve must
-  // additionally account for every unserved unit in its ledger.
+  // capacity-limited (cold) solve directly, and the warm solve, which
+  // derives the virtual overflow provider, through its real sub-matching
+  // (the virtual slot's capacity equals the overflow exactly, so every
+  // feasible flow saturates the real providers and the penalty never
+  // biases which real pairs win). The overflow solve must additionally
+  // account for every unserved unit in its ledger.
   std::size_t case_index = 0;
   for (const Dist dist : {Dist::kUniform, Dist::kClustered, Dist::kSkewed}) {
     for (const bool weighted : {false, true}) {
@@ -163,8 +164,13 @@ TEST(OracleDifferential, InfeasibleInstancesMatchHungarianPartialOptimum) {
         const double tol = 1e-6 * std::max(1.0, oracle.matching.cost());
         ASSERT_EQ(oracle.matching.size(), total_capacity) << label;
 
+        // The zero warm start (zero duals, no flow) derives the virtual
+        // overflow provider on an infeasible instance.
+        SspaWarmStart zero;
+        zero.potentials.tau_q.assign(problem.providers.size(), 0.0);
+        zero.potentials.tau_p.assign(problem.customers.size(), 0.0);
         SspaConfig cfg;
-        cfg.allow_overflow = true;
+        cfg.warm = &zero;
         cfg.use_grid = case_index % 2 == 0;
         const SspaResult res = SolveSspa(problem, cfg);
         std::string error;

@@ -2,6 +2,10 @@
 // weighted customers, metric sanity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
 #include "flow/oracle.h"
 #include "flow/sspa.h"
 #include "test_util.h"
@@ -154,6 +158,101 @@ TEST(SspaTest, CostMonotoneInCapacity) {
   // More capacity => larger gamma => strictly more assigned pairs => cost
   // can only grow (every pair has non-negative distance).
   EXPECT_GE(cost_large, cost_small - 1e-9);
+}
+
+// Zero duals and no flow: the trivial warm start of `problem`.
+SspaWarmStart ZeroWarmStart(const Problem& problem) {
+  SspaWarmStart warm;
+  warm.potentials.tau_q.assign(problem.providers.size(), 0.0);
+  warm.potentials.tau_p.assign(problem.customers.size(), 0.0);
+  return warm;
+}
+
+// The unassigned ledger is the matching's exact per-customer complement
+// and sums to total weight - total capacity.
+void ExpectExactLedger(const Problem& problem, const SspaResult& res, const std::string& label) {
+  const std::int64_t overflow = problem.TotalWeight() - problem.TotalCapacity();
+  EXPECT_EQ(res.unassigned_units, overflow) << label;
+  const auto loads = res.matching.CustomerLoads(problem.customers.size());
+  std::int64_t ledger_sum = 0;
+  for (const UnassignedUnit& u : res.unassigned) {
+    EXPECT_GT(u.units, 0) << label;
+    EXPECT_EQ(loads[static_cast<std::size_t>(u.customer)] + u.units,
+              problem.weight(static_cast<std::size_t>(u.customer)))
+        << label << " customer " << u.customer;
+    ledger_sum += u.units;
+  }
+  EXPECT_EQ(ledger_sum, overflow) << label;
+}
+
+// A warm solve derives the virtual overflow provider on an infeasible
+// instance; a cold one never does. Both reach the same partial optimum and
+// the same exact ledger, but only the warm solve augments the overflow
+// units (to the virtual slot), one per Dijkstra run on unit customers.
+TEST(SspaWarmStartTest, OverflowProviderExactlyWhenWarmAndInfeasible) {
+  test::InstanceSpec spec;
+  spec.nq = 5;
+  spec.np = 60;
+  spec.k_lo = 3;
+  spec.k_hi = 6;
+  spec.seed = 31;
+  const Problem problem = test::RandomProblem(spec);
+  ASSERT_LT(problem.TotalCapacity(), problem.TotalWeight());
+  const SspaWarmStart zero = ZeroWarmStart(problem);
+  for (const bool use_grid : {true, false}) {
+    const std::string label = use_grid ? "grid" : "reference";
+    SspaConfig cfg;
+    cfg.use_grid = use_grid;
+    const SspaResult cold = SolveSspa(problem, cfg);
+    cfg.warm = &zero;
+    const SspaResult warm = SolveSspa(problem, cfg);
+    EXPECT_EQ(cold.metrics.augmentations, static_cast<std::uint64_t>(problem.TotalCapacity()))
+        << label;
+    EXPECT_EQ(warm.metrics.augmentations, static_cast<std::uint64_t>(problem.TotalWeight()))
+        << label;
+    EXPECT_EQ(warm.metrics.warm_units_adopted, 0u) << label;
+    EXPECT_NEAR(warm.matching.cost(), cold.matching.cost(),
+                1e-9 * std::max(1.0, cold.matching.cost()))
+        << label;
+    std::string error;
+    EXPECT_TRUE(ValidateMatching(problem, cold.matching, &error)) << label << ": " << error;
+    EXPECT_TRUE(ValidateMatching(problem, warm.matching, &error)) << label << ": " << error;
+    ExpectExactLedger(problem, cold, label + " cold");
+    ExpectExactLedger(problem, warm, label + " warm");
+  }
+}
+
+// Warm-starting from a solve's own exported duals and matching on the
+// unchanged instance keeps the cost and re-adopts flow instead of
+// re-augmenting it.
+TEST(SspaWarmStartTest, SelfWarmStartAdoptsFlowAndKeepsCost) {
+  for (const std::int32_t k : {4, 12}) {  // infeasible (20 < 48), then ample
+    test::InstanceSpec spec;
+    spec.nq = 5;
+    spec.np = 48;
+    spec.k_lo = k;
+    spec.k_hi = k;
+    spec.seed = 37;
+    const Problem problem = test::RandomProblem(spec);
+    for (const bool use_grid : {true, false}) {
+      const std::string label = "k=" + std::to_string(k) + (use_grid ? " grid" : " reference");
+      SspaConfig cfg;
+      cfg.use_grid = use_grid;
+      const SspaResult cold = SolveSspa(problem, cfg);
+      SspaWarmStart self;
+      self.potentials = cold.potentials;
+      self.matching = cold.matching;
+      cfg.warm = &self;
+      const SspaResult warm = SolveSspa(problem, cfg);
+      EXPECT_NEAR(warm.matching.cost(), cold.matching.cost(),
+                  1e-9 * std::max(1.0, cold.matching.cost()))
+          << label;
+      EXPECT_GT(warm.metrics.warm_units_adopted, 0u) << label;
+      EXPECT_LT(warm.metrics.augmentations, static_cast<std::uint64_t>(problem.TotalWeight()))
+          << label;
+      EXPECT_EQ(warm.unassigned_units, cold.unassigned_units) << label;
+    }
+  }
 }
 
 }  // namespace

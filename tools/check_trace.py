@@ -10,8 +10,8 @@ Checks, in order:
   3. nothing was dropped (droppedEvents == 0);
   4. optionally (--expect-nesting, on in --bench mode) the serving
      hierarchy is present: at least one engine.resolve span that
-     time-contains a sspa.dijkstra span and a sspa.repair_duals or
-     sspa.adopt_flow span on the same thread.
+     time-contains a sspa.dijkstra span and a sspa.adopt_flow span on the
+     same thread (a warm Resolve).
 
 Modes:
   check_trace.py TRACE.json
@@ -100,9 +100,7 @@ def validate(path, expect_nesting):
         if not resolves:
             return fail("no engine.resolve spans in trace")
         dijkstras = [e for e in events if e["name"] == "sspa.dijkstra"]
-        phases = [
-            e for e in events if e["name"] in ("sspa.repair_duals", "sspa.adopt_flow")
-        ]
+        phases = [e for e in events if e["name"] == "sspa.adopt_flow"]
         if not any(
             any(contains(r, d) for d in dijkstras)
             and any(contains(r, p) for p in phases)
@@ -110,7 +108,7 @@ def validate(path, expect_nesting):
         ):
             return fail(
                 "no engine.resolve span contains both a sspa.dijkstra and a "
-                "sspa.repair_duals/sspa.adopt_flow span"
+                "sspa.adopt_flow span"
             )
 
     names = sorted({e["name"] for e in events})
