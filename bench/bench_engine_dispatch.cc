@@ -15,8 +15,8 @@
 // small-perturbation step the warm engine re-augments only the churned
 // units, so its dijkstra_pops must sit far below the cold engine's —
 // that column is the gated headline (tools/bench_diff.py: cost, pops,
-// relaxes and augmentations gate against BENCH_dispatch.json; timing is
-// reported but never gated).
+// relaxes and augmentations gate against BENCH_dispatch.json from above,
+// warm_units_adopted from below; timing is reported but never gated).
 //
 //   bench_engine_dispatch [--out BENCH_dispatch.json] [--max-np N]
 //                         [--stats-out FILE]  (per-step warm EngineStats JSON)

@@ -34,6 +34,8 @@ class IndexedHeap {
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
+  // The queued ids, in heap order.
+  const std::vector<int>& ids() const { return heap_; }
 
   bool Contains(int id) const {
     return static_cast<std::size_t>(id) < pos_.size() && pos_[static_cast<std::size_t>(id)] >= 0;

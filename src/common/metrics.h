@@ -63,7 +63,9 @@ struct Metrics {
   std::uint64_t dijkstra_resumes = 0;  // PUA-assisted resumed executions
   std::uint64_t dijkstra_pops = 0;     // nodes de-heaped across all runs
   std::uint64_t dijkstra_relaxes = 0;  // edge relaxations across all runs
-  std::uint64_t augmentations = 0;     // accepted (valid) shortest paths
+  // Accepted (valid) shortest paths; on a warm SSPA solve this also counts
+  // each negative source cycle cancelled after the deficit loop.
+  std::uint64_t augmentations = 0;
   std::uint64_t invalid_paths = 0;     // Theorem-1 rejections
   std::uint64_t fast_path_assigns = 0; // Theorem-2 direct assignments
   std::uint64_t grid_rings_scanned = 0;  // grid rings visited by pruned SSPA
@@ -96,10 +98,11 @@ struct Metrics {
   // dual solution drifted infeasible around the adopted flow.
   std::uint64_t dual_repairs = 0;
   // Warm-started solves only: units of the previous matching re-adopted as
-  // initial flow because their arc stayed tight and uncontested under the
-  // seed duals (AdoptFlow in src/flow/sspa.cc). adopted close to gamma is
-  // the small-perturbation fast path: only gamma - adopted units are
-  // re-augmented.
+  // initial flow because their arc stayed tight under the repaired seed
+  // duals (AdoptFlow in src/flow/sspa.cc). adopted close to gamma is the
+  // small-perturbation fast path: only gamma - adopted units are
+  // re-augmented. Cycle cancellation may later re-route adopted units; they
+  // still count as adopted.
   std::uint64_t warm_units_adopted = 0;
 
   // --- spatial side --------------------------------------------------------

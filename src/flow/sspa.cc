@@ -146,17 +146,18 @@ class SspaSolver {
       // + augment + potential update is the smallest step that leaves the
       // duals feasible and the partial flow capacity-respecting, so
       // breaking here always hands back a consistent (if partial) state.
-      if (config_.deadline_ms > 0.0 && timer.ElapsedMillis() > config_.deadline_ms) {
-        result.deadline_exceeded = true;
-        break;
-      }
-      const double d = Dijkstra(&result.metrics);
-      assert(d < kInf && "flow graph must admit gamma units");
-      const std::int64_t pushed = Augment(remaining);
-      UpdatePotentials(d);
+      if (DeadlineBreached(timer, &result)) break;
+      const RunEnd end = Dijkstra(kInf, &result.metrics);
+      assert(end.node == Sink() && "flow graph must admit gamma units");
+      const std::int64_t pushed = Augment(end.node, remaining);
+      UpdatePotentials(end.dist);
       remaining -= pushed;
       ++result.metrics.augmentations;
     }
+    // Deficit first, then cycles: routing the deficit first lets an
+    // arriving provider's units land where they are cheapest, instead of
+    // stealing customers that the deficit runs would route back.
+    if (config_.warm != nullptr && !result.deadline_exceeded) CancelSourceCycles(timer, &result);
     ExtractMatching(&result.matching);
     // The unassigned ledger: per-customer demand no real provider serves —
     // overflow units routed to the virtual provider and/or units a
@@ -206,9 +207,8 @@ class SspaSolver {
   // full soundness argument lives in src/runtime/README.md). A warm solve
   // always runs in the ample regime (gamma plus the virtual overflow equals
   // the total weight — every customer saturates by the end), so previous
-  // pairs that survive churn are adopted as initial flow, the duals are
-  // repaired around them and the pairs churn has invalidated are shed —
-  // five single passes, no fixpoint iteration:
+  // pairs that survive churn are adopted as initial flow and the duals are
+  // repaired around them — four single passes, no fixpoint iteration:
   //
   //   a. Every churn-valid pair (in-range endpoints, capacity and weight
   //      respected) takes its flow provisionally. Anything else is
@@ -235,42 +235,19 @@ class SspaSolver {
   //      flow back. A released arc has r > 0, i.e. it is already
   //      forward-feasible, and releasing changes no duals, so one scan
   //      suffices: no cascade is possible.
-  //   e. CONTESTED: release every adopted arc whose customer has some
-  //      OTHER provider strictly closer than the one serving it. Duals
-  //      certify paths, not flow: successive shortest paths only ever
-  //      augment the deficit, so any improving residual CYCLE already
-  //      present in the adopted flow survives to the final matching.
-  //      Churn creates exactly such cycles — a departure frees a slot at
-  //      a previously-full provider (or a provider arrives) that now
-  //      undercuts a neighbour's customer: s -> q_freed -> p -> q_serving
-  //      -> s has true cost dist(q_freed, p) - dist(q_serving, p) < 0.
-  //      Every capacity-neutral residual cycle (any mix of source hops
-  //      and provider exchanges) telescopes into per-customer brackets
-  //      dist(q_other, p) - dist(q_serving, p), so its cost is bounded
-  //      below by the sum over its customers of
-  //          gap(p) = min_{q != serving} dist(q, p) - dist(serving, p),
-  //      and releasing every customer with gap < 0 leaves no negative
-  //      cycle at all. Releasing only removes reverse edges (it cannot
-  //      create a new negative bracket), so one scan suffices. The
-  //      released set is exactly the customers their server holds
-  //      against geometry — the capacity-displaced ones — which churn
-  //      keeps small, and the O(|adopted| * |Q|) scan is noise next to
-  //      one Dijkstra run.
   //
-  // Sink edges need no repair: the sink potential stays 0 and every
-  // unsaturated customer's sink edge relaxes at exactly +0, which makes
-  // each Dijkstra run target the nearest deficit — the
-  // successive-shortest-path scheme for the transportation formulation,
-  // where deficits live at the customers and "serve this arrival instead
-  // of that one" is a change of deficit vector, not a comparable flow.
-  // What that scheme does require is the absence of the capacity-neutral
-  // negative cycles pass e just removed. With passes a-e done the duals
-  // are feasible on every edge Dijkstra relaxes, the adopted arcs are
-  // tight (r == 0), and each remaining augmentation re-optimally absorbs
-  // one deficit unit (re-routing adopted flow through reverse edges where
-  // profitable), so the final matching is cost-identical to a cold solve —
-  // asserted by AssignmentEngine::VerifyAgainstCold in Debug builds and
-  // enforced by bench_engine_dispatch's warm/cold cross-check.
+  // With passes a-d done the duals are feasible on every provider and
+  // customer edge Dijkstra relaxes and the adopted arcs are tight. Sink
+  // edges need no repair: the sink potential stays 0 and every unsaturated
+  // customer's sink edge relaxes at exactly +0, which makes each deficit
+  // run target the nearest deficit. What duals cannot certify is the
+  // adopted flow itself: churn (a slot freed at a full provider, or a
+  // provider arrival) can leave negative residual cycles through the
+  // implicit source, which the deficit runs never cancel. Run() removes
+  // those after the deficit loop (CancelSourceCycles), so the final
+  // matching is cost-identical to a cold solve — asserted by
+  // AssignmentEngine::VerifyAgainstCold in Debug builds and enforced by
+  // bench_engine_dispatch's warm/cold cross-check.
   void AdoptFlow(Metrics* metrics) {
     CCA_TRACE_SPAN_VAR(span, "sspa.adopt_flow");
     struct Adopted {
@@ -312,7 +289,7 @@ class SspaSolver {
         ++metrics->dual_repairs;
       }
     }
-    for (Adopted& a : adopted) {
+    for (const Adopted& a : adopted) {
       const auto q = static_cast<std::size_t>(a.q);
       const auto p = static_cast<std::size_t>(a.p);
       const double dist = Distance(problem_.providers[q].pos, problem_.customers[p]);
@@ -320,29 +297,6 @@ class SspaSolver {
       // The epsilon absorbs the float noise potential updates accumulate.
       const double eps = 1e-7 * std::max(1.0, dist + tau_p_[p]);
       if (r <= eps) continue;
-      AddFlow(q, p, -a.units);
-      used_q_[q] -= a.units;
-      sink_flow_[p] -= a.units;
-      metrics->warm_units_adopted -= static_cast<std::uint64_t>(a.units);
-      a.units = 0;
-    }
-    for (const Adopted& a : adopted) {
-      if (a.units == 0) continue;
-      const auto q = static_cast<std::size_t>(a.q);
-      const auto p = static_cast<std::size_t>(a.p);
-      const Point p_pos = problem_.customers[p];
-      const double held = Distance(problem_.providers[q].pos, p_pos);
-      bool contested = false;
-      // The virtual provider never contests: its flat penalty exceeds any
-      // real distance by construction.
-      for (std::size_t other = 0; other < real_nq_; ++other) {
-        if (other == q) continue;
-        if (Distance(problem_.providers[other].pos, p_pos) < held) {
-          contested = true;
-          break;
-        }
-      }
-      if (!contested) continue;
       AddFlow(q, p, -a.units);
       used_q_[q] -= a.units;
       sink_flow_[p] -= a.units;
@@ -367,19 +321,71 @@ class SspaSolver {
     return best;
   }
 
-  // One Dijkstra run over the residual graph with reduced costs; returns
-  // the shortest-path cost to the sink. Fills `touched_` with de-heaped
-  // nodes (all have alpha <= D).
-  double Dijkstra(Metrics* metrics) {
+  // Cancels the negative residual cycles churn leaves in a warm start's
+  // adopted flow. With every customer saturated and reduced costs >= 0 on
+  // provider and customer edges, such a cycle runs s -> q_a ~> u -> s from
+  // a spare provider to a flow-carrying one and costs alpha(u) - tau_q(u)
+  // (src/runtime/README.md, "Warm-start soundness"). One run and one
+  // augmentation per cycle, until a run finds none; the deadline is checked
+  // once per cancellation, so a solve that cancels nothing never checks it.
+  void CancelSourceCycles(const Timer& timer, SspaResult* result) {
+    CCA_TRACE_SPAN("sspa.cancel_cycles");
+    for (std::size_t p = 0; p < np_; ++p) assert(sink_flow_[p] == problem_.weight(p));
+    while (true) {
+      // B = max tau_q over flow-carrying providers: a cycle needs
+      // alpha(u) < tau_q(u) <= B, so labels >= B can close none, and a run
+      // needs a spare provider seeding below B.
+      double bound = -kInf;
+      double lowest_seed = kInf;
+      for (std::size_t q = 0; q < nq_; ++q) {
+        if (used_q_[q] > 0) bound = std::max(bound, tau_q_[q]);
+        if (used_q_[q] < ProviderCapacity(q)) lowest_seed = std::min(lowest_seed, tau_q_[q]);
+      }
+      if (lowest_seed >= bound) return;
+      const RunEnd end = Dijkstra(bound, &result->metrics);
+      if (end.node < 0) return;
+      Augment(end.node, used_q_[static_cast<std::size_t>(end.node)]);
+      UpdatePotentials(end.dist);
+      ++result->metrics.augmentations;
+      if (DeadlineBreached(timer, result)) return;
+    }
+  }
+
+  bool DeadlineBreached(const Timer& timer, SspaResult* result) const {
+    if (config_.deadline_ms <= 0.0 || timer.ElapsedMillis() <= config_.deadline_ms) return false;
+    result->deadline_exceeded = true;
+    return true;
+  }
+
+  // Where a Dijkstra run stopped: the sink (an augmenting path), a
+  // flow-carrying provider closing a negative source cycle, or -1 (none).
+  struct RunEnd {
+    int node;
+    double dist;
+  };
+
+  // One Dijkstra run over the residual graph with reduced costs. Fills
+  // `touched_` with de-heaped nodes; the potential update raises those
+  // with alpha below the returned dist.
+  //   cycle_bound == kInf: a deficit run; ends at the sink.
+  //   cycle_bound <  kInf: a cancellation run (CancelSourceCycles); seeds
+  //     only spare providers below the bound, prunes relaxes against it in
+  //     place of the sink bound, and ends at the first popped provider u
+  //     that carries flow with alpha(u) < tau_q(u).
+  RunEnd Dijkstra(double cycle_bound, Metrics* metrics) {
     CCA_TRACE_SPAN_VAR(span, "sspa.dijkstra");
     const std::uint64_t pops0 = metrics->dijkstra_pops;
     const std::uint64_t relaxes0 = metrics->dijkstra_relaxes;
     ++metrics->dijkstra_runs;
+    const bool cancel = cycle_bound < kInf;
+    // Reset only the labels the previous run set, O(labelled) instead of
+    // O(|Q| + |P|): every labelled node was queued, so it was either popped
+    // (touched_) or is still in the heap.
+    for (int v : touched_) ResetLabel(v);
+    for (int v : heap_.ids()) ResetLabel(v);
     heap_.Clear();
     touched_.clear();
-    run_ub_ = kInf;
-    std::fill(alpha_.begin(), alpha_.end(), kInf);
-    std::fill(prev_.begin(), prev_.end(), -1);
+    run_ub_ = cycle_bound;
     if (floors_) {
       // Floor of tau(p) over every customer: together with a ring's
       // geometric mindist it lower-bounds the reduced cost of all edges
@@ -390,21 +396,29 @@ class SspaSolver {
       assert(min_tau_p_ == *std::min_element(tau_p_.begin(), tau_p_.end()));
     }
     for (std::size_t q = 0; q < nq_; ++q) {
-      if (used_q_[q] < ProviderCapacity(q)) {
-        alpha_[q] = tau_q_[q];
-        prev_[q] = -1;  // reached from the source
+      if (used_q_[q] < ProviderCapacity(q) && tau_q_[q] < cycle_bound) {
+        alpha_[q] = tau_q_[q];  // reached from the source
         heap_.PushOrDecrease(static_cast<int>(q), alpha_[q]);
       }
     }
+    RunEnd end{-1, kInf};
     while (!heap_.empty()) {
       const auto [u, key] = heap_.PopMin();
       ++metrics->dijkstra_pops;
-      if (u == Sink()) {
-        span.Arg("pops", metrics->dijkstra_pops - pops0);
-        span.Arg("relaxes", metrics->dijkstra_relaxes - relaxes0);
-        return key;
-      }
       touched_.push_back(u);
+      if (u == Sink()) {
+        end = RunEnd{u, key};
+        break;
+      }
+      if (cancel) {
+        if (key >= cycle_bound) break;
+        const auto q = static_cast<std::size_t>(u);
+        // The epsilon absorbs the float noise potential updates accumulate.
+        if (q < nq_ && used_q_[q] > 0 && key < tau_q_[q] - 1e-9 * std::max(1.0, tau_q_[q])) {
+          end = RunEnd{u, key};
+          break;
+        }
+      }
       if (static_cast<std::size_t>(u) < nq_) {
         if (overflow_ > 0 && static_cast<std::size_t>(u) == real_nq_) {
           RelaxVirtual(metrics);
@@ -419,7 +433,12 @@ class SspaSolver {
     }
     span.Arg("pops", metrics->dijkstra_pops - pops0);
     span.Arg("relaxes", metrics->dijkstra_relaxes - relaxes0);
-    return kInf;
+    return end;
+  }
+
+  void ResetLabel(int node) {
+    alpha_[static_cast<std::size_t>(node)] = kInf;
+    prev_[static_cast<std::size_t>(node)] = -1;
   }
 
   void Relax(int node, double cand, int from) {
@@ -636,11 +655,15 @@ class SspaSolver {
     });
   }
 
-  // Traces prev_ pointers from the sink, pushes the bottleneck flow.
-  std::int64_t Augment(std::int64_t limit) {
+  // Traces prev_ pointers back from `end` and pushes the bottleneck flow.
+  // `end` is the sink (an augmenting path: one more unit of demand served)
+  // or a flow-carrying provider closing a source cycle (its last hop is a
+  // reverse edge, and the closing u -> s arc hands the units back to the
+  // source, so customer loads stay unchanged).
+  std::int64_t Augment(int end, std::int64_t limit) {
     // First pass: find the bottleneck.
     std::int64_t push = limit;
-    int v = Sink();
+    int v = end;
     while (true) {
       const int u = prev_[static_cast<std::size_t>(v)];
       if (v == Sink()) {
@@ -662,7 +685,8 @@ class SspaSolver {
       v = u;
     }
     // Second pass: apply.
-    v = Sink();
+    if (end != Sink()) used_q_[static_cast<std::size_t>(end)] -= push;
+    v = end;
     while (true) {
       const int u = prev_[static_cast<std::size_t>(v)];
       if (v == Sink()) {
@@ -793,7 +817,7 @@ class SspaSolver {
   std::vector<double> alpha_;
   std::vector<int> prev_;
   IndexedHeap heap_;
-  std::vector<int> touched_;
+  std::vector<int> touched_;  // popped this run (the last run until the next)
 };
 
 }  // namespace

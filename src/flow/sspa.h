@@ -64,16 +64,15 @@ struct SspaPotentials {
 // and ledger), so batch trajectories are untouched.
 //
 // Surviving pairs are adopted as initial flow (Metrics::warm_units_adopted)
-// and the duals are repaired around them in five single-pass steps
+// and the duals are repaired around them in four single-pass steps
 // (AdoptFlow in sspa.cc): adopt; tighten each adopted customer's tau_p
 // until its serving arc is tight; clamp each tau_q forward-feasible
-// (Metrics::dual_repairs); release any adopted pair a clamp left with
-// positive reduced cost; and release every *contested* pair — one whose
-// customer has a strictly closer non-serving provider — because churn
-// (freed capacity at a full provider, or a provider arrival) can turn
-// exactly those into negative residual cycles that successive shortest
-// paths would never cancel. Only the remaining deficit is then
-// re-augmented, which is what makes a small-perturbation re-solve cheap —
+// (Metrics::dual_repairs); and release any adopted pair a clamp left with
+// positive reduced cost. The solver then re-augments only the deficit and
+// finally cancels the negative residual cycles through the source that
+// churn can open (a slot freed at a full provider, or a provider arrival),
+// one Dijkstra run per cycle. Both steps cost work in proportion to the
+// churn, which is what makes a small-perturbation re-solve cheap —
 // src/runtime/README.md has the full argument.
 struct SspaWarmStart {
   SspaPotentials potentials;

@@ -52,22 +52,6 @@ Problem MakeInstance(Dist dist, bool weighted, std::uint64_t seed) {
   return problem;
 }
 
-// The Hungarian baseline requires unit customer weights; a weighted
-// customer of weight w is exactly w co-located unit customers (each unit
-// of demand may be served by a different provider), so the expansion
-// preserves the optimal cost.
-Problem UnitExpanded(const Problem& problem) {
-  if (problem.weights.empty()) return problem;
-  Problem expanded;
-  expanded.providers = problem.providers;
-  for (std::size_t p = 0; p < problem.customers.size(); ++p) {
-    for (std::int32_t u = 0; u < problem.weights[p]; ++u) {
-      expanded.customers.push_back(problem.customers[p]);
-    }
-  }
-  return expanded;
-}
-
 const char* DistName(Dist dist) {
   switch (dist) {
     case Dist::kUniform:
@@ -95,7 +79,7 @@ TEST(OracleDifferential, SolversMatchHungarianOnRandomInstances) {
                                   (weighted ? " weighted" : " unit") + " seed " +
                                   std::to_string(seed);
 
-        const HungarianResult oracle = SolveHungarian(UnitExpanded(problem));
+        const HungarianResult oracle = SolveHungarian(test::UnitExpanded(problem));
         const double tol = 1e-6 * std::max(1.0, oracle.matching.cost());
 
         auto db = test::MakeDb(problem);
@@ -160,7 +144,7 @@ TEST(OracleDifferential, InfeasibleInstancesMatchHungarianPartialOptimum) {
                                   (weighted ? " weighted" : " unit") + " seed " +
                                   std::to_string(seed);
 
-        const HungarianResult oracle = SolveHungarian(UnitExpanded(problem));
+        const HungarianResult oracle = SolveHungarian(test::UnitExpanded(problem));
         const double tol = 1e-6 * std::max(1.0, oracle.matching.cost());
         ASSERT_EQ(oracle.matching.size(), total_capacity) << label;
 

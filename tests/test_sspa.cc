@@ -1,13 +1,16 @@
 // SSPA baseline tests: paper worked example, optimality against oracles,
-// weighted customers, metric sanity.
+// weighted customers, metric sanity, warm starts under churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 
+#include "core/matching.h"
 #include "flow/oracle.h"
 #include "flow/sspa.h"
+#include "geo/point.h"
 #include "test_util.h"
 
 namespace cca {
@@ -252,6 +255,142 @@ TEST(SspaWarmStartTest, SelfWarmStartAdoptsFlowAndKeepsCost) {
           << label;
       EXPECT_EQ(warm.unassigned_units, cold.unassigned_units) << label;
     }
+  }
+}
+
+// The warm start a caller hands the solver after customer `gone` departs:
+// the solve's duals and matching, re-indexed past the departed customer.
+SspaWarmStart AfterCustomerDeparture(const SspaResult& solved, std::size_t gone) {
+  SspaWarmStart warm;
+  warm.potentials = solved.potentials;
+  warm.potentials.tau_p.erase(warm.potentials.tau_p.begin() + static_cast<std::ptrdiff_t>(gone));
+  const auto gone_index = static_cast<std::int32_t>(gone);
+  for (const MatchPair& pair : solved.matching.pairs) {
+    if (pair.customer == gone_index) continue;
+    warm.matching.Add(pair.provider, pair.customer - (pair.customer > gone_index ? 1 : 0),
+                      pair.units, 0.0);
+  }
+  return warm;
+}
+
+Problem WithoutCustomer(Problem problem, std::size_t gone) {
+  problem.customers.erase(problem.customers.begin() + static_cast<std::ptrdiff_t>(gone));
+  return problem;
+}
+
+// Solves `problem` warm and cold, checks that they agree, and returns the
+// warm result.
+SspaResult ExpectWarmEqualsCold(const Problem& problem, const SspaWarmStart& warm_start,
+                                bool use_grid, const std::string& label) {
+  SspaConfig cfg;
+  cfg.use_grid = use_grid;
+  const SspaResult cold = SolveSspa(problem, cfg);
+  cfg.warm = &warm_start;
+  SspaResult warm = SolveSspa(problem, cfg);
+  EXPECT_NEAR(warm.matching.cost(), cold.matching.cost(),
+              1e-9 * std::max(1.0, cold.matching.cost()))
+      << label;
+  std::string error;
+  EXPECT_TRUE(ValidateMatching(problem, warm.matching, &error)) << label << ": " << error;
+  EXPECT_EQ(warm.unassigned_units, cold.unassigned_units) << label;
+  return warm;
+}
+
+// A departure frees a slot at the full provider q0. No customer is closer
+// to q0 than to its own server, so no one-hop exchange pays; but moving p1
+// to q0 lets q1 take p2 from q2, and the two-hop source cycle
+// s -> q0 -> p1 -> q1 -> p2 -> q2 -> s costs (6 - 4) + (3 - 7) = -2.
+TEST(SspaWarmStartTest, TwoHopSourceCycleAfterDeparture) {
+  Problem before;
+  before.providers = {Provider{Point{0.0, 0.0}, 1}, Provider{Point{10.0, 0.0}, 1},
+                      Provider{Point{20.0, 0.0}, 1}};
+  // p0 (departs) sits on q0; p1 and p2 sit between the providers.
+  before.customers = {Point{0.0, 0.0}, Point{6.0, 0.0}, Point{13.0, 0.0}};
+  const Problem after = WithoutCustomer(before, 0);
+  for (const bool use_grid : {true, false}) {
+    const std::string label = use_grid ? "grid" : "reference";
+    SspaConfig cfg;
+    cfg.use_grid = use_grid;
+    const SspaResult solved = SolveSspa(before, cfg);
+    ASSERT_NEAR(solved.matching.cost(), 11.0, 1e-9) << label;
+    const SspaWarmStart warm_start = AfterCustomerDeparture(solved, 0);
+    for (const MatchPair& pair : warm_start.matching.pairs) {
+      const Point& pos = after.customers[static_cast<std::size_t>(pair.customer)];
+      EXPECT_GE(Distance(after.providers[0].pos, pos),
+                Distance(after.providers[static_cast<std::size_t>(pair.provider)].pos, pos))
+          << label << ": q0 undercuts customer " << pair.customer;
+    }
+    const SspaResult warm = ExpectWarmEqualsCold(after, warm_start, use_grid, label);
+    EXPECT_NEAR(warm.matching.cost(), BruteForceOptimal(after).cost(), 1e-9) << label;
+    EXPECT_NEAR(warm.matching.cost(), 9.0, 1e-9) << label;
+    EXPECT_EQ(warm.metrics.warm_units_adopted, 2u) << label;
+    EXPECT_EQ(warm.metrics.augmentations, 1u) << label;  // the one cancelled cycle
+  }
+}
+
+test::InstanceSpec ClusteredDispatchSpec() {
+  test::InstanceSpec spec;
+  spec.nq = 30;
+  spec.np = 1500;
+  spec.k_lo = 80;
+  spec.k_hi = 80;
+  spec.clustered_p = true;
+  spec.seed = 17;
+  return spec;
+}
+
+// One departure at a full provider of a solved clustered dispatch-shaped
+// instance: every surviving unit is adopted and only the few source cycles
+// the freed slot opens are cancelled, instead of re-augmenting every
+// customer a full provider holds against geometry.
+TEST(SspaWarmStartTest, DepartureAtFullProviderCancelsFewCycles) {
+  const Problem before = test::RandomProblem(ClusteredDispatchSpec());
+  ASSERT_GE(before.TotalCapacity(), before.TotalWeight());
+  for (const bool use_grid : {true, false}) {
+    const std::string label = use_grid ? "grid" : "reference";
+    SspaConfig cfg;
+    cfg.use_grid = use_grid;
+    const SspaResult solved = SolveSspa(before, cfg);
+    const auto loads = solved.matching.ProviderLoads(before.providers.size());
+    std::size_t gone = before.customers.size();
+    for (const MatchPair& pair : solved.matching.pairs) {
+      const auto q = static_cast<std::size_t>(pair.provider);
+      if (loads[q] == before.providers[q].capacity) {
+        gone = static_cast<std::size_t>(pair.customer);
+        break;
+      }
+    }
+    ASSERT_LT(gone, before.customers.size()) << label << ": no full provider";
+    const Problem after = WithoutCustomer(before, gone);
+    const SspaResult warm =
+        ExpectWarmEqualsCold(after, AfterCustomerDeparture(solved, gone), use_grid, label);
+    EXPECT_EQ(warm.metrics.warm_units_adopted, 1499u) << label;
+    EXPECT_LE(warm.metrics.augmentations, 10u) << label;
+  }
+}
+
+// A provider arrival on the same instance, seeded like the engine seeds
+// one: the largest feasible dual, min_p(dist + tau_p).
+TEST(SspaWarmStartTest, ProviderArrivalMatchesCold) {
+  const Problem before = test::RandomProblem(ClusteredDispatchSpec());
+  for (const bool use_grid : {true, false}) {
+    const std::string label = use_grid ? "grid" : "reference";
+    SspaConfig cfg;
+    cfg.use_grid = use_grid;
+    const SspaResult solved = SolveSspa(before, cfg);
+    Problem after = before;
+    // Arrive on a customer, i.e. inside the densest demand.
+    const Point pos = before.customers[0];
+    after.providers.push_back(Provider{pos, 80});
+    SspaWarmStart warm_start;
+    warm_start.potentials = solved.potentials;
+    warm_start.matching = solved.matching;
+    double seed = std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < after.customers.size(); ++p) {
+      seed = std::min(seed, Distance(pos, after.customers[p]) + solved.potentials.tau_p[p]);
+    }
+    warm_start.potentials.tau_q.push_back(std::max(0.0, seed));
+    ExpectWarmEqualsCold(after, warm_start, use_grid, label);
   }
 }
 

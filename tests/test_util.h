@@ -97,6 +97,22 @@ inline Problem RandomProblem(const InstanceSpec& spec) {
   return problem;
 }
 
+// The Hungarian baseline requires unit customer weights; a weighted
+// customer of weight w is exactly w co-located unit customers (each unit
+// of demand may be served by a different provider), so the expansion
+// preserves the optimal cost.
+inline Problem UnitExpanded(const Problem& problem) {
+  if (problem.weights.empty()) return problem;
+  Problem expanded;
+  expanded.providers = problem.providers;
+  for (std::size_t p = 0; p < problem.customers.size(); ++p) {
+    for (std::int32_t u = 0; u < problem.weights[p]; ++u) {
+      expanded.customers.push_back(problem.customers[p]);
+    }
+  }
+  return expanded;
+}
+
 // Builds an in-memory CustomerDb (small pages to force realistic fanout
 // even for small instances).
 inline std::unique_ptr<CustomerDb> MakeDb(const Problem& problem, double buffer_fraction = 1.5,

@@ -24,7 +24,9 @@ fails when
     (default 0.10, i.e. 10% growth) over the baseline. Counters are exact
     re-runs of deterministic code, so the slack only absorbs intentional
     small drifts; raise it in CI alongside a justifying comment when a PR
-    deliberately trades one counter for another.
+    deliberately trades one counter for another, or
+  * a counter where more is better (warm_units_adopted) falls below the
+    baseline by more than the same slack.
 
 Timing fields are reported but never gated: wall clock is machine-
 dependent, the work counters are not.
@@ -72,6 +74,10 @@ COUNTER_KEYS = (
     "degraded_resolves",
     "unassigned_units",
 )
+# Counters where more is better, gated from below with the same slack:
+# units a warm solve re-adopted instead of re-augmenting (dispatch rows),
+# so a warm-start regression cannot hide behind an unchanged cost.
+FLOOR_KEYS = ("warm_units_adopted",)
 # Timing / latency-histogram fields: carried through and reported per row
 # so a reviewer can eyeball drift, but NEVER gated -- wall clock and
 # percentile latencies are machine-dependent (the histogram percentiles
@@ -148,6 +154,14 @@ def main():
             if new[counter] > limit:
                 failures.append(
                     f"{label}: {counter} {new[counter]} exceeds baseline "
+                    f"{base[counter]} by more than {args.relax_slack:.0%}")
+        for counter in FLOOR_KEYS:
+            if counter not in new or counter not in base:
+                continue
+            floor = base[counter] * (1.0 - args.relax_slack)
+            if new[counter] < floor:
+                failures.append(
+                    f"{label}: {counter} {new[counter]} falls below baseline "
                     f"{base[counter]} by more than {args.relax_slack:.0%}")
 
     print(f"bench_diff: compared {len(shared)} shared rows "
