@@ -123,7 +123,9 @@ struct Metrics {
   std::uint64_t page_faults = 0;     // physical page reads (buffer misses)
 
   // --- outcome ---------------------------------------------------------—--
-  double cpu_millis = 0.0;  // measured wall time of the compute phase
+  // Measured wall time of the compute phase (SSPA: from SolveSspa entry,
+  // a private index build included).
+  double cpu_millis = 0.0;
 
   // Analytic I/O time in milliseconds (page_faults * 10 ms).
   double io_millis() const { return static_cast<double>(page_faults) * kIoMillisPerFault; }

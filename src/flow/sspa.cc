@@ -105,8 +105,10 @@ class SspaSolver {
     // is exhausted before the overflow path is ever explored.
     if (overflow_ > 0) tau_q_[real_nq_] = penalty_;
     // The hierarchical ring relax owns (or borrows) the grid, the tau floors
-    // and one ring cursor reset per provider pop; everything mutable stays
-    // per-solve. The reference scan reads the customer SoA directly.
+    // and one memoized ring walk per real provider (a provider never moves
+    // within a solve, so its walk is replayed on every pop); everything
+    // mutable stays per-solve. The reference scan reads the customer SoA
+    // directly.
     if (np_ == 0) return;
     if (config_.use_grid) {
       if (config_.shared_hier_grid != nullptr) {
@@ -118,7 +120,10 @@ class SspaSolver {
       }
       floors_ = config_.warm != nullptr ? std::make_unique<HierTauTable>(*hier_, tau_p_)
                                         : std::make_unique<HierTauTable>(*hier_);
-      cursor_ = std::make_unique<HierRingCursor>(*hier_, Point{});
+      walks_.reserve(real_nq_);
+      for (std::size_t q = 0; q < real_nq_; ++q) {
+        walks_.emplace_back(*hier_, problem.providers[q].pos);
+      }
     } else {
       coords_.Assign(problem.customers);
     }
@@ -126,7 +131,6 @@ class SspaSolver {
 
   SspaResult Run() {
     CCA_TRACE_SPAN_VAR(span, "sspa.solve");
-    Timer timer;
     SspaResult result;
     result.conceptual_edges =
         static_cast<std::uint64_t>(real_nq_) * static_cast<std::uint64_t>(np_);
@@ -146,7 +150,7 @@ class SspaSolver {
       // + augment + potential update is the smallest step that leaves the
       // duals feasible and the partial flow capacity-respecting, so
       // breaking here always hands back a consistent (if partial) state.
-      if (DeadlineBreached(timer, &result)) break;
+      if (DeadlineBreached(&result)) break;
       const RunEnd end = Dijkstra(kInf, &result.metrics);
       assert(end.node == Sink() && "flow graph must admit gamma units");
       const std::int64_t pushed = Augment(end.node, remaining);
@@ -157,7 +161,7 @@ class SspaSolver {
     // Deficit first, then cycles: routing the deficit first lets an
     // arriving provider's units land where they are cheapest, instead of
     // stealing customers that the deficit runs would route back.
-    if (config_.warm != nullptr && !result.deadline_exceeded) CancelSourceCycles(timer, &result);
+    if (config_.warm != nullptr && !result.deadline_exceeded) CancelSourceCycles(&result);
     ExtractMatching(&result.matching);
     // The unassigned ledger: per-customer demand no real provider serves —
     // overflow units routed to the virtual provider and/or units a
@@ -179,7 +183,7 @@ class SspaSolver {
     // as SspaWarmStart::potentials sized to the *real* provider array.
     result.potentials.tau_q.assign(tau_q_.begin(), tau_q_.begin() + static_cast<std::ptrdiff_t>(real_nq_));
     result.potentials.tau_p = tau_p_;
-    result.metrics.cpu_millis = timer.ElapsedMillis();
+    result.metrics.cpu_millis = timer_.ElapsedMillis();
     span.Arg("augmentations", result.metrics.augmentations);
     span.Arg("pops", result.metrics.dijkstra_pops);
     span.Arg("adopted", result.metrics.warm_units_adopted);
@@ -328,7 +332,7 @@ class SspaSolver {
   // (src/runtime/README.md, "Warm-start soundness"). One run and one
   // augmentation per cycle, until a run finds none; the deadline is checked
   // once per cancellation, so a solve that cancels nothing never checks it.
-  void CancelSourceCycles(const Timer& timer, SspaResult* result) {
+  void CancelSourceCycles(SspaResult* result) {
     CCA_TRACE_SPAN("sspa.cancel_cycles");
     for (std::size_t p = 0; p < np_; ++p) assert(sink_flow_[p] == problem_.weight(p));
     while (true) {
@@ -347,12 +351,12 @@ class SspaSolver {
       Augment(end.node, used_q_[static_cast<std::size_t>(end.node)]);
       UpdatePotentials(end.dist);
       ++result->metrics.augmentations;
-      if (DeadlineBreached(timer, result)) return;
+      if (DeadlineBreached(result)) return;
     }
   }
 
-  bool DeadlineBreached(const Timer& timer, SspaResult* result) const {
-    if (config_.deadline_ms <= 0.0 || timer.ElapsedMillis() <= config_.deadline_ms) return false;
+  bool DeadlineBreached(SspaResult* result) const {
+    if (config_.deadline_ms <= 0.0 || timer_.ElapsedMillis() <= config_.deadline_ms) return false;
     result->deadline_exceeded = true;
     return true;
   }
@@ -534,9 +538,9 @@ class SspaSolver {
     }
   }
 
-  // Hierarchical ring relax: pull coarse cells off the HierRingCursor in
-  // rings of increasing minimum distance from q and stop as soon as the
-  // lower bound on the label any remaining customer could receive
+  // Hierarchical ring relax: replay q's memoized HierRingWalk — coarse
+  // cells in rings of increasing minimum distance from q — and stop as soon
+  // as the lower bound on the label any remaining customer could receive
   //     alpha(q) + max(TailMinDist - tau(q) + min_p tau(p), 0)
   // reaches the certified upper bound: such labels can neither beat the
   // shortest path of this run nor move the potentials afterwards (the
@@ -545,32 +549,29 @@ class SspaSolver {
   // identical to the reference (src/geo/README.md): the coarse ring tail
   // (global floor), the coarse cell (aggregated coarse floor, the O(1)
   // tail exit), and the fine cell (its own floor), with the fused kernel
-  // below that. The charging unit is the fine cells actually opened —
+  // below that. The walk caches geometry only (cell order, MinDists, the
+  // tail bounds, resident counts); every floor, label and upper bound is
+  // read live, so the replay visits and prunes exactly what a fresh ring
+  // cursor would. The charging unit is the fine cells actually opened —
   // coarse-tail rejections never touch the fetch ledger.
   void RelaxProviderHier(std::size_t q, Metrics* metrics) {
     const HierarchicalGrid& grid = *hier_;
     const Point q_pos = problem_.providers[q].pos;
-    HierRingCursor& cursor = *cursor_;
-    cursor.Reset(q_pos);
+    HierRingWalk& walk = walks_[q];
     const double base = alpha_[q] - tau_q_[q];
     const double slack = base + min_tau_p_;
     int last_ring = -1;
     std::uint64_t opened = 0;
-    struct FineRef {
-      double min_dist;
-      std::int32_t fine;
-    };
-    FineRef fines[HierarchicalGrid::Options::kMaxSplit * HierarchicalGrid::Options::kMaxSplit];
-    while (true) {
+    for (std::size_t i = 0;; ++i) {
+      const HierRingWalk::Entry* coarse = walk.At(i);
+      if (coarse == nullptr) break;  // every coarse cell served, nothing left
       // `sink_ub` only shrinks while cells are scanned (run_ub_ picks up
       // completed s~>t paths), so re-read it per coarse cell.
       const double sink_ub = SinkUpperBound();
-      if (std::max(cursor.TailMinDist() + slack, alpha_[q]) >= sink_ub) {
-        metrics->relaxes_pruned += cursor.points_remaining();
+      if (std::max(coarse->tail_before + slack, alpha_[q]) >= sink_ub) {
+        metrics->relaxes_pruned += coarse->remaining_before;
         break;
       }
-      const auto coarse = cursor.NextCoarse();
-      if (!coarse) break;
       if (coarse->ring != last_ring) {
         last_ring = coarse->ring;
         ++metrics->grid_rings_scanned;
@@ -585,25 +586,26 @@ class SspaSolver {
         continue;
       }
       ++metrics->coarse_cells_descended;
-      // Descend: occupied children, nearest-first so run_ub_ tightens off
-      // the close ones before the far ones are bounded (same reason ring
-      // cells are served mindist-sorted). Ties by ascending fine id keep
-      // the scan order deterministic.
+      // Descend: occupied children, nearest-first (ties by ascending fine
+      // id) so run_ub_ tightens off the close ones before the far ones are
+      // bounded — same reason ring cells are served mindist-sorted.
       std::size_t n = 0;
-      for (std::size_t f = coarse->fine_begin; f < coarse->fine_end; ++f) {
-        if (grid.fine_cell_end(f) == grid.fine_cell_begin(f)) continue;
-        fines[n++] = FineRef{MinDist(q_pos, grid.FineRect(f)), static_cast<std::int32_t>(f)};
-      }
-      if (n > 1) {
-        std::sort(fines, fines + n, [](const FineRef& a, const FineRef& b) {
-          return a.min_dist != b.min_dist ? a.min_dist < b.min_dist : a.fine < b.fine;
-        });
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto f = static_cast<std::size_t>(fines[i].fine);
+      const HierRingWalk::Fine* fines = walk.Fines(i, &n);
+      for (std::size_t k = 0; k < n; ++k) {
         // Re-read per fine cell: relaxing a sibling can tighten run_ub_.
-        const double fine_bound = fines[i].min_dist + base + floors_->FineFloor(f);
-        if (std::max(fine_bound, alpha_[q]) >= SinkUpperBound()) {
+        const double ub = SinkUpperBound();
+        // Early exit: every fine floor is >= min_tau_p_ and the children
+        // are sorted by min_dist, so once the global-floor bound fails here
+        // it fails (and so does each own-floor bound) for every later child
+        // too; pruning never moves ub. Retire the rest in bulk.
+        if (std::max(fines[k].min_dist + base + min_tau_p_, alpha_[q]) >= ub) {
+          metrics->relaxes_pruned += fines[k].suffix_residents;
+          metrics->cells_pruned += n - k;
+          break;
+        }
+        const auto f = static_cast<std::size_t>(fines[k].fine);
+        const double fine_bound = fines[k].min_dist + base + floors_->FineFloor(f);
+        if (std::max(fine_bound, alpha_[q]) >= ub) {
           metrics->relaxes_pruned += grid.fine_cell_end(f) - grid.fine_cell_begin(f);
           ++metrics->cells_pruned;
           continue;
@@ -791,6 +793,9 @@ class SspaSolver {
     std::int64_t units;
   };
 
+  // Declared first so the clock covers the whole solve, index build
+  // included (cpu_millis and the deadline both read it).
+  Timer timer_;
   const Problem& problem_;
   SspaConfig config_;
   // Declaration order matters: the ctor init list derives overflow_ and
@@ -805,7 +810,7 @@ class SspaSolver {
   std::unique_ptr<HierarchicalGrid> owned_hier_;  // null when borrowing shared_hier_grid
   const HierarchicalGrid* hier_ = nullptr;        // set iff the ring relax is active
   std::unique_ptr<HierTauTable> floors_;          // tau_p floors over hier_
-  std::unique_ptr<HierRingCursor> cursor_;        // reset per provider pop
+  std::vector<HierRingWalk> walks_;               // per real provider, over hier_
   double min_tau_p_ = 0.0;
   double run_ub_ = kInf;  // best known complete-path cost this Dijkstra run
   std::vector<double> tau_q_;

@@ -12,7 +12,10 @@
 //   * hierarchical ring relax (default): provider pops pull customers from
 //     a two-level HierarchicalGrid (geo/hier_grid.h) in expanding coarse
 //     rings and stop as soon as the ring lower bound on reduced cost can no
-//     longer improve the tentative sink label. Coarse cells whose
+//     longer improve the tentative sink label. The ring enumeration is
+//     memoized per provider for the whole solve (a HierRingWalk replayed on
+//     every pop: static geometry cached, floors and bounds read live, so
+//     the counters are those of a fresh enumeration). Coarse cells whose
 //     aggregated tau floor rules them out are rejected in O(1), surviving
 //     fine cells run through the fused DistanceBlockSelect kernel, so the
 //     matchings stay cost-identical to the reference while the relax count
@@ -92,11 +95,12 @@ struct SspaConfig {
   // exactly problem.customers is valid: its shape (Options) moves the
   // relax counters, never the matching. Null means each solve builds a
   // private grid with default Options. Only the geometry is shared — the
-  // tau floors and the ring cursor stay private to the solve. Ignored by
-  // the reference scan.
+  // tau floors and the per-provider ring walks stay private to the solve.
+  // Ignored by the reference scan.
   const HierarchicalGrid* shared_hier_grid = nullptr;
-  // Cooperative deadline for the whole solve, in wall milliseconds;
-  // <= 0 disables. Checked once per augmentation (Dijkstra-run
+  // Cooperative deadline for the whole solve, in wall milliseconds, timed
+  // from SolveSspa entry (a private grid's construction counts, like
+  // Metrics::cpu_millis); <= 0 disables. Checked once per augmentation (Dijkstra-run
   // granularity — one run is the smallest unit that leaves the duals and
   // partial flow consistent). On breach the solver stops cleanly:
   // SspaResult::deadline_exceeded is set, the matching holds the

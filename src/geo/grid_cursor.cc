@@ -82,56 +82,71 @@ double GridNnCursor::PeekDistance() {
   return heap_.empty() ? std::numeric_limits<double>::infinity() : heap_.top().dist;
 }
 
-HierRingCursor::HierRingCursor(const HierarchicalGrid& grid, const Point& query)
-    : grid_(&grid) {
-  Reset(query);
+HierRingWalk::HierRingWalk(const HierarchicalGrid& grid, const Point& query)
+    : grid_(&grid), query_(query), max_ring_(grid.MaxRing(query)), remaining_(grid.size()) {}
+
+const HierRingWalk::Entry* HierRingWalk::At(std::size_t i) {
+  while (i >= entries_.size() && !exhausted_) FillRing();
+  return i < entries_.size() ? &entries_[i] : nullptr;
 }
 
-void HierRingCursor::Reset(const Point& query) {
-  query_ = query;
-  ring_ = 0;
-  max_ring_ = grid_->MaxRing(query);
-  exhausted_ = false;
-  points_remaining_ = grid_->size();
-  FillRing();
-}
-
-void HierRingCursor::FillRing() {
-  buffer_.clear();
-  pos_ = 0;
+void HierRingWalk::FillRing() {
+  const std::size_t first = entries_.size();
   while (ring_ <= max_ring_) {
     grid_->VisitCoarseRing(query_, ring_, [&](int cx, int cy) {
       const std::size_t c = grid_->CoarseIndex(cx, cy);
       const std::size_t count = grid_->coarse_count(c);
       if (count == 0) return;
-      buffer_.push_back(CoarseView{cx, cy, ring_, c, MinDist(query_, grid_->CoarseRect(c)),
-                                   count, grid_->fine_begin(c), grid_->fine_end(c)});
+      Entry e;
+      e.min_dist = MinDist(query_, grid_->CoarseRect(c));
+      e.count = count;
+      e.cell = static_cast<std::uint32_t>(c);
+      e.ring = ring_;
+      entries_.push_back(e);
     });
-    if (!buffer_.empty()) {
-      // Nearest-first within a ring, same as GridRingCursor: TailMinDist()
-      // tightens past the ring bound as the close coarse cells drain.
-      if (buffer_.size() > 1) {
-        std::sort(buffer_.begin(), buffer_.end(), [](const CoarseView& a, const CoarseView& b) {
-          return a.min_dist < b.min_dist;
-        });
-      }
-      next_ring_bound_ = grid_->RingTailMinDist(query_, ring_ + 1);
-      return;
+    const int ring = ring_++;
+    if (entries_.size() == first) continue;  // empty ring: skip it (no points to bound)
+    // Nearest-first within a ring, same as GridRingCursor: the tail bound
+    // tightens past the ring bound as the close coarse cells drain.
+    const auto begin = entries_.begin() + static_cast<std::ptrdiff_t>(first);
+    if (entries_.size() - first > 1) {
+      std::sort(begin, entries_.end(),
+                [](const Entry& a, const Entry& b) { return a.min_dist < b.min_dist; });
     }
-    ++ring_;  // empty ring: skip it (no points to bound)
+    const double next_ring_bound = grid_->RingTailMinDist(query_, ring + 1);
+    for (auto it = begin; it != entries_.end(); ++it) {
+      it->tail_before = std::min(it->min_dist, next_ring_bound);
+      it->remaining_before = remaining_;
+      remaining_ -= it->count;
+    }
+    return;
   }
   exhausted_ = true;
 }
 
-std::optional<HierRingCursor::CoarseView> HierRingCursor::NextCoarse() {
-  if (exhausted_) return std::nullopt;
-  const CoarseView cell = buffer_[pos_++];
-  points_remaining_ -= cell.count;
-  if (pos_ == buffer_.size()) {
-    ++ring_;
-    FillRing();
+const HierRingWalk::Fine* HierRingWalk::Fines(std::size_t i, std::size_t* count) {
+  Entry& e = entries_[i];
+  if (e.fines_begin == kNotBuilt) {
+    const std::size_t first = fines_.size();
+    for (std::size_t f = grid_->fine_begin(e.cell); f < grid_->fine_end(e.cell); ++f) {
+      const std::size_t residents = grid_->fine_cell_end(f) - grid_->fine_cell_begin(f);
+      if (residents == 0) continue;
+      fines_.push_back(Fine{MinDist(query_, grid_->FineRect(f)), static_cast<std::int32_t>(f),
+                            static_cast<std::uint32_t>(residents)});
+    }
+    // Ties by ascending fine id keep the descent order deterministic.
+    const auto begin = fines_.begin() + static_cast<std::ptrdiff_t>(first);
+    std::sort(begin, fines_.end(), [](const Fine& a, const Fine& b) {
+      return a.min_dist != b.min_dist ? a.min_dist < b.min_dist : a.fine < b.fine;
+    });
+    for (std::size_t k = fines_.size(); k > first + 1; --k) {
+      fines_[k - 2].suffix_residents += fines_[k - 1].suffix_residents;
+    }
+    e.fines_begin = static_cast<std::uint32_t>(first);
+    e.fines_count = static_cast<std::uint32_t>(fines_.size() - first);
   }
-  return cell;
+  *count = e.fines_count;
+  return fines_.data() + e.fines_begin;
 }
 
 }  // namespace cca

@@ -15,8 +15,9 @@
 //     nearest-neighbour stream (non-decreasing point distances) by holding
 //     fetched points in a candidate heap and serving the top as soon as its
 //     distance is within `TailMinDist()`.
-//   * `HierRingCursor` is GridRingCursor's coarse-level sibling over a
-//     HierarchicalGrid, serving SSPA's coarse-tail exit.
+//   * `HierRingWalk` is GridRingCursor's coarse-level sibling over a
+//     HierarchicalGrid, memoized per query, serving SSPA's coarse-tail exit
+//     and descent across every pop of one provider within a solve.
 // (RIA's nested annular batches need no separate range primitive: the
 // grid backend drains a persistent NN stream per provider up to each new
 // T, so inner cells are never re-fetched across batches — see
@@ -141,63 +142,72 @@ class GridNnCursor {
   std::priority_queue<NnCandidate, std::vector<NnCandidate>, NnCandidateFarther> heap_;
 };
 
-// Coarse-level ring cursor over a HierarchicalGrid (geo/hier_grid.h): the
-// hierarchical sibling of GridRingCursor, enumerating occupied *coarse*
-// cells in expanding coarse rings, nearest-first within a ring. A served
-// CoarseView carries the O(1) aggregates (resident count, fine-child id
-// range); the consumer decides per coarse cell whether to reject its whole
-// tail on the aggregated bound or descend into FineCell() slices — that
-// split is what makes the SSPA coarse-tail exit O(1) per rejected region
-// (see src/geo/README.md). TailMinDist() keeps the GridRingCursor contract:
-// a non-decreasing certified lower bound on dist(query, p) over every point
-// in a coarse cell not yet returned.
-class HierRingCursor {
+// Memoized coarse ring walk around one fixed query over a HierarchicalGrid
+// (geo/hier_grid.h), the coarse-level sibling of GridRingCursor: occupied
+// coarse cells in expanding coarse rings, nearest-first within a ring. It
+// keeps what it served, so a consumer that returns to the same query (SSPA
+// pops each provider once per Dijkstra run, and a provider never moves
+// within a solve) replays the walk instead of rebuilding and re-sorting the
+// rings and every descended cell's children.
+//
+// The walk grows one ring at a time when At() asks past its end. An Entry
+// holds static geometry only, plus the cursor state just before its cell
+// is served: `tail_before` (GridRingCursor::TailMinDist()'s contract, over
+// this cell and every later one) and `remaining_before` (the residents of
+// this cell and every later one). Fines(i) builds entry i's occupied fine
+// children on first call. Nothing value-dependent (floors, labels, bounds)
+// is cached. Memory is O(entries reached + fine children built); the
+// contract is in src/geo/README.md.
+class HierRingWalk {
  public:
-  struct CoarseView {
-    int cx = 0;
-    int cy = 0;
-    int ring = 0;
-    std::size_t cell = 0;   // HierarchicalGrid::CoarseIndex(cx, cy)
-    double min_dist = 0.0;  // MinDist(query, coarse rect)
-    std::size_t count = 0;  // residents of the whole coarse cell
-    std::size_t fine_begin = 0;  // global fine-cell id range [begin, end)
-    std::size_t fine_end = 0;
+  static constexpr std::uint32_t kNotBuilt = 0xffffffffu;
+  struct Entry {
+    double min_dist = 0.0;             // MinDist(query, coarse rect)
+    double tail_before = 0.0;          // tail bound over this cell and the rest
+    std::size_t remaining_before = 0;  // residents of this cell and the rest
+    std::size_t count = 0;             // residents of the coarse cell
+    std::uint32_t cell = 0;            // HierarchicalGrid::CoarseIndex(cx, cy)
+    std::int32_t ring = 0;
+    // Fine children in fines_[fines_begin, fines_begin + fines_count);
+    // fines_begin == kNotBuilt until the first Fines() call.
+    std::uint32_t fines_begin = kNotBuilt;
+    std::uint32_t fines_count = 0;
+  };
+  struct Fine {
+    double min_dist = 0.0;               // MinDist(query, fine rect)
+    std::int32_t fine = 0;               // global fine-cell id
+    std::uint32_t suffix_residents = 0;  // residents of this child and the ones after it
   };
 
-  HierRingCursor(const HierarchicalGrid& grid, const Point& query);
+  HierRingWalk(const HierarchicalGrid& grid, const Point& query);
 
-  // Rewinds onto a new query, reusing the ring buffer's capacity (one
-  // cursor per SSPA solve, reset per provider pop).
-  void Reset(const Point& query);
+  // Entry i of the walk, extending it on first reach; nullptr once every
+  // occupied coarse cell has been served (i >= the walk's full length). The
+  // pointer is valid until the next call that extends the walk.
+  const Entry* At(std::size_t i);
 
-  // Lower bound on dist(query, p) over every point in a not-yet-returned
-  // coarse cell; +infinity once exhausted. Non-decreasing.
-  double TailMinDist() const {
-    if (exhausted_) return std::numeric_limits<double>::infinity();
-    return pos_ < buffer_.size() ? std::min(buffer_[pos_].min_dist, next_ring_bound_)
-                                 : next_ring_bound_;
-  }
+  // Entry i's occupied fine children (At(i) must have returned non-null),
+  // built on the first call; `*count` receives their number. The pointer
+  // is valid until the next call that builds another entry's children.
+  const Fine* Fines(std::size_t i, std::size_t* count);
 
-  bool exhausted() const { return exhausted_; }
-
-  // Next occupied coarse cell, or nullopt when all have been served.
-  std::optional<CoarseView> NextCoarse();
-
-  // Points held by coarse cells not yet returned (for prune accounting).
-  std::size_t points_remaining() const { return points_remaining_; }
+  // Entries reached and fine children built so far (memo size).
+  std::size_t entries() const { return entries_.size(); }
+  std::size_t fines_built() const { return fines_.size(); }
 
  private:
+  // Appends the next non-empty ring's occupied cells, sorted by min_dist;
+  // marks the walk exhausted when no ring remains.
   void FillRing();
 
   const HierarchicalGrid* grid_;
   Point query_;
-  int ring_ = 0;
+  int ring_ = 0;  // next ring to fill
   int max_ring_ = 0;
   bool exhausted_ = false;
-  double next_ring_bound_ = 0.0;  // grid_->RingTailMinDist(query, ring_ + 1)
-  std::size_t pos_ = 0;
-  std::size_t points_remaining_ = 0;
-  std::vector<CoarseView> buffer_;
+  std::size_t remaining_ = 0;  // residents of cells not yet appended
+  std::vector<Entry> entries_;
+  std::vector<Fine> fines_;
 };
 
 }  // namespace cca

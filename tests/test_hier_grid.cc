@@ -3,13 +3,15 @@
 // adaptive split policy, the coarse ring-tail lower bound, the exactness
 // of the two-level tau floors under randomized monotone raises (the
 // aggregation invariant the SSPA coarse-tail rejection is sound against)
-// and the coarse ring cursor's bound contract.
+// and the memoized coarse ring walk against a brute-force enumeration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -154,31 +156,212 @@ TEST(HierGridTest, RingTailMinDistIsSoundAndMonotone) {
   }
 }
 
-TEST(HierRingCursorTest, CoversEveryCoarseCellWithSoundTailBound) {
+TEST(HierRingWalkTest, CoversEveryCoarseCellWithSoundTailBound) {
   const auto pts = SkewedPoints(900, 41);
   const HierarchicalGrid grid(pts);
   for (const Point& q : {Point{500, 500}, Point{40, 25}, Point{-60, 1100}}) {
-    HierRingCursor cursor(grid, q);
+    HierRingWalk walk(grid, q);
     std::set<std::size_t> seen_cells;
     std::size_t total = 0;
     double prev_tail = -1.0;
-    while (true) {
-      const double tail = cursor.TailMinDist();
-      EXPECT_GE(tail, prev_tail - 1e-12) << "TailMinDist regressed";
-      prev_tail = tail;
-      const auto view = cursor.NextCoarse();
-      if (!view) break;
-      EXPECT_TRUE(seen_cells.insert(view->cell).second);
-      EXPECT_EQ(view->count, grid.coarse_count(view->cell));
-      EXPECT_GT(view->count, 0u);
-      // The tail bound published before the pop lower-bounds this cell.
-      EXPECT_LE(tail, MinDist(q, grid.CoarseRect(view->cell)) + 1e-9);
-      total += view->count;
+    std::size_t i = 0;
+    for (; walk.At(i) != nullptr; ++i) {
+      const HierRingWalk::Entry& e = *walk.At(i);
+      EXPECT_GE(e.tail_before, prev_tail - 1e-12) << "tail bound regressed";
+      prev_tail = e.tail_before;
+      EXPECT_TRUE(seen_cells.insert(e.cell).second);
+      EXPECT_EQ(e.count, grid.coarse_count(e.cell));
+      EXPECT_GT(e.count, 0u);
+      EXPECT_EQ(e.remaining_before, pts.size() - total);
+      // The tail bound published before the cell lower-bounds this cell.
+      EXPECT_LE(e.tail_before, MinDist(q, grid.CoarseRect(e.cell)) + 1e-9);
+      total += e.count;
     }
-    EXPECT_TRUE(cursor.exhausted());
+    EXPECT_EQ(walk.entries(), i);
     EXPECT_EQ(total, pts.size());
-    EXPECT_EQ(cursor.points_remaining(), 0u);
-    EXPECT_EQ(cursor.TailMinDist(), std::numeric_limits<double>::infinity());
+    EXPECT_EQ(walk.At(i + 5), nullptr);
+  }
+}
+
+// Brute-force reference for one query: every occupied coarse cell with its
+// Chebyshev ring around the query's (clamped) coarse cell and its MinDist,
+// ordered by (ring, min_dist). Exact ties keep no particular order here, so
+// comparisons treat each (ring, min_dist) group as a set.
+struct RefCell {
+  int ring;
+  double min_dist;
+  std::size_t cell;
+};
+std::vector<RefCell> BruteForceWalk(const HierarchicalGrid& grid, const Point& q) {
+  int qx = 0, qy = 0;
+  grid.LocateCoarse(q, &qx, &qy);
+  std::vector<RefCell> cells;
+  for (int cy = 0; cy < grid.coarse_rows(); ++cy) {
+    for (int cx = 0; cx < grid.coarse_cols(); ++cx) {
+      const std::size_t c = grid.CoarseIndex(cx, cy);
+      if (grid.coarse_count(c) == 0) continue;
+      cells.push_back(RefCell{std::max(std::abs(cx - qx), std::abs(cy - qy)),
+                              MinDist(q, grid.CoarseRect(c)), c});
+    }
+  }
+  std::sort(cells.begin(), cells.end(), [](const RefCell& a, const RefCell& b) {
+    if (a.ring != b.ring) return a.ring < b.ring;
+    if (a.min_dist != b.min_dist) return a.min_dist < b.min_dist;
+    return a.cell < b.cell;
+  });
+  return cells;
+}
+
+void CheckWalkAgainstBruteForce(const std::vector<Point>& pts, const HierarchicalGrid& grid,
+                                const Point& q, const std::string& label) {
+  const std::vector<RefCell> ref = BruteForceWalk(grid, q);
+  HierRingWalk walk(grid, q);
+  // Copies: an Entry pointer only lives until the walk next grows.
+  std::vector<HierRingWalk::Entry> seq;
+  for (std::size_t i = 0; walk.At(i) != nullptr; ++i) seq.push_back(*walk.At(i));
+  ASSERT_EQ(seq.size(), ref.size()) << label;
+  // Same coarse sequence: rings and min_dists entry by entry, cells equal
+  // as a set within each exact-tie group.
+  for (std::size_t i = 0; i < ref.size();) {
+    std::size_t j = i;
+    std::multiset<std::size_t> want, got;
+    while (j < ref.size() && ref[j].ring == ref[i].ring && ref[j].min_dist == ref[i].min_dist) {
+      ASSERT_EQ(seq[j].ring, ref[j].ring) << label << " entry " << j;
+      ASSERT_EQ(seq[j].min_dist, ref[j].min_dist) << label << " entry " << j;
+      want.insert(ref[j].cell);
+      got.insert(seq[j].cell);
+      ++j;
+    }
+    ASSERT_EQ(got, want) << label << " tie group at entry " << i;
+    i = j;
+  }
+  // Tail bounds and points_remaining: the cursor state before each cell,
+  // and the tail bound is sound against the true distances behind it.
+  std::vector<double> true_tail(seq.size() + 1, std::numeric_limits<double>::infinity());
+  std::vector<std::size_t> true_remaining(seq.size() + 1, 0);
+  for (std::size_t i = seq.size(); i-- > 0;) {
+    double nearest = std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < pts.size(); ++p) {
+      if (grid.coarse_of_point(p) == seq[i].cell) nearest = std::min(nearest, Dist(q, pts[p]));
+    }
+    true_tail[i] = std::min(true_tail[i + 1], nearest);
+    true_remaining[i] = true_remaining[i + 1] + grid.coarse_count(seq[i].cell);
+  }
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    const HierRingWalk::Entry& e = seq[i];
+    EXPECT_EQ(e.count, grid.coarse_count(e.cell)) << label;
+    EXPECT_EQ(e.remaining_before, true_remaining[i]) << label << " entry " << i;
+    EXPECT_EQ(e.tail_before, std::min(e.min_dist, grid.RingTailMinDist(q, e.ring + 1)))
+        << label << " entry " << i;
+    EXPECT_LE(e.tail_before, true_tail[i] + 1e-9) << label << " entry " << i;
+    if (i > 0) EXPECT_GE(e.tail_before, seq[i - 1].tail_before) << label << " entry " << i;
+  }
+  // Fine lists: occupied children only, exactly the occupied ones, sorted
+  // by (min_dist, id), each with the residents of itself and its successors.
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    const std::size_t c = seq[i].cell;
+    std::size_t n = 0;
+    const HierRingWalk::Fine* fines = walk.Fines(i, &n);
+    std::set<std::size_t> want, got;
+    for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
+      if (grid.fine_cell_end(f) > grid.fine_cell_begin(f)) want.insert(f);
+    }
+    std::size_t suffix = 0;
+    for (std::size_t k = n; k-- > 0;) {
+      const auto f = static_cast<std::size_t>(fines[k].fine);
+      got.insert(f);
+      suffix += grid.fine_cell_end(f) - grid.fine_cell_begin(f);
+      EXPECT_EQ(fines[k].suffix_residents, suffix) << label << " entry " << i << " child " << k;
+      EXPECT_EQ(fines[k].min_dist, MinDist(q, grid.FineRect(f))) << label;
+      if (k + 1 < n) {
+        const bool ordered = fines[k].min_dist != fines[k + 1].min_dist
+                                 ? fines[k].min_dist < fines[k + 1].min_dist
+                                 : fines[k].fine < fines[k + 1].fine;
+        EXPECT_TRUE(ordered) << label << " entry " << i << " child " << k;
+      }
+    }
+    EXPECT_EQ(got, want) << label << " entry " << i;
+    EXPECT_EQ(suffix, grid.coarse_count(c)) << label << " entry " << i;
+  }
+}
+
+TEST(HierRingWalkTest, MatchesBruteForceEnumeration) {
+  std::vector<Point> collinear;
+  for (int i = 0; i < 400; ++i) collinear.push_back(Point{2.5 * i, 0.5 * i});
+  std::vector<Point> coincident(300, Point{250.0, 250.0});
+  for (int i = 0; i < 200; ++i) coincident.push_back(Point{700.0, 100.0});
+  const std::vector<std::pair<std::string, std::vector<Point>>> inputs = {
+      {"uniform", RandomPoints(800, 61)},     {"clustered", ClusteredPoints(900, 62)},
+      {"skewed", SkewedPoints(1200, 63)},     {"coincident", coincident},
+      {"collinear", collinear},
+  };
+  for (const auto& [name, pts] : inputs) {
+    const HierarchicalGrid grid(pts);
+    const Rect box = grid.bounds();
+    const Point queries[] = {
+        Point{(box.lo.x + box.hi.x) / 2, (box.lo.y + box.hi.y) / 2},  // interior
+        Point{box.lo.x + (box.hi.x - box.lo.x) / 3, box.lo.y + (box.hi.y - box.lo.y) / 7},
+        box.lo,                                                       // corner
+        box.hi,                                                       // corner
+        Point{box.lo.x - 300.0, box.hi.y + 120.0},                    // exterior
+        Point{box.hi.x + 5.0, (box.lo.y + box.hi.y) / 2},             // exterior
+    };
+    for (const Point& q : queries) {
+      const std::string label = name + " q=(" + std::to_string(q.x) + "," + std::to_string(q.y) +
+                                ")";
+      CheckWalkAgainstBruteForce(pts, grid, q, label);
+    }
+  }
+}
+
+// The access pattern of repeated pops: each relax replays the walk from
+// entry 0 and stops wherever its bound exits, descending some cells. The
+// memo must hand back the same sequence whatever the order it was grown in.
+TEST(HierRingWalkTest, PartialReplaysMatchAFullWalk) {
+  const auto pts = ClusteredPoints(1500, 71);
+  const HierarchicalGrid grid(pts);
+  Rng rng(72);
+  for (const Point& q : {Point{500, 500}, Point{10, 990}, Point{1200, -40}}) {
+    HierRingWalk full(grid, q);
+    std::vector<HierRingWalk::Entry> want;
+    std::vector<std::vector<std::pair<std::int32_t, std::uint32_t>>> want_fines;
+    for (std::size_t i = 0; full.At(i) != nullptr; ++i) {
+      want.push_back(*full.At(i));
+      std::size_t n = 0;
+      const HierRingWalk::Fine* fines = full.Fines(i, &n);
+      want_fines.emplace_back();
+      for (std::size_t k = 0; k < n; ++k) {
+        want_fines.back().emplace_back(fines[k].fine, fines[k].suffix_residents);
+      }
+    }
+    HierRingWalk walk(grid, q);
+    for (int replay = 0; replay < 60; ++replay) {
+      const std::size_t stop = static_cast<std::size_t>(rng.NextBelow(want.size() + 2));
+      for (std::size_t i = 0; i <= stop; ++i) {
+        const HierRingWalk::Entry* e = walk.At(i);
+        if (i >= want.size()) {
+          ASSERT_EQ(e, nullptr);
+          break;
+        }
+        ASSERT_NE(e, nullptr);
+        ASSERT_EQ(e->cell, want[i].cell) << "replay " << replay << " entry " << i;
+        ASSERT_EQ(e->ring, want[i].ring);
+        ASSERT_EQ(e->min_dist, want[i].min_dist);
+        ASSERT_EQ(e->tail_before, want[i].tail_before);
+        ASSERT_EQ(e->remaining_before, want[i].remaining_before);
+        if (rng.NextDouble() < 0.3) {
+          std::size_t n = 0;
+          const HierRingWalk::Fine* fines = walk.Fines(i, &n);
+          ASSERT_EQ(n, want_fines[i].size());
+          for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_EQ(fines[k].fine, want_fines[i][k].first);
+            ASSERT_EQ(fines[k].suffix_residents, want_fines[i][k].second);
+          }
+        }
+      }
+    }
+    EXPECT_LE(walk.entries(), want.size());
+    EXPECT_LE(walk.fines_built(), full.fines_built());
   }
 }
 

@@ -1,5 +1,6 @@
 // SSPA baseline tests: paper worked example, optimality against oracles,
-// weighted customers, metric sanity, warm starts under churn.
+// weighted customers, metric sanity, one solve's exact work counters,
+// warm starts under churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "core/matching.h"
 #include "flow/oracle.h"
 #include "flow/sspa.h"
+#include "gen/generator.h"
 #include "geo/point.h"
 #include "test_util.h"
 
@@ -143,6 +145,38 @@ TEST(SspaTest, MetricsPopulated) {
   EXPECT_GT(result.metrics.dijkstra_runs, 0u);
   EXPECT_EQ(result.metrics.augmentations, result.metrics.dijkstra_runs);
   EXPECT_GE(result.metrics.dijkstra_pops, result.metrics.dijkstra_runs);
+}
+
+// Pins one solve's traversal exactly: the 10x200 uniform row of
+// bench_micro_flow (same instance recipe as MakeBenchProblem there) must
+// reproduce BENCH_sspa.json's cost and work counters to the unit. The CI
+// bench diff allows 10% slack; a change to the ring walk, the bounds or
+// their evaluation order that drifts even one pop fails here.
+TEST(SspaTest, PinsBenchMicroFlowCounters) {
+  const RoadNetwork net = DefaultNetwork(99);
+  DatasetSpec q_spec;
+  q_spec.count = 10;
+  q_spec.seed = 5;
+  q_spec.distribution = PointDistribution::kUniform;
+  DatasetSpec p_spec;
+  p_spec.count = 200;
+  p_spec.seed = 6;
+  p_spec.distribution = PointDistribution::kUniform;
+  const Problem problem = MakeProblem(net, q_spec, p_spec, FixedCapacities(10, 10));
+  const SspaResult result = SolveSspa(problem);
+  const Metrics& m = result.metrics;
+  EXPECT_NEAR(result.matching.cost(), 13153.740, 5e-4);
+  EXPECT_EQ(m.augmentations, 100u);
+  EXPECT_EQ(m.dijkstra_pops, 2419u);
+  EXPECT_EQ(m.dijkstra_relaxes, 3903u);
+  EXPECT_EQ(m.relaxes_pruned, 161281u);
+  EXPECT_EQ(m.distances_computed, 2419u);
+  EXPECT_EQ(m.grid_rings_scanned, 1259u);
+  EXPECT_EQ(m.grid_cursor_cells, 5110u);
+  EXPECT_EQ(m.coarse_cells_descended, 1401u);
+  EXPECT_EQ(m.coarse_tails_pruned, 0u);
+  EXPECT_EQ(m.cells_pruned, 14400u);
+  EXPECT_EQ(m.hier_splits, 4u);
 }
 
 // Successive shortest path costs are non-decreasing, so the matching cost

@@ -82,7 +82,8 @@ FLOOR_KEYS = ("warm_units_adopted",)
 # so a reviewer can eyeball drift, but NEVER gated -- wall clock and
 # percentile latencies are machine-dependent (the histogram percentiles
 # additionally quantise to <= 12.5% buckets, see common/histogram.h).
-REPORT_KEYS = ("qps", "wall_ms", "p50_ms", "p99_ms", "p999_ms", "mean_ms")
+REPORT_KEYS = ("qps", "wall_ms", "p50_ms", "p99_ms", "p999_ms", "mean_ms",
+               "bootstrap_ms")
 
 
 def row_id(row):
