@@ -95,7 +95,8 @@ struct Metrics {
   // Warm-started solves only (flow/sspa.h SspaWarmStart): provider duals
   // AdoptFlow's clamp pass had to lower before the first Dijkstra run.
   // Zero on cold solves; on a warm solve it counts how much of the previous
-  // dual solution drifted infeasible around the adopted flow.
+  // dual solution drifted infeasible around the adopted flow, plus one per
+  // arriving provider whose +infinity entry the clamp derived.
   std::uint64_t dual_repairs = 0;
   // Warm-started solves only: units of the previous matching re-adopted as
   // initial flow because their arc stayed tight under the repaired seed

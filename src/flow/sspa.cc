@@ -97,7 +97,10 @@ class SspaSolver {
       const SspaPotentials& init = config_.warm->potentials;
       assert(init.tau_q.size() == real_nq_ && init.tau_p.size() == np_);
       for (std::size_t q = 0; q < real_nq_; ++q) tau_q_[q] = std::max(0.0, init.tau_q[q]);
-      for (std::size_t p = 0; p < np_; ++p) tau_p_[p] = std::max(0.0, init.tau_p[p]);
+      for (std::size_t p = 0; p < np_; ++p) {
+        assert(std::isfinite(init.tau_p[p]) && "customer warm duals must be finite");
+        tau_p_[p] = std::max(0.0, init.tau_p[p]);
+      }
     }
     // The virtual provider's dual always seeds at the penalty: feasible for
     // every edge (reduced cost penalty + tau_p - penalty = tau_p >= 0), and
@@ -227,11 +230,13 @@ class SspaSolver {
   //      exporting it to the next one. Tightening may only RAISE values,
   //      so the floor tables stay within their monotone Raise contract.
   //   c. Forward edges q->p with a residual need tau_q <= dist + tau_p.
-  //      Engine-produced seeds satisfy this already (the previous solve
-  //      ended feasible, tightening only raised tau_p, and arrival seeds
-  //      are minimal-feasible by construction), so for them the clamp
-  //      pass below certifies every provider without firing; it exists
-  //      to make arbitrary caller-supplied duals safe. Tightened served
+  //      Each tau_q is clamped to min_p(dist + tau_p). For a provider
+  //      arrival seeded at +infinity this *derives* its dual, the largest
+  //      feasible one. Other engine-produced seeds satisfy the condition
+  //      already (the previous solve ended feasible, tightening only
+  //      raised tau_p, and customer arrival seeds are minimal-feasible by
+  //      construction), so for them the clamp certifies without firing; it
+  //      also makes arbitrary caller-supplied duals safe. Tightened served
   //      arcs sit at dist + tau_p == tau_q, so they cap the min at
   //      exactly tau_q and no served-customer exclusion is needed.
   //   d. RELEASE: any adopted arc left with r > eps — a clamp fired
@@ -268,6 +273,7 @@ class SspaSolver {
       // Only real providers are adoptable (callers never see the virtual
       // index, but a stale matching is rejected defensively).
       if (q >= real_nq_ || p >= np_) continue;
+      assert(tau_q_[q] < kInf && "a provider whose dual is derived carries no flow");
       if (unit_customers_ && (units != 1 || serving_[p] >= 0)) continue;
       if (used_q_[q] + units > problem_.providers[q].capacity) continue;
       if (sink_flow_[p] + units > problem_.weight(p)) continue;
@@ -504,7 +510,7 @@ class SspaSolver {
   // never pay a sqrt — and compacts the survivors, which are the only lanes
   // the heap-relax loop below ever touches. The cutoff is re-read per block
   // because run_ub only tightens as survivors complete s~>q->p->t paths.
-  void RelaxSliceSelect(std::size_t q, const Point& q_pos, const UniformGrid::CellSlice& slice,
+  void RelaxSliceSelect(std::size_t q, const Point& q_pos, const CellSlice& slice,
                         double base, Metrics* metrics) {
     std::int32_t keep[kDistanceBlock];
     double d2[kDistanceBlock];

@@ -54,6 +54,14 @@ struct SspaPotentials {
 // speed, never the matching cost; zero duals with an empty matching are
 // the trivial warm start.
 //
+// A +infinity provider entry means "no dual yet, derive it" (such a
+// provider carries no pairs): the clamp pass below sets it to the largest
+// feasible value, min_p(dist + tau_p) over the tightened customer duals
+// (one Metrics::dual_repairs). This is how AssignmentEngine seeds a
+// provider arrival. With no customers there is nothing to derive it
+// against, and it is exported as +infinity. Customer entries must be
+// finite (asserted in Debug builds).
+//
 // A warm solve always runs in the ample-capacity regime: when total weight
 // exceeds total capacity the solver adds one internal *virtual* provider
 // whose capacity is exactly the overflow (total weight - total capacity)

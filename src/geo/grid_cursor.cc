@@ -4,27 +4,24 @@
 
 namespace cca {
 
-GridRingCursor::GridRingCursor(const UniformGrid& grid, const Point& query) : grid_(&grid) {
-  Reset(query);
-}
-
-void GridRingCursor::Reset(const Point& query) {
-  query_ = query;
-  ring_ = 0;
-  max_ring_ = grid_->MaxRing(query);
-  exhausted_ = false;
-  points_remaining_ = grid_->size();
-  cells_visited_ = 0;
+GridRingCursor::GridRingCursor(const UniformGrid& grid, const Point& query)
+    : grid_(&grid),
+      query_(query),
+      max_ring_(grid.lattice().MaxRing(query)),
+      points_remaining_(grid.size()) {
   FillRing();
 }
 
 void GridRingCursor::FillRing() {
   buffer_.clear();
   pos_ = 0;
+  const Lattice& lattice = grid_->lattice();
   while (ring_ <= max_ring_) {
-    grid_->VisitRing(query_, ring_, [&](int cx, int cy, const UniformGrid::CellSlice& slice) {
-      buffer_.push_back(CellView{cx, cy, ring_, grid_->CellIndex(cx, cy),
-                                 MinDist(query_, grid_->CellRect(cx, cy)), slice});
+    lattice.VisitRing(query_, ring_, [&](int cx, int cy) {
+      const std::size_t c = lattice.CellIndex(cx, cy);
+      const CellSlice slice = grid_->Cell(c);
+      if (slice.count == 0) return;
+      buffer_.push_back(CellView{ring_, c, MinDist(query_, lattice.CellRect(c)), slice});
     });
     if (!buffer_.empty()) {
       // Serving a ring's cells nearest-first lets TailMinDist() tighten
@@ -35,7 +32,7 @@ void GridRingCursor::FillRing() {
         std::sort(buffer_.begin(), buffer_.end(),
                   [](const CellView& a, const CellView& b) { return a.min_dist < b.min_dist; });
       }
-      next_ring_bound_ = grid_->RingTailMinDist(query_, ring_ + 1);
+      next_ring_bound_ = lattice.RingTailMinDist(query_, ring_ + 1);
       return;
     }
     ++ring_;  // empty ring: skip it (no points to bound)
@@ -83,7 +80,10 @@ double GridNnCursor::PeekDistance() {
 }
 
 HierRingWalk::HierRingWalk(const HierarchicalGrid& grid, const Point& query)
-    : grid_(&grid), query_(query), max_ring_(grid.MaxRing(query)), remaining_(grid.size()) {}
+    : grid_(&grid),
+      query_(query),
+      max_ring_(grid.coarse().MaxRing(query)),
+      remaining_(grid.size()) {}
 
 const HierRingWalk::Entry* HierRingWalk::At(std::size_t i) {
   while (i >= entries_.size() && !exhausted_) FillRing();
@@ -91,14 +91,15 @@ const HierRingWalk::Entry* HierRingWalk::At(std::size_t i) {
 }
 
 void HierRingWalk::FillRing() {
+  const Lattice& coarse = grid_->coarse();
   const std::size_t first = entries_.size();
   while (ring_ <= max_ring_) {
-    grid_->VisitCoarseRing(query_, ring_, [&](int cx, int cy) {
-      const std::size_t c = grid_->CoarseIndex(cx, cy);
+    coarse.VisitRing(query_, ring_, [&](int cx, int cy) {
+      const std::size_t c = coarse.CellIndex(cx, cy);
       const std::size_t count = grid_->coarse_count(c);
       if (count == 0) return;
       Entry e;
-      e.min_dist = MinDist(query_, grid_->CoarseRect(c));
+      e.min_dist = MinDist(query_, coarse.CellRect(c));
       e.count = count;
       e.cell = static_cast<std::uint32_t>(c);
       e.ring = ring_;
@@ -113,7 +114,7 @@ void HierRingWalk::FillRing() {
       std::sort(begin, entries_.end(),
                 [](const Entry& a, const Entry& b) { return a.min_dist < b.min_dist; });
     }
-    const double next_ring_bound = grid_->RingTailMinDist(query_, ring + 1);
+    const double next_ring_bound = coarse.RingTailMinDist(query_, ring + 1);
     for (auto it = begin; it != entries_.end(); ++it) {
       it->tail_before = std::min(it->min_dist, next_ring_bound);
       it->remaining_before = remaining_;

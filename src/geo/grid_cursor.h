@@ -60,27 +60,20 @@ struct NnCandidateFarther {
 class GridRingCursor {
  public:
   struct CellView {
-    int cx = 0;
-    int cy = 0;
     int ring = 0;
-    std::size_t cell = 0;   // UniformGrid::CellIndex(cx, cy), the side-table key
+    std::size_t cell = 0;   // Lattice::CellIndex(cx, cy), the side-table key
     double min_dist = 0.0;  // MinDist(query, cell rect)
-    UniformGrid::CellSlice slice;
+    CellSlice slice;
   };
 
   GridRingCursor(const UniformGrid& grid, const Point& query);
-
-  // Rewinds the cursor onto a new query point, reusing the ring buffer's
-  // capacity — hot loops (one relax per provider pop in SSPA) reset one
-  // cursor instead of constructing fresh ones.
-  void Reset(const Point& query);
 
   // Lower bound on dist(query, p) over every point not yet returned by
   // NextCell(); +infinity once the grid is exhausted. Non-decreasing.
   // Remaining cells are the still-buffered cells of the current ring
   // (sorted by min_dist, so the head is their minimum) and everything in
   // later rings (next_ring_bound_, cached once per ring fill — this sits
-  // on the per-cell hot path of the SSPA relax).
+  // on the per-cell hot path of the NN streams).
   double TailMinDist() const {
     if (exhausted_) return std::numeric_limits<double>::infinity();
     return pos_ < buffer_.size() ? std::min(buffer_[pos_].min_dist, next_ring_bound_)
@@ -166,7 +159,7 @@ class HierRingWalk {
     double tail_before = 0.0;          // tail bound over this cell and the rest
     std::size_t remaining_before = 0;  // residents of this cell and the rest
     std::size_t count = 0;             // residents of the coarse cell
-    std::uint32_t cell = 0;            // HierarchicalGrid::CoarseIndex(cx, cy)
+    std::uint32_t cell = 0;            // coarse Lattice::CellIndex(cx, cy)
     std::int32_t ring = 0;
     // Fine children in fines_[fines_begin, fines_begin + fines_count);
     // fines_begin == kNotBuilt until the first Fines() call.

@@ -22,10 +22,10 @@
 //     (mindist(coarse) + coarse_floor >= upper bound) instead of s^2 fine
 //     checks.
 //
-// Point storage mirrors UniformGrid: one CSR over *fine* cells with
-// cell-clustered coordinate copies (`UniformGrid::CellSlice` is reused as
-// the slice type), fine cells of a coarse cell contiguous in both the
-// fine-cell and the slot order, and id -> coarse/fine/slot inverse maps.
+// The coarse level is a Lattice (geo/lattice.h), the same geometry and
+// ring contract UniformGrid uses (`coarse()`). Point storage is a CellCsr
+// over *fine* cells, fine cells of a coarse cell contiguous in both the
+// fine-cell and the slot order, plus id -> coarse/fine/slot inverse maps.
 #ifndef CCA_GEO_HIER_GRID_H_
 #define CCA_GEO_HIER_GRID_H_
 
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "geo/grid.h"
+#include "geo/lattice.h"
 #include "geo/point.h"
 #include "geo/rect.h"
 
@@ -60,32 +61,13 @@ class HierarchicalGrid {
       : HierarchicalGrid(points, Options{}) {}
   HierarchicalGrid(const std::vector<Point>& points, const Options& options);
 
-  std::size_t size() const { return items_.size(); }
-  const Rect& bounds() const { return bounds_; }
-  int coarse_cols() const { return cols_; }
-  int coarse_rows() const { return rows_; }
-  double coarse_cell_size() const { return cell_; }
-  std::size_t num_coarse() const {
-    return static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
-  }
+  std::size_t size() const { return csr_.size(); }
+  // The coarse lattice: geometry, cell index and the ring contract.
+  const Lattice& coarse() const { return coarse_; }
   std::size_t num_fine() const { return fine_owner_.size(); }
   // Coarse cells that subdivided (split factor > 1).
   std::size_t splits() const { return splits_; }
   std::size_t split_threshold() const { return split_threshold_; }
-
-  // --- coarse lattice geometry (mirrors UniformGrid's ring contract) ------
-  void LocateCoarse(const Point& q, int* cx, int* cy) const;
-  std::size_t CoarseIndex(int cx, int cy) const {
-    return static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_) +
-           static_cast<std::size_t>(cx);
-  }
-  Rect CoarseRect(std::size_t c) const;
-  // Largest coarse ring that still intersects the lattice around q.
-  int MaxRing(const Point& q) const;
-  // Lower bound on dist(q, p) for every point in coarse ring `ring` or any
-  // later ring (non-decreasing in `ring`; the coarse analogue of
-  // UniformGrid::RingTailMinDist, with the same outside-the-box floor).
-  double RingTailMinDist(const Point& q, int ring) const;
 
   // --- per-coarse aggregates ---------------------------------------------
   // Subdivision factor of coarse cell `c` (1 = unsplit).
@@ -99,7 +81,7 @@ class HierarchicalGrid {
   }
   // Residents of coarse cell `c`, O(1) (children are slot-contiguous).
   std::size_t coarse_count(std::size_t c) const {
-    return static_cast<std::size_t>(start_[fine_offset_[c + 1]] - start_[fine_offset_[c]]);
+    return csr_.cell_begin(fine_end(c)) - csr_.cell_begin(fine_begin(c));
   }
   // Linear indices of the occupied coarse cells, ascending.
   const std::vector<std::int32_t>& nonempty_coarse() const { return nonempty_coarse_; }
@@ -110,45 +92,10 @@ class HierarchicalGrid {
     return static_cast<std::size_t>(fine_owner_[f]);
   }
   Rect FineRect(std::size_t f) const;
-  // Slot span and clustered slice of fine cell `f` (slice type shared with
-  // UniformGrid so the fused relax kernel serves both).
-  std::size_t fine_cell_begin(std::size_t f) const {
-    return static_cast<std::size_t>(start_[f]);
-  }
-  std::size_t fine_cell_end(std::size_t f) const {
-    return static_cast<std::size_t>(start_[f + 1]);
-  }
-  UniformGrid::CellSlice FineCell(std::size_t f) const;
-
-  // Calls fn(cx, cy) for every lattice cell of coarse ring `ring` around
-  // the (clamped) coarse cell of `q` (same traversal as
-  // UniformGrid::VisitRing; occupancy filtering is the caller's business —
-  // coarse_count() is O(1)).
-  template <typename Fn>
-  void VisitCoarseRing(const Point& q, int ring, Fn&& fn) const {
-    int cx = 0, cy = 0;
-    LocateCoarse(q, &cx, &cy);
-    if (ring == 0) {
-      fn(cx, cy);
-      return;
-    }
-    const int x_lo = cx - ring, x_hi = cx + ring;
-    const int y_lo = cy - ring, y_hi = cy + ring;
-    // Top and bottom rows of the ring square.
-    for (int y : {y_lo, y_hi}) {
-      if (y < 0 || y >= rows_) continue;
-      const int from = x_lo < 0 ? 0 : x_lo;
-      const int to = x_hi >= cols_ ? cols_ - 1 : x_hi;
-      for (int x = from; x <= to; ++x) fn(x, y);
-    }
-    // Left and right columns, excluding the corners already visited.
-    for (int x : {x_lo, x_hi}) {
-      if (x < 0 || x >= cols_) continue;
-      const int from = y_lo + 1 < 0 ? 0 : y_lo + 1;
-      const int to = y_hi - 1 >= rows_ ? rows_ - 1 : y_hi - 1;
-      for (int y = from; y <= to; ++y) fn(x, y);
-    }
-  }
+  // Slot span and clustered slice of fine cell `f`.
+  std::size_t fine_cell_begin(std::size_t f) const { return csr_.cell_begin(f); }
+  std::size_t fine_cell_end(std::size_t f) const { return csr_.cell_end(f); }
+  CellSlice FineCell(std::size_t f) const { return csr_.Slice(f); }
 
   // --- inverse maps -------------------------------------------------------
   std::size_t coarse_of_point(std::size_t i) const {
@@ -157,27 +104,18 @@ class HierarchicalGrid {
   std::size_t fine_of_point(std::size_t i) const {
     return static_cast<std::size_t>(fine_of_[i]);
   }
-  std::size_t slot_of_point(std::size_t i) const {
-    return static_cast<std::size_t>(slot_of_[i]);
-  }
+  std::size_t slot_of_point(std::size_t i) const { return csr_.slot_of_point(i); }
 
  private:
-  Rect bounds_;
-  double cell_ = 1.0;  // coarse cell side
-  int cols_ = 1;
-  int rows_ = 1;
   std::size_t split_threshold_ = 0;
+  Lattice coarse_;
   std::size_t splits_ = 0;
   std::vector<std::int32_t> split_;        // per coarse cell: children per axis
   std::vector<std::int32_t> fine_offset_;  // coarse -> first fine id, size C+1
   std::vector<std::int32_t> fine_owner_;   // fine -> coarse
-  std::vector<std::int32_t> start_;        // CSR: fine -> first slot, size F+1
-  std::vector<std::int32_t> items_;        // point ids, clustered by fine cell
-  std::vector<double> xs_;                 // coordinates aligned with items_
-  std::vector<double> ys_;
-  std::vector<std::int32_t> coarse_of_;  // point id -> coarse index
-  std::vector<std::int32_t> fine_of_;    // point id -> fine index
-  std::vector<std::int32_t> slot_of_;    // point id -> slot
+  std::vector<std::int32_t> coarse_of_;    // point id -> coarse index
+  std::vector<std::int32_t> fine_of_;      // point id -> fine index
+  CellCsr csr_;                            // over fine cells
   std::vector<std::int32_t> nonempty_coarse_;
 };
 
@@ -191,9 +129,8 @@ class HierarchicalGrid {
 // child f, and every floor is a lower bound on its residents' values — is
 // maintained exactly (src/geo/README.md spells out why that makes the
 // coarse-tail rejection sound under in-flight monotone raises).
-// Raise is the only write: a departed resident is masked out by raising it
-// to +infinity (AssignmentEngine does this between solves), and a new one
-// waits for the next rebuild, so no floor ever has to move down.
+// Raise is the only write, so no floor ever has to move down; a value
+// raised to +infinity drops out of every floor and every query.
 class HierTauTable {
  public:
   explicit HierTauTable(const HierarchicalGrid& grid);
@@ -222,9 +159,10 @@ class HierTauTable {
   // +infinity for an unbounded query). Coarse and fine cells whose
   // MinDist + floor cannot beat the running best are skipped wholesale;
   // residents raised to +infinity never win. Exhaustive walk, no
-  // ring ordering: callers run it once per provider per warm solve (SSPA's
-  // clamp pass) or once per provider arrival (AssignmentEngine seeds). Adds
-  // the distances it computes to `*distances`.
+  // ring ordering: SSPA's warm-start clamp pass runs it once per provider
+  // per warm solve, which is also where an arriving provider's dual is
+  // derived (cutoff +infinity). Adds the distances it computes to
+  // `*distances`.
   double MinAugmentedDistance(const Point& q, double cutoff, std::uint64_t* distances) const;
 
  private:

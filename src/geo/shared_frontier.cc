@@ -7,7 +7,7 @@
 namespace cca {
 
 SharedFrontier::SharedFrontier(const UniformGrid& grid, const std::vector<Point>& queries) {
-  const std::size_t num_cells = grid.num_cells();
+  const std::size_t num_cells = grid.lattice().num_cells();
   subs_.reserve(queries.size());
   for (const auto& q : queries) {
     subs_.push_back(Subscriber{q, GridRingCursor(grid, q), {}, std::vector<char>(num_cells, 0),

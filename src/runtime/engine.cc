@@ -55,8 +55,6 @@ StatusOr<AssignmentEngine::Id> AssignmentEngine::InsertCustomer(const Point& pos
   // first solve every dual is zero anyway.
   problem_.customers.push_back(pos);
   warm_.potentials.tau_p.push_back(have_solution_ ? WarmCustomerDual(pos) : 0.0);
-  nn_slot_.push_back(-1);
-  ++nn_pending_;
   const Id id = next_id_++;
   customer_ids_.push_back(id);
   customer_index_.emplace(id, problem_.customers.size() - 1);
@@ -73,12 +71,11 @@ StatusOr<AssignmentEngine::Id> AssignmentEngine::InsertProvider(const Point& pos
   if (capacity < 1) {
     return InvalidArgumentError("provider capacity must be >= 1");
   }
-  // Largest dual feasible against every customer: tau_q <= dist + tau_p
-  // for all p. The in-solver repair pass would catch any overestimate, but
-  // seeding exactly keeps the repair a no-op for everyone else.
-  const double seed = have_solution_ ? WarmProviderDual(pos) : 0.0;
+  // Once a solution exists the dual is left for the solver to derive
+  // (+infinity, SspaWarmStart): its clamp pass computes the largest
+  // feasible value, min_p(dist + tau_p), over the duals it just tightened.
   problem_.providers.push_back(Provider{pos, capacity});
-  warm_.potentials.tau_q.push_back(seed);
+  warm_.potentials.tau_q.push_back(have_solution_ ? kInf : 0.0);
   const Id id = next_id_++;
   provider_ids_.push_back(id);
   provider_index_.emplace(id, problem_.providers.size() - 1);
@@ -90,19 +87,10 @@ bool AssignmentEngine::RemoveCustomer(Id id) {
   const auto it = customer_index_.find(id);
   if (it == customer_index_.end()) return false;
   const std::size_t idx = it->second;
-  // Mask the departed customer out of the retained NN floors so provider
-  // seeds computed before the next rebuild cannot lean on it: raised to
-  // +infinity it never wins, and its cells refloor exactly.
-  if (nn_slot_[idx] >= 0) {
-    if (nn_floors_) nn_floors_->Raise(static_cast<std::size_t>(nn_slot_[idx]), kInf);
-  } else {
-    --nn_pending_;
-  }
   customer_index_.erase(it);
   SwapRemove(&problem_.customers, idx);
   if (!problem_.weights.empty()) SwapRemove(&problem_.weights, idx);
   SwapRemove(&warm_.potentials.tau_p, idx);
-  SwapRemove(&nn_slot_, idx);
   SwapRemove(&customer_ids_, idx);
   if (idx < customer_ids_.size()) customer_index_[customer_ids_[idx]] = idx;
   customers_dirty_ = true;
@@ -128,28 +116,12 @@ bool AssignmentEngine::RemoveProvider(Id id) {
 double AssignmentEngine::WarmCustomerDual(const Point& pos) const {
   double seed = 0.0;
   for (std::size_t q = 0; q < problem_.providers.size(); ++q) {
+    // A provider that arrived since the last solve has no dual yet (+inf);
+    // the solver derives it against this customer too.
+    if (warm_.potentials.tau_q[q] == kInf) continue;
     seed = std::max(seed, warm_.potentials.tau_q[q] - Distance(problem_.providers[q].pos, pos));
   }
   return seed;
-}
-
-double AssignmentEngine::WarmProviderDual(const Point& pos) const {
-  double best = kInf;
-  if (nn_floors_) {
-    // Tau-augmented NN over the last snapshot; removed residents read
-    // +infinity and never win.
-    std::uint64_t distances = 0;
-    best = nn_floors_->MinAugmentedDistance(pos, kInf, &distances);
-  }
-  if (nn_pending_ > 0) {
-    // Customers inserted after the snapshot live outside the grid until
-    // the next rebuild; their seeds are already feasible duals.
-    for (std::size_t p = 0; p < nn_slot_.size(); ++p) {
-      if (nn_slot_[p] >= 0) continue;
-      best = std::min(best, Distance(pos, problem_.customers[p]) + warm_.potentials.tau_p[p]);
-    }
-  }
-  return best == kInf ? 0.0 : std::max(best, 0.0);
 }
 
 void AssignmentEngine::RebuildIndexesIfStale() {
@@ -160,11 +132,6 @@ void AssignmentEngine::RebuildIndexesIfStale() {
   // version flag makes it O(1) to detect that nothing changed and skip all
   // of this.
   solve_hier_ = std::make_unique<HierarchicalGrid>(problem_.customers);
-  nn_floors_.reset();  // reseeded from fresh duals after the solve
-  for (std::size_t i = 0; i < nn_slot_.size(); ++i) {
-    nn_slot_[i] = static_cast<std::int32_t>(i);
-  }
-  nn_pending_ = 0;
   customers_dirty_ = false;
 }
 
@@ -173,7 +140,6 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
   Timer timer;
   RebuildIndexesIfStale();
   SspaConfig cfg;
-  cfg.use_grid = options_.use_grid;
   cfg.shared_hier_grid = solve_hier_.get();
   const bool warm = options_.warm_start && have_solution_;
   if (warm) {
@@ -248,11 +214,8 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
     // still describe the last *optimal* solve, so the next Resolve
     // warm-starts from certified ground, not from the greedy stop-gap
     // (whose flow is feasible but not min-cost for its value — adopting
-    // it would violate the successive-shortest-path precondition). Only
-    // the NN floors are refreshed, because RebuildIndexesIfStale may have
-    // just rebuilt the grid they must stay aligned with.
+    // it would violate the successive-shortest-path precondition).
     out.degraded = true;
-    nn_floors_ = std::make_unique<HierTauTable>(*solve_hier_, warm_.potentials.tau_p);
     return out;
   }
   if (warm) VerifyAgainstCold(out.cost);
@@ -265,9 +228,6 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
                                  pair.units});
   }
   have_solution_ = true;
-  // Refresh the NN floors to this solve's duals (the grid itself only
-  // rebuilds on population change).
-  nn_floors_ = std::make_unique<HierTauTable>(*solve_hier_, warm_.potentials.tau_p);
   return out;
 }
 
@@ -370,7 +330,6 @@ void AssignmentEngine::VerifyAgainstCold(double warm_cost) {
   // A fresh config, not the Resolve's: the cold reference must run to
   // completion, so it must not inherit the remaining Resolve deadline.
   SspaConfig cold;
-  cold.use_grid = options_.use_grid;
   cold.shared_hier_grid = solve_hier_.get();
   const SspaResult res = SolveSspa(problem_, cold);
   const double cold_cost = res.matching.cost();

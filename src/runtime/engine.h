@@ -14,22 +14,18 @@
 //     churn (SspaConfig::warm): pairs that survived and stayed tight are
 //     adopted as initial flow, so only the perturbed units are
 //     re-augmented. Between solves the engine keeps the dual vectors
-//     aligned with the point sets: removals drop the
-//     entry, an inserted customer is seeded at the smallest value feasible
-//     against every provider dual (max_q(tau_q - dist), clamped at 0), an
-//     inserted provider at the largest (a tau-augmented nearest-neighbour
-//     query, min_p(dist + tau_p), served by a HierTauTable over the
-//     solve's own hierarchical grid). The solver's own repair pass remains
-//     the safety net, so seed quality affects only speed — never the
-//     matching (src/runtime/README.md has the soundness argument).
+//     aligned with the point sets: removals drop the entry, an inserted
+//     customer is seeded at the smallest value feasible against every
+//     provider dual (max_q(tau_q - dist), clamped at 0), and an inserted
+//     provider at +infinity, which tells the solver to derive its dual
+//     (the largest feasible one, min_p(dist + tau_p), from the warm-start
+//     clamp pass). The solver's own repair pass remains the safety net, so
+//     seed quality affects only speed — never the matching
+//     (src/runtime/README.md has the soundness argument).
 //   * Index invalidation by population version. The customer
 //     HierarchicalGrid is rebuilt only on a Resolve that follows a customer
 //     insert/remove and is shared with the solver via
 //     SspaConfig::shared_hier_grid; provider churn never invalidates it.
-//     The provider-arrival seeds read the same grid through a HierTauTable
-//     of the last solve's duals, with customer removals masked
-//     incrementally by raising them to +infinity and post-snapshot inserts
-//     served from a linear side list until the next rebuild folds them in.
 //
 // Correctness anchor: a warm-started Resolve is cost-identical to a cold
 // solve of the same snapshot. Debug builds assert it on every Resolve
@@ -65,10 +61,6 @@ class AssignmentEngine {
   using Id = std::int64_t;
 
   struct Options {
-    // SspaConfig::use_grid for every solve (Resolve and the cold
-    // cross-check). Off = the index-free reference scan; the engine still
-    // keeps its own grid for the provider-arrival seeds.
-    bool use_grid = true;
     // Seed each solve with the previous solve's duals and flow. Off = every
     // Resolve is a cold solve (the A/B switch the churn suite and
     // bench_engine_dispatch compare against).
@@ -182,12 +174,13 @@ class AssignmentEngine {
   Id provider_id(std::size_t index) const { return provider_ids_[index]; }
   bool has_solution() const { return have_solution_; }
   // Duals retained from the last Resolve, aligned with problem()'s arrays
-  // (entries for points inserted since are their feasibility seeds).
+  // (entries for customers inserted since are their feasibility seeds;
+  // providers inserted since read +infinity until the next Resolve derives
+  // their duals).
   const SspaPotentials& potentials() const { return warm_.potentials; }
 
  private:
   double WarmCustomerDual(const Point& pos) const;
-  double WarmProviderDual(const Point& pos) const;
   void RebuildIndexesIfStale();
   void VerifyAgainstCold(double warm_cost);
   void BuildDegradedOutcome(ResolveOutcome* out) const;
@@ -218,13 +211,6 @@ class AssignmentEngine {
   // Shared solve index over the customers, rebuilt only when the customer
   // population changed since it was built.
   std::unique_ptr<HierarchicalGrid> solve_hier_;
-  // Provider-arrival seeds: the floors of the last solve's customer duals
-  // over solve_hier_. `nn_slot_[i]` is customer i's point id in that
-  // snapshot (-1 = inserted after it; served from the linear side scan
-  // until the next rebuild).
-  std::unique_ptr<HierTauTable> nn_floors_;
-  std::vector<std::int32_t> nn_slot_;
-  std::size_t nn_pending_ = 0;  // customers with nn_slot_ == -1 (side scan)
   bool customers_dirty_ = true;
 
   Stats stats_;

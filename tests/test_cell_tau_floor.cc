@@ -47,7 +47,7 @@ TEST(CellTauFloorTest, EmptyCellsFloorAtInfinity) {
   const UniformGrid grid(pts, 1.0);
   CellTauTable table(grid);
   std::size_t empty_cells = 0;
-  for (std::size_t c = 0; c < grid.num_cells(); ++c) {
+  for (std::size_t c = 0; c < grid.lattice().num_cells(); ++c) {
     if (grid.cell_begin(c) == grid.cell_end(c)) {
       EXPECT_EQ(table.CellFloor(c), std::numeric_limits<double>::infinity());
       ++empty_cells;
@@ -119,7 +119,7 @@ TEST(CellTauFloorTest, ValuesAlignWithClusteredSlices) {
   // values()[slice.first_slot + i] must be the value of slice.ids[i] — the
   // contract that lets DistanceBlockSelect stream taus next to xs/ys.
   for (const std::int32_t c : grid.nonempty_cells()) {
-    const UniformGrid::CellSlice slice = grid.Cell(static_cast<std::size_t>(c));
+    const CellSlice slice = grid.Cell(static_cast<std::size_t>(c));
     for (std::size_t i = 0; i < slice.count; ++i) {
       EXPECT_EQ(table.values()[slice.first_slot + i],
                 by_id[static_cast<std::size_t>(slice.ids[i])]);
@@ -127,10 +127,9 @@ TEST(CellTauFloorTest, ValuesAlignWithClusteredSlices) {
   }
 }
 
-// --- between-solve population edits (the AssignmentEngine contract) -----
-// Remove / Insert are legal only between solves; a solve in flight stays
-// on the monotone Raise. The contract is exact refloors in *both*
-// directions, including the cached global floor.
+// --- seeded tables and removal by raising to +infinity ------------------
+// Raise is the table's only write; a resident raised to +infinity drops out
+// of its cell's floor and of the global floor, exactly.
 
 TEST(CellTauFloorTest, SeededConstructionStartsExact) {
   const auto pts = test::RandomPoints(300, 101);
@@ -145,7 +144,7 @@ TEST(CellTauFloorTest, SeededConstructionStartsExact) {
     EXPECT_EQ(table.CellFloor(cell), BruteFloor(grid, by_id, cell));
     global = std::min(global, BruteFloor(grid, by_id, cell));
     // Seeds land slot-ordered, aligned with the grid's clustered slices.
-    const UniformGrid::CellSlice slice = grid.Cell(cell);
+    const CellSlice slice = grid.Cell(cell);
     for (std::size_t i = 0; i < slice.count; ++i) {
       EXPECT_EQ(table.values()[slice.first_slot + i],
                 by_id[static_cast<std::size_t>(slice.ids[i])]);
@@ -155,10 +154,12 @@ TEST(CellTauFloorTest, SeededConstructionStartsExact) {
 }
 
 TEST(CellTauFloorTest, RemoveRefloorsCellAndGlobalExactly) {
-  // One cell holding the global min plus a far cell: removing the min
-  // resident must raise the cell floor to the runner-up, and emptying the
-  // cell entirely must leave it at +infinity (like a never-occupied cell)
-  // with the global floor migrating to the survivors.
+  // Removal is a raise to +infinity. One cell holding the global min plus
+  // a far cell: raising the min
+  // resident to +infinity must lift the cell floor to the runner-up, and
+  // raising the whole cell must leave it at +infinity (like a
+  // never-occupied cell) with the global floor migrating to the survivors.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<Point> pts{{0, 0}, {1, 1}, {900, 900}};
   const UniformGrid grid(pts, 2.0);
   CellTauTable table(grid, {3.0, 8.0, 5.0});
@@ -166,36 +167,15 @@ TEST(CellTauFloorTest, RemoveRefloorsCellAndGlobalExactly) {
   ASSERT_EQ(cell_a, grid.cell_of_point(1));
   ASSERT_NE(cell_a, grid.cell_of_point(2));
   EXPECT_EQ(table.GlobalFloor(), 3.0);
-  table.Remove(0);
+  table.Raise(0, kInf);
   EXPECT_EQ(table.CellFloor(cell_a), 8.0);
   EXPECT_EQ(table.GlobalFloor(), 5.0);
-  EXPECT_EQ(table.values()[grid.slot_of_point(0)],
-            std::numeric_limits<double>::infinity());
-  table.Remove(1);  // cell_a now fully removed
-  EXPECT_EQ(table.CellFloor(cell_a), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(table.values()[grid.slot_of_point(0)], kInf);
+  table.Raise(1, kInf);  // cell_a now fully raised
+  EXPECT_EQ(table.CellFloor(cell_a), kInf);
   EXPECT_EQ(table.GlobalFloor(), 5.0);
-  table.Remove(2);  // empty population: global floor drains to +infinity
-  EXPECT_EQ(table.GlobalFloor(), std::numeric_limits<double>::infinity());
-}
-
-TEST(CellTauFloorTest, InsertLowersFloorsAndReadmitsRemovedPoints) {
-  std::vector<Point> pts{{0, 0}, {1, 1}, {900, 900}};
-  const UniformGrid grid(pts, 2.0);
-  CellTauTable table(grid, {3.0, 8.0, 5.0});
-  const std::size_t cell_a = grid.cell_of_point(0);
-  // Unlike Raise, Insert may move a live value in either direction.
-  table.Insert(1, 1.0);
-  EXPECT_EQ(table.CellFloor(cell_a), 1.0);
-  EXPECT_EQ(table.GlobalFloor(), 1.0);
-  table.Insert(1, 9.0);  // back up: floor refloors to the other resident
-  EXPECT_EQ(table.CellFloor(cell_a), 3.0);
-  // Remove then re-admit — the engine's departure/arrival round trip.
-  table.Remove(0);
-  table.Remove(1);
-  ASSERT_EQ(table.CellFloor(cell_a), std::numeric_limits<double>::infinity());
-  table.Insert(0, 2.5);
-  EXPECT_EQ(table.CellFloor(cell_a), 2.5);
-  EXPECT_EQ(table.GlobalFloor(), 2.5);
+  table.Raise(2, kInf);  // every resident gone: global floor drains to +infinity
+  EXPECT_EQ(table.GlobalFloor(), kInf);
 }
 
 TEST(CellTauFloorTest, RandomizedEditSequencesKeepFloorsExact) {
@@ -207,14 +187,12 @@ TEST(CellTauFloorTest, RandomizedEditSequencesKeepFloorsExact) {
   for (int round = 0; round < 200; ++round) {
     const auto i = static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(pts.size()) - 1));
-    const double r = rng.NextDouble();
-    if (r < 0.4) {
+    if (rng.NextDouble() < 0.4) {
       by_id[i] = std::numeric_limits<double>::infinity();
-      table.Remove(i);
     } else {
-      by_id[i] = rng.Uniform(0.0, 30.0);
-      table.Insert(i, by_id[i]);
+      by_id[i] += rng.Uniform(0.0, 30.0);
     }
+    table.Raise(i, by_id[i]);
     if (round % 20 != 19) continue;
     double global = std::numeric_limits<double>::infinity();
     for (const std::int32_t c : grid.nonempty_cells()) {

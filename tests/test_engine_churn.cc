@@ -41,27 +41,25 @@ struct ChurnSpec {
   bool weighted = false;
   std::uint64_t seed = 1;
   int events = 500;
-  bool use_grid = true;  // AssignmentEngine::Options::use_grid
 };
 
 // Cold-solves the engine's current snapshot from scratch: no shared index,
 // no warm start — the reference the warm path must match.
-double ColdCost(const Problem& problem, bool use_grid) {
-  SspaConfig cold;
-  cold.use_grid = use_grid;
-  return SolveSspa(problem, cold).matching.cost();
-}
+double ColdCost(const Problem& problem) { return SolveSspa(problem).matching.cost(); }
 
-void ExpectResolveMatchesCold(AssignmentEngine* engine, bool use_grid, Metrics* totals,
-                              int* warm_resolves) {
+// One Resolve, checked against a cold solve of the same snapshot; its
+// retained duals must be feasible for the matching it returned.
+void ExpectResolveMatchesCold(AssignmentEngine* engine, Metrics* totals, int* warm_resolves) {
   const AssignmentEngine::ResolveOutcome out = engine->Resolve();
   std::string error;
   ASSERT_TRUE(ValidateMatching(engine->problem(), out.matching, &error)) << error;
-  const double cold = ColdCost(engine->problem(), use_grid);
+  const double cold = ColdCost(engine->problem());
   const double tol = 1e-9 * std::max(1.0, std::abs(cold));
   EXPECT_NEAR(out.cost, cold, tol)
       << "warm=" << out.warm << " |Q|=" << engine->num_providers()
       << " |P|=" << engine->num_customers();
+  test::ExpectFeasibleDuals(engine->problem(), out.matching, engine->potentials(),
+                            out.warm ? "warm" : "cold");
   totals->Merge(out.metrics);
   if (out.warm) ++*warm_resolves;
 }
@@ -75,7 +73,6 @@ void RunChurn(const ChurnSpec& spec) {
   std::size_t next_customer = 0, next_provider = 0;
 
   AssignmentEngine::Options options;
-  options.use_grid = spec.use_grid;
   options.warm_start = true;
   AssignmentEngine engine(options);
 
@@ -96,7 +93,7 @@ void RunChurn(const ChurnSpec& spec) {
 
   Metrics totals;
   int warm_resolves = 0;
-  ExpectResolveMatchesCold(&engine, spec.use_grid, &totals, &warm_resolves);
+  ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
 
   for (int e = 0; e < spec.events; ++e) {
     const double r = rng.NextDouble();
@@ -115,11 +112,11 @@ void RunChurn(const ChurnSpec& spec) {
       providers[i] = providers.back();
       providers.pop_back();
     } else {
-      ExpectResolveMatchesCold(&engine, spec.use_grid, &totals, &warm_resolves);
+      ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
-  ExpectResolveMatchesCold(&engine, spec.use_grid, &totals, &warm_resolves);
+  ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
 
   // The sequence must actually exercise the warm path, and churn between
   // solves leaves some previous duals infeasible, so the repair pass has
@@ -134,12 +131,6 @@ TEST(EngineChurn, ClusteredUnit) { RunChurn({Dist::kClustered, false, 13, 500});
 TEST(EngineChurn, ClusteredWeighted) { RunChurn({Dist::kClustered, true, 14, 500}); }
 TEST(EngineChurn, SkewedUnit) { RunChurn({Dist::kSkewed, false, 15, 500}); }
 TEST(EngineChurn, SkewedWeighted) { RunChurn({Dist::kSkewed, true, 16, 500}); }
-
-TEST(EngineChurn, ReferenceScanConfig) {
-  // The index-free reference solve path under warm start (no tau tables
-  // inside the solver; the engine still keeps its own seed floors).
-  RunChurn({Dist::kUniform, true, 18, 200, /*use_grid=*/false});
-}
 
 TEST(EngineChurn, VerifyColdOptionAgrees) {
   // Options::verify_cold re-solves cold inside the engine and aborts on a
@@ -247,7 +238,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
 
   // Phase 1: feasible (12 < 20). Nothing unassigned.
   for (int i = 0; i < 12; ++i) ids.push_back(engine.InsertCustomer(p_pts[next++]).value());
-  ExpectResolveMatchesCold(&engine, true, &totals, &warm_resolves);
+  ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
   {
     const auto out = engine.Resolve();
     EXPECT_FALSE(out.degraded);
@@ -258,7 +249,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
   // Phase 2: infeasible (22 > 20), deepening across several resolves.
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 10; ++i) ids.push_back(engine.InsertCustomer(p_pts[next++]).value());
-    ExpectResolveMatchesCold(&engine, true, &totals, &warm_resolves);
+    ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
     if (::testing::Test::HasFatalFailure()) return;
     const auto out = engine.Resolve();
     EXPECT_FALSE(out.degraded);
@@ -274,7 +265,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
     ids[i] = ids.back();
     ids.pop_back();
   }
-  ExpectResolveMatchesCold(&engine, true, &totals, &warm_resolves);
+  ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
   {
     const auto out = engine.Resolve();
     EXPECT_FALSE(out.degraded);
@@ -439,94 +430,60 @@ TEST(EngineChurn, WarmStartReducesPopsOnSmallPerturbation) {
   EXPECT_GT(warm.metrics.warm_units_adopted, 1400u);
 }
 
-// The provider-arrival seed, pinned against brute force: the largest dual
-// feasible against every live customer, max(0, min_p dist + tau_p). The
-// engine serves it from the hierarchical floors of the last solve's duals,
-// with departures masked out and post-snapshot inserts on a side scan.
-// Nothing else checks this value — an overestimate is silently repaired by
-// the solver and an underestimate only costs speed, so the warm/cold cost
-// anchor cannot catch a wrong seed.
-double BruteForceProviderSeed(const AssignmentEngine& engine, const Point& pos) {
-  const Problem& problem = engine.problem();
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t p = 0; p < problem.customers.size(); ++p) {
-    best = std::min(best, Distance(pos, problem.customers[p]) + engine.potentials().tau_p[p]);
-  }
-  return std::isinf(best) ? 0.0 : std::max(best, 0.0);
-}
-
-// Index of the customer minimising dist(pos, p) + tau_p.
-std::size_t SeedArgmin(const AssignmentEngine& engine, const Point& pos) {
-  const Problem& problem = engine.problem();
-  std::size_t arg = 0;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t p = 0; p < problem.customers.size(); ++p) {
-    const double v = Distance(pos, problem.customers[p]) + engine.potentials().tau_p[p];
-    if (v < best) {
-      best = v;
-      arg = p;
-    }
-  }
-  return arg;
-}
-
-void ExpectProviderSeed(AssignmentEngine* engine, const Point& pos, const std::string& tag) {
-  const double want = BruteForceProviderSeed(*engine, pos);
-  ASSERT_TRUE(engine->InsertProvider(pos, 3).ok()) << tag;
-  EXPECT_EQ(engine->potentials().tau_q.back(), want) << tag;
-}
-
-TEST(EngineChurn, ProviderArrivalSeedMatchesBruteForce) {
+// A provider arrival's dual is the solver's to derive: the engine seeds it
+// at +infinity, and the next Resolve's clamp pass sets it to the largest
+// feasible value over the current, tightened customer duals. A customer
+// inserted after the arrival must not read that +infinity (its seed would
+// be infinite and the warm solve would never end).
+TEST(EngineChurn, ProviderArrivalDualIsDerivedBySolver) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   AssignmentEngine engine;
   Rng rng(61);
-  std::vector<AssignmentEngine::Id> customers, providers;
+  std::vector<AssignmentEngine::Id> customers;
   for (const Point& pos : test::RandomPoints(8, 62)) {
-    providers.push_back(
-        engine.InsertProvider(pos, static_cast<std::int32_t>(rng.UniformInt(30, 45))).value());
+    ASSERT_TRUE(engine.InsertProvider(pos, static_cast<std::int32_t>(rng.UniformInt(30, 45))).ok());
   }
   for (const Point& pos : test::ClusteredPoints(300, 63)) {
     customers.push_back(engine.InsertCustomer(pos).value());
   }
-  engine.Resolve();
+  // Before the first solve every dual seeds at zero.
+  ASSERT_EQ(engine.potentials().tau_q.back(), 0.0);
+  Metrics totals;
+  int warm_resolves = 0;
+  ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
   const auto& tau_p = engine.potentials().tau_p;
-  // Capacity pressure leaves positive customer duals: the seed is not the
-  // plain nearest-neighbour distance.
+  // Capacity pressure leaves positive customer duals: the derived dual is
+  // not the plain nearest-neighbour distance.
   ASSERT_GT(*std::max_element(tau_p.begin(), tau_p.end()), 0.0);
 
-  // Depart the customer each probe would otherwise lean on, plus a random
-  // handful: the masked floors must not serve them.
-  const std::vector<Point> probes = {Point{500.0, 500.0}, Point{120.0, 880.0},
-                                     Point{-300.0, 1400.0}};
-  for (const Point& probe : probes) {
-    const AssignmentEngine::Id id = engine.customer_id(SeedArgmin(engine, probe));
-    ASSERT_TRUE(engine.RemoveCustomer(id));
-    customers.erase(std::find(customers.begin(), customers.end(), id));
+  const std::vector<Point> arrivals = {Point{500.0, 500.0}, Point{120.0, 880.0},
+                                       Point{-300.0, 1400.0}};
+  for (const Point& pos : arrivals) {
+    ASSERT_TRUE(engine.InsertProvider(pos, 3).ok());
+    EXPECT_EQ(engine.potentials().tau_q.back(), kInf);
+    // Arrives after the provider, right next to it.
+    customers.push_back(engine.InsertCustomer(Point{pos.x + 1.0, pos.y - 1.0}).value());
+    ASSERT_TRUE(std::isfinite(engine.potentials().tau_p.back()));
   }
-  for (int i = 0; i < 20; ++i) {
-    const std::size_t j = rng.NextBelow(customers.size());
-    ASSERT_TRUE(engine.RemoveCustomer(customers[j]));
-    customers[j] = customers.back();
-    customers.pop_back();
-  }
-  // Pending inserts (not in the index until the next Resolve), one of them
-  // right next to a probe so the side scan decides that seed.
-  std::vector<Point> pending = test::RandomPoints(15, 64);
-  pending.push_back(Point{121.0, 879.0});
-  for (const Point& pos : pending) customers.push_back(engine.InsertCustomer(pos).value());
-  ASSERT_TRUE(engine.RemoveProvider(providers[3]));
+  ASSERT_TRUE(engine.RemoveCustomer(customers.front()));
+  customers.erase(customers.begin());
+  ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
+  EXPECT_EQ(warm_resolves, 1);
+  EXPECT_GE(totals.dual_repairs, arrivals.size());
 
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    ExpectProviderSeed(&engine, probes[i], "probe " + std::to_string(i));
-  }
-  for (const Point& pos : test::RandomPoints(10, 65)) {
-    ExpectProviderSeed(&engine, pos, "random arrival");
-  }
-
-  // Every customer gone: nothing constrains the new dual, so it seeds at 0.
+  // Every customer gone: an arrival has nothing to derive its dual
+  // against, and the warm solve over zero customers completes.
   for (const AssignmentEngine::Id id : customers) ASSERT_TRUE(engine.RemoveCustomer(id));
-  ASSERT_EQ(engine.num_customers(), 0u);
-  ExpectProviderSeed(&engine, Point{400.0, 300.0}, "empty");
-  EXPECT_EQ(engine.potentials().tau_q.back(), 0.0);
+  ASSERT_TRUE(engine.InsertProvider(Point{400.0, 300.0}, 3).ok());
+  const auto empty = engine.Resolve();
+  EXPECT_TRUE(empty.warm);
+  EXPECT_EQ(empty.cost, 0.0);
+  EXPECT_TRUE(empty.matching.pairs.empty());
+  // The next customer seeds finite against the providers that have duals,
+  // and the following Resolve derives the missing one.
+  ASSERT_TRUE(engine.InsertCustomer(Point{410.0, 300.0}).ok());
+  ASSERT_TRUE(std::isfinite(engine.potentials().tau_p.back()));
+  ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
 }
 
 }  // namespace

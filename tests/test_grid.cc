@@ -1,6 +1,7 @@
-// Unit tests for the uniform grid: cell assignment, ring enumeration order
-// and coverage, and the ring-tail lower bound that the pruned SSPA relax
-// relies on.
+// Unit tests for the uniform grid and its Lattice: cell assignment, ring
+// enumeration order and coverage, and the ring-tail lower bound that the
+// ring cursors and the hierarchical SSPA relax (whose coarse level is the
+// same Lattice) rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,11 +25,21 @@ std::vector<Point> UniformPoints(std::size_t n, std::uint64_t seed) {
   return pts;
 }
 
+// Calls fn(cx, cy, slice) for every occupied cell of ring `ring` around q.
+template <typename Fn>
+void VisitOccupied(const UniformGrid& grid, const Point& q, int ring, Fn&& fn) {
+  const Lattice& lattice = grid.lattice();
+  lattice.VisitRing(q, ring, [&](int cx, int cy) {
+    const CellSlice slice = grid.Cell(lattice.CellIndex(cx, cy));
+    if (slice.count > 0) fn(cx, cy, slice);
+  });
+}
+
 // Collects (ring, id) pairs in visit order.
 std::vector<std::pair<int, std::int32_t>> EnumerateAll(const UniformGrid& grid, const Point& q) {
   std::vector<std::pair<int, std::int32_t>> out;
-  for (int ring = 0; ring <= grid.MaxRing(q); ++ring) {
-    grid.VisitRing(q, ring, [&](int, int, const UniformGrid::CellSlice& slice) {
+  for (int ring = 0; ring <= grid.lattice().MaxRing(q); ++ring) {
+    VisitOccupied(grid, q, ring, [&](int, int, const CellSlice& slice) {
       for (std::size_t i = 0; i < slice.count; ++i) out.emplace_back(ring, slice.ids[i]);
     });
   }
@@ -51,9 +62,10 @@ TEST(UniformGridTest, CellSlicesCarryMatchingCoordinates) {
   const auto pts = UniformPoints(200, 11);
   const UniformGrid grid(pts);
   const Point q{321, 654};
-  for (int ring = 0; ring <= grid.MaxRing(q); ++ring) {
-    grid.VisitRing(q, ring, [&](int cx, int cy, const UniformGrid::CellSlice& slice) {
-      const Rect cell = grid.CellRect(cx, cy);
+  const Lattice& lattice = grid.lattice();
+  for (int ring = 0; ring <= lattice.MaxRing(q); ++ring) {
+    VisitOccupied(grid, q, ring, [&](int cx, int cy, const CellSlice& slice) {
+      const Rect cell = lattice.CellRect(lattice.CellIndex(cx, cy));
       for (std::size_t i = 0; i < slice.count; ++i) {
         const Point original = pts[static_cast<std::size_t>(slice.ids[i])];
         EXPECT_DOUBLE_EQ(slice.xs[i], original.x);
@@ -73,9 +85,9 @@ TEST(UniformGridTest, RingOrderMatchesChebyshevDistance) {
   const UniformGrid grid(pts);
   const Point q{500, 500};
   int qx = 0, qy = 0;
-  grid.Locate(q, &qx, &qy);
-  for (int ring = 0; ring <= grid.MaxRing(q); ++ring) {
-    grid.VisitRing(q, ring, [&](int cx, int cy, const UniformGrid::CellSlice&) {
+  grid.lattice().Locate(q, &qx, &qy);
+  for (int ring = 0; ring <= grid.lattice().MaxRing(q); ++ring) {
+    VisitOccupied(grid, q, ring, [&](int cx, int cy, const CellSlice&) {
       const int cheb = std::max(std::abs(cx - qx), std::abs(cy - qy));
       EXPECT_EQ(cheb, ring);
     });
@@ -89,8 +101,8 @@ TEST(UniformGridTest, RingTailMinDistLowerBoundsAllLaterRings) {
   for (int trial = 0; trial < 20; ++trial) {
     const Point q{rng.Uniform(-100.0, 1100.0), rng.Uniform(-100.0, 1100.0)};
     const auto visited = EnumerateAll(grid, q);
-    for (int ring = 0; ring <= grid.MaxRing(q); ++ring) {
-      const double bound = grid.RingTailMinDist(q, ring);
+    for (int ring = 0; ring <= grid.lattice().MaxRing(q); ++ring) {
+      const double bound = grid.lattice().RingTailMinDist(q, ring);
       double actual_min = std::numeric_limits<double>::infinity();
       for (const auto& [r, id] : visited) {
         if (r >= ring) {
@@ -110,8 +122,8 @@ TEST(UniformGridTest, RingTailMinDistMonotone) {
   const UniformGrid grid(pts);
   const Point q{250, 750};
   double prev = 0.0;
-  for (int ring = 0; ring <= grid.MaxRing(q) + 3; ++ring) {
-    const double bound = grid.RingTailMinDist(q, ring);
+  for (int ring = 0; ring <= grid.lattice().MaxRing(q) + 3; ++ring) {
+    const double bound = grid.lattice().RingTailMinDist(q, ring);
     EXPECT_GE(bound, prev - 1e-12) << "ring " << ring;
     prev = bound;
   }
@@ -121,7 +133,7 @@ TEST(UniformGridTest, DegenerateInputs) {
   // Empty set.
   const UniformGrid empty_grid(std::vector<Point>{});
   EXPECT_EQ(empty_grid.size(), 0u);
-  EXPECT_EQ(empty_grid.MaxRing(Point{0, 0}), 0);
+  EXPECT_EQ(empty_grid.lattice().MaxRing(Point{0, 0}), 0);
 
   // All points coincide.
   const UniformGrid point_grid(std::vector<Point>(10, Point{5, 5}));
@@ -133,7 +145,7 @@ TEST(UniformGridTest, DegenerateInputs) {
   std::vector<Point> line;
   for (int i = 0; i < 50; ++i) line.push_back(Point{static_cast<double>(i), 3.0});
   const UniformGrid line_grid(line);
-  EXPECT_EQ(line_grid.rows(), 1);
+  EXPECT_EQ(line_grid.lattice().rows(), 1);
   EXPECT_EQ(EnumerateAll(line_grid, Point{25, 3}).size(), 50u);
 }
 
@@ -141,8 +153,7 @@ TEST(UniformGridTest, ResolutionTracksTarget) {
   const auto pts = UniformPoints(1000, 29);
   const UniformGrid coarse(pts, 50.0);
   const UniformGrid fine(pts, 2.0);
-  EXPECT_GT(static_cast<long>(fine.cols()) * fine.rows(),
-            static_cast<long>(coarse.cols()) * coarse.rows());
+  EXPECT_GT(fine.lattice().num_cells(), coarse.lattice().num_cells());
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ TEST(GridRingCursorTest, RingsNonDecreasingAndCellsSortedWithinRing) {
     }
     EXPECT_GE(cell->min_dist, prev_min_dist);
     prev_min_dist = cell->min_dist;
-    EXPECT_DOUBLE_EQ(cell->min_dist, MinDist(q, grid.CellRect(cell->cx, cell->cy)));
+    EXPECT_DOUBLE_EQ(cell->min_dist, MinDist(q, grid.lattice().CellRect(cell->cell)));
   }
 }
 

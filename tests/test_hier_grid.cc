@@ -37,20 +37,20 @@ void CheckStructure(const std::vector<Point>& pts, const HierarchicalGrid& grid)
   ASSERT_EQ(grid.size(), pts.size());
   std::vector<int> seen(pts.size(), 0);
   std::size_t total = 0;
-  for (std::size_t c = 0; c < grid.num_coarse(); ++c) {
+  for (std::size_t c = 0; c < grid.coarse().num_cells(); ++c) {
     ASSERT_GE(grid.split(c), 1);
     ASSERT_LE(grid.split(c), HierarchicalGrid::Options::kMaxSplit);
     ASSERT_EQ(grid.fine_end(c) - grid.fine_begin(c),
               static_cast<std::size_t>(grid.split(c)) * static_cast<std::size_t>(grid.split(c)));
     std::size_t count = 0;
-    const Rect coarse_rect = grid.CoarseRect(c);
+    const Rect coarse_rect = grid.coarse().CellRect(c);
     for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
       ASSERT_EQ(grid.coarse_of_fine(f), c);
       const Rect fine_rect = grid.FineRect(f);
       // Children tile their parent (within float slack at the seams).
       EXPECT_GE(fine_rect.lo.x, coarse_rect.lo.x - 1e-9);
       EXPECT_LE(fine_rect.hi.y, coarse_rect.hi.y + 1e-9);
-      const UniformGrid::CellSlice slice = grid.FineCell(f);
+      const CellSlice slice = grid.FineCell(f);
       ASSERT_EQ(slice.first_slot, grid.fine_cell_begin(f));
       ASSERT_EQ(slice.count, grid.fine_cell_end(f) - grid.fine_cell_begin(f));
       for (std::size_t s = 0; s < slice.count; ++s) {
@@ -72,7 +72,7 @@ void CheckStructure(const std::vector<Point>& pts, const HierarchicalGrid& grid)
   EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](int n) { return n == 1; }));
   // nonempty_coarse lists exactly the occupied coarse cells, ascending.
   std::vector<std::int32_t> expect;
-  for (std::size_t c = 0; c < grid.num_coarse(); ++c) {
+  for (std::size_t c = 0; c < grid.coarse().num_cells(); ++c) {
     if (grid.coarse_count(c) > 0) expect.push_back(static_cast<std::int32_t>(c));
   }
   EXPECT_EQ(grid.nonempty_coarse(), expect);
@@ -104,7 +104,7 @@ TEST(HierGridTest, SplitPolicyIsOccupancyDriven) {
   const std::size_t threshold =
       static_cast<std::size_t>(std::ceil(4.0 * options.fine_target_per_cell));
   std::size_t splits = 0;
-  for (std::size_t c = 0; c < grid.num_coarse(); ++c) {
+  for (std::size_t c = 0; c < grid.coarse().num_cells(); ++c) {
     if (grid.coarse_count(c) <= threshold) {
       EXPECT_EQ(grid.split(c), 1) << "sparse coarse cell " << c << " split anyway";
     } else {
@@ -117,7 +117,7 @@ TEST(HierGridTest, SplitPolicyIsOccupancyDriven) {
   options.split_threshold = pts.size() + 1;
   HierarchicalGrid flat(pts, options);
   EXPECT_EQ(flat.splits(), 0u);
-  EXPECT_EQ(flat.num_fine(), flat.num_coarse());
+  EXPECT_EQ(flat.num_fine(), flat.coarse().num_cells());
   CheckStructure(pts, flat);
 }
 
@@ -129,21 +129,21 @@ TEST(HierGridTest, RingTailMinDistIsSoundAndMonotone) {
     const Point q{rng.Uniform(-100.0, 1100.0), rng.Uniform(-100.0, 1100.0)};
     // Distance of every resident, bucketed by its coarse ring around q.
     int cx = 0, cy = 0;
-    grid.LocateCoarse(q, &cx, &cy);
-    const int max_ring = grid.MaxRing(q);
+    grid.coarse().Locate(q, &cx, &cy);
+    const int max_ring = grid.coarse().MaxRing(q);
     std::vector<double> ring_min(static_cast<std::size_t>(max_ring) + 1,
                                  std::numeric_limits<double>::infinity());
     for (std::size_t i = 0; i < pts.size(); ++i) {
       const std::size_t c = grid.coarse_of_point(i);
-      const int px = static_cast<int>(c % static_cast<std::size_t>(grid.coarse_cols()));
-      const int py = static_cast<int>(c / static_cast<std::size_t>(grid.coarse_cols()));
+      const int px = static_cast<int>(c % static_cast<std::size_t>(grid.coarse().cols()));
+      const int py = static_cast<int>(c / static_cast<std::size_t>(grid.coarse().cols()));
       const int ring = std::max(std::abs(px - cx), std::abs(py - cy));
       ring_min[static_cast<std::size_t>(ring)] =
           std::min(ring_min[static_cast<std::size_t>(ring)], Dist(q, pts[i]));
     }
     double prev = -1.0;
     for (int ring = 0; ring <= max_ring; ++ring) {
-      const double bound = grid.RingTailMinDist(q, ring);
+      const double bound = grid.coarse().RingTailMinDist(q, ring);
       EXPECT_GE(bound, prev) << "tail bound not monotone at ring " << ring;
       prev = bound;
       double actual = std::numeric_limits<double>::infinity();
@@ -174,7 +174,7 @@ TEST(HierRingWalkTest, CoversEveryCoarseCellWithSoundTailBound) {
       EXPECT_GT(e.count, 0u);
       EXPECT_EQ(e.remaining_before, pts.size() - total);
       // The tail bound published before the cell lower-bounds this cell.
-      EXPECT_LE(e.tail_before, MinDist(q, grid.CoarseRect(e.cell)) + 1e-9);
+      EXPECT_LE(e.tail_before, MinDist(q, grid.coarse().CellRect(e.cell)) + 1e-9);
       total += e.count;
     }
     EXPECT_EQ(walk.entries(), i);
@@ -194,14 +194,14 @@ struct RefCell {
 };
 std::vector<RefCell> BruteForceWalk(const HierarchicalGrid& grid, const Point& q) {
   int qx = 0, qy = 0;
-  grid.LocateCoarse(q, &qx, &qy);
+  grid.coarse().Locate(q, &qx, &qy);
   std::vector<RefCell> cells;
-  for (int cy = 0; cy < grid.coarse_rows(); ++cy) {
-    for (int cx = 0; cx < grid.coarse_cols(); ++cx) {
-      const std::size_t c = grid.CoarseIndex(cx, cy);
+  for (int cy = 0; cy < grid.coarse().rows(); ++cy) {
+    for (int cx = 0; cx < grid.coarse().cols(); ++cx) {
+      const std::size_t c = grid.coarse().CellIndex(cx, cy);
       if (grid.coarse_count(c) == 0) continue;
       cells.push_back(RefCell{std::max(std::abs(cx - qx), std::abs(cy - qy)),
-                              MinDist(q, grid.CoarseRect(c)), c});
+                              MinDist(q, grid.coarse().CellRect(c)), c});
     }
   }
   std::sort(cells.begin(), cells.end(), [](const RefCell& a, const RefCell& b) {
@@ -251,7 +251,7 @@ void CheckWalkAgainstBruteForce(const std::vector<Point>& pts, const Hierarchica
     const HierRingWalk::Entry& e = seq[i];
     EXPECT_EQ(e.count, grid.coarse_count(e.cell)) << label;
     EXPECT_EQ(e.remaining_before, true_remaining[i]) << label << " entry " << i;
-    EXPECT_EQ(e.tail_before, std::min(e.min_dist, grid.RingTailMinDist(q, e.ring + 1)))
+    EXPECT_EQ(e.tail_before, std::min(e.min_dist, grid.coarse().RingTailMinDist(q, e.ring + 1)))
         << label << " entry " << i;
     EXPECT_LE(e.tail_before, true_tail[i] + 1e-9) << label << " entry " << i;
     if (i > 0) EXPECT_GE(e.tail_before, seq[i - 1].tail_before) << label << " entry " << i;
@@ -297,7 +297,7 @@ TEST(HierRingWalkTest, MatchesBruteForceEnumeration) {
   };
   for (const auto& [name, pts] : inputs) {
     const HierarchicalGrid grid(pts);
-    const Rect box = grid.bounds();
+    const Rect box = grid.coarse().bounds();
     const Point queries[] = {
         Point{(box.lo.x + box.hi.x) / 2, (box.lo.y + box.hi.y) / 2},  // interior
         Point{box.lo.x + (box.hi.x - box.lo.x) / 3, box.lo.y + (box.hi.y - box.lo.y) / 7},
@@ -389,7 +389,7 @@ TEST(HierTauTableTest, FloorsStayExactUnderRandomizedRaises) {
       ASSERT_DOUBLE_EQ(table.values()[grid.slot_of_point(i)], truth[i]);
     }
     double global_truth = pts.empty() ? 0.0 : std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < grid.num_coarse(); ++c) {
+    for (std::size_t c = 0; c < grid.coarse().num_cells(); ++c) {
       double coarse_truth = std::numeric_limits<double>::infinity();
       for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
         ASSERT_DOUBLE_EQ(table.FineFloor(f), fine_truth[f]);
@@ -407,10 +407,9 @@ TEST(HierTauTableTest, FloorsStayExactUnderRandomizedRaises) {
   }
 }
 
-// Between-solve population edits (the AssignmentEngine contract): seeded
-// construction starts exact at every level, and raises — including to
-// +infinity, which masks a departed resident out — refloor fine -> coarse
-// -> global exactly, down to a fine cell whose residents are all removed
+// Seeded construction starts exact at every level, and raises — including
+// to +infinity, which removes a resident — refloor fine -> coarse ->
+// global exactly, down to a fine cell whose residents are all removed
 // reading +infinity.
 TEST(HierTauTableTest, SeededRaisesAndRemovalsRefloorEveryLevelExactly) {
   const auto pts = ClusteredPoints(400, 57);
@@ -426,7 +425,7 @@ TEST(HierTauTableTest, SeededRaisesAndRemovalsRefloorEveryLevelExactly) {
       fine_truth[grid.fine_of_point(i)] = std::min(fine_truth[grid.fine_of_point(i)], truth[i]);
     }
     double global_truth = inf;
-    for (std::size_t c = 0; c < grid.num_coarse(); ++c) {
+    for (std::size_t c = 0; c < grid.coarse().num_cells(); ++c) {
       double coarse_truth = inf;
       for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
         ASSERT_DOUBLE_EQ(table.FineFloor(f), fine_truth[f]);

@@ -403,12 +403,13 @@ TEST(SspaWarmStartTest, DepartureAtFullProviderCancelsFewCycles) {
   }
 }
 
-// A provider arrival on the same instance, seeded like the engine seeds
-// one: the largest feasible dual, min_p(dist + tau_p).
+// A provider arrival on the same instance, its dual seeded at the largest
+// feasible value, min_p(dist + tau_p), or left at +infinity for the clamp
+// pass to derive (how AssignmentEngine seeds one). Either way the warm
+// solve matches cold and exports finite, feasible duals.
 TEST(SspaWarmStartTest, ProviderArrivalMatchesCold) {
   const Problem before = test::RandomProblem(ClusteredDispatchSpec());
   for (const bool use_grid : {true, false}) {
-    const std::string label = use_grid ? "grid" : "reference";
     SspaConfig cfg;
     cfg.use_grid = use_grid;
     const SspaResult solved = SolveSspa(before, cfg);
@@ -416,15 +417,44 @@ TEST(SspaWarmStartTest, ProviderArrivalMatchesCold) {
     // Arrive on a customer, i.e. inside the densest demand.
     const Point pos = before.customers[0];
     after.providers.push_back(Provider{pos, 80});
-    SspaWarmStart warm_start;
-    warm_start.potentials = solved.potentials;
-    warm_start.matching = solved.matching;
     double seed = std::numeric_limits<double>::infinity();
     for (std::size_t p = 0; p < after.customers.size(); ++p) {
       seed = std::min(seed, Distance(pos, after.customers[p]) + solved.potentials.tau_p[p]);
     }
-    warm_start.potentials.tau_q.push_back(std::max(0.0, seed));
-    ExpectWarmEqualsCold(after, warm_start, use_grid, label);
+    for (const bool derive : {false, true}) {
+      const std::string label =
+          std::string(use_grid ? "grid" : "reference") + (derive ? " derived" : " seeded");
+      SspaWarmStart warm_start;
+      warm_start.potentials = solved.potentials;
+      warm_start.matching = solved.matching;
+      warm_start.potentials.tau_q.push_back(derive ? std::numeric_limits<double>::infinity()
+                                                   : std::max(0.0, seed));
+      const SspaResult warm = ExpectWarmEqualsCold(after, warm_start, use_grid, label);
+      if (derive) {
+        EXPECT_GE(warm.metrics.dual_repairs, 1u) << label;
+      }
+      test::ExpectFeasibleDuals(after, warm.matching, warm.potentials, label);
+    }
+  }
+}
+
+// A derived (+infinity) provider dual with no customers to derive it
+// against: the warm solve completes with an empty matching.
+TEST(SspaWarmStartTest, DerivedProviderDualWithoutCustomers) {
+  Problem problem;
+  problem.providers = {Provider{Point{0.0, 0.0}, 2}, Provider{Point{5.0, 5.0}, 3}};
+  SspaWarmStart warm_start;
+  warm_start.potentials.tau_q = {0.0, std::numeric_limits<double>::infinity()};
+  for (const bool use_grid : {true, false}) {
+    SspaConfig cfg;
+    cfg.use_grid = use_grid;
+    cfg.warm = &warm_start;
+    const SspaResult warm = SolveSspa(problem, cfg);
+    EXPECT_TRUE(warm.matching.pairs.empty());
+    EXPECT_TRUE(warm.unassigned.empty());
+    EXPECT_FALSE(warm.deadline_exceeded);
+    EXPECT_EQ(warm.metrics.augmentations, 0u);
+    EXPECT_EQ(warm.potentials.tau_q.size(), 2u);
   }
 }
 

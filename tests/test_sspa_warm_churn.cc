@@ -7,8 +7,11 @@
 //
 // Every step asserts that the warm solve matches a cold solve of the same
 // instance (1e-9 relative), passes ValidateMatching, reports an exact
-// unassigned ledger, and matches the independent Hungarian oracle (every
-// instance keeps |P| <= 64).
+// unassigned ledger, exports duals feasible for its matching, and matches
+// the independent Hungarian oracle (every instance keeps |P| <= 64).
+// Odd-indexed streams leave an arriving provider's dual at +infinity for
+// the solver to derive, as the engine does; even-indexed streams seed it
+// at the largest feasible value themselves.
 //
 // The seed is pinned here AND in the ctest name
 // (test_sspa_warm_churn_seed20080609 in CMakeLists.txt), so a red run
@@ -42,8 +45,8 @@ Point RandomPoint(Rng& rng) { return Point{rng.Uniform(0.0, 1000.0), rng.Uniform
 // solve receives, kept index-aligned with it.
 class ChurnStream {
  public:
-  ChurnStream(bool weighted, bool feasible, std::uint64_t seed)
-      : weighted_(weighted), rng_(seed) {
+  ChurnStream(bool weighted, bool feasible, bool derive_arrivals, std::uint64_t seed)
+      : weighted_(weighted), derive_arrivals_(derive_arrivals), rng_(seed) {
     const std::size_t np = 30 + rng_.NextBelow(20);
     for (std::size_t p = 0; p < np; ++p) AddCustomer();
     // Capacity 1.1-1.3x the demand (feasible) or 0.6-0.8x (infeasible),
@@ -137,18 +140,20 @@ class ChurnStream {
     warm_.matching = std::move(kept);
   }
 
-  // Seeded at the largest dual feasible against every customer.
+  // Seeded at the largest dual feasible against every customer, or left at
+  // +infinity for the solver to derive.
   void AddProvider() {
     const Point pos = RandomPoint(rng_);
     problem_.providers.push_back(Provider{pos, static_cast<std::int32_t>(rng_.UniformInt(1, 12))});
     double seed = std::numeric_limits<double>::infinity();
-    for (std::size_t p = 0; p < problem_.customers.size(); ++p) {
+    for (std::size_t p = 0; p < problem_.customers.size() && !derive_arrivals_; ++p) {
       seed = std::min(seed, Distance(pos, problem_.customers[p]) + warm_.potentials.tau_p[p]);
     }
     warm_.potentials.tau_q.push_back(std::max(0.0, seed));  // churn keeps >= 2 customers
   }
 
   bool weighted_;
+  bool derive_arrivals_;
   Rng rng_;
   Problem problem_;
   SspaWarmStart warm_;
@@ -176,7 +181,7 @@ TEST(SspaWarmChurn, WarmMatchesColdAndHungarianAcrossChurn) {
     for (const bool feasible : {true, false}) {
       for (const bool use_grid : {true, false}) {
         ++stream_index;
-        ChurnStream stream(weighted, feasible, kChurnSeed + stream_index);
+        ChurnStream stream(weighted, feasible, stream_index % 2 == 1, kChurnSeed + stream_index);
         ASSERT_EQ(stream.problem().TotalCapacity() >= stream.problem().TotalWeight(), feasible);
         SspaConfig cfg;
         cfg.use_grid = use_grid;
@@ -201,6 +206,7 @@ TEST(SspaWarmChurn, WarmMatchesColdAndHungarianAcrossChurn) {
           EXPECT_TRUE(ValidateMatching(problem, warm.matching, &error)) << label << ": " << error;
           ExpectExactLedger(problem, warm, label + " warm");
           ExpectExactLedger(problem, cold, label + " cold");
+          test::ExpectFeasibleDuals(problem, warm.matching, warm.potentials, label);
           EXPECT_FALSE(warm.deadline_exceeded) << label;
           warm_augmentations += warm.metrics.augmentations;
           stream.Retain(warm);
