@@ -86,10 +86,6 @@ std::size_t Poisson(cca::Rng& rng, double lambda) {
   return n;
 }
 
-// A p999 needs enough samples above it to mean anything; below this count
-// the row omits it instead of reporting the max under another name.
-constexpr std::uint64_t kMinP999Samples = 1000;
-
 // One timed Resolve; accumulates into `stats` and returns the cost. The
 // bootstrap (step 0, a cold solve for both engines) is timed apart from
 // the steady-state latency samples; its cost and counters still count.
@@ -130,7 +126,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
     const cca::Metrics& m = r.stats.totals;
     const std::uint64_t samples = r.stats.latency_ms.Count();
     char p999[48] = "";
-    if (samples >= kMinP999Samples) {
+    if (samples >= cca::Histogram::kMinP999Samples) {
       std::snprintf(p999, sizeof(p999), "\"p999_ms\": %.3f, ", r.p999_ms);
     }
     std::fprintf(f,

@@ -41,6 +41,9 @@ class Histogram {
   static constexpr int kMaxExponent = 30;
   static constexpr std::size_t kNumBuckets =
       static_cast<std::size_t>(kMaxExponent - kMinExponent) * kSubBuckets + 2;
+  // A p999 needs enough samples above it to mean anything; below this
+  // count a report omits it instead of printing the max under another name.
+  static constexpr std::uint64_t kMinP999Samples = 1000;
 
   void Record(double value) {
     ++counts_[BucketIndex(value)];

@@ -111,11 +111,12 @@ struct Metrics {
   std::uint64_t range_searches = 0;  // (annular) range searches issued
   std::uint64_t node_accesses = 0;   // logical R-tree node touches
   std::uint64_t grid_cursor_cells = 0;  // grid cells fetched by ring cursors
-  // Shared-frontier batched discovery (geo/shared_frontier.h): first cell
-  // materialisations, and total cell -> subscriber deliveries. Their ratio
-  // fanout / cell_fetches is the achieved multiplexing factor; fetches are
-  // also charged into grid_cursor_cells so batched and per-cursor runs
-  // compare on one ledger.
+  // Batched grid discovery (kGridBatched, core/nn_source.h): cells first
+  // read by any member of a Hilbert group (the group's fetch ledger), and
+  // cell -> member deliveries, i.e. the cells each member's own walk read
+  // (equal to a kGrid run's grid_cursor_cells). fanout / cell_fetches is
+  // the achieved sharing factor; fetches are also charged into
+  // grid_cursor_cells so batched and per-cursor runs compare on one ledger.
   std::uint64_t shared_frontier_cell_fetches = 0;
   std::uint64_t shared_frontier_fanout = 0;
   // Backend-neutral index work: R-tree node touches plus grid cells

@@ -16,6 +16,7 @@ IncrementalEngine::IncrementalEngine(const Problem& problem, const Config& confi
       gamma_(problem.Gamma()) {
   used_.assign(nq_, 0);
   tau_q_delta_.assign(nq_, 0.0);
+  cust_index_.assign(problem.customers.size(), -1);
   q_adj_.resize(nq_);
   for (std::size_t q = 0; q < nq_; ++q) {
     if (problem_.providers[q].capacity <= 0) ++full_count_;
@@ -27,25 +28,29 @@ IncrementalEngine::IncrementalEngine(const Problem& problem, const Config& confi
 void IncrementalEngine::GrowNodeArrays() {
   const std::size_t nodes = 1 + nq_ + custs_.size();
   if (alpha_.size() < nodes) {
-    alpha_.resize(nodes, kInf);
-    prev_node_.resize(nodes, -1);
-    prev_edge_.resize(nodes, -1);
-    pop_epoch_.resize(nodes, 0);
-    touch_epoch_.resize(nodes, 0);
-    hd_.Resize(nodes);
-    hf_.Resize(nodes);
+    // Geometric growth, capped at every customer materialised: one resize
+    // per doubling instead of one per customer.
+    const std::size_t grown =
+        std::min(std::max(nodes, 2 * alpha_.size()), 1 + nq_ + cust_index_.size());
+    alpha_.resize(grown, kInf);
+    prev_node_.resize(grown, -1);
+    prev_edge_.resize(grown, -1);
+    pop_epoch_.resize(grown, 0);
+    touch_epoch_.resize(grown, 0);
+    hd_.Resize(grown);
+    hf_.Resize(grown);
   }
 }
 
 int IncrementalEngine::LocalCustomer(int global_id) {
-  auto it = cust_index_.find(global_id);
-  if (it != cust_index_.end()) return it->second;
+  std::int32_t& slot = cust_index_[static_cast<std::size_t>(global_id)];
+  if (slot >= 0) return slot;
   const int local = static_cast<int>(custs_.size());
+  slot = local;
   CustState state;
   state.global_id = global_id;
   state.weight = problem_.weight(static_cast<std::size_t>(global_id));
   custs_.push_back(std::move(state));
-  cust_index_.emplace(global_id, local);
   GrowNodeArrays();
   return local;
 }
@@ -339,9 +344,9 @@ bool IncrementalEngine::IsProviderFull(int provider) const {
 }
 
 std::int64_t IncrementalEngine::CustomerResidual(int customer) const {
-  auto it = cust_index_.find(customer);
-  if (it == cust_index_.end()) return problem_.weight(static_cast<std::size_t>(customer));
-  const CustState& cust = custs_[static_cast<std::size_t>(it->second)];
+  const std::int32_t local = cust_index_[static_cast<std::size_t>(customer)];
+  if (local < 0) return problem_.weight(static_cast<std::size_t>(customer));
+  const CustState& cust = custs_[static_cast<std::size_t>(local)];
   return cust.weight - cust.sink_flow;
 }
 
@@ -377,9 +382,9 @@ Matching IncrementalEngine::BuildMatching() const {
 }
 
 double IncrementalEngine::DebugCustomerTau(int customer) const {
-  auto it = cust_index_.find(customer);
-  if (it == cust_index_.end()) return 0.0;
-  const CustState& cust = custs_[static_cast<std::size_t>(it->second)];
+  const std::int32_t local = cust_index_[static_cast<std::size_t>(customer)];
+  if (local < 0) return 0.0;
+  const CustState& cust = custs_[static_cast<std::size_t>(local)];
   return fast_mode_ ? std::max(0.0, last_d_ - cust.min_fwd) : cust.tau;
 }
 

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/indexed_heap.h"
@@ -187,9 +186,10 @@ class IncrementalEngine {
   int full_count_ = 0;
   double tau_max_ = 0.0;
 
-  // Customers (materialised lazily).
+  // Customers (materialised lazily). cust_index_ maps a global customer id
+  // to its local index, or -1 before materialisation.
   std::vector<CustState> custs_;
-  std::unordered_map<std::int32_t, std::int32_t> cust_index_;
+  std::vector<std::int32_t> cust_index_;
 
   std::vector<EdgeRec> edges_;
   std::vector<std::vector<std::int32_t>> q_adj_;

@@ -35,10 +35,10 @@ class UniformGrid;
 //   kRTreeGrouped  the paper's shared Hilbert-grouped ANN traversal (3.4.2),
 //   kGrid          uniform-grid ring cursors over the raw point array
 //                  (memory-resident customers: no R-tree, no page I/O),
-//   kGridBatched   the grid analogue of kRTreeGrouped: providers are
-//                  Hilbert-grouped and each group shares one SharedFrontier
-//                  cell sweep (geo/shared_frontier.h) — a cell is fetched
-//                  once per group and multiplexed to every member.
+//   kGridBatched   the grid analogue of kRTreeGrouped: kGrid's cursors,
+//                  Hilbert-grouped, with one fetched-cell ledger per group
+//                  — a cell is charged once per group, and each member
+//                  reads its points only when its own walk reaches it.
 enum class DiscoveryBackend {
   kAuto = 0,  // kRTreeGrouped for more than one provider, else kRTreePlain
   kRTreePlain,

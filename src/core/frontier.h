@@ -50,13 +50,10 @@ class EdgeFrontier {
     }
   }
 
-  // Permanently removes provider q's stream from the frontier (used by the
-  // greedy baseline once a provider's capacity is exhausted). Batched
-  // sources stop multiplexing cells to retired providers.
-  void Retire(int q) {
-    candidates_[static_cast<std::size_t>(q)].valid = false;
-    source_->Retire(q);
-  }
+  // Permanently removes provider q's pending edge (used by the greedy
+  // baseline once a provider's capacity is exhausted). Its stream is never
+  // advanced again, which costs no backend anything.
+  void Retire(int q) { candidates_[static_cast<std::size_t>(q)].valid = false; }
 
   // Minimum key over pending edges, key(q) = lift(q) + dist(q, candidate).
   // Returns {provider, key}; provider == -1 when all streams are

@@ -5,7 +5,6 @@
 #include "core/customer_db.h"
 #include "geo/grid.h"
 #include "geo/grid_cursor.h"
-#include "geo/shared_frontier.h"
 #include "rtree/ann_iterator.h"
 #include "rtree/nn_iterator.h"
 #include "rtree/rtree.h"
@@ -13,11 +12,11 @@
 namespace cca {
 namespace {
 
-// Providers per SharedFrontier group (kGridBatched). Grid streaming cells
-// (~256 points) are fatter than R-tree leaf pages and multiplexing a
-// fetched cell is cheap in-memory work, so the sweet spot sits above the
-// ANN group size: 16 roughly halves the fetch count again versus groups of
-// 8 at |Q|=100, |P|=10k.
+// Providers per batched grid group (kGridBatched). Grid streaming cells
+// (~256 points) are fatter than R-tree leaf pages and a group's ledger is
+// one flag per cell, so the sweet spot sits above the ANN group size: 16
+// roughly halves the fetch count again versus groups of 8 at |Q|=100,
+// |P|=10k.
 constexpr std::size_t kBatchGroupSize = 16;
 
 std::optional<NnSource::Hit> FromRTreeHit(const std::optional<RTree::Hit>& hit) {
@@ -65,33 +64,63 @@ class GroupedNnSource : public NnSource {
   std::unique_ptr<GroupAnnSearcher> searcher_;
 };
 
-// Grid ring cursors over the memory-resident customer array. The grid is
-// either borrowed (a caller-owned shared immutable grid, so concurrent
-// queries skip the per-solve build) or built and owned here.
+// Grid ring cursors over the memory-resident customer array, one exact NN
+// stream per provider. The grid is either borrowed (a caller-owned shared
+// immutable grid, so concurrent queries skip the per-solve build) or built
+// and owned here.
+//
+// With `group_size` > 0 (kGridBatched) the providers are Hilbert-grouped
+// (FormHilbertGroups, the run-length grouping the ANN backend uses) and
+// each group keeps one fetched-cell ledger: a cell is charged once per
+// group no matter how many members' walks reach it. Members still refine
+// only from their own walks, so every stream is the kGrid stream.
 class GridNnSource : public NnSource {
  public:
   GridNnSource(const std::vector<Point>& customers, const std::vector<Provider>& providers,
-               const UniformGrid* borrowed_grid, Metrics* metrics)
+               const UniformGrid* borrowed_grid, Metrics* metrics, std::size_t group_size,
+               const Rect& world)
       : owned_grid_(borrowed_grid != nullptr
                         ? nullptr
                         : std::make_unique<UniformGrid>(customers, kNnStreamTargetPerCell)),
         grid_(borrowed_grid != nullptr ? borrowed_grid : owned_grid_.get()),
-        metrics_(metrics) {
+        metrics_(metrics),
+        batched_(group_size > 0) {
+    std::vector<Point> positions;
+    positions.reserve(providers.size());
+    for (const auto& q : providers) positions.push_back(q.pos);
+    std::vector<std::vector<char>*> ledger_of(providers.size(), nullptr);
+    if (batched_) {
+      const auto groups = FormHilbertGroups(positions, group_size, world);
+      // Sized once: cursors keep pointers into ledgers_.
+      ledgers_.assign(groups.size(), std::vector<char>(grid_->lattice().num_cells(), 0));
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        for (const int idx : groups[g]) ledger_of[static_cast<std::size_t>(idx)] = &ledgers_[g];
+      }
+    }
     cursors_.reserve(providers.size());
-    for (const auto& q : providers) cursors_.emplace_back(*grid_, q.pos);
+    for (std::size_t q = 0; q < providers.size(); ++q) {
+      cursors_.emplace_back(*grid_, positions[q], ledger_of[q]);
+    }
   }
 
-  // Runs `op` and charges any cells it fetched to the metrics bundle —
-  // the single place grid cursor work is accounted. (Defined before its
-  // uses: in-class `auto` return deduction needs the body first.)
+  // Runs `op` and charges the cells it fetched to the metrics bundle —
+  // the single place grid cursor work is accounted. Batched streams also
+  // book the group-distinct fetches and the member deliveries (cells the
+  // member's own walk read). (Defined before its uses: in-class `auto`
+  // return deduction needs the body first.)
   template <typename Op>
   auto Charged(GridNnCursor* cursor, Op&& op) {
-    const std::uint64_t before = cursor->cells_visited();
+    const std::uint64_t fetched = cursor->cells_fetched();
+    const std::uint64_t visited = cursor->cells_visited();
     auto result = op();
     if (metrics_ != nullptr) {
-      const std::uint64_t cells = cursor->cells_visited() - before;
-      metrics_->grid_cursor_cells += cells;
-      metrics_->index_node_accesses += cells;
+      const std::uint64_t fetches = cursor->cells_fetched() - fetched;
+      metrics_->grid_cursor_cells += fetches;
+      metrics_->index_node_accesses += fetches;
+      if (batched_) {
+        metrics_->shared_frontier_cell_fetches += fetches;
+        metrics_->shared_frontier_fanout += cursor->cells_visited() - visited;
+      }
     }
     return result;
   }
@@ -112,90 +141,9 @@ class GridNnSource : public NnSource {
   std::unique_ptr<UniformGrid> owned_grid_;  // null when borrowing
   const UniformGrid* grid_;
   Metrics* metrics_;
+  bool batched_;
+  std::vector<std::vector<char>> ledgers_;  // one fetched-cell flag per cell, per group
   std::vector<GridNnCursor> cursors_;
-};
-
-// Hilbert-grouped shared frontiers over the grid: one SharedFrontier per
-// group of adjacent providers (FormHilbertGroups, the same run-length
-// grouping the ANN backend uses). Every cell a group fetches is charged
-// once and multiplexed to all members, so nearby providers popped at
-// similar keys stop re-fetching each other's cells.
-class BatchedGridSource : public NnSource {
- public:
-  BatchedGridSource(const std::vector<Point>& customers, const std::vector<Provider>& providers,
-                    const Rect& world, const UniformGrid* borrowed_grid, Metrics* metrics)
-      : owned_grid_(borrowed_grid != nullptr
-                        ? nullptr
-                        : std::make_unique<UniformGrid>(customers, kNnStreamTargetPerCell)),
-        grid_(borrowed_grid != nullptr ? borrowed_grid : owned_grid_.get()),
-        metrics_(metrics) {
-    std::vector<Point> positions;
-    positions.reserve(providers.size());
-    for (const auto& q : providers) positions.push_back(q.pos);
-    const auto groups = FormHilbertGroups(positions, kBatchGroupSize, world);
-    member_of_.resize(providers.size());
-    frontiers_.reserve(groups.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      std::vector<Point> members;
-      members.reserve(groups[g].size());
-      for (const int idx : groups[g]) {
-        member_of_[static_cast<std::size_t>(idx)] = {static_cast<int>(g),
-                                                     static_cast<int>(members.size())};
-        members.push_back(positions[static_cast<std::size_t>(idx)]);
-      }
-      frontiers_.push_back(std::make_unique<SharedFrontier>(*grid_, members));
-    }
-  }
-
-  // Runs `op` and charges the cells it fetched (and the deliveries it
-  // produced) to the metrics bundle, mirroring GridNnSource::Charged
-  // (defined before its uses: in-class `auto` deduction needs the body
-  // first).
-  template <typename Op>
-  auto Charged(SharedFrontier& frontier, Op&& op) {
-    const SharedFrontierStats before = frontier.stats();
-    auto result = op(frontier);
-    if (metrics_ != nullptr) {
-      const SharedFrontierStats& after = frontier.stats();
-      const std::uint64_t fetches = after.cell_fetches - before.cell_fetches;
-      metrics_->grid_cursor_cells += fetches;
-      metrics_->index_node_accesses += fetches;
-      metrics_->shared_frontier_cell_fetches += fetches;
-      metrics_->shared_frontier_fanout += after.fanout - before.fanout;
-    }
-    return result;
-  }
-
-  std::optional<Hit> NextNN(int q) override {
-    const auto [g, m] = member_of_[static_cast<std::size_t>(q)];
-    const auto next = Charged(*frontiers_[static_cast<std::size_t>(g)],
-                              [&](SharedFrontier& f) { return f.NextNN(m); });
-    if (!next) return std::nullopt;
-    return Hit{next->first, next->second};
-  }
-
-  double PeekDistance(int q) override {
-    const auto [g, m] = member_of_[static_cast<std::size_t>(q)];
-    return Charged(*frontiers_[static_cast<std::size_t>(g)],
-                   [&](SharedFrontier& f) { return f.PeekDistance(m); });
-  }
-
-  void Retire(int q) override {
-    const auto [g, m] = member_of_[static_cast<std::size_t>(q)];
-    frontiers_[static_cast<std::size_t>(g)]->Unsubscribe(m);
-  }
-
- private:
-  struct MemberRef {
-    int group = 0;
-    int member = 0;
-  };
-
-  std::unique_ptr<UniformGrid> owned_grid_;  // null when borrowing
-  const UniformGrid* grid_;
-  Metrics* metrics_;
-  std::vector<MemberRef> member_of_;
-  std::vector<std::unique_ptr<SharedFrontier>> frontiers_;
 };
 
 }  // namespace
@@ -210,10 +158,12 @@ std::unique_ptr<NnSource> MakeNnSource(CustomerDb* db, const Problem& problem,
   switch (ResolveDiscoveryBackend(config, problem.providers.size())) {
     case DiscoveryBackend::kGrid:
       return std::make_unique<GridNnSource>(db->points(), problem.providers,
-                                            config.shared_stream_grid, metrics);
+                                            config.shared_stream_grid, metrics,
+                                            /*group_size=*/0, problem.World());
     case DiscoveryBackend::kGridBatched:
-      return std::make_unique<BatchedGridSource>(db->points(), problem.providers, problem.World(),
-                                                 config.shared_stream_grid, metrics);
+      return std::make_unique<GridNnSource>(db->points(), problem.providers,
+                                            config.shared_stream_grid, metrics, kBatchGroupSize,
+                                            problem.World());
     case DiscoveryBackend::kRTreeGrouped:
       return std::make_unique<GroupedNnSource>(db->tree(), problem.providers,
                                                config.ann_group_size, problem.World());

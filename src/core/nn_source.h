@@ -2,20 +2,24 @@
 //
 // `NnSource` hands out, per service provider, the next nearest customer on
 // demand. The interface is backend-neutral — a `Hit` is just (customer id,
-// distance), with no R-tree types leaking through — and four backends
-// implement it (see src/core/README.md for the layer contract):
+// distance), with no R-tree types leaking through — and three classes
+// implement its four backends (see src/core/README.md for the layer
+// contract):
 //
 //   * PlainNnSource    independent best-first R-tree iterators, one per
-//                      provider;
+//                      provider (kRTreePlain);
 //   * GroupedNnSource  the shared Hilbert-grouped ANN traversal of paper
-//                      Section 3.4.2;
+//                      Section 3.4.2 (kRTreeGrouped);
 //   * GridNnSource     uniform-grid ring cursors over the memory-resident
-//                      customer array (src/geo/grid_cursor.h) — no R-tree
-//                      nodes are touched and no page I/O is charged;
-//   * BatchedGridSource Hilbert-grouped SharedFrontier sweeps
-//                      (src/geo/shared_frontier.h): each group fetches a
-//                      cell once and multiplexes its points to every
-//                      member, the grid analogue of GroupedNnSource.
+//                      customer array (src/geo/grid_cursor.h), one per
+//                      provider — no R-tree nodes are touched and no page
+//                      I/O is charged (kGrid). Batched (kGridBatched), the
+//                      providers are Hilbert-grouped and each group keeps
+//                      one fetched-cell ledger, so a cell any member reads
+//                      is charged once to the group: the grid analogue of
+//                      GroupedNnSource's shared page reads. Each member
+//                      still reads a cell's points only when its own walk
+//                      reaches the cell, so its stream is the kGrid one.
 //
 // The concrete classes live in nn_source.cc; callers go through the
 // factory, which resolves ExactConfig::discovery_backend.
@@ -51,13 +55,6 @@ class NnSource {
   // without consuming it; may read index structures to find out. RIA's
   // grid path drains a source batch-by-batch against this bound.
   virtual double PeekDistance(int q) = 0;
-  // Provider `q`'s stream will not be consumed again (capacity exhausted,
-  // or the solver retired it). Batched sources terminate the stream and
-  // release its subscription slot — queued candidates and delivery
-  // bookkeeping — so a retiree stops costing both memory and fanout work;
-  // per-provider backends ignore the call. After Retire, NextNN(q)
-  // returns nullopt and PeekDistance(q) is +infinity on batched sources.
-  virtual void Retire(int q) { (void)q; }
 };
 
 // Grid resolution for NN *streaming* (kGrid/kGridBatched), in average

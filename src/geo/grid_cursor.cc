@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/trace.h"
+
 namespace cca {
 
 GridRingCursor::GridRingCursor(const UniformGrid& grid, const Point& query)
@@ -52,16 +54,26 @@ std::optional<GridRingCursor::CellView> GridRingCursor::NextCell() {
   return cell;
 }
 
-GridNnCursor::GridNnCursor(const UniformGrid& grid, const Point& query)
-    : cells_(grid, query), query_(query) {}
+GridNnCursor::GridNnCursor(const UniformGrid& grid, const Point& query,
+                           std::vector<char>* group_fetched)
+    : cells_(grid, query), query_(query), group_fetched_(group_fetched) {}
 
 void GridNnCursor::Refine() {
   while (!cells_.exhausted() && (heap_.empty() || heap_.top().dist > cells_.TailMinDist())) {
     const auto cell = cells_.NextCell();
     if (!cell) break;
+    if (group_fetched_ == nullptr) {
+      ++cells_fetched_;
+    } else if (!(*group_fetched_)[cell->cell]) {
+      // The group's first read of this cell: one shared fetch.
+      CCA_TRACE_SPAN_VAR(fetch_span, "frontier.cell_fetch");
+      fetch_span.Arg("cell", static_cast<std::uint64_t>(cell->cell));
+      (*group_fetched_)[cell->cell] = 1;
+      ++cells_fetched_;
+    }
     for (std::size_t i = 0; i < cell->slice.count; ++i) {
-      heap_.push(NnCandidate{Distance(query_, Point{cell->slice.xs[i], cell->slice.ys[i]}),
-                             cell->slice.ids[i]});
+      heap_.push(Candidate{Distance(query_, Point{cell->slice.xs[i], cell->slice.ys[i]}),
+                           cell->slice.ids[i]});
     }
   }
 }
@@ -69,7 +81,7 @@ void GridNnCursor::Refine() {
 std::optional<std::pair<std::int32_t, double>> GridNnCursor::Next() {
   Refine();
   if (heap_.empty()) return std::nullopt;
-  const NnCandidate top = heap_.top();
+  const Candidate top = heap_.top();
   heap_.pop();
   return std::make_pair(top.oid, top.dist);
 }

@@ -2,7 +2,7 @@
 //
 // These are the shared primitives behind every grid-backed discovery path:
 // the grid NN sources that drive NIA/IDA's edge frontier and RIA's grid
-// annuli (src/core/nn_source.cc, directly or through SharedFrontier), and
+// annuli (src/core/nn_source.cc, per provider or Hilbert-grouped), and
 // the hierarchical SSPA relax (src/flow/sspa.cc). The contract (see
 // src/core/README.md):
 //
@@ -14,7 +14,9 @@
 //   * `GridNnCursor` refines the cell stream into an exact incremental
 //     nearest-neighbour stream (non-decreasing point distances) by holding
 //     fetched points in a candidate heap and serving the top as soon as its
-//     distance is within `TailMinDist()`.
+//     distance is within `TailMinDist()`. Cursors of one batched group
+//     share a fetched-cell ledger that only counts the group's distinct
+//     cell reads; it never changes a stream.
 //   * `HierRingWalk` is GridRingCursor's coarse-level sibling over a
 //     HierarchicalGrid, memoized per query, serving SSPA's coarse-tail exit
 //     and descent across every pop of one provider within a solve.
@@ -42,20 +44,6 @@
 #include "geo/rect.h"
 
 namespace cca {
-
-// Candidate-heap entry for exact-NN refinement over fetched cells, and
-// its ordering: nearest first, equal distances by ascending id. Shared by
-// GridNnCursor and SharedFrontier so their streams tie-break identically
-// (SharedFrontier's single-subscriber degeneracy depends on it).
-struct NnCandidate {
-  double dist;
-  std::int32_t oid;
-};
-struct NnCandidateFarther {
-  bool operator()(const NnCandidate& a, const NnCandidate& b) const {
-    return a.dist != b.dist ? a.dist > b.dist : a.oid > b.oid;
-  }
-};
 
 class GridRingCursor {
  public:
@@ -115,7 +103,13 @@ class GridRingCursor {
 // not-yet-fetched cell are served in fetch order).
 class GridNnCursor {
  public:
-  GridNnCursor(const UniformGrid& grid, const Point& query);
+  // `group_fetched`, when given, is the fetch ledger of a batched group:
+  // one flag per grid cell (Lattice::CellIndex), shared by the group's
+  // cursors. A cell this cursor reads before any other cursor of the group
+  // counts in cells_fetched(). The ledger is accounting only: the stream
+  // is identical with or without it.
+  GridNnCursor(const UniformGrid& grid, const Point& query,
+               std::vector<char>* group_fetched = nullptr);
 
   std::optional<std::pair<std::int32_t, double>> Next();
 
@@ -123,16 +117,33 @@ class GridNnCursor {
   // fetch cells to find out, like NnIterator::PeekDistance.
   double PeekDistance();
 
+  // Cells this cursor's walk has read into its candidate heap.
   std::uint64_t cells_visited() const { return cells_.cells_visited(); }
+  // Of those, the cells no other cursor of its group had read (all of
+  // them without a group).
+  std::uint64_t cells_fetched() const { return cells_fetched_; }
 
  private:
+  // Candidate-heap entry: nearest first, equal distances by ascending id.
+  struct Candidate {
+    double dist;
+    std::int32_t oid;
+  };
+  struct Farther {
+    bool operator()(const Candidate& a, const Candidate& b) const {
+      return a.dist != b.dist ? a.dist > b.dist : a.oid > b.oid;
+    }
+  };
+
   // Fetches cells until the heap top is certified (<= TailMinDist) or the
   // grid drains.
   void Refine();
 
   GridRingCursor cells_;
   Point query_;
-  std::priority_queue<NnCandidate, std::vector<NnCandidate>, NnCandidateFarther> heap_;
+  std::vector<char>* group_fetched_;  // null outside a batched group
+  std::uint64_t cells_fetched_ = 0;
+  std::priority_queue<Candidate, std::vector<Candidate>, Farther> heap_;
 };
 
 // Memoized coarse ring walk around one fixed query over a HierarchicalGrid

@@ -47,8 +47,8 @@ class Lattice {
   void Locate(const Point& q, int* cx, int* cy) const;
 
   // Row-major index of cell (cx, cy) in [0, num_cells()): the addressing
-  // contract for per-cell side tables (CSR offsets, shared-frontier
-  // delivery bitmaps, tau floors).
+  // contract for per-cell side tables (CSR offsets, batched-group fetch
+  // ledgers, tau floors).
   std::size_t CellIndex(int cx, int cy) const {
     return static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_) +
            static_cast<std::size_t>(cx);

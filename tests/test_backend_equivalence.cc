@@ -1,7 +1,8 @@
 // Cross-backend equivalence for the discovery layer: RIA/NIA/IDA must
 // produce cost-identical matchings whether candidates come from the R-tree
 // (plain or grouped-ANN) or from grid ring cursors, across uniform,
-// clustered and skewed instances, unit and weighted. Plus the node-access
+// clustered and skewed instances, unit and weighted; kGridBatched must
+// return kGrid's matching pair for pair. Plus the node-access
 // regression guard: at |P|=10k memory-resident, the grid backend must do
 // >= 5x less index work than independent R-tree NN iterators. Plus the
 // kAuto resolution pin: auto is the grouped ANN traversal for more than one
@@ -171,6 +172,46 @@ TEST(BackendEquivalence, AutoResolvesToGroupedOrPlainByProviderCount) {
     EXPECT_EQ(automatic.metrics.edges_inserted, pinned.metrics.edges_inserted) << label;
     EXPECT_GT(automatic.metrics.node_accesses, 0u) << label;
   }
+}
+
+// kGridBatched only adds a per-group fetch ledger to kGrid's cursors, so
+// every batched stream is the kGrid stream: the solvers take identical
+// steps and return identical pairs, not merely equal costs, and the
+// batched deliveries are exactly kGrid's cell reads.
+TEST(BackendEquivalence, BatchedGridMatchesGridPairForPair) {
+  test::InstanceSpec spec;
+  spec.nq = 40;
+  spec.np = 2000;
+  spec.k_lo = 10;
+  spec.k_hi = 40;
+  spec.clustered_q = true;
+  spec.clustered_p = true;
+  spec.seed = 91;
+  const Problem problem = test::RandomProblem(spec);
+  auto db = test::MakeDb(problem);
+  const ExactConfig grid = BackendConfig(DiscoveryBackend::kGrid);
+  const ExactConfig batched = BackendConfig(DiscoveryBackend::kGridBatched);
+  const auto expect_same = [](const ExactResult& g, const ExactResult& b, const char* label) {
+    ASSERT_EQ(g.matching.pairs.size(), b.matching.pairs.size()) << label;
+    for (std::size_t i = 0; i < g.matching.pairs.size(); ++i) {
+      const MatchPair& x = g.matching.pairs[i];
+      const MatchPair& y = b.matching.pairs[i];
+      ASSERT_EQ(x.provider, y.provider) << label << " pair " << i;
+      ASSERT_EQ(x.customer, y.customer) << label << " pair " << i;
+      ASSERT_EQ(x.units, y.units) << label << " pair " << i;
+      ASSERT_EQ(x.distance, y.distance) << label << " pair " << i;
+    }
+    EXPECT_EQ(g.metrics.edges_inserted, b.metrics.edges_inserted) << label;
+    EXPECT_EQ(g.metrics.nn_searches, b.metrics.nn_searches) << label;
+    EXPECT_EQ(g.metrics.dijkstra_runs, b.metrics.dijkstra_runs) << label;
+    EXPECT_EQ(b.metrics.shared_frontier_fanout, g.metrics.grid_cursor_cells) << label;
+    EXPECT_EQ(b.metrics.shared_frontier_cell_fetches, b.metrics.grid_cursor_cells) << label;
+    // Two Hilbert groups or more, clustered: the ledger shares fetches.
+    EXPECT_LT(b.metrics.shared_frontier_cell_fetches, g.metrics.grid_cursor_cells) << label;
+  };
+  expect_same(SolveIda(problem, db.get(), grid), SolveIda(problem, db.get(), batched), "ida");
+  expect_same(SolveNia(problem, db.get(), grid), SolveNia(problem, db.get(), batched), "nia");
+  expect_same(SolveRia(problem, db.get(), grid), SolveRia(problem, db.get(), batched), "ria");
 }
 
 // The acceptance-bar regression guard: grid-backed IDA at |P|=10k

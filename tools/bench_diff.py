@@ -44,6 +44,11 @@ COUNTER_KEYS = (
     "grid_rings_scanned",
     "grid_cursor_cells",
     "shared_frontier_cell_fetches",
+    # Batched-grid deliveries: the cells each member's own walk read, equal
+    # to the per-provider grid run's grid_cursor_cells. Gated so a return to
+    # eager multiplexing (every fetched cell pushed into every member's
+    # candidate heap) fails here.
+    "shared_frontier_fanout",
     # Hierarchical-grid activity (geo/hier_grid.h): the coarse counters pin
     # how much work the two-level sweep does. coarse_tails_pruned growth
     # would be an improvement, but a pruned tail is also a descent avoided,
