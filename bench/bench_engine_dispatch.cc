@@ -20,6 +20,10 @@
 // that column is the gated headline (tools/bench_diff.py: cost, pops,
 // relaxes and augmentations gate against BENCH_dispatch.json from above,
 // warm_units_adopted from below; timing is reported but never gated).
+// Every row also splits its re-solves' SSPA time into the solver's phase
+// clocks (adopt_ms, augment_ms, cancel_ms, extract_ms, summed over the
+// latency samples); wall_ms minus their sum is index and ring-walk set-up
+// plus the engine's own overhead.
 //
 //   bench_engine_dispatch [--out BENCH_dispatch.json] [--max-np N]
 //                         [--stats-out FILE]  (per-step warm EngineStats JSON)
@@ -53,6 +57,7 @@ struct ModeStats {
   double wall_ms = 0.0;       // every later step (the latency samples)
   cca::Histogram latency_ms;  // fixed-memory percentile source, steps >= 1
   cca::Metrics totals;
+  cca::Metrics steady;  // steps >= 1 only: the source of the SSPA phase clocks
   // Failure-model counters (engine-cumulative, snapshotted after the run).
   // All three must stay 0 in committed baselines: the bench sets no
   // deadline and its instances are feasible, so any nonzero value is a
@@ -98,6 +103,7 @@ double TimedResolve(cca::AssignmentEngine& engine, ModeStats& stats, bool bootst
   } else {
     stats.wall_ms += ms;
     stats.latency_ms.Record(ms);
+    stats.steady.Merge(out.metrics);
   }
   stats.cost += out.cost;
   stats.totals.Merge(out.metrics);
@@ -134,6 +140,8 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  "\"k\": %d, \"mode\": \"%s\", \"samples\": %llu, "
                  "\"qps\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, %s"
                  "\"mean_ms\": %.3f, \"wall_ms\": %.1f, \"bootstrap_ms\": %.3f, "
+                 "\"adopt_ms\": %.3f, \"augment_ms\": %.3f, \"cancel_ms\": %.3f, "
+                 "\"extract_ms\": %.3f, "
                  "\"cost\": %.3f, \"pops\": %llu, \"relaxes\": %llu, "
                  "\"augmentations\": %llu, \"dual_repairs\": %llu, "
                  "\"warm_units_adopted\": %llu, "
@@ -141,7 +149,9 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  "\"unassigned_units\": %llu}%s\n",
                  r.shape.dist, r.shape.nq, r.shape.np, r.shape.k, r.mode,
                  static_cast<unsigned long long>(samples), r.qps, r.p50_ms, r.p99_ms, p999,
-                 r.mean_ms, r.stats.wall_ms, r.stats.bootstrap_ms, r.stats.cost,
+                 r.mean_ms, r.stats.wall_ms, r.stats.bootstrap_ms, r.stats.steady.adopt_millis,
+                 r.stats.steady.augment_millis, r.stats.steady.cancel_millis,
+                 r.stats.steady.extract_millis, r.stats.cost,
                  static_cast<unsigned long long>(m.dijkstra_pops),
                  static_cast<unsigned long long>(m.dijkstra_relaxes),
                  static_cast<unsigned long long>(m.augmentations),

@@ -5,14 +5,14 @@
 namespace cca {
 
 // Layout guard for the table-completeness check: Metrics must be exactly
-// kMetricsCounterCount uint64 counters followed by cpu_millis, with no
-// padding. Since kMetricsCounterCount is derived from
+// kMetricsCounterCount uint64 counters followed by cpu_millis and the four
+// phase clocks, with no padding. Since kMetricsCounterCount is derived from
 // CCA_METRICS_COUNTER_FIELDS, a counter present in the struct but missing
 // from the table (or listed but never declared) fails here; Merge and
 // ToString below are generated from the same table, so they can never
 // drift from it — the memcpy-view tests in tests/test_metrics.cc prove
 // both cover every slot.
-static_assert(sizeof(Metrics) == kMetricsCounterCount * sizeof(std::uint64_t) + sizeof(double),
+static_assert(sizeof(Metrics) == kMetricsCounterCount * sizeof(std::uint64_t) + 5 * sizeof(double),
               "Metrics layout changed: update CCA_METRICS_COUNTER_FIELDS to match");
 
 void Metrics::Merge(const Metrics& other) {
@@ -20,6 +20,10 @@ void Metrics::Merge(const Metrics& other) {
   CCA_METRICS_COUNTER_FIELDS(CCA_METRICS_MERGE_ONE)
 #undef CCA_METRICS_MERGE_ONE
   cpu_millis += other.cpu_millis;
+  adopt_millis += other.adopt_millis;
+  augment_millis += other.augment_millis;
+  cancel_millis += other.cancel_millis;
+  extract_millis += other.extract_millis;
 }
 
 std::string Metrics::ToString() const {
@@ -38,6 +42,18 @@ std::string Metrics::ToString() const {
 #undef CCA_METRICS_PRINT_ONE
   std::snprintf(buf, sizeof(buf), "cpu=%.1fms io=%.1fms", cpu_millis, io_millis());
   out += buf;
+  const struct {
+    const char* label;
+    double millis;
+  } phases[] = {{"adopt", adopt_millis},
+                {"augment", augment_millis},
+                {"cancel", cancel_millis},
+                {"extract", extract_millis}};
+  for (const auto& phase : phases) {
+    if (phase.millis == 0.0) continue;
+    std::snprintf(buf, sizeof(buf), " %s=%.3fms", phase.label, phase.millis);
+    out += buf;
+  }
   return out;
 }
 

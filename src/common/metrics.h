@@ -73,7 +73,8 @@ struct Metrics {
   // Exact (sqrt) distances materialised by the SSPA relax kernels: every
   // lane of a DistanceBlock call plus the surviving lanes of a
   // DistanceBlockSelect call (rejected lanes stop at the squared compare
-  // and are counted in relaxes_pruned instead). This is the quadratic term
+  // and are counted in relaxes_pruned instead), plus those a warm solve's
+  // dual clamp and deficit-run seeding compute. This is the quadratic term
   // the cell-level pruning exists to kill; CI gates it via bench_diff.py.
   std::uint64_t distances_computed = 0;
   // Fine cells skipped by their own reduced-cost bound (mindist + fine tau
@@ -128,6 +129,14 @@ struct Metrics {
   // Measured wall time of the compute phase (SSPA: from SolveSspa entry,
   // a private index build included).
   double cpu_millis = 0.0;
+  // SSPA phase clocks, each read once per phase (never per relax) and
+  // summed by Merge. They are wall time, not counters, so they stay out of
+  // CCA_METRICS_COUNTER_FIELDS: same-seed runs must keep identical
+  // counters. cpu_millis minus their sum is the index and ring-walk set-up.
+  double adopt_millis = 0.0;    // warm start: AdoptFlow's four passes
+  double augment_millis = 0.0;  // the deficit loop and, warm, its seed heap build
+  double cancel_millis = 0.0;   // warm start: CancelSourceCycles
+  double extract_millis = 0.0;  // matching, unassigned ledger and dual export
 
   // Analytic I/O time in milliseconds (page_faults * 10 ms).
   double io_millis() const { return static_cast<double>(page_faults) * kIoMillisPerFault; }
@@ -146,17 +155,18 @@ struct Metrics {
 
   // Human-readable one-line summary, used by examples and benches:
   // `label=value` for every non-zero counter in the field table, then
-  // cpu/io. Generated from CCA_METRICS_COUNTER_FIELDS, so it can never
-  // silently omit a counter the way the old hand-written list could.
+  // cpu/io and every non-zero phase clock. Generated from
+  // CCA_METRICS_COUNTER_FIELDS, so it can never silently omit a counter
+  // the way the old hand-written list could.
   std::string ToString() const;
 };
 
 // Number of uint64 counters in Metrics, in declaration order (everything
-// before cpu_millis), derived from the field table. The static_assert in
-// metrics.cc pins the struct layout to it, so a counter added to the
-// struct but not the table (or vice versa) fails to compile; Merge and
-// ToString are generated from the same table, and the memcpy-view tests in
-// tests/test_metrics.cc cover both.
+// before cpu_millis and the phase clocks), derived from the field table.
+// The static_assert in metrics.cc pins the struct layout to it, so a
+// counter added to the struct but not the table (or vice versa) fails to
+// compile; Merge and ToString are generated from the same table, and the
+// memcpy-view tests in tests/test_metrics.cc cover both.
 #define CCA_METRICS_COUNT_ONE(field, label) +1
 inline constexpr std::size_t kMetricsCounterCount =
     0 CCA_METRICS_COUNTER_FIELDS(CCA_METRICS_COUNT_ONE);

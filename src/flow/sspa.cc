@@ -140,7 +140,18 @@ class SspaSolver {
     // Build-shape diagnostic: how many coarse cells the (owned or shared)
     // hierarchy subdivided, charged once per solve that consults it.
     if (hier_ != nullptr) result.metrics.hier_splits += hier_->splits();
-    if (config_.warm != nullptr) AdoptFlow(&result.metrics);
+    // Phase clocks: one timer read per phase boundary, never per relax.
+    double mark = timer_.ElapsedMillis();
+    const auto lap = [&](double* phase_millis) {
+      const double now = timer_.ElapsedMillis();
+      *phase_millis += now - mark;
+      mark = now;
+    };
+    if (config_.warm != nullptr) {
+      AdoptFlow(&result.metrics);
+      lap(&result.metrics.adopt_millis);
+      BuildDeficitSeeds(&result.metrics);
+    }
     // Overflow mode raises the target to the total weight: the virtual
     // provider absorbs exactly the demand the real capacity cannot.
     std::int64_t remaining = problem_.Gamma() + overflow_;
@@ -156,15 +167,25 @@ class SspaSolver {
       if (DeadlineBreached(&result)) break;
       const RunEnd end = Dijkstra(kInf, &result.metrics);
       assert(end.node == Sink() && "flow graph must admit gamma units");
+      // A run that misses the sink is a solver bug; in Release stop here
+      // rather than walk prev_ from -1. The units left unrouted surface in
+      // the unassigned ledger, where callers' ledger checks report them.
+      if (end.node != Sink()) break;
       const std::int64_t pushed = Augment(end.node, remaining);
       UpdatePotentials(end.dist);
       remaining -= pushed;
       ++result.metrics.augmentations;
     }
+    lap(&result.metrics.augment_millis);
     // Deficit first, then cycles: routing the deficit first lets an
     // arriving provider's units land where they are cheapest, instead of
-    // stealing customers that the deficit runs would route back.
-    if (config_.warm != nullptr && !result.deadline_exceeded) CancelSourceCycles(&result);
+    // stealing customers that the deficit runs would route back. Cycle
+    // cancellation needs every customer saturated, so a deficit loop cut
+    // short (deadline or missed sink) skips it.
+    if (config_.warm != nullptr && remaining == 0) {
+      CancelSourceCycles(&result);
+      lap(&result.metrics.cancel_millis);
+    }
     ExtractMatching(&result.matching);
     // The unassigned ledger: per-customer demand no real provider serves —
     // overflow units routed to the virtual provider and/or units a
@@ -186,7 +207,8 @@ class SspaSolver {
     // as SspaWarmStart::potentials sized to the *real* provider array.
     result.potentials.tau_q.assign(tau_q_.begin(), tau_q_.begin() + static_cast<std::ptrdiff_t>(real_nq_));
     result.potentials.tau_p = tau_p_;
-    result.metrics.cpu_millis = timer_.ElapsedMillis();
+    lap(&result.metrics.extract_millis);
+    result.metrics.cpu_millis = mark;
     span.Arg("augmentations", result.metrics.augmentations);
     span.Arg("pops", result.metrics.dijkstra_pops);
     span.Arg("adopted", result.metrics.warm_units_adopted);
@@ -331,6 +353,87 @@ class SspaSolver {
     return best;
   }
 
+  // One deficit customer's cheapest direct path, keyed by its label.
+  struct DeficitSeed {
+    double label;
+    std::int32_t p, q;
+  };
+
+  // Min-heap order for the std heap algorithms. Ties go by customer index,
+  // so which of two equal-cost seeds arms a run never depends on how the
+  // heap algorithms order equal keys.
+  static bool SeedAfter(const DeficitSeed& a, const DeficitSeed& b) {
+    return a.label > b.label || (a.label == b.label && a.p > b.p);
+  }
+
+  // Label the direct path s -> q -> p -> t gets in a deficit run: what
+  // RelaxForward produces for provider q at its seed label alpha = tau_q.
+  double DirectLabel(std::size_t q, std::size_t p) const {
+    return std::max(Distance(problem_.providers[q].pos, problem_.customers[p]) + tau_p_[p],
+                    tau_q_[q]);
+  }
+
+  // The spare real provider with the cheapest direct path to p (-1 when
+  // every real provider is full), and that path's label.
+  DeficitSeed BestDirectPath(std::size_t p, Metrics* metrics) const {
+    DeficitSeed best{kInf, static_cast<std::int32_t>(p), -1};
+    for (std::size_t q = 0; q < real_nq_; ++q) {
+      if (used_q_[q] >= problem_.providers[q].capacity) continue;
+      ++metrics->distances_computed;
+      const double label = DirectLabel(q, p);
+      if (label < best.label) best = DeficitSeed{label, best.p, static_cast<std::int32_t>(q)};
+    }
+    return best;
+  }
+
+  // Warm solves only, once after AdoptFlow: a min-heap holding every
+  // unsaturated customer's cheapest direct path, O(|deficit| * |Q|).
+  void BuildDeficitSeeds(Metrics* metrics) {
+    for (std::size_t p = 0; p < np_; ++p) {
+      if (sink_flow_[p] >= problem_.weight(p)) continue;
+      const DeficitSeed seed = BestDirectPath(p, metrics);
+      if (seed.q >= 0) deficit_seeds_.push_back(seed);
+    }
+    std::make_heap(deficit_seeds_.begin(), deficit_seeds_.end(), SeedAfter);
+  }
+
+  // Arms a deficit run before its first pop: relaxes the cheapest direct
+  // path to a deficit customer, which sets run_ub_ to a real path's cost
+  // and leaves that path in the heap for the run to finish. Setting run_ub_
+  // alone would prune the path it stands for and strand the sink.
+  //
+  // The heap is lazy: between runs a direct label only grows, so every key
+  // lower-bounds its customer's current best label and a top that
+  // re-evaluates to its own key is the minimum (src/flow/README.md). A
+  // stale top is re-priced and pushed back, or dropped once saturated.
+  // Correctness never rests on this ordering: whatever gets relaxed is a
+  // real path at its current label. With no spare real provider left
+  // (overflow mode's endgame) the run starts unarmed.
+  void SeedDeficitPath(Metrics* metrics) {
+    while (!deficit_seeds_.empty()) {
+      const DeficitSeed top = deficit_seeds_.front();
+      const auto p = static_cast<std::size_t>(top.p);
+      const auto q = static_cast<std::size_t>(top.q);
+      if (used_q_[q] < problem_.providers[q].capacity && sink_flow_[p] < problem_.weight(p)) {
+        const double label = DirectLabel(q, p);
+        if (label <= top.label) {
+          RelaxForward(q, p, label, metrics);
+          return;
+        }
+      }
+      std::pop_heap(deficit_seeds_.begin(), deficit_seeds_.end(), SeedAfter);
+      deficit_seeds_.pop_back();
+      if (sink_flow_[p] >= problem_.weight(p)) continue;
+      const DeficitSeed fresh = BestDirectPath(p, metrics);
+      if (fresh.q < 0) {
+        deficit_seeds_.clear();  // every real provider is full, and stays so
+        return;
+      }
+      deficit_seeds_.push_back(fresh);
+      std::push_heap(deficit_seeds_.begin(), deficit_seeds_.end(), SeedAfter);
+    }
+  }
+
   // Cancels the negative residual cycles churn leaves in a warm start's
   // adopted flow. With every customer saturated and reduced costs >= 0 on
   // provider and customer edges, such a cycle runs s -> q_a ~> u -> s from
@@ -411,6 +514,7 @@ class SspaSolver {
         heap_.PushOrDecrease(static_cast<int>(q), alpha_[q]);
       }
     }
+    if (!cancel) SeedDeficitPath(metrics);
     RunEnd end{-1, kInf};
     while (!heap_.empty()) {
       const auto [u, key] = heap_.PopMin();
@@ -819,6 +923,7 @@ class SspaSolver {
   std::vector<HierRingWalk> walks_;               // per real provider, over hier_
   double min_tau_p_ = 0.0;
   double run_ub_ = kInf;  // best known complete-path cost this Dijkstra run
+  std::vector<DeficitSeed> deficit_seeds_;  // warm solves: SeedDeficitPath's lazy heap
   std::vector<double> tau_q_;
   std::vector<double> tau_p_;
   std::vector<std::int64_t> used_q_;

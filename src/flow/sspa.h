@@ -82,8 +82,11 @@ struct SspaPotentials {
 // positive reduced cost. The solver then re-augments only the deficit and
 // finally cancels the negative residual cycles through the source that
 // churn can open (a slot freed at a full provider, or a provider arrival),
-// one Dijkstra run per cycle. Both steps cost work in proportion to the
-// churn, which is what makes a small-perturbation re-solve cheap —
+// one Dijkstra run per cycle. Every deficit run starts with a certified
+// sink bound: it first relaxes the cheapest direct path from a spare real
+// provider to a deficit customer, taken from a lazy min-heap built once
+// per warm solve (src/flow/README.md). Both steps cost work in proportion
+// to the churn, which is what makes a small-perturbation re-solve cheap —
 // src/runtime/README.md has the full argument.
 struct SspaWarmStart {
   SspaPotentials potentials;

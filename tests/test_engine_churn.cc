@@ -430,6 +430,64 @@ TEST(EngineChurn, WarmStartReducesPopsOnSmallPerturbation) {
   EXPECT_GT(warm.metrics.warm_units_adopted, 1400u);
 }
 
+// Fills `engine` with the 30x1500 instance both tests below grow from —
+// random providers of capacity 90 (2700 slots) — and solves it once, so
+// every later Resolve is warm. Returns that first, cold outcome.
+AssignmentEngine::ResolveOutcome SolveDispatchEngine(AssignmentEngine* engine,
+                                                     std::uint64_t seed) {
+  for (const Point& pos : test::RandomPoints(30, seed)) {
+    EXPECT_TRUE(engine->InsertProvider(pos, 90).ok());
+  }
+  for (const Point& pos : test::RandomPoints(1500, seed + 1)) {
+    EXPECT_TRUE(engine->InsertCustomer(pos).ok());
+  }
+  AssignmentEngine::ResolveOutcome first = engine->Resolve();
+  EXPECT_FALSE(first.warm);
+  return first;
+}
+
+// One arrival right next to a provider with spare capacity. The spare
+// providers share one dual, so the last of them pops after the others.
+// Its deficit run starts armed with the arrival's direct path, so each
+// provider popped before the sink prunes against that bound from its
+// first cell. An unarmed run relaxes the popped providers' neighbourhoods
+// unbounded until one of them reaches the arrival: 1408 relaxes here.
+TEST(EngineChurn, ArrivalNextToSpareProviderRelaxesLittle) {
+  AssignmentEngine engine;
+  const auto loads = SolveDispatchEngine(&engine, 51).matching.ProviderLoads(engine.num_providers());
+  std::size_t spare = engine.num_providers();
+  for (std::size_t q = 0; q < engine.num_providers(); ++q) {
+    if (loads[q] < engine.problem().providers[q].capacity) spare = q;
+  }
+  ASSERT_LT(spare, engine.num_providers());
+  const Point at = engine.problem().providers[spare].pos;
+  ASSERT_TRUE(engine.InsertCustomer(Point{at.x + 0.5, at.y - 0.5}).ok());
+  const auto warm = engine.Resolve();
+  ASSERT_TRUE(warm.warm);
+  const double cold = ColdCost(engine.problem());
+  EXPECT_NEAR(warm.cost, cold, 1e-9 * std::max(1.0, cold));
+  test::ExpectFeasibleDuals(engine.problem(), warm.matching, engine.potentials(), "warm");
+  EXPECT_EQ(warm.metrics.warm_units_adopted, 1500u);
+  EXPECT_LE(warm.metrics.dijkstra_relaxes, 10u) << warm.metrics.ToString();
+}
+
+// A burst of 1000 arrivals onto a solved 30x1500 engine: one warm Resolve
+// routes the whole deficit, its lazy seed heap re-evaluating stale entries
+// as providers fill, and still matches cold with feasible duals.
+TEST(EngineChurn, ThousandArrivalsMatchCold) {
+  AssignmentEngine engine;
+  SolveDispatchEngine(&engine, 53);
+  for (const Point& pos : test::ClusteredPoints(1000, 55)) {
+    ASSERT_TRUE(engine.InsertCustomer(pos).ok());
+  }
+  const auto warm = engine.Resolve();
+  ASSERT_TRUE(warm.warm);
+  EXPECT_TRUE(warm.unassigned.empty());
+  const double cold = ColdCost(engine.problem());
+  EXPECT_NEAR(warm.cost, cold, 1e-9 * std::max(1.0, cold));
+  test::ExpectFeasibleDuals(engine.problem(), warm.matching, engine.potentials(), "warm");
+}
+
 // A provider arrival's dual is the solver's to derive: the engine seeds it
 // at +infinity, and the next Resolve's clamp pass sets it to the largest
 // feasible value over the current, tightened customer duals. A customer

@@ -10,9 +10,10 @@ namespace {
 
 // Merge completeness without naming any counter: the static_assert in
 // metrics.cc pins the layout to kMetricsCounterCount uint64s followed by
-// cpu_millis, so a memcpy view covers every counter — present and future.
-// A counter added to the struct but forgotten in Merge shows up here as a
-// slot whose sum is wrong, instead of silently under-reporting forever.
+// cpu_millis and the phase clocks, so a memcpy view covers every counter —
+// present and future. A counter added to the struct but forgotten in Merge
+// shows up here as a slot whose sum is wrong, instead of silently
+// under-reporting forever.
 TEST(MetricsTest, MergeCoversEveryCounterSlot) {
   Metrics a, b;
   std::uint64_t vals[kMetricsCounterCount];
@@ -28,6 +29,32 @@ TEST(MetricsTest, MergeCoversEveryCounterSlot) {
     EXPECT_EQ(merged[i], 2 * (i + 1)) << "counter slot " << i << " not merged";
   }
   EXPECT_DOUBLE_EQ(a.cpu_millis, 3.0);
+}
+
+// The SSPA phase clocks are wall time, not counters: Merge sums them,
+// ToString prints the non-zero ones, and none of them is a counter slot
+// (same-seed runs must compare equal on counters alone).
+TEST(MetricsTest, PhaseClocksMergeAndPrint) {
+  Metrics a, b;
+  a.adopt_millis = 0.25;
+  a.augment_millis = 1.5;
+  b.augment_millis = 2.0;
+  b.cancel_millis = 0.125;
+  b.extract_millis = 0.5;
+  a.Merge(b);
+  EXPECT_DOUBLE_EQ(a.adopt_millis, 0.25);
+  EXPECT_DOUBLE_EQ(a.augment_millis, 3.5);
+  EXPECT_DOUBLE_EQ(a.cancel_millis, 0.125);
+  EXPECT_DOUBLE_EQ(a.extract_millis, 0.5);
+  const std::string s = a.ToString();
+  EXPECT_NE(s.find("adopt=0.250ms"), std::string::npos) << s;
+  EXPECT_NE(s.find("augment=3.500ms"), std::string::npos) << s;
+  EXPECT_NE(s.find("cancel=0.125ms"), std::string::npos) << s;
+  EXPECT_NE(s.find("extract=0.500ms"), std::string::npos) << s;
+  EXPECT_EQ(Metrics{}.ToString().find("augment="), std::string::npos);
+  std::uint64_t counters[kMetricsCounterCount];
+  std::memcpy(counters, &a, sizeof(counters));
+  for (const std::uint64_t c : counters) EXPECT_EQ(c, 0u);
 }
 
 TEST(MetricsTest, IoTimeModel) {

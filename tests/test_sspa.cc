@@ -8,6 +8,7 @@
 #include <limits>
 #include <string>
 
+#include "common/rng.h"
 #include "core/matching.h"
 #include "flow/oracle.h"
 #include "flow/sspa.h"
@@ -435,6 +436,80 @@ TEST(SspaWarmStartTest, ProviderArrivalMatchesCold) {
       }
       test::ExpectFeasibleDuals(after, warm.matching, warm.potentials, label);
     }
+  }
+}
+
+// Weighted customers whose demand grew while their served units stayed:
+// each keeps partial sink flow, so it enters the deficit seed heap while
+// its served units stay adopted.
+TEST(SspaWarmStartTest, WeightedPartialSinkFlowMatchesCold) {
+  test::InstanceSpec spec;
+  spec.nq = 8;
+  spec.np = 200;
+  spec.k_lo = 60;
+  spec.k_hi = 80;
+  spec.seed = 41;
+  Problem before = test::RandomProblem(spec);
+  Rng rng(43);
+  for (std::size_t p = 0; p < before.customers.size(); ++p) {
+    before.weights.push_back(static_cast<std::int32_t>(rng.UniformInt(1, 3)));
+  }
+  Problem after = before;
+  for (std::size_t p = 0; p < after.customers.size(); p += 10) after.weights[p] += 2;
+  ASSERT_GE(after.TotalCapacity(), after.TotalWeight());
+  for (const bool use_grid : {true, false}) {
+    const std::string label = use_grid ? "grid" : "reference";
+    SspaConfig cfg;
+    cfg.use_grid = use_grid;
+    const SspaResult solved = SolveSspa(before, cfg);
+    SspaWarmStart warm_start;
+    warm_start.potentials = solved.potentials;
+    warm_start.matching = solved.matching;
+    const SspaResult warm = ExpectWarmEqualsCold(after, warm_start, use_grid, label);
+    EXPECT_EQ(warm.metrics.warm_units_adopted, static_cast<std::uint64_t>(before.TotalWeight()))
+        << label;
+    EXPECT_TRUE(warm.unassigned.empty()) << label;
+    test::ExpectFeasibleDuals(after, warm.matching, warm.potentials, label);
+  }
+}
+
+// Arrivals onto an infeasible instance whose real providers are all full
+// after adoption: no deficit run can be seeded with a direct path, so each
+// starts unarmed and the overflow routes to the virtual provider.
+TEST(SspaWarmStartTest, OverflowWithFullProvidersKeepsExactLedger) {
+  test::InstanceSpec spec;
+  spec.nq = 5;
+  spec.np = 60;
+  spec.k_lo = 3;
+  spec.k_hi = 6;
+  spec.seed = 31;
+  const Problem before = test::RandomProblem(spec);
+  Problem after = before;
+  for (const Point& pos : test::RandomPoints(12, 33)) after.customers.push_back(pos);
+  for (const bool use_grid : {true, false}) {
+    const std::string label = use_grid ? "grid" : "reference";
+    SspaConfig cfg;
+    cfg.use_grid = use_grid;
+    const SspaResult solved = SolveSspa(before, cfg);
+    ASSERT_EQ(solved.unassigned_units, before.TotalWeight() - before.TotalCapacity()) << label;
+    // The engine's arrival seed: the smallest dual feasible against every
+    // provider.
+    SspaWarmStart warm_start;
+    warm_start.potentials = solved.potentials;
+    warm_start.matching = solved.matching;
+    for (std::size_t p = before.customers.size(); p < after.customers.size(); ++p) {
+      double seed = 0.0;
+      for (std::size_t q = 0; q < after.providers.size(); ++q) {
+        seed = std::max(seed, solved.potentials.tau_q[q] -
+                                  Distance(after.providers[q].pos, after.customers[p]));
+      }
+      warm_start.potentials.tau_p.push_back(seed);
+    }
+    const SspaResult warm = ExpectWarmEqualsCold(after, warm_start, use_grid, label);
+    EXPECT_EQ(warm.metrics.warm_units_adopted,
+              static_cast<std::uint64_t>(after.TotalCapacity()))
+        << label;
+    ExpectExactLedger(after, warm, label);
   }
 }
 

@@ -88,7 +88,9 @@ FLOOR_KEYS = ("warm_units_adopted",)
 # percentile latencies are machine-dependent (the histogram percentiles
 # additionally quantise to <= 12.5% buckets, see common/histogram.h).
 REPORT_KEYS = ("qps", "wall_ms", "p50_ms", "p99_ms", "p999_ms", "mean_ms",
-               "bootstrap_ms")
+               "bootstrap_ms",
+               # SSPA phase clocks (common/metrics.h), dispatch rows.
+               "adopt_ms", "augment_ms", "cancel_ms", "extract_ms")
 
 
 def row_id(row):
