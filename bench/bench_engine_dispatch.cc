@@ -9,7 +9,9 @@
 // cost is checked against the cold cost (exit non-zero on any mismatch:
 // the engine's correctness anchor), and the run reports sustained
 // re-solve QPS plus p50/p99 re-solve latency per mode over `samples`
-// re-solves (p999 only from 1000 samples up). The step-0 bootstrap — a
+// re-solves (p999 only from 1000 samples up). The percentiles are exact
+// nearest-rank values over the retained samples (at most one per step),
+// not histogram bucket bounds. The step-0 bootstrap — a
 // cold solve for both engines — is timed apart as `bootstrap_ms` and never
 // enters the latency samples; its cost and counters still count.
 //
@@ -19,7 +21,9 @@
 // units, so its dijkstra_pops must sit far below the cold engine's —
 // that column is the gated headline (tools/bench_diff.py: cost, pops,
 // relaxes and augmentations gate against BENCH_dispatch.json from above,
-// warm_units_adopted from below; timing is reported but never gated).
+// warm_units_adopted from below; timing and the `cycles` column, the
+// negative source cycles the warm solves cancelled, are reported but never
+// gated).
 // Every row also splits its re-solves' SSPA time into the solver's phase
 // clocks (adopt_ms, augment_ms, cancel_ms, extract_ms, summed over the
 // latency samples); wall_ms minus their sum is index and ring-walk set-up
@@ -55,7 +59,7 @@ struct ModeStats {
   double cost = 0.0;  // summed over all resolves, the bootstrap included
   double bootstrap_ms = 0.0;  // step 0: the cold solve of the initial snapshot
   double wall_ms = 0.0;       // every later step (the latency samples)
-  cca::Histogram latency_ms;  // fixed-memory percentile source, steps >= 1
+  std::vector<double> latency_ms;  // one per step >= 1: the percentile source
   cca::Metrics totals;
   cca::Metrics steady;  // steps >= 1 only: the source of the SSPA phase clocks
   // Failure-model counters (engine-cumulative, snapshotted after the run).
@@ -102,12 +106,22 @@ double TimedResolve(cca::AssignmentEngine& engine, ModeStats& stats, bool bootst
     stats.bootstrap_ms = ms;
   } else {
     stats.wall_ms += ms;
-    stats.latency_ms.Record(ms);
+    stats.latency_ms.push_back(ms);
     stats.steady.Merge(out.metrics);
   }
   stats.cost += out.cost;
   stats.totals.Merge(out.metrics);
   return out.cost;
+}
+
+// Nearest-rank percentile: the smallest sample with at least a fraction p
+// of the samples at or below it (0 for no samples).
+double NearestRank(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double n = static_cast<double>(samples.size());
+  const auto rank = static_cast<std::size_t>(std::ceil(std::clamp(p, 0.0, 1.0) * n));
+  return samples[rank == 0 ? 0 : rank - 1];
 }
 
 void PrintRow(const Row& r) {
@@ -130,7 +144,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     const cca::Metrics& m = r.stats.totals;
-    const std::uint64_t samples = r.stats.latency_ms.Count();
+    const std::uint64_t samples = r.stats.latency_ms.size();
     char p999[48] = "";
     if (samples >= cca::Histogram::kMinP999Samples) {
       std::snprintf(p999, sizeof(p999), "\"p999_ms\": %.3f, ", r.p999_ms);
@@ -144,7 +158,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  "\"extract_ms\": %.3f, "
                  "\"cost\": %.3f, \"pops\": %llu, \"relaxes\": %llu, "
                  "\"augmentations\": %llu, \"dual_repairs\": %llu, "
-                 "\"warm_units_adopted\": %llu, "
+                 "\"warm_units_adopted\": %llu, \"cycles\": %llu, "
                  "\"deadline_breaches\": %llu, \"degraded_resolves\": %llu, "
                  "\"unassigned_units\": %llu}%s\n",
                  r.shape.dist, r.shape.nq, r.shape.np, r.shape.k, r.mode,
@@ -157,6 +171,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  static_cast<unsigned long long>(m.augmentations),
                  static_cast<unsigned long long>(m.dual_repairs),
                  static_cast<unsigned long long>(m.warm_units_adopted),
+                 static_cast<unsigned long long>(m.source_cycles_cancelled),
                  static_cast<unsigned long long>(r.stats.deadline_breaches),
                  static_cast<unsigned long long>(r.stats.degraded_resolves),
                  static_cast<unsigned long long>(r.stats.unassigned_units),
@@ -314,14 +329,13 @@ int main(int argc, char** argv) {
       row.stats.deadline_breaches = es.deadline_breaches;
       row.stats.degraded_resolves = es.degraded_resolves;
       row.stats.unassigned_units = es.unassigned_units;
-      row.p50_ms = row.stats.latency_ms.Percentile(0.50);
-      row.p99_ms = row.stats.latency_ms.Percentile(0.99);
-      row.p999_ms = row.stats.latency_ms.Percentile(0.999);
-      row.mean_ms = row.stats.latency_ms.Mean();
-      row.qps = row.stats.wall_ms > 0.0
-                    ? 1000.0 * static_cast<double>(row.stats.latency_ms.Count()) /
-                          row.stats.wall_ms
-                    : 0.0;
+      const std::vector<double>& latency = row.stats.latency_ms;
+      const auto samples = static_cast<double>(latency.size());
+      row.p50_ms = NearestRank(latency, 0.50);
+      row.p99_ms = NearestRank(latency, 0.99);
+      row.p999_ms = NearestRank(latency, 0.999);
+      row.mean_ms = samples > 0.0 ? row.stats.wall_ms / samples : 0.0;
+      row.qps = row.stats.wall_ms > 0.0 ? 1000.0 * samples / row.stats.wall_ms : 0.0;
       rows.push_back(row);
       PrintRow(rows.back());
     }

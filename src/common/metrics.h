@@ -42,6 +42,7 @@ inline constexpr double kIoMillisPerFault = 10.0;
   X(hier_splits, "hier_splits")                             \
   X(dual_repairs, "dual_repairs")                           \
   X(warm_units_adopted, "warm_units_adopted")               \
+  X(source_cycles_cancelled, "source_cycles_cancelled")     \
   X(nn_searches, "nn_searches")                             \
   X(range_searches, "range_searches")                       \
   X(node_accesses, "node_accesses")                         \
@@ -64,7 +65,7 @@ struct Metrics {
   std::uint64_t dijkstra_pops = 0;     // nodes de-heaped across all runs
   std::uint64_t dijkstra_relaxes = 0;  // edge relaxations across all runs
   // Accepted (valid) shortest paths; on a warm SSPA solve this also counts
-  // each negative source cycle cancelled after the deficit loop.
+  // each negative source cycle cancelled (source_cycles_cancelled).
   std::uint64_t augmentations = 0;
   std::uint64_t invalid_paths = 0;     // Theorem-1 rejections
   std::uint64_t fast_path_assigns = 0; // Theorem-2 direct assignments
@@ -106,6 +107,12 @@ struct Metrics {
   // re-augmented. Cycle cancellation may later re-route adopted units; they
   // still count as adopted.
   std::uint64_t warm_units_adopted = 0;
+  // Warm-started solves only: negative residual cycles through the source
+  // cancelled, whether a deficit run met the cycle's closing provider
+  // before the sink or the certificate pass after the deficit loop found
+  // it (CancelSourceCycles in src/flow/sspa.cc). Each one is also an
+  // augmentation. Deterministic, like every counter here.
+  std::uint64_t source_cycles_cancelled = 0;
 
   // --- spatial side --------------------------------------------------------
   std::uint64_t nn_searches = 0;     // incremental NN advances served
@@ -135,7 +142,9 @@ struct Metrics {
   // counters. cpu_millis minus their sum is the index and ring-walk set-up.
   double adopt_millis = 0.0;    // warm start: AdoptFlow's four passes
   double augment_millis = 0.0;  // the deficit loop and, warm, its seed heap build
-  double cancel_millis = 0.0;   // warm start: CancelSourceCycles
+  // Warm start: the certificate pass (CancelSourceCycles) only. Cycles a
+  // deficit run cancels where it meets them are timed in augment_millis.
+  double cancel_millis = 0.0;
   double extract_millis = 0.0;  // matching, unassigned ledger and dual export
 
   // Analytic I/O time in milliseconds (page_faults * 10 ms).

@@ -166,6 +166,13 @@ class SspaSolver {
       // breaking here always hands back a consistent (if partial) state.
       if (DeadlineBreached(&result)) break;
       const RunEnd end = Dijkstra(kInf, &result.metrics);
+      // The run popped a flow-carrying provider closing a negative source
+      // cycle before the sink: cancel it here, where it was met, and route
+      // the deficit on the next run. Only warm starts leave such cycles.
+      if (end.node >= 0 && end.node != Sink()) {
+        CancelCycle(end, &result.metrics);
+        continue;
+      }
       assert(end.node == Sink() && "flow graph must admit gamma units");
       // A run that misses the sink is a solver bug; in Release stop here
       // rather than walk prev_ from -1. The units left unrouted surface in
@@ -177,11 +184,10 @@ class SspaSolver {
       ++result.metrics.augmentations;
     }
     lap(&result.metrics.augment_millis);
-    // Deficit first, then cycles: routing the deficit first lets an
-    // arriving provider's units land where they are cheapest, instead of
-    // stealing customers that the deficit runs would route back. Cycle
-    // cancellation needs every customer saturated, so a deficit loop cut
-    // short (deadline or missed sink) skips it.
+    // The certificate pass: proves that no negative source cycle is left,
+    // cancelling any that no deficit run met. It needs every customer
+    // saturated, so a deficit loop cut short (deadline or missed sink)
+    // skips it.
     if (config_.warm != nullptr && remaining == 0) {
       CancelSourceCycles(&result);
       lap(&result.metrics.cancel_millis);
@@ -274,11 +280,12 @@ class SspaSolver {
   // run target the nearest deficit. What duals cannot certify is the
   // adopted flow itself: churn (a slot freed at a full provider, or a
   // provider arrival) can leave negative residual cycles through the
-  // implicit source, which the deficit runs never cancel. Run() removes
-  // those after the deficit loop (CancelSourceCycles), so the final
-  // matching is cost-identical to a cold solve — asserted by
-  // AssignmentEngine::VerifyAgainstCold in Debug builds and enforced by
-  // bench_engine_dispatch's warm/cold cross-check.
+  // implicit source, which augmenting paths alone never cancel. Run()
+  // cancels each one where a deficit run pops its closing provider, and
+  // the certificate pass after the loop (CancelSourceCycles) proves none
+  // is left, so the final matching is cost-identical to a cold solve —
+  // asserted by AssignmentEngine::VerifyAgainstCold in Debug builds and
+  // enforced by bench_engine_dispatch's warm/cold cross-check.
   void AdoptFlow(Metrics* metrics) {
     CCA_TRACE_SPAN_VAR(span, "sspa.adopt_flow");
     struct Adopted {
@@ -402,13 +409,15 @@ class SspaSolver {
   // and leaves that path in the heap for the run to finish. Setting run_ub_
   // alone would prune the path it stands for and strand the sink.
   //
-  // The heap is lazy: between runs a direct label only grows, so every key
-  // lower-bounds its customer's current best label and a top that
-  // re-evaluates to its own key is the minimum (src/flow/README.md). A
-  // stale top is re-priced and pushed back, or dropped once saturated.
-  // Correctness never rests on this ordering: whatever gets relaxed is a
-  // real path at its current label. With no spare real provider left
-  // (overflow mode's endgame) the run starts unarmed.
+  // The heap is lazy: a stale top is re-priced and pushed back, or dropped
+  // once saturated, and a top that re-evaluates to its own key is armed.
+  // Between augmenting paths a direct label only grows, so that top is
+  // usually the minimum; a cancelled source cycle frees a unit at a
+  // provider no key was priced against, so after one it may not be
+  // (src/flow/README.md). Correctness never rests on this ordering:
+  // whatever gets relaxed is a real path at its current label. With no
+  // spare real provider left (overflow mode's endgame) the heap is dropped
+  // and the remaining runs start unarmed.
   void SeedDeficitPath(Metrics* metrics) {
     while (!deficit_seeds_.empty()) {
       const DeficitSeed top = deficit_seeds_.front();
@@ -426,7 +435,7 @@ class SspaSolver {
       if (sink_flow_[p] >= problem_.weight(p)) continue;
       const DeficitSeed fresh = BestDirectPath(p, metrics);
       if (fresh.q < 0) {
-        deficit_seeds_.clear();  // every real provider is full, and stays so
+        deficit_seeds_.clear();  // every real provider is full
         return;
       }
       deficit_seeds_.push_back(fresh);
@@ -434,12 +443,22 @@ class SspaSolver {
     }
   }
 
-  // Cancels the negative residual cycles churn leaves in a warm start's
-  // adopted flow. With every customer saturated and reduced costs >= 0 on
-  // provider and customer edges, such a cycle runs s -> q_a ~> u -> s from
+  // Where a Dijkstra run stopped: the sink (an augmenting path), a
+  // flow-carrying provider closing a negative source cycle, or -1 (none).
+  struct RunEnd {
+    int node;
+    double dist;
+  };
+
+  // The warm solve's optimality certificate for the source arcs, run once
+  // every customer is saturated. With reduced costs >= 0 on provider and
+  // customer edges, a negative residual cycle runs s -> q_a ~> u -> s from
   // a spare provider to a flow-carrying one and costs alpha(u) - tau_q(u)
-  // (src/runtime/README.md, "Warm-start soundness"). One run and one
-  // augmentation per cycle, until a run finds none; the deadline is checked
+  // (src/runtime/README.md, "Warm-start soundness"). The deficit runs
+  // already cancel every such cycle they pop before the sink, so this pass
+  // usually exits on its first O(|Q|) test: no spare provider seeds below
+  // the highest flow-carrying dual. Otherwise one run and one cancellation
+  // per remaining cycle, until a run finds none; the deadline is checked
   // once per cancellation, so a solve that cancels nothing never checks it.
   void CancelSourceCycles(SspaResult* result) {
     CCA_TRACE_SPAN("sspa.cancel_cycles");
@@ -457,11 +476,31 @@ class SspaSolver {
       if (lowest_seed >= bound) return;
       const RunEnd end = Dijkstra(bound, &result->metrics);
       if (end.node < 0) return;
-      Augment(end.node, used_q_[static_cast<std::size_t>(end.node)]);
-      UpdatePotentials(end.dist);
-      ++result->metrics.augmentations;
+      CancelCycle(end, &result->metrics);
       if (DeadlineBreached(result)) return;
     }
+  }
+
+  // True when popping provider slot q at label `key` closes a negative
+  // source cycle s -> q_a ~> q -> s: q carries flow, and the closing q -> s
+  // arc makes the cycle cost key - tau_q(q) < 0. The epsilon absorbs the
+  // float noise potential updates accumulate.
+  bool ClosesSourceCycle(std::size_t q, double key) const {
+    return used_q_[q] > 0 && key < tau_q_[q] - 1e-9 * std::max(1.0, tau_q_[q]);
+  }
+
+  // The one cancel step, for a run that ended on a cycle-closing provider
+  // (a deficit run or a certificate run): push the bottleneck around the
+  // cycle — q_a gains flow, the closing provider hands units back to the
+  // source, customer loads stay — and raise the potentials at the cycle's
+  // label. Every relax such a run pruned had a label >= that one (the sink
+  // bound, or B, lies at or above it), so the raise-only update keeps every
+  // reduced cost >= 0. Counts as one augmentation.
+  void CancelCycle(const RunEnd& end, Metrics* metrics) {
+    Augment(end.node, used_q_[static_cast<std::size_t>(end.node)]);
+    UpdatePotentials(end.dist);
+    ++metrics->augmentations;
+    ++metrics->source_cycles_cancelled;
   }
 
   bool DeadlineBreached(SspaResult* result) const {
@@ -470,21 +509,16 @@ class SspaSolver {
     return true;
   }
 
-  // Where a Dijkstra run stopped: the sink (an augmenting path), a
-  // flow-carrying provider closing a negative source cycle, or -1 (none).
-  struct RunEnd {
-    int node;
-    double dist;
-  };
-
   // One Dijkstra run over the residual graph with reduced costs. Fills
   // `touched_` with de-heaped nodes; the potential update raises those
-  // with alpha below the returned dist.
-  //   cycle_bound == kInf: a deficit run; ends at the sink.
-  //   cycle_bound <  kInf: a cancellation run (CancelSourceCycles); seeds
+  // with alpha below the returned dist. Every run ends at the sink or at
+  // the first popped provider that closes a negative source cycle
+  // (ClosesSourceCycle), whichever pops first.
+  //   cycle_bound == kInf: a deficit run, armed by SeedDeficitPath.
+  //   cycle_bound <  kInf: a certificate run (CancelSourceCycles); seeds
   //     only spare providers below the bound, prunes relaxes against it in
-  //     place of the sink bound, and ends at the first popped provider u
-  //     that carries flow with alpha(u) < tau_q(u).
+  //     place of the sink bound (no customer has sink residual), and gives
+  //     up at the first label >= the bound.
   RunEnd Dijkstra(double cycle_bound, Metrics* metrics) {
     CCA_TRACE_SPAN_VAR(span, "sspa.dijkstra");
     const std::uint64_t pops0 = metrics->dijkstra_pops;
@@ -524,16 +558,12 @@ class SspaSolver {
         end = RunEnd{u, key};
         break;
       }
-      if (cancel) {
-        if (key >= cycle_bound) break;
-        const auto q = static_cast<std::size_t>(u);
-        // The epsilon absorbs the float noise potential updates accumulate.
-        if (q < nq_ && used_q_[q] > 0 && key < tau_q_[q] - 1e-9 * std::max(1.0, tau_q_[q])) {
+      if (key >= cycle_bound) break;
+      if (static_cast<std::size_t>(u) < nq_) {
+        if (ClosesSourceCycle(static_cast<std::size_t>(u), key)) {
           end = RunEnd{u, key};
           break;
         }
-      }
-      if (static_cast<std::size_t>(u) < nq_) {
         if (overflow_ > 0 && static_cast<std::size_t>(u) == real_nq_) {
           RelaxVirtual(metrics);
         } else if (floors_) {

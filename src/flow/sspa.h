@@ -80,10 +80,14 @@ struct SspaPotentials {
 // until its serving arc is tight; clamp each tau_q forward-feasible
 // (Metrics::dual_repairs); and release any adopted pair a clamp left with
 // positive reduced cost. The solver then re-augments only the deficit and
-// finally cancels the negative residual cycles through the source that
-// churn can open (a slot freed at a full provider, or a provider arrival),
-// one Dijkstra run per cycle. Every deficit run starts with a certified
-// sink bound: it first relaxes the cheapest direct path from a spare real
+// cancels the negative residual cycles through the source that churn can
+// open (a slot freed at a full provider, or a provider arrival), one
+// Dijkstra run per cycle: a deficit run that pops a cycle's closing
+// provider before the sink cancels that cycle there, and a certificate
+// pass after the deficit loop cancels any left over — usually none, which
+// it proves in O(|Q|) without a run (Metrics::source_cycles_cancelled
+// counts both kinds). Every deficit run starts with a certified sink
+// bound: it first relaxes the cheapest direct path from a spare real
 // provider to a deficit customer, taken from a lazy min-heap built once
 // per warm solve (src/flow/README.md). Both steps cost work in proportion
 // to the churn, which is what makes a small-perturbation re-solve cheap —

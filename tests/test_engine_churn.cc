@@ -544,5 +544,133 @@ TEST(EngineChurn, ProviderArrivalDualIsDerivedBySolver) {
   ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
 }
 
+// One warm Resolve after churn, checked against a cold solve of the same
+// snapshot, with feasible retained duals.
+AssignmentEngine::ResolveOutcome ExpectWarmResolveMatchesCold(AssignmentEngine* engine) {
+  AssignmentEngine::ResolveOutcome warm = engine->Resolve();
+  EXPECT_TRUE(warm.warm);
+  const double cold = ColdCost(engine->problem());
+  EXPECT_NEAR(warm.cost, cold, 1e-9 * std::max(1.0, cold));
+  test::ExpectFeasibleDuals(engine->problem(), warm.matching, engine->potentials(), "warm");
+  return warm;
+}
+
+// Departures at full providers plus arrivals: the deficit runs meet the
+// cycles the freed slots open and cancel them where they pop the closing
+// provider, so the certificate pass exits on its O(|Q|) test without a
+// Dijkstra run of its own — every run augments. Cancelling only in the
+// certificate pass costs one more run here, which finds no cycle.
+TEST(EngineChurn, DeparturesAndArrivalsCancelCyclesInDeficitRuns) {
+  AssignmentEngine engine;
+  const auto solved = SolveDispatchEngine(&engine, 57);
+  const auto loads = solved.matching.ProviderLoads(engine.num_providers());
+  std::vector<AssignmentEngine::Id> gone;
+  for (const MatchPair& pair : solved.matching.pairs) {
+    const auto q = static_cast<std::size_t>(pair.provider);
+    if (gone.size() < 3 && loads[q] == engine.problem().providers[q].capacity) {
+      gone.push_back(engine.customer_id(static_cast<std::size_t>(pair.customer)));
+    }
+  }
+  ASSERT_EQ(gone.size(), 3u) << "too few customers at full providers";
+  for (const AssignmentEngine::Id id : gone) ASSERT_TRUE(engine.RemoveCustomer(id));
+  for (const Point& pos : test::RandomPoints(8, 64)) {
+    ASSERT_TRUE(engine.InsertCustomer(pos).ok());
+  }
+  const auto warm = ExpectWarmResolveMatchesCold(&engine);
+  EXPECT_GT(warm.metrics.source_cycles_cancelled, 0u) << warm.metrics.ToString();
+  EXPECT_EQ(warm.metrics.dijkstra_runs, warm.metrics.augmentations) << warm.metrics.ToString();
+}
+
+// Dispatch-like churn on a clustered 30x1500 engine: each window brings a
+// few arrivals and as many departures, now and then a provider arrival.
+// A Resolve whose Dijkstra runs outnumber its augmentations paid for a
+// run that found neither a path nor a cycle; with cycles cancelled where
+// the deficit runs meet them, at most one Resolve in ten may do so
+// (cancelling in the certificate pass alone did on 19 of 20 windows).
+TEST(EngineChurn, DispatchChurnRarelyRunsAnIdleDijkstra) {
+  constexpr int kWindows = 20;
+  Rng rng(71);
+  const auto customer_pool = test::ClusteredPoints(4500, 72);
+  const auto provider_pool = test::ClusteredPoints(60, 73);
+  std::size_t next_customer = 0, next_provider = 0;
+  AssignmentEngine engine;
+  std::vector<AssignmentEngine::Id> ids;
+  for (int q = 0; q < 30; ++q) {
+    ASSERT_TRUE(engine.InsertProvider(provider_pool[next_provider++], 80).ok());
+  }
+  for (int p = 0; p < 1500; ++p) {
+    ids.push_back(engine.InsertCustomer(customer_pool[next_customer++]).value());
+  }
+  engine.Resolve();
+  int idle = 0;
+  std::uint64_t cycles = 0;
+  for (int w = 0; w < kWindows; ++w) {
+    const auto churn = rng.UniformInt(3, 12);
+    for (std::int64_t a = 0; a < churn; ++a) {
+      const Point& pos = customer_pool[next_customer++ % customer_pool.size()];
+      ids.push_back(engine.InsertCustomer(pos).value());
+    }
+    for (std::int64_t d = 0; d < churn; ++d) {
+      const std::size_t i = rng.NextBelow(ids.size());
+      ASSERT_TRUE(engine.RemoveCustomer(ids[i]));
+      ids[i] = ids.back();
+      ids.pop_back();
+    }
+    if (rng.NextDouble() < 0.05) {
+      const Point& pos = provider_pool[next_provider++ % provider_pool.size()];
+      ASSERT_TRUE(engine.InsertProvider(pos, 80).ok());
+    }
+    const auto out = engine.Resolve();
+    ASSERT_TRUE(out.warm);
+    if (out.metrics.dijkstra_runs > out.metrics.augmentations) ++idle;
+    cycles += out.metrics.source_cycles_cancelled;
+  }
+  EXPECT_GT(cycles, 0u);
+  EXPECT_LE(idle, kWindows / 10);
+  const double cold = ColdCost(engine.problem());
+  EXPECT_NEAR(engine.Resolve().cost, cold, 1e-9 * std::max(1.0, cold));
+}
+
+// An infeasible engine (demand above capacity) under departures and
+// arrivals: the warm solve routes the overflow to its virtual provider
+// while its deficit runs cancel the source cycles they meet. The ledger
+// stays the exact overflow and the cost matches cold.
+TEST(EngineChurn, OverflowDeficitRunsCancelCyclesAndKeepExactLedger) {
+  Rng rng(52);
+  AssignmentEngine engine;
+  std::vector<AssignmentEngine::Id> ids;
+  for (const Point& pos : test::RandomPoints(6, 4)) {
+    ASSERT_TRUE(
+        engine.InsertProvider(pos, static_cast<std::int32_t>(rng.UniformInt(4, 8))).ok());
+  }
+  for (const Point& pos : test::RandomPoints(60, 5)) {
+    ids.push_back(engine.InsertCustomer(pos).value());
+  }
+  engine.Resolve();
+  for (int d = 0; d < 4; ++d) {
+    const std::size_t i = rng.NextBelow(ids.size());
+    ASSERT_TRUE(engine.RemoveCustomer(ids[i]));
+    ids[i] = ids.back();
+    ids.pop_back();
+  }
+  for (const Point& pos : test::RandomPoints(4, 400)) {
+    ASSERT_TRUE(engine.InsertCustomer(pos).ok());
+  }
+  const Problem& problem = engine.problem();
+  ASSERT_GT(problem.TotalWeight(), problem.TotalCapacity());
+  const auto warm = ExpectWarmResolveMatchesCold(&engine);
+  EXPECT_GT(warm.metrics.source_cycles_cancelled, 0u) << warm.metrics.ToString();
+  EXPECT_EQ(warm.metrics.dijkstra_runs, warm.metrics.augmentations) << warm.metrics.ToString();
+  EXPECT_EQ(warm.unassigned_units, problem.TotalWeight() - problem.Gamma());
+  const auto loads = warm.matching.CustomerLoads(problem.customers.size());
+  std::int64_t ledger = 0;
+  for (const UnassignedUnit& u : warm.unassigned) {
+    EXPECT_EQ(loads[static_cast<std::size_t>(u.customer)] + u.units,
+              problem.weight(static_cast<std::size_t>(u.customer)));
+    ledger += u.units;
+  }
+  EXPECT_EQ(ledger, problem.TotalWeight() - problem.Gamma());
+}
+
 }  // namespace
 }  // namespace cca

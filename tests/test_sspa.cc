@@ -377,7 +377,9 @@ test::InstanceSpec ClusteredDispatchSpec() {
 // One departure at a full provider of a solved clustered dispatch-shaped
 // instance: every surviving unit is adopted and only the few source cycles
 // the freed slot opens are cancelled, instead of re-augmenting every
-// customer a full provider holds against geometry.
+// customer a full provider holds against geometry. With no deficit there
+// is no deficit run to meet them, so the certificate pass after the
+// deficit loop must find every one: each augmentation is such a cycle.
 TEST(SspaWarmStartTest, DepartureAtFullProviderCancelsFewCycles) {
   const Problem before = test::RandomProblem(ClusteredDispatchSpec());
   ASSERT_GE(before.TotalCapacity(), before.TotalWeight());
@@ -401,6 +403,9 @@ TEST(SspaWarmStartTest, DepartureAtFullProviderCancelsFewCycles) {
         ExpectWarmEqualsCold(after, AfterCustomerDeparture(solved, gone), use_grid, label);
     EXPECT_EQ(warm.metrics.warm_units_adopted, 1499u) << label;
     EXPECT_LE(warm.metrics.augmentations, 10u) << label;
+    EXPECT_GT(warm.metrics.source_cycles_cancelled, 0u) << label;
+    EXPECT_EQ(warm.metrics.source_cycles_cancelled, warm.metrics.augmentations) << label;
+    test::ExpectFeasibleDuals(after, warm.matching, warm.potentials, label);
   }
 }
 
