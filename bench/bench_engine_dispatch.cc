@@ -20,7 +20,9 @@
 // small-perturbation step the warm engine re-augments only the churned
 // units, so its dijkstra_pops must sit far below the cold engine's —
 // that column is the gated headline (tools/bench_diff.py: cost, pops,
-// relaxes and augmentations gate against BENCH_dispatch.json from above,
+// relaxes, augmentations, distances_computed and walk_cells_built — the
+// ring-walk cells the solves materialised, which a warm engine keeps
+// across Resolves — gate against BENCH_dispatch.json from above,
 // warm_units_adopted from below; timing and the `cycles` column, the
 // negative source cycles the warm solves cancelled, are reported but never
 // gated).
@@ -40,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -114,16 +117,6 @@ double TimedResolve(cca::AssignmentEngine& engine, ModeStats& stats, bool bootst
   return out.cost;
 }
 
-// Nearest-rank percentile: the smallest sample with at least a fraction p
-// of the samples at or below it (0 for no samples).
-double NearestRank(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double n = static_cast<double>(samples.size());
-  const auto rank = static_cast<std::size_t>(std::ceil(std::clamp(p, 0.0, 1.0) * n));
-  return samples[rank == 0 ? 0 : rank - 1];
-}
-
 void PrintRow(const Row& r) {
   const cca::Metrics& m = r.stats.totals;
   std::printf("%4s %6zu %8zu %4d %6zu %5s %8.1f %8.3f %8.3f %14.1f %12llu %9llu %9llu\n",
@@ -158,6 +151,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  "\"extract_ms\": %.3f, "
                  "\"cost\": %.3f, \"pops\": %llu, \"relaxes\": %llu, "
                  "\"augmentations\": %llu, \"dual_repairs\": %llu, "
+                 "\"distances_computed\": %llu, \"walk_cells_built\": %llu, "
                  "\"warm_units_adopted\": %llu, \"cycles\": %llu, "
                  "\"deadline_breaches\": %llu, \"degraded_resolves\": %llu, "
                  "\"unassigned_units\": %llu}%s\n",
@@ -170,6 +164,8 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  static_cast<unsigned long long>(m.dijkstra_relaxes),
                  static_cast<unsigned long long>(m.augmentations),
                  static_cast<unsigned long long>(m.dual_repairs),
+                 static_cast<unsigned long long>(m.distances_computed),
+                 static_cast<unsigned long long>(m.walk_cells_built),
                  static_cast<unsigned long long>(m.warm_units_adopted),
                  static_cast<unsigned long long>(m.source_cycles_cancelled),
                  static_cast<unsigned long long>(r.stats.deadline_breaches),
@@ -331,9 +327,9 @@ int main(int argc, char** argv) {
       row.stats.unassigned_units = es.unassigned_units;
       const std::vector<double>& latency = row.stats.latency_ms;
       const auto samples = static_cast<double>(latency.size());
-      row.p50_ms = NearestRank(latency, 0.50);
-      row.p99_ms = NearestRank(latency, 0.99);
-      row.p999_ms = NearestRank(latency, 0.999);
+      row.p50_ms = cca::bench::NearestRank(latency, 0.50);
+      row.p99_ms = cca::bench::NearestRank(latency, 0.99);
+      row.p999_ms = cca::bench::NearestRank(latency, 0.999);
       row.mean_ms = samples > 0.0 ? row.stats.wall_ms / samples : 0.0;
       row.qps = row.stats.wall_ms > 0.0 ? 1000.0 * samples / row.stats.wall_ms : 0.0;
       rows.push_back(row);

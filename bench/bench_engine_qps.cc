@@ -12,10 +12,10 @@
 // Prints a table and writes BENCH_qps.json: one row per (workload shape,
 // thread count) with reported timing and gated deterministic columns
 // (cost, pops, relaxes, esub, aug). Timing is never gated: qps, and the
-// per-query latency percentiles over `samples` queries from the log-scale
-// Histogram, so p50/p99 are bucket upper bounds (<= 12.5% above the exact
-// value), and p999 is written only from Histogram::kMinP999Samples samples
-// up. Speedup over 1 thread is reported but not enforced here: CI
+// per-query latency percentiles over `samples` queries, exact nearest-rank
+// values over the row's samples (p999 is written only from
+// Histogram::kMinP999Samples samples up). Speedup over 1 thread is
+// reported but not enforced here: CI
 // containers pin few cores, so the scaling claim is checked where cores
 // exist.
 //
@@ -26,10 +26,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/histogram.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -285,16 +287,19 @@ int main(int argc, char** argv) {
       row.threads = t;
       row.wall_ms = wall;
       row.qps = wall > 0.0 ? 1000.0 * static_cast<double>(outcomes.size()) / wall : 0.0;
-      cca::Histogram lat;
+      std::vector<double> latency;
+      latency.reserve(outcomes.size());
       for (const auto& o : outcomes) {
-        lat.Record(o.latency_millis);
+        latency.push_back(o.latency_millis);
         row.cost += o.matching.cost();
       }
-      row.samples = lat.Count();
-      row.p50_ms = lat.Percentile(0.50);
-      row.p99_ms = lat.Percentile(0.99);
-      row.p999_ms = lat.Percentile(0.999);
-      row.mean_ms = lat.Mean();
+      row.samples = latency.size();
+      row.p50_ms = cca::bench::NearestRank(latency, 0.50);
+      row.p99_ms = cca::bench::NearestRank(latency, 0.99);
+      row.p999_ms = cca::bench::NearestRank(latency, 0.999);
+      row.mean_ms = latency.empty() ? 0.0
+                                    : std::accumulate(latency.begin(), latency.end(), 0.0) /
+                                          static_cast<double>(latency.size());
       row.speedup = wall > 0.0 ? serial_wall / wall : 0.0;
       row.totals = cca::QueryRunner::Aggregate(outcomes);
       rows.push_back(row);

@@ -10,6 +10,7 @@
 #define CCA_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -41,6 +42,17 @@ inline double DensityScaledTheta(std::size_t np) {
 }
 
 // Default solver configuration for a workload with |P| = np.
+// Nearest-rank percentile: the smallest sample with at least a fraction p
+// of the samples at or below it (0 for no samples). Exact, unlike the
+// Histogram's bucket bounds; the serving benches report it.
+inline double NearestRank(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double n = static_cast<double>(samples.size());
+  const auto rank = static_cast<std::size_t>(std::ceil(std::clamp(p, 0.0, 1.0) * n));
+  return samples[rank == 0 ? 0 : rank - 1];
+}
+
 inline ExactConfig DefaultExactConfig(std::size_t np) {
   ExactConfig config;
   config.theta = DensityScaledTheta(np);

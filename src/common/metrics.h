@@ -40,6 +40,7 @@ inline constexpr double kIoMillisPerFault = 10.0;
   X(coarse_tails_pruned, "coarse_tails_pruned")             \
   X(coarse_cells_descended, "coarse_cells_descended")       \
   X(hier_splits, "hier_splits")                             \
+  X(walk_cells_built, "walk_cells_built")                   \
   X(dual_repairs, "dual_repairs")                           \
   X(warm_units_adopted, "warm_units_adopted")               \
   X(source_cycles_cancelled, "source_cycles_cancelled")     \
@@ -94,6 +95,12 @@ struct Metrics {
   // count per solve-owned or shared grid consulted; a pure build-shape
   // diagnostic for the per-region adaptation).
   std::uint64_t hier_splits = 0;
+  // Coarse entries plus fine children the SSPA ring walks materialised
+  // (HierRingWalk, geo/grid_cursor.h): everything a solve's private walks
+  // built, or what a solve added to walks its caller keeps across solves
+  // (AssignmentEngine). A steady warm Resolve over kept walks builds
+  // almost none.
+  std::uint64_t walk_cells_built = 0;
   // Warm-started solves only (flow/sspa.h SspaWarmStart): provider duals
   // AdoptFlow's clamp pass had to lower before the first Dijkstra run.
   // Zero on cold solves; on a warm solve it counts how much of the previous

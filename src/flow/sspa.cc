@@ -107,26 +107,39 @@ class SspaSolver {
     // it keeps the virtual node at the bottom of the heap so real capacity
     // is exhausted before the overflow path is ever explored.
     if (overflow_ > 0) tau_q_[real_nq_] = penalty_;
-    // The hierarchical ring relax owns (or borrows) the grid, the tau floors
-    // and one memoized ring walk per real provider (a provider never moves
-    // within a solve, so its walk is replayed on every pop); everything
-    // mutable stays per-solve. The reference scan reads the customer SoA
+    // The hierarchical ring relax owns (or borrows) the grid and one
+    // memoized ring walk per real provider (a provider never moves, so its
+    // walk is replayed on every pop); the tau floors and everything else
+    // mutable stay per-solve. The reference scan reads the customer SoA
     // directly.
     if (np_ == 0) return;
     if (config_.use_grid) {
-      if (config_.shared_hier_grid != nullptr) {
-        hier_ = config_.shared_hier_grid;
-        assert(hier_->size() == np_ && "shared_hier_grid must index problem.customers");
+      const SspaSharedIndex& shared = config_.shared_index;
+      assert((shared.walks == nullptr || shared.grid != nullptr) && "lent walks need their grid");
+      if (shared.grid != nullptr) {
+        hier_ = shared.grid;
+        assert(hier_->size() == np_ && "shared_index.grid must index problem.customers");
       } else {
         owned_hier_ = std::make_unique<HierarchicalGrid>(problem.customers);
         hier_ = owned_hier_.get();
       }
       floors_ = config_.warm != nullptr ? std::make_unique<HierTauTable>(*hier_, tau_p_)
                                         : std::make_unique<HierTauTable>(*hier_);
-      walks_.reserve(real_nq_);
-      for (std::size_t q = 0; q < real_nq_; ++q) {
-        walks_.emplace_back(*hier_, problem.providers[q].pos);
+      if (shared.walks != nullptr) {
+        walks_ = shared.walks;
+        assert(walks_->size() == real_nq_ && "lent walks must align with problem.providers");
+        for (std::size_t q = 0; q < real_nq_; ++q) {
+          assert((*walks_)[q].query() == problem.providers[q].pos && "walk/provider misaligned");
+          (*walks_)[q].Bind(*hier_);
+        }
+      } else {
+        owned_walks_.reserve(real_nq_);
+        for (std::size_t q = 0; q < real_nq_; ++q) {
+          owned_walks_.emplace_back(*hier_, problem.providers[q].pos);
+        }
+        walks_ = &owned_walks_;
       }
+      walk_cells_before_ = WalkCells();
     } else {
       coords_.Assign(problem.customers);
     }
@@ -214,6 +227,7 @@ class SspaSolver {
     result.potentials.tau_q.assign(tau_q_.begin(), tau_q_.begin() + static_cast<std::ptrdiff_t>(real_nq_));
     result.potentials.tau_p = tau_p_;
     lap(&result.metrics.extract_millis);
+    result.metrics.walk_cells_built = WalkCells() - walk_cells_before_;
     result.metrics.cpu_millis = mark;
     span.Arg("augmentations", result.metrics.augmentations);
     span.Arg("pops", result.metrics.dijkstra_pops);
@@ -223,6 +237,14 @@ class SspaSolver {
 
  private:
   int Sink() const { return static_cast<int>(nq_ + np_); }
+
+  // Coarse entries plus fine children materialised by the ring walks.
+  std::uint64_t WalkCells() const {
+    std::uint64_t cells = 0;
+    if (walks_ == nullptr) return cells;
+    for (const HierRingWalk& walk : *walks_) cells += walk.entries() + walk.fines_built();
+    return cells;
+  }
 
   // Source-edge capacity of provider slot q; the extra virtual slot (only
   // present when overflow mode is active) holds exactly the overflow, so
@@ -345,17 +367,45 @@ class SspaSolver {
 
   // min over customers p of dist(q, p) + tau_p[p], except that the caller
   // only needs values below `cutoff` (q's current tau_q): anything >=
-  // cutoff certifies the dual as-is, so the hierarchical walk skips cells
-  // bounded by mindist + floor >= best. Customers q itself serves need no
-  // exclusion: their arcs were tightened to dist + tau_p == tau_q, so they
-  // cap the min at exactly the cutoff without ever clamping it.
-  double TauAugmentedNn(std::size_t q, double cutoff, Metrics* metrics) const {
+  // cutoff certifies the dual as-is. The hierarchical form replays q's
+  // ring walk with the relax's bounds against `best` in place of the sink
+  // bound: the ring tail plus the global floor ends the walk, the coarse
+  // and fine floors skip cells, and children are MinDist-sorted, so the
+  // first child whose MinDist plus the global floor fails ends the
+  // descent. Customers q itself serves need no exclusion: their arcs were
+  // tightened to dist + tau_p == tau_q, so they cap the min at exactly the
+  // cutoff without ever clamping it.
+  double TauAugmentedNn(std::size_t q, double cutoff, Metrics* metrics) {
     const Point q_pos = problem_.providers[q].pos;
-    if (floors_) return floors_->MinAugmentedDistance(q_pos, cutoff, &metrics->distances_computed);
     double best = cutoff;
-    for (std::size_t p = 0; p < np_; ++p) {
-      metrics->distances_computed += 1;
-      best = std::min(best, Distance(q_pos, problem_.customers[p]) + tau_p_[p]);
+    if (!floors_) {
+      for (std::size_t p = 0; p < np_; ++p) {
+        metrics->distances_computed += 1;
+        best = std::min(best, Distance(q_pos, problem_.customers[p]) + tau_p_[p]);
+      }
+      return best;
+    }
+    HierRingWalk& walk = (*walks_)[q];
+    const double floor = floors_->GlobalFloor();
+    for (std::size_t i = 0;; ++i) {
+      const HierRingWalk::Entry* coarse = walk.At(i);
+      if (coarse == nullptr || coarse->tail_before + floor >= best) break;
+      if (coarse->count == 0 ||
+          coarse->min_dist + floors_->CoarseFloor(coarse->cell) >= best) {
+        continue;
+      }
+      std::size_t n = 0;
+      const HierRingWalk::Fine* fines = walk.Fines(i, &n);
+      for (std::size_t k = 0; k < n && fines[k].min_dist + floor < best; ++k) {
+        const auto f = static_cast<std::size_t>(fines[k].fine);
+        if (fines[k].min_dist + floors_->FineFloor(f) >= best) continue;  // empty: +infinity
+        const CellSlice slice = hier_->FineCell(f);
+        const double* taus = floors_->values() + slice.first_slot;
+        metrics->distances_computed += slice.count;
+        for (std::size_t s = 0; s < slice.count; ++s) {
+          best = std::min(best, Distance(q_pos, Point{slice.xs[s], slice.ys[s]}) + taus[s]);
+        }
+      }
     }
     return best;
   }
@@ -697,7 +747,7 @@ class SspaSolver {
   void RelaxProviderHier(std::size_t q, Metrics* metrics) {
     const HierarchicalGrid& grid = *hier_;
     const Point q_pos = problem_.providers[q].pos;
-    HierRingWalk& walk = walks_[q];
+    HierRingWalk& walk = (*walks_)[q];
     const double base = alpha_[q] - tau_q_[q];
     const double slack = base + min_tau_p_;
     int last_ring = -1;
@@ -705,6 +755,10 @@ class SspaSolver {
     for (std::size_t i = 0;; ++i) {
       const HierRingWalk::Entry* coarse = walk.At(i);
       if (coarse == nullptr) break;  // every coarse cell served, nothing left
+      // A cell the walk keeps from an earlier population but that is empty
+      // now: a fresh walk would not list it, and skipping it changes no
+      // bound (tail bounds are per entry, counts add 0).
+      if (coarse->count == 0) continue;
       // `sink_ub` only shrinks while cells are scanned (run_ub_ picks up
       // completed s~>t paths), so re-read it per coarse cell.
       const double sink_ub = SinkUpperBound();
@@ -731,6 +785,7 @@ class SspaSolver {
       // bounded — same reason ring cells are served mindist-sorted.
       std::size_t n = 0;
       const HierRingWalk::Fine* fines = walk.Fines(i, &n);
+      std::uint32_t occupied_left = coarse->fines_occupied;
       for (std::size_t k = 0; k < n; ++k) {
         // Re-read per fine cell: relaxing a sibling can tighten run_ub_.
         const double ub = SinkUpperBound();
@@ -740,13 +795,16 @@ class SspaSolver {
         // too; pruning never moves ub. Retire the rest in bulk.
         if (std::max(fines[k].min_dist + base + min_tau_p_, alpha_[q]) >= ub) {
           metrics->relaxes_pruned += fines[k].suffix_residents;
-          metrics->cells_pruned += n - k;
+          metrics->cells_pruned += occupied_left;
           break;
         }
         const auto f = static_cast<std::size_t>(fines[k].fine);
+        const std::size_t residents = grid.fine_cell_end(f) - grid.fine_cell_begin(f);
+        if (residents == 0) continue;  // kept from an earlier population, empty now
+        --occupied_left;
         const double fine_bound = fines[k].min_dist + base + floors_->FineFloor(f);
         if (std::max(fine_bound, alpha_[q]) >= ub) {
-          metrics->relaxes_pruned += grid.fine_cell_end(f) - grid.fine_cell_begin(f);
+          metrics->relaxes_pruned += residents;
           ++metrics->cells_pruned;
           continue;
         }
@@ -947,10 +1005,12 @@ class SspaSolver {
   std::size_t np_;
   bool unit_customers_;
   PointsSoA coords_;  // reference scan only
-  std::unique_ptr<HierarchicalGrid> owned_hier_;  // null when borrowing shared_hier_grid
+  std::unique_ptr<HierarchicalGrid> owned_hier_;  // null when borrowing shared_index.grid
   const HierarchicalGrid* hier_ = nullptr;        // set iff the ring relax is active
   std::unique_ptr<HierTauTable> floors_;          // tau_p floors over hier_
-  std::vector<HierRingWalk> walks_;               // per real provider, over hier_
+  std::vector<HierRingWalk> owned_walks_;  // empty when borrowing shared_index.walks
+  std::vector<HierRingWalk>* walks_ = nullptr;  // per real provider, bound to hier_
+  std::uint64_t walk_cells_before_ = 0;         // WalkCells() when the solve began
   double min_tau_p_ = 0.0;
   double run_ub_ = kInf;  // best known complete-path cost this Dijkstra run
   std::vector<DeficitSeed> deficit_seeds_;  // warm solves: SeedDeficitPath's lazy heap

@@ -13,13 +13,16 @@
 //     a two-level HierarchicalGrid (geo/hier_grid.h) in expanding coarse
 //     rings and stop as soon as the ring lower bound on reduced cost can no
 //     longer improve the tentative sink label. The ring enumeration is
-//     memoized per provider for the whole solve (a HierRingWalk replayed on
-//     every pop: static geometry cached, floors and bounds read live, so
-//     the counters are those of a fresh enumeration). Coarse cells whose
-//     aggregated tau floor rules them out are rejected in O(1), surviving
-//     fine cells run through the fused DistanceBlockSelect kernel, so the
-//     matchings stay cost-identical to the reference while the relax count
-//     drops by orders of magnitude (src/flow/README.md has the invariant);
+//     memoized per provider (a HierRingWalk replayed on every pop: static
+//     geometry cached, floors and bounds read live, so the counters are
+//     those of a fresh enumeration), for the whole solve or, when the
+//     caller lends its walks (SspaSharedIndex), across solves over one
+//     grid layout; a warm start's dual clamp replays the same walks.
+//     Coarse cells whose aggregated tau floor rules them out are rejected
+//     in O(1), surviving fine cells run through the fused
+//     DistanceBlockSelect kernel, so the matchings stay cost-identical to
+//     the reference while the relax count drops by orders of magnitude
+//     (src/flow/README.md has the invariant);
 //   * reference (use_grid = false): the index-free scan of every customer
 //     on every provider pop, with only the per-candidate upper-bound prune.
 //     It exists as the test oracle (`--dense` in cca_cli).
@@ -36,6 +39,7 @@
 namespace cca {
 
 class HierarchicalGrid;
+class HierRingWalk;
 
 // Node potentials (duals) of one SSPA solve, indexed like the problem's
 // provider/customer arrays. Exported by every solve and accepted back, with
@@ -97,6 +101,24 @@ struct SspaWarmStart {
   Matching matching;
 };
 
+// A customer index a caller lends to SolveSspa: the grid, and optionally
+// the per-provider ring walks over its layout. Only geometry is shared —
+// the tau floors stay private to the solve.
+struct SspaSharedIndex {
+  // Any HierarchicalGrid over exactly problem.customers: its shape
+  // (Options, or a layout kept from an earlier population) moves the relax
+  // counters, never the matching. Null = the solve builds a private one.
+  const HierarchicalGrid* grid = nullptr;
+  // One HierRingWalk per provider, aligned with problem.providers, each
+  // built over `grid`'s layout with `grid`'s ever-occupied set (both
+  // asserted in Debug builds when the solve binds them to `grid`). The
+  // solve replays and grows them, and the caller may lend them again to a
+  // later solve over a grid re-bucketed into the same layout, as long as
+  // the ever-occupied set has not grown. Null = the solve builds private
+  // walks. Requires `grid`.
+  std::vector<HierRingWalk>* walks = nullptr;
+};
+
 struct SspaConfig {
   // Hierarchical ring relax. Off = the reference scan of every customer on
   // every provider pop (index-free; it still applies the per-candidate
@@ -104,15 +126,12 @@ struct SspaConfig {
   // are never relaxed). Matchings, augmentation counts and (up to boundary
   // ties) pop counts agree between the two.
   bool use_grid = true;
-  // Prebuilt hierarchical grid for the relax scans, owned by the caller
-  // (the runtime's SharedIndex shares one across concurrent queries, the
-  // AssignmentEngine one across Resolves). Any HierarchicalGrid over
-  // exactly problem.customers is valid: its shape (Options) moves the
-  // relax counters, never the matching. Null means each solve builds a
-  // private grid with default Options. Only the geometry is shared — the
-  // tau floors and the per-provider ring walks stay private to the solve.
-  // Ignored by the reference scan.
-  const HierarchicalGrid* shared_hier_grid = nullptr;
+  // Prebuilt relax index, owned by the caller (the runtime's SharedIndex
+  // shares one grid across concurrent queries, the AssignmentEngine a grid
+  // and its walks across Resolves). Empty means each solve builds a
+  // private grid with default Options and private walks. Ignored by the
+  // reference scan.
+  SspaSharedIndex shared_index;
   // Cooperative deadline for the whole solve, in wall milliseconds, timed
   // from SolveSspa entry (a private grid's construction counts, like
   // Metrics::cpu_millis); <= 0 disables. Checked once per augmentation (Dijkstra-run

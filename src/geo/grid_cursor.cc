@@ -1,6 +1,7 @@
 #include "geo/grid_cursor.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/trace.h"
 
@@ -92,27 +93,45 @@ double GridNnCursor::PeekDistance() {
 }
 
 HierRingWalk::HierRingWalk(const HierarchicalGrid& grid, const Point& query)
-    : grid_(&grid),
+    : layout_(grid.layout()),
+      grid_(&grid),
+      ever_cells_(grid.ever_occupied_cells()),
       query_(query),
-      max_ring_(grid.coarse().MaxRing(query)),
-      remaining_(grid.size()) {}
+      max_ring_(grid.coarse().MaxRing(query)) {}
 
-const HierRingWalk::Entry* HierRingWalk::At(std::size_t i) {
+void HierRingWalk::Bind(const HierarchicalGrid& grid) {
+  // A kept walk is only replayed against grids of its own layout whose
+  // ever-occupied set it enumerates; anything else must build a new walk.
+  assert(grid.layout() == layout_ && "a kept walk replays only against its own layout");
+  assert(grid.ever_occupied_cells() == ever_cells_ &&
+         "the ever-occupied set grew: the walk no longer enumerates every occupied cell");
+  grid_ = &grid;
+  counted_ = 0;
+}
+
+const HierRingWalk::Entry* HierRingWalk::Reach(std::size_t i) {
   while (i >= entries_.size() && !exhausted_) FillRing();
-  return i < entries_.size() ? &entries_[i] : nullptr;
+  if (i >= entries_.size()) return nullptr;
+  for (; counted_ <= i; ++counted_) {
+    Entry& e = entries_[counted_];
+    e.count = static_cast<std::uint32_t>(grid_->coarse_count(e.cell));
+    e.remaining_before = counted_ == 0 ? grid_->size()
+                                       : entries_[counted_ - 1].remaining_before -
+                                             entries_[counted_ - 1].count;
+    if (e.fines_begin != kNotBuilt) CountFines(&e);
+  }
+  return &entries_[i];
 }
 
 void HierRingWalk::FillRing() {
-  const Lattice& coarse = grid_->coarse();
+  const Lattice& coarse = layout_->coarse;
   const std::size_t first = entries_.size();
   while (ring_ <= max_ring_) {
     coarse.VisitRing(query_, ring_, [&](int cx, int cy) {
       const std::size_t c = coarse.CellIndex(cx, cy);
-      const std::size_t count = grid_->coarse_count(c);
-      if (count == 0) return;
+      if (!grid_->ever_occupied_coarse(c)) return;
       Entry e;
       e.min_dist = MinDist(query_, coarse.CellRect(c));
-      e.count = count;
       e.cell = static_cast<std::uint32_t>(c);
       e.ring = ring_;
       entries_.push_back(e);
@@ -120,46 +139,52 @@ void HierRingWalk::FillRing() {
     const int ring = ring_++;
     if (entries_.size() == first) continue;  // empty ring: skip it (no points to bound)
     // Nearest-first within a ring, same as GridRingCursor: the tail bound
-    // tightens past the ring bound as the close coarse cells drain.
+    // tightens past the ring bound as the close coarse cells drain. Ties
+    // by ascending cell id, so a walk over a superset of cells serves the
+    // occupied ones in the order a walk over exactly those would.
     const auto begin = entries_.begin() + static_cast<std::ptrdiff_t>(first);
     if (entries_.size() - first > 1) {
-      std::sort(begin, entries_.end(),
-                [](const Entry& a, const Entry& b) { return a.min_dist < b.min_dist; });
+      std::sort(begin, entries_.end(), [](const Entry& a, const Entry& b) {
+        return a.min_dist != b.min_dist ? a.min_dist < b.min_dist : a.cell < b.cell;
+      });
     }
     const double next_ring_bound = coarse.RingTailMinDist(query_, ring + 1);
     for (auto it = begin; it != entries_.end(); ++it) {
       it->tail_before = std::min(it->min_dist, next_ring_bound);
-      it->remaining_before = remaining_;
-      remaining_ -= it->count;
     }
     return;
   }
   exhausted_ = true;
 }
 
-const HierRingWalk::Fine* HierRingWalk::Fines(std::size_t i, std::size_t* count) {
+void HierRingWalk::BuildFines(std::size_t i) {
   Entry& e = entries_[i];
-  if (e.fines_begin == kNotBuilt) {
-    const std::size_t first = fines_.size();
-    for (std::size_t f = grid_->fine_begin(e.cell); f < grid_->fine_end(e.cell); ++f) {
-      const std::size_t residents = grid_->fine_cell_end(f) - grid_->fine_cell_begin(f);
-      if (residents == 0) continue;
-      fines_.push_back(Fine{MinDist(query_, grid_->FineRect(f)), static_cast<std::int32_t>(f),
-                            static_cast<std::uint32_t>(residents)});
-    }
-    // Ties by ascending fine id keep the descent order deterministic.
-    const auto begin = fines_.begin() + static_cast<std::ptrdiff_t>(first);
-    std::sort(begin, fines_.end(), [](const Fine& a, const Fine& b) {
-      return a.min_dist != b.min_dist ? a.min_dist < b.min_dist : a.fine < b.fine;
-    });
-    for (std::size_t k = fines_.size(); k > first + 1; --k) {
-      fines_[k - 2].suffix_residents += fines_[k - 1].suffix_residents;
-    }
-    e.fines_begin = static_cast<std::uint32_t>(first);
-    e.fines_count = static_cast<std::uint32_t>(fines_.size() - first);
+  const std::size_t first = fines_.size();
+  for (std::size_t f = layout_->fine_begin(e.cell); f < layout_->fine_end(e.cell); ++f) {
+    if (!grid_->ever_occupied_fine(f)) continue;
+    fines_.push_back(Fine{MinDist(query_, layout_->FineRect(f)), static_cast<std::int32_t>(f)});
   }
-  *count = e.fines_count;
-  return fines_.data() + e.fines_begin;
+  // Ties by ascending fine id keep the descent order deterministic.
+  const auto begin = fines_.begin() + static_cast<std::ptrdiff_t>(first);
+  std::sort(begin, fines_.end(), [](const Fine& a, const Fine& b) {
+    return a.min_dist != b.min_dist ? a.min_dist < b.min_dist : a.fine < b.fine;
+  });
+  e.fines_begin = static_cast<std::uint32_t>(first);
+  e.fines_count = static_cast<std::uint32_t>(fines_.size() - first);
+  CountFines(&e);
+}
+
+void HierRingWalk::CountFines(Entry* e) {
+  Fine* fines = fines_.data() + e->fines_begin;
+  std::uint32_t residents = 0;
+  e->fines_occupied = 0;
+  for (std::size_t k = e->fines_count; k-- > 0;) {
+    const auto f = static_cast<std::size_t>(fines[k].fine);
+    const auto n = static_cast<std::uint32_t>(grid_->fine_cell_end(f) - grid_->fine_cell_begin(f));
+    residents += n;
+    e->fines_occupied += n > 0 ? 1 : 0;
+    fines[k].suffix_residents = residents;
+  }
 }
 
 }  // namespace cca

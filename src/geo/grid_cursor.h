@@ -18,8 +18,9 @@
 //     share a fetched-cell ledger that only counts the group's distinct
 //     cell reads; it never changes a stream.
 //   * `HierRingWalk` is GridRingCursor's coarse-level sibling over a
-//     HierarchicalGrid, memoized per query, serving SSPA's coarse-tail exit
-//     and descent across every pop of one provider within a solve.
+//     HierarchicalGrid's layout, memoized per query, serving SSPA's
+//     coarse-tail exit and descent across every pop of one provider, and
+//     across solves for as long as the layout is kept.
 // (RIA's nested annular batches need no separate range primitive: the
 // grid backend drains a persistent NN stream per provider up to each new
 // T, so inner cells are never re-fetched across batches — see
@@ -33,6 +34,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -147,21 +149,28 @@ class GridNnCursor {
 };
 
 // Memoized coarse ring walk around one fixed query over a HierarchicalGrid
-// (geo/hier_grid.h), the coarse-level sibling of GridRingCursor: occupied
-// coarse cells in expanding coarse rings, nearest-first within a ring. It
-// keeps what it served, so a consumer that returns to the same query (SSPA
-// pops each provider once per Dijkstra run, and a provider never moves
-// within a solve) replays the walk instead of rebuilding and re-sorting the
-// rings and every descended cell's children.
+// layout (geo/hier_grid.h), the coarse-level sibling of GridRingCursor:
+// ever-occupied coarse cells in expanding coarse rings, nearest-first within
+// a ring (ties by ascending cell id). It keeps what it served, so a consumer
+// that returns to the same query (SSPA pops each provider once per Dijkstra
+// run, and a provider never moves) replays the walk instead of rebuilding
+// and re-sorting the rings and every descended cell's children.
 //
-// The walk grows one ring at a time when At() asks past its end. An Entry
-// holds static geometry only, plus the cursor state just before its cell
-// is served: `tail_before` (GridRingCursor::TailMinDist()'s contract, over
-// this cell and every later one) and `remaining_before` (the residents of
-// this cell and every later one). Fines(i) builds entry i's occupied fine
-// children on first call. Nothing value-dependent (floors, labels, bounds)
-// is cached. Memory is O(entries reached + fine children built); the
-// contract is in src/geo/README.md.
+// The walk is bound to one grid at a time. Its geometry comes from the
+// layout, so it stays valid for every grid re-bucketed into that layout
+// whose ever-occupied set has not grown (Bind asserts both); cells of that
+// set that are empty in the bound grid carry count 0. The walk grows one
+// ring at a time when At() asks past its end. An Entry holds static
+// geometry plus two counts from the bound grid: `count` (the cell's
+// residents) and `remaining_before` (the residents of this cell and every
+// later one), next to `tail_before` (GridRingCursor::TailMinDist()'s
+// contract, over this cell and every later one). Fines(i) builds entry i's
+// ever-occupied fine children on first call. Counts (the entry's, and its
+// children's `suffix_residents` and `fines_occupied`) are re-read from the
+// bound grid once per Bind, lazily, as At() reaches each entry; nothing
+// value-dependent (floors, labels, bounds) is cached.
+// Memory is O(entries reached + fine children built); the contract is in
+// src/geo/README.md.
 class HierRingWalk {
  public:
   static constexpr std::uint32_t kNotBuilt = 0xffffffffu;
@@ -169,13 +178,15 @@ class HierRingWalk {
     double min_dist = 0.0;             // MinDist(query, coarse rect)
     double tail_before = 0.0;          // tail bound over this cell and the rest
     std::size_t remaining_before = 0;  // residents of this cell and the rest
-    std::size_t count = 0;             // residents of the coarse cell
+    std::uint32_t count = 0;           // residents of the coarse cell (may be 0)
     std::uint32_t cell = 0;            // coarse Lattice::CellIndex(cx, cy)
     std::int32_t ring = 0;
     // Fine children in fines_[fines_begin, fines_begin + fines_count);
-    // fines_begin == kNotBuilt until the first Fines() call.
+    // fines_begin == kNotBuilt until the first Fines() call. Of those,
+    // fines_occupied hold residents.
     std::uint32_t fines_begin = kNotBuilt;
     std::uint32_t fines_count = 0;
+    std::uint32_t fines_occupied = 0;
   };
   struct Fine {
     double min_dist = 0.0;               // MinDist(query, fine rect)
@@ -183,33 +194,57 @@ class HierRingWalk {
     std::uint32_t suffix_residents = 0;  // residents of this child and the ones after it
   };
 
+  // A walk over `grid`'s layout, bound to `grid`.
   HierRingWalk(const HierarchicalGrid& grid, const Point& query);
 
-  // Entry i of the walk, extending it on first reach; nullptr once every
-  // occupied coarse cell has been served (i >= the walk's full length). The
-  // pointer is valid until the next call that extends the walk.
-  const Entry* At(std::size_t i);
+  // Binds the walk to `grid` for its counts: a grid of the same layout and
+  // the same ever-occupied set as the one the walk was built over. The
+  // bound grid must outlive every At()/Fines() call until the next Bind.
+  void Bind(const HierarchicalGrid& grid);
 
-  // Entry i's occupied fine children (At(i) must have returned non-null),
-  // built on the first call; `*count` receives their number. The pointer
-  // is valid until the next call that builds another entry's children.
-  const Fine* Fines(std::size_t i, std::size_t* count);
+  const Point& query() const { return query_; }
+
+  // Entry i of the walk, extending it on first reach; nullptr once every
+  // ever-occupied coarse cell has been served (i >= the walk's full
+  // length). The pointer is valid until the next call that extends the
+  // walk. Inline fast path: every replay re-reads the entries it reached.
+  const Entry* At(std::size_t i) { return i < counted_ ? &entries_[i] : Reach(i); }
+
+  // Entry i's ever-occupied fine children (At(i) must have returned
+  // non-null), built on the first call; `*count` receives their number.
+  // The pointer is valid until the next call that builds another entry's
+  // children.
+  const Fine* Fines(std::size_t i, std::size_t* count) {
+    const Entry& e = entries_[i];
+    if (e.fines_begin == kNotBuilt) BuildFines(i);
+    *count = e.fines_count;
+    return fines_.data() + e.fines_begin;
+  }
 
   // Entries reached and fine children built so far (memo size).
   std::size_t entries() const { return entries_.size(); }
   std::size_t fines_built() const { return fines_.size(); }
 
  private:
-  // Appends the next non-empty ring's occupied cells, sorted by min_dist;
-  // marks the walk exhausted when no ring remains.
+  // At() past the counted entries: extends the walk as far as entry i and
+  // reads the counts of every entry up to it.
+  const Entry* Reach(std::size_t i);
+  // Appends the next ring that holds ever-occupied cells, sorted; marks the
+  // walk exhausted when no ring remains.
   void FillRing();
+  // Lists entry i's ever-occupied children, sorted, and counts them.
+  void BuildFines(std::size_t i);
+  // Reads entry e's children's counts from the bound grid.
+  void CountFines(Entry* e);
 
-  const HierarchicalGrid* grid_;
+  std::shared_ptr<const HierarchicalGrid::Layout> layout_;
+  const HierarchicalGrid* grid_;  // the bound grid: counts and the ever-occupied set
+  std::size_t ever_cells_;        // the bound grid's ever_occupied_cells()
   Point query_;
   int ring_ = 0;  // next ring to fill
   int max_ring_ = 0;
   bool exhausted_ = false;
-  std::size_t remaining_ = 0;  // residents of cells not yet appended
+  std::size_t counted_ = 0;  // entries [0, counted_) carry the bound grid's counts
   std::vector<Entry> entries_;
   std::vector<Fine> fines_;
 };

@@ -1,6 +1,7 @@
 #include "geo/hier_grid.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -13,55 +14,76 @@ double OrDefault(double target, double fallback) { return target > 0.0 ? target 
 
 }  // namespace
 
-HierarchicalGrid::HierarchicalGrid(const std::vector<Point>& points, const Options& options)
-    : coarse_(points,
-              OrDefault(options.coarse_target_per_cell, 16.0 * UniformGrid::kDefaultTargetPerCell)),
-      coarse_of_(coarse_.CellsOf(points)) {
+HierarchicalGrid::HierarchicalGrid(const std::vector<Point>& points, const Options& options) {
+  const double coarse_target =
+      OrDefault(options.coarse_target_per_cell, 16.0 * UniformGrid::kDefaultTargetPerCell);
+  auto layout = std::make_shared<Layout>(Lattice(points, coarse_target));
+  coarse_of_ = layout->coarse.CellsOf(points);
   const double fine_target =
       OrDefault(options.fine_target_per_cell, UniformGrid::kDefaultTargetPerCell);
-  split_threshold_ =
+  layout->split_threshold =
       options.split_threshold > 0
           ? options.split_threshold
           : static_cast<std::size_t>(std::max(1.0, std::ceil(4.0 * fine_target)));
-  const std::size_t num_coarse_cells = coarse_.num_cells();
+  const std::size_t num_coarse_cells = layout->coarse.num_cells();
 
   // Pass 1: coarse occupancy decides each cell's split factor.
   std::vector<std::int32_t> coarse_count(num_coarse_cells, 0);
   for (const std::int32_t c : coarse_of_) ++coarse_count[static_cast<std::size_t>(c)];
-  split_.resize(num_coarse_cells);
-  fine_offset_.assign(num_coarse_cells + 1, 0);
+  layout->split.resize(num_coarse_cells);
+  layout->fine_offset.assign(num_coarse_cells + 1, 0);
   for (std::size_t c = 0; c < num_coarse_cells; ++c) {
     const auto occ = static_cast<std::size_t>(coarse_count[c]);
     int s = 1;
-    if (occ > split_threshold_) {
+    if (occ > layout->split_threshold) {
       // Aim the children near the fine target; at least 2x2 (otherwise the
       // split buys nothing), at most kMaxSplit x kMaxSplit.
       const double want = std::ceil(std::sqrt(static_cast<double>(occ) / fine_target));
       s = std::clamp(static_cast<int>(want), 2, Options::kMaxSplit);
-      ++splits_;
+      ++layout->splits;
     }
-    split_[c] = s;
-    fine_offset_[c + 1] = fine_offset_[c] + static_cast<std::int32_t>(s) * s;
+    layout->split[c] = s;
+    layout->fine_offset[c + 1] = layout->fine_offset[c] + static_cast<std::int32_t>(s) * s;
   }
-  const auto num_fine_cells = static_cast<std::size_t>(fine_offset_[num_coarse_cells]);
-  fine_owner_.resize(num_fine_cells);
+  layout->fine_owner.resize(static_cast<std::size_t>(layout->fine_offset[num_coarse_cells]));
   for (std::size_t c = 0; c < num_coarse_cells; ++c) {
-    for (auto f = fine_offset_[c]; f < fine_offset_[c + 1]; ++f) {
-      fine_owner_[static_cast<std::size_t>(f)] = static_cast<std::int32_t>(c);
+    for (auto f = layout->fine_offset[c]; f < layout->fine_offset[c + 1]; ++f) {
+      layout->fine_owner[static_cast<std::size_t>(f)] = static_cast<std::int32_t>(c);
     }
   }
+  layout_ = std::move(layout);
+  ever_coarse_.assign(num_coarse_cells, 0);
+  ever_fine_.assign(num_fine(), 0);
+  Bucket(points);
+}
 
+HierarchicalGrid::HierarchicalGrid(const std::vector<Point>& points,
+                                   const HierarchicalGrid& kept)
+    : layout_(kept.layout_),
+      coarse_of_(kept.coarse().CellsOf(points)),
+      ever_coarse_(kept.ever_coarse_),
+      ever_fine_(kept.ever_fine_),
+      ever_cells_(kept.ever_cells_) {
+  assert(std::all_of(points.begin(), points.end(),
+                     [&](const Point& p) { return coarse().bounds().Contains(p); }) &&
+         "re-bucketed points must lie inside the layout's bounding box");
+  Bucket(points);
+}
+
+void HierarchicalGrid::Bucket(const std::vector<Point>& points) {
   // Pass 2: CSR over fine cells. Fine ids of a coarse cell are
   // consecutive, so the slot order clusters by coarse cell first, then by
   // fine child — coarse_count(c) is one subtraction on the CSR bounds.
+  // The occupied cells then join the ever-occupied set.
+  const Layout& layout = *layout_;
   fine_of_.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto c = static_cast<std::size_t>(coarse_of_[i]);
-    const int s = split_[c];
-    std::size_t f = static_cast<std::size_t>(fine_offset_[c]);
+    const int s = layout.split[c];
+    std::size_t f = layout.fine_begin(c);
     if (s > 1) {
-      const Rect r = coarse_.CellRect(c);
-      const double sub = coarse_.cell_size() / static_cast<double>(s);
+      const Rect r = layout.coarse.CellRect(c);
+      const double sub = layout.coarse.cell_size() / static_cast<double>(s);
       const int fx = std::clamp(
           static_cast<int>(std::floor((points[i].x - r.lo.x) / sub)), 0, s - 1);
       const int fy = std::clamp(
@@ -71,23 +93,30 @@ HierarchicalGrid::HierarchicalGrid(const std::vector<Point>& points, const Optio
     }
     fine_of_[i] = static_cast<std::int32_t>(f);
   }
-  csr_ = CellCsr(points, fine_of_, num_fine_cells);
-  for (std::size_t c = 0; c < num_coarse_cells; ++c) {
-    if (coarse_count[c] > 0) nonempty_coarse_.push_back(static_cast<std::int32_t>(c));
+  csr_ = CellCsr(points, fine_of_, num_fine());
+  for (std::size_t c = 0; c < layout.coarse.num_cells(); ++c) {
+    if (coarse_count(c) == 0) continue;
+    nonempty_coarse_.push_back(static_cast<std::int32_t>(c));
+    ever_coarse_[c] = 1;
+    for (std::size_t f = fine_begin(c); f < fine_end(c); ++f) {
+      if (ever_fine_[f] || csr_.cell_end(f) == csr_.cell_begin(f)) continue;
+      ever_fine_[f] = 1;
+      ++ever_cells_;
+    }
   }
 }
 
-Rect HierarchicalGrid::FineRect(std::size_t f) const {
-  const auto c = static_cast<std::size_t>(fine_owner_[f]);
-  const int s = split_[c];
-  const Rect coarse = coarse_.CellRect(c);
-  if (s == 1) return coarse;
-  const auto local = f - static_cast<std::size_t>(fine_offset_[c]);
+Rect HierarchicalGrid::Layout::FineRect(std::size_t f) const {
+  const auto c = static_cast<std::size_t>(fine_owner[f]);
+  const int s = split[c];
+  const Rect rect = coarse.CellRect(c);
+  if (s == 1) return rect;
+  const auto local = f - fine_begin(c);
   const auto fx = static_cast<double>(local % static_cast<std::size_t>(s));
   const auto fy = static_cast<double>(local / static_cast<std::size_t>(s));
-  const double sub = coarse_.cell_size() / static_cast<double>(s);
-  const double lx = coarse.lo.x + fx * sub;
-  const double ly = coarse.lo.y + fy * sub;
+  const double sub = coarse.cell_size() / static_cast<double>(s);
+  const double lx = rect.lo.x + fx * sub;
+  const double ly = rect.lo.y + fy * sub;
   return Rect{{lx, ly}, {lx + sub, ly + sub}};
 }
 
@@ -165,27 +194,6 @@ void HierTauTable::Raise(std::size_t point_id, double value) {
   // the rescan until someone asks.
   if (coarse_floors_[coarse] == global_floor_) global_dirty_ = true;
   coarse_floors_[coarse] = coarse_floor;
-}
-
-double HierTauTable::MinAugmentedDistance(const Point& q, double cutoff,
-                                          std::uint64_t* distances) const {
-  const HierarchicalGrid& grid = *grid_;
-  double best = cutoff;
-  for (const std::int32_t cc : grid.nonempty_coarse()) {
-    const auto c = static_cast<std::size_t>(cc);
-    if (MinDist(q, grid.coarse().CellRect(c)) + coarse_floors_[c] >= best) continue;
-    for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
-      if (grid.fine_cell_begin(f) == grid.fine_cell_end(f)) continue;
-      if (MinDist(q, grid.FineRect(f)) + fine_floors_[f] >= best) continue;
-      const CellSlice slice = grid.FineCell(f);
-      const double* taus = values_.data() + slice.first_slot;
-      *distances += slice.count;
-      for (std::size_t i = 0; i < slice.count; ++i) {
-        best = std::min(best, Distance(q, Point{slice.xs[i], slice.ys[i]}) + taus[i]);
-      }
-    }
-  }
-  return best;
 }
 
 double HierTauTable::GlobalFloor() {

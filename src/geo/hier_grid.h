@@ -23,14 +23,18 @@
 //     checks.
 //
 // The coarse level is a Lattice (geo/lattice.h), the same geometry and
-// ring contract UniformGrid uses (`coarse()`). Point storage is a CellCsr
-// over *fine* cells, fine cells of a coarse cell contiguous in both the
-// fine-cell and the slot order, plus id -> coarse/fine/slot inverse maps.
+// ring contract UniformGrid uses (`coarse()`). The lattice plus each coarse
+// cell's split factor is the grid's *layout*, shared immutably with every
+// grid re-bucketed into it (the re-bucketing constructor). Point storage is
+// a CellCsr over *fine* cells, fine cells of a coarse cell contiguous in
+// both the fine-cell and the slot order, plus id -> coarse/fine/slot
+// inverse maps.
 #ifndef CCA_GEO_HIER_GRID_H_
 #define CCA_GEO_HIER_GRID_H_
 
 #include <cstdint>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "geo/grid.h"
@@ -57,28 +61,52 @@ class HierarchicalGrid {
     static constexpr int kMaxSplit = 8;
   };
 
+  // The cell layout: the coarse lattice plus each coarse cell's split
+  // factor, decided once from the occupancy of the points it was laid out
+  // over. Immutable and shared by every grid re-bucketed into it, so
+  // pointer identity names a layout (HierRingWalk relies on it).
+  struct Layout {
+    explicit Layout(const Lattice& lattice) : coarse(lattice) {}
+    std::size_t fine_begin(std::size_t c) const { return static_cast<std::size_t>(fine_offset[c]); }
+    std::size_t fine_end(std::size_t c) const {
+      return static_cast<std::size_t>(fine_offset[c + 1]);
+    }
+    Rect FineRect(std::size_t f) const;
+
+    Lattice coarse;
+    std::size_t split_threshold = 0;
+    std::size_t splits = 0;                 // coarse cells with split > 1
+    std::vector<std::int32_t> split;        // per coarse cell: children per axis
+    std::vector<std::int32_t> fine_offset;  // coarse -> first fine id, size C+1
+    std::vector<std::int32_t> fine_owner;   // fine -> coarse
+  };
+
   explicit HierarchicalGrid(const std::vector<Point>& points)
       : HierarchicalGrid(points, Options{}) {}
+  // Lays out a new grid over `points`.
   HierarchicalGrid(const std::vector<Point>& points, const Options& options);
+  // Re-buckets `points` into `kept`'s layout, rebuilding only the CSR and
+  // the inverse maps. Every point must lie inside the layout's bounding box
+  // (`coarse().bounds()`, asserted in Debug builds): a point outside it
+  // would be clamped into an edge cell whose MinDist does not bound it.
+  // The ever-occupied set (below) carries over from `kept`.
+  HierarchicalGrid(const std::vector<Point>& points, const HierarchicalGrid& kept);
 
   std::size_t size() const { return csr_.size(); }
+  const std::shared_ptr<const Layout>& layout() const { return layout_; }
   // The coarse lattice: geometry, cell index and the ring contract.
-  const Lattice& coarse() const { return coarse_; }
-  std::size_t num_fine() const { return fine_owner_.size(); }
+  const Lattice& coarse() const { return layout_->coarse; }
+  std::size_t num_fine() const { return layout_->fine_owner.size(); }
   // Coarse cells that subdivided (split factor > 1).
-  std::size_t splits() const { return splits_; }
-  std::size_t split_threshold() const { return split_threshold_; }
+  std::size_t splits() const { return layout_->splits; }
+  std::size_t split_threshold() const { return layout_->split_threshold; }
 
   // --- per-coarse aggregates ---------------------------------------------
   // Subdivision factor of coarse cell `c` (1 = unsplit).
-  int split(std::size_t c) const { return split_[c]; }
+  int split(std::size_t c) const { return layout_->split[c]; }
   // Global fine-cell id range of `c`: [fine_begin, fine_begin + split^2).
-  std::size_t fine_begin(std::size_t c) const {
-    return static_cast<std::size_t>(fine_offset_[c]);
-  }
-  std::size_t fine_end(std::size_t c) const {
-    return static_cast<std::size_t>(fine_offset_[c + 1]);
-  }
+  std::size_t fine_begin(std::size_t c) const { return layout_->fine_begin(c); }
+  std::size_t fine_end(std::size_t c) const { return layout_->fine_end(c); }
   // Residents of coarse cell `c`, O(1) (children are slot-contiguous).
   std::size_t coarse_count(std::size_t c) const {
     return csr_.cell_begin(fine_end(c)) - csr_.cell_begin(fine_begin(c));
@@ -86,12 +114,23 @@ class HierarchicalGrid {
   // Linear indices of the occupied coarse cells, ascending.
   const std::vector<std::int32_t>& nonempty_coarse() const { return nonempty_coarse_; }
 
+  // --- ever-occupied cells -----------------------------------------------
+  // Cells occupied by this grid or by any grid it was re-bucketed from,
+  // back to the one that laid the layout out (exactly the occupied cells
+  // of a freshly laid-out grid). A HierRingWalk enumerates this set, so it
+  // stays valid across re-bucketings that do not grow it.
+  bool ever_occupied_coarse(std::size_t c) const { return ever_coarse_[c] != 0; }
+  bool ever_occupied_fine(std::size_t f) const { return ever_fine_[f] != 0; }
+  // Number of ever-occupied fine cells; it only grows along a chain of
+  // re-bucketings, so equal counts mean equal sets.
+  std::size_t ever_occupied_cells() const { return ever_cells_; }
+
   // --- fine cells ---------------------------------------------------------
   // Owning coarse cell of fine cell `f`.
   std::size_t coarse_of_fine(std::size_t f) const {
-    return static_cast<std::size_t>(fine_owner_[f]);
+    return static_cast<std::size_t>(layout_->fine_owner[f]);
   }
-  Rect FineRect(std::size_t f) const;
+  Rect FineRect(std::size_t f) const { return layout_->FineRect(f); }
   // Slot span and clustered slice of fine cell `f`.
   std::size_t fine_cell_begin(std::size_t f) const { return csr_.cell_begin(f); }
   std::size_t fine_cell_end(std::size_t f) const { return csr_.cell_end(f); }
@@ -107,16 +146,19 @@ class HierarchicalGrid {
   std::size_t slot_of_point(std::size_t i) const { return csr_.slot_of_point(i); }
 
  private:
-  std::size_t split_threshold_ = 0;
-  Lattice coarse_;
-  std::size_t splits_ = 0;
-  std::vector<std::int32_t> split_;        // per coarse cell: children per axis
-  std::vector<std::int32_t> fine_offset_;  // coarse -> first fine id, size C+1
-  std::vector<std::int32_t> fine_owner_;   // fine -> coarse
+  // Buckets `points` (coarse_of_ already set) into the layout's fine cells:
+  // fine_of_, the CSR, nonempty_coarse_, and ORs the occupied cells into
+  // the ever-occupied set.
+  void Bucket(const std::vector<Point>& points);
+
+  std::shared_ptr<const Layout> layout_;
   std::vector<std::int32_t> coarse_of_;    // point id -> coarse index
   std::vector<std::int32_t> fine_of_;      // point id -> fine index
   CellCsr csr_;                            // over fine cells
   std::vector<std::int32_t> nonempty_coarse_;
+  std::vector<char> ever_coarse_;          // per coarse cell
+  std::vector<char> ever_fine_;            // per fine cell
+  std::size_t ever_cells_ = 0;             // set fine cells in ever_fine_
 };
 
 // Two-level floor table of a per-point scalar that only ever increases (the
@@ -130,7 +172,7 @@ class HierarchicalGrid {
 // maintained exactly (src/geo/README.md spells out why that makes the
 // coarse-tail rejection sound under in-flight monotone raises).
 // Raise is the only write, so no floor ever has to move down; a value
-// raised to +infinity drops out of every floor and every query.
+// raised to +infinity drops out of every floor.
 class HierTauTable {
  public:
   explicit HierTauTable(const HierarchicalGrid& grid);
@@ -141,7 +183,7 @@ class HierTauTable {
   // Raises point `point_id` to `value` (lower values are ignored, keeping
   // the monotone contract) and restores the exactness of its fine, coarse
   // and global floors. Raising to +infinity removes the point: it never
-  // wins a floor or a MinAugmentedDistance query again.
+  // wins a floor again.
   void Raise(std::size_t point_id, double value);
 
   double FineFloor(std::size_t f) const { return fine_floors_[f]; }
@@ -153,17 +195,6 @@ class HierTauTable {
   // Slot-ordered value array aligned with the grid's clustered slices:
   // values()[slice.first_slot + i] is the value of slice.ids[i].
   const double* values() const { return values_.data(); }
-
-  // Tau-augmented nearest neighbour: min over residents p of
-  // dist(q, p) + value(p), or `cutoff` when nothing goes below it (pass
-  // +infinity for an unbounded query). Coarse and fine cells whose
-  // MinDist + floor cannot beat the running best are skipped wholesale;
-  // residents raised to +infinity never win. Exhaustive walk, no
-  // ring ordering: SSPA's warm-start clamp pass runs it once per provider
-  // per warm solve, which is also where an arriving provider's dual is
-  // derived (cutoff +infinity). Adds the distances it computes to
-  // `*distances`.
-  double MinAugmentedDistance(const Point& q, double cutoff, std::uint64_t* distances) const;
 
  private:
   const HierarchicalGrid* grid_;

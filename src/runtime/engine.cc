@@ -55,6 +55,7 @@ StatusOr<AssignmentEngine::Id> AssignmentEngine::InsertCustomer(const Point& pos
   // first solve every dual is zero anyway.
   problem_.customers.push_back(pos);
   warm_.potentials.tau_p.push_back(have_solution_ ? WarmCustomerDual(pos) : 0.0);
+  if (solve_hier_ && !solve_hier_->coarse().bounds().Contains(pos)) outside_layout_ = true;
   const Id id = next_id_++;
   customer_ids_.push_back(id);
   customer_index_.emplace(id, problem_.customers.size() - 1);
@@ -76,6 +77,8 @@ StatusOr<AssignmentEngine::Id> AssignmentEngine::InsertProvider(const Point& pos
   // feasible value, min_p(dist + tau_p), over the duals it just tightened.
   problem_.providers.push_back(Provider{pos, capacity});
   warm_.potentials.tau_q.push_back(have_solution_ ? kInf : 0.0);
+  // The arrival's walk is empty until its first solve grows it.
+  if (!walks_.empty()) walks_.emplace_back(*solve_hier_, pos);
   const Id id = next_id_++;
   provider_ids_.push_back(id);
   provider_index_.emplace(id, problem_.providers.size() - 1);
@@ -106,9 +109,10 @@ bool AssignmentEngine::RemoveProvider(Id id) {
   SwapRemove(&problem_.providers, idx);
   SwapRemove(&warm_.potentials.tau_q, idx);
   SwapRemove(&provider_ids_, idx);
+  if (!walks_.empty()) SwapRemove(&walks_, idx);
   if (idx < provider_ids_.size()) provider_index_[provider_ids_[idx]] = idx;
-  // Provider churn never touches the customer indexes: dropping a dual
-  // only removes constraints, so the remaining duals stay feasible.
+  // Provider churn never touches the customer grid: dropping a dual only
+  // removes constraints, so the remaining duals stay feasible.
   ++stats_.providers_removed;
   return true;
 }
@@ -125,14 +129,35 @@ double AssignmentEngine::WarmCustomerDual(const Point& pos) const {
 }
 
 void AssignmentEngine::RebuildIndexesIfStale() {
-  if (!customers_dirty_ && solve_hier_) return;
-  // Population changed (or first solve): the shared solve index is rebuilt
-  // over the current customers. The grid uses problem indices as point
-  // ids, so a rebuild — not tombstone surgery — keeps every id dense; the
-  // version flag makes it O(1) to detect that nothing changed and skip all
-  // of this.
-  solve_hier_ = std::make_unique<HierarchicalGrid>(problem_.customers);
-  customers_dirty_ = false;
+  if (customers_dirty_ || !solve_hier_) {
+    // The grid uses problem indices as point ids, so the CSR is rebuilt —
+    // not patched with tombstones — to keep every id dense. A warm engine
+    // keeps the layout and re-buckets into it, which keeps the walks valid
+    // until a customer lands in a fine cell the walks do not enumerate. A
+    // customer outside the layout's bounding box would be clamped into an
+    // edge cell whose MinDist does not bound it, so only that lays the
+    // grid out again.
+    if (solve_hier_ && options_.warm_start && !outside_layout_) {
+      auto grid = std::make_unique<HierarchicalGrid>(problem_.customers, *solve_hier_);
+      if (grid->ever_occupied_cells() != solve_hier_->ever_occupied_cells()) {
+        walks_.clear();
+        ++stats_.walk_resets;
+      }
+      solve_hier_ = std::move(grid);
+    } else {
+      solve_hier_ = std::make_unique<HierarchicalGrid>(problem_.customers);
+      walks_.clear();
+      outside_layout_ = false;
+      ++stats_.layout_rebuilds;
+    }
+    customers_dirty_ = false;
+  }
+  if (options_.warm_start && walks_.size() != problem_.providers.size()) {
+    walks_.reserve(problem_.providers.size());
+    for (const Provider& provider : problem_.providers) {
+      walks_.emplace_back(*solve_hier_, provider.pos);
+    }
+  }
 }
 
 AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
@@ -140,7 +165,8 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
   Timer timer;
   RebuildIndexesIfStale();
   SspaConfig cfg;
-  cfg.shared_hier_grid = solve_hier_.get();
+  cfg.shared_index.grid = solve_hier_.get();
+  if (options_.warm_start) cfg.shared_index.walks = &walks_;
   const bool warm = options_.warm_start && have_solution_;
   if (warm) {
     // Previous flow remapped through the churn: pairs whose endpoints left
@@ -298,6 +324,7 @@ std::string AssignmentEngine::Stats::ToJson() const {
       "\"warm_adoption_ratio\": %.6f, "
       "\"deadline_breaches\": %llu, \"degraded_resolves\": %llu, "
       "\"unassigned_units\": %llu, "
+      "\"layout_rebuilds\": %llu, \"walk_resets\": %llu, "
       "\"dijkstra_pops\": %llu, \"dijkstra_relaxes\": %llu, "
       "\"augmentations\": %llu, \"faults\": %llu, "
       "\"resolve_ms\": {\"count\": %llu, \"mean\": %.6f, \"p50\": %.6f, "
@@ -313,6 +340,8 @@ std::string AssignmentEngine::Stats::ToJson() const {
       static_cast<unsigned long long>(deadline_breaches),
       static_cast<unsigned long long>(degraded_resolves),
       static_cast<unsigned long long>(unassigned_units),
+      static_cast<unsigned long long>(layout_rebuilds),
+      static_cast<unsigned long long>(walk_resets),
       static_cast<unsigned long long>(totals.dijkstra_pops),
       static_cast<unsigned long long>(totals.dijkstra_relaxes),
       static_cast<unsigned long long>(totals.augmentations),
@@ -330,7 +359,7 @@ void AssignmentEngine::VerifyAgainstCold(double warm_cost) {
   // A fresh config, not the Resolve's: the cold reference must run to
   // completion, so it must not inherit the remaining Resolve deadline.
   SspaConfig cold;
-  cold.shared_hier_grid = solve_hier_.get();
+  cold.shared_index.grid = solve_hier_.get();
   const SspaResult res = SolveSspa(problem_, cold);
   const double cold_cost = res.matching.cost();
   // Both solves are exact optima of the same instance; anything beyond

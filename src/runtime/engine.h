@@ -22,10 +22,16 @@
 //     clamp pass). The solver's own repair pass remains the safety net, so
 //     seed quality affects only speed — never the matching
 //     (src/runtime/README.md has the soundness argument).
-//   * Index invalidation by population version. The customer
-//     HierarchicalGrid is rebuilt only on a Resolve that follows a customer
-//     insert/remove and is shared with the solver via
-//     SspaConfig::shared_hier_grid; provider churn never invalidates it.
+//   * A kept solve layout and ring walks. The customer HierarchicalGrid
+//     keeps the layout (coarse lattice plus split factors) of the first
+//     solve: a Resolve that follows a customer insert/remove only
+//     re-buckets the customers into it, and one HierRingWalk per provider
+//     lives as long as the layout. Both are lent to the solver through
+//     SspaConfig::shared_index. The walks are dropped when a customer lands
+//     in a fine cell never occupied since the layout was built, and the
+//     grid is laid out again only when a customer arrives outside the
+//     layout's bounding box; provider churn swap-removes or appends one
+//     walk (src/runtime/README.md, "The kept solve index").
 //
 // Correctness anchor: a warm-started Resolve is cost-identical to a cold
 // solve of the same snapshot. Debug builds assert it on every Resolve
@@ -51,6 +57,7 @@
 #include "core/matching.h"
 #include "core/problem.h"
 #include "flow/sspa.h"
+#include "geo/grid_cursor.h"
 #include "geo/hier_grid.h"
 
 namespace cca {
@@ -61,8 +68,10 @@ class AssignmentEngine {
   using Id = std::int64_t;
 
   struct Options {
-    // Seed each solve with the previous solve's duals and flow. Off = every
-    // Resolve is a cold solve (the A/B switch the churn suite and
+    // Seed each solve with the previous solve's duals and flow, and keep the
+    // grid layout and ring walks across Resolves. Off = every Resolve is a
+    // cold solve over a freshly laid-out grid with private walks, nothing
+    // carried over (the A/B switch the churn suite and
     // bench_engine_dispatch compare against).
     bool warm_start = true;
     // Re-solve cold after every warm Resolve and abort on a cost mismatch
@@ -146,6 +155,12 @@ class AssignmentEngine {
     std::uint64_t deadline_breaches = 0;
     std::uint64_t degraded_resolves = 0;
     std::uint64_t unassigned_units = 0;
+    // Solve-index lifecycle: grid layouts built (the first Resolve's
+    // included; a cold engine lays out on every Resolve after customer
+    // churn), and the times a warm engine dropped its kept ring walks
+    // because a customer landed in a never-occupied fine cell.
+    std::uint64_t layout_rebuilds = 0;
+    std::uint64_t walk_resets = 0;
     // Solver counters merged across every Resolve (same ledger the batch
     // benches gate on, so regressions surface on the serving path too).
     Metrics totals;
@@ -208,10 +223,15 @@ class AssignmentEngine {
   std::vector<FlowRec> last_flow_;
   bool have_solution_ = false;
 
-  // Shared solve index over the customers, rebuilt only when the customer
-  // population changed since it was built.
+  // Shared solve index over the customers, re-bucketed (or laid out
+  // again, see RebuildIndexesIfStale) only when the customer population
+  // changed since it was built, and one ring walk per provider over its
+  // layout: empty, or aligned with problem_.providers (warm engines only).
   std::unique_ptr<HierarchicalGrid> solve_hier_;
+  std::vector<HierRingWalk> walks_;
   bool customers_dirty_ = true;
+  // A customer arrived outside the layout's bounding box.
+  bool outside_layout_ = false;
 
   Stats stats_;
 };

@@ -115,8 +115,8 @@ QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
   switch (spec.solver) {
     case QuerySolver::kSspa: {
       SspaConfig config = spec.sspa;
-      if (config.shared_hier_grid == nullptr && same_customers) {
-        config.shared_hier_grid = index_->relax_hier();
+      if (config.shared_index.grid == nullptr && same_customers) {
+        config.shared_index.grid = index_->relax_hier();
       }
       SspaResult r = SolveSspa(spec.problem, config);
       outcome.matching = std::move(r.matching);

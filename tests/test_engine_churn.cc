@@ -672,5 +672,137 @@ TEST(EngineChurn, OverflowDeficitRunsCancelCyclesAndKeepExactLedger) {
   EXPECT_EQ(ledger, problem.TotalWeight() - problem.Gamma());
 }
 
+// The kept solve index (src/runtime/README.md, "Lifecycle"): a warm engine
+// keeps its grid layout and one ring walk per provider across Resolves.
+// Every Resolve below is still checked against a cold solve with feasible
+// duals; the stats show which rule fired.
+
+// Two customer clumps in opposite corners of [0, 1000]^2 with an empty
+// middle, and providers spread between them. At the default size the
+// middle coarse cells of the layout hold no customer.
+AssignmentEngine TwoClumpEngine(std::vector<AssignmentEngine::Id>* customers,
+                                std::vector<AssignmentEngine::Id>* providers,
+                                int num_customers = 1200) {
+  AssignmentEngine engine;
+  Rng rng(404);
+  for (int q = 0; q < 8; ++q) {
+    providers->push_back(
+        engine.InsertProvider(Point{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)}, 200)
+            .value());
+  }
+  for (int p = 0; p < num_customers; ++p) {
+    const double base = p % 2 == 0 ? 0.0 : 900.0;
+    customers->push_back(
+        engine.InsertCustomer(Point{base + rng.Uniform(0.0, 100.0), base + rng.Uniform(0.0, 100.0)})
+            .value());
+  }
+  return engine;
+}
+
+TEST(EngineChurn, ArrivalOutsideTheLayoutLaysTheGridOutAgain) {
+  std::vector<AssignmentEngine::Id> customers, providers;
+  AssignmentEngine engine = TwoClumpEngine(&customers, &providers);
+  Metrics totals;
+  int warm = 0;
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  EXPECT_EQ(engine.stats().layout_rebuilds, 1u);
+  // Inside the bootstrap bounding box: re-bucketed into the kept layout.
+  ASSERT_TRUE(engine.InsertCustomer(Point{50.0, 60.0}).ok());
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  EXPECT_EQ(engine.stats().layout_rebuilds, 1u);
+  // Outside it: Lattice::Locate would clamp the point into an edge cell
+  // whose MinDist does not bound it, so the grid is laid out again.
+  ASSERT_TRUE(engine.InsertCustomer(Point{1400.0, 1250.0}).ok());
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  EXPECT_EQ(engine.stats().layout_rebuilds, 2u);
+  // The new layout covers the arrival; nearby arrivals keep it.
+  ASSERT_TRUE(engine.InsertCustomer(Point{1390.0, 1240.0}).ok());
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  EXPECT_EQ(engine.stats().layout_rebuilds, 2u);
+  EXPECT_EQ(warm, 3);
+}
+
+TEST(EngineChurn, ArrivalInANeverOccupiedCellResetsTheWalks) {
+  std::vector<AssignmentEngine::Id> customers, providers;
+  AssignmentEngine engine = TwoClumpEngine(&customers, &providers);
+  Metrics totals;
+  int warm = 0;
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  // Departures and an arrival on top of a resident customer: every
+  // occupied cell was occupied at layout time, so the walks are kept.
+  ASSERT_TRUE(engine.RemoveCustomer(customers[3]));
+  ASSERT_TRUE(engine.RemoveCustomer(customers[10]));
+  ASSERT_TRUE(engine.InsertCustomer(engine.problem().customers[7]).ok());
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  EXPECT_EQ(engine.stats().walk_resets, 0u);
+  // The empty middle is inside the layout's bounding box but in a cell no
+  // customer ever occupied: the walks do not list it, so they are dropped.
+  ASSERT_TRUE(engine.InsertCustomer(Point{500.0, 480.0}).ok());
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  EXPECT_EQ(engine.stats().walk_resets, 1u);
+  EXPECT_EQ(engine.stats().layout_rebuilds, 1u);
+  // Once occupied, the cell stays in the walks' set even after it empties.
+  ASSERT_TRUE(engine.RemoveCustomer(customers[0]));
+  ASSERT_TRUE(engine.InsertCustomer(Point{500.0, 480.0}).ok());
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  EXPECT_EQ(engine.stats().walk_resets, 1u);
+  EXPECT_EQ(warm, 3);
+}
+
+TEST(EngineChurn, ProviderChurnKeepsEachWalkWithItsProvider) {
+  // Fifty Resolves, each after a departure from the middle of the provider
+  // array (a swap-remove that moves the last walk into the hole), a
+  // provider arrival and customer churn onto resident positions. Debug
+  // builds assert that every lent walk sits at its provider's position; a
+  // misaligned walk would prune against the wrong query and miss the cold
+  // cost.
+  std::vector<AssignmentEngine::Id> customers, providers;
+  AssignmentEngine engine = TwoClumpEngine(&customers, &providers, 300);
+  Rng rng(405);
+  Metrics totals;
+  int warm = 0;
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  for (int round = 0; round < 50; ++round) {
+    const std::size_t middle = engine.num_providers() / 2;
+    ASSERT_TRUE(engine.RemoveProvider(engine.provider_id(middle)));
+    ASSERT_TRUE(engine.InsertProvider(Point{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)},
+                                      static_cast<std::int32_t>(rng.UniformInt(180, 220)))
+                    .ok());
+    for (int j = 0; j < 3; ++j) {
+      const std::size_t i = rng.NextBelow(customers.size());
+      ASSERT_TRUE(engine.RemoveCustomer(customers[i]));
+      customers[i] = customers.back();
+      customers.pop_back();
+      const Point resident =
+          engine.problem().customers[rng.NextBelow(engine.num_customers())];
+      customers.push_back(engine.InsertCustomer(resident).value());
+    }
+    ExpectResolveMatchesCold(&engine, &totals, &warm);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(warm, 50);
+  // The walks lived through every swap-remove: no reset, no re-layout.
+  EXPECT_EQ(engine.stats().walk_resets, 0u);
+  EXPECT_EQ(engine.stats().layout_rebuilds, 1u);
+}
+
+TEST(EngineChurn, RepeatedResolveWithoutChurnBuildsNoWalkCells) {
+  std::vector<AssignmentEngine::Id> customers, providers;
+  AssignmentEngine engine = TwoClumpEngine(&customers, &providers);
+  Metrics totals;
+  int warm = 0;
+  const AssignmentEngine::ResolveOutcome first = engine.Resolve();
+  EXPECT_GT(first.metrics.walk_cells_built, 0u);
+  ASSERT_TRUE(engine.RemoveCustomer(customers[5]));
+  ASSERT_TRUE(engine.InsertProvider(Point{500.0, 500.0}, 10).ok());
+  ExpectResolveMatchesCold(&engine, &totals, &warm);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    const AssignmentEngine::ResolveOutcome out = engine.Resolve();
+    EXPECT_TRUE(out.warm);
+    EXPECT_EQ(out.metrics.walk_cells_built, 0u) << "repeat " << repeat;
+    EXPECT_EQ(out.metrics.warm_units_adopted, 1199u) << "repeat " << repeat;
+  }
+}
+
 }  // namespace
 }  // namespace cca

@@ -365,6 +365,128 @@ TEST(HierRingWalkTest, PartialReplaysMatchAFullWalk) {
   }
 }
 
+// Re-bucketing keeps the layout object, builds an exact CSR over the new
+// points, puts every point inside its fine rect and grows the
+// ever-occupied set by exactly the cells the new points occupy.
+TEST(HierGridTest, RebucketKeepsTheLayoutAndBuildsAnExactCsr) {
+  Rng rng(84);
+  for (const auto& pts :
+       {RandomPoints(700, 81), ClusteredPoints(900, 82), SkewedPoints(1200, 83)}) {
+    const HierarchicalGrid laid(pts);
+    // Every other point stays; new ones arrive anywhere in the box.
+    std::vector<Point> next;
+    for (std::size_t i = 0; i < pts.size(); i += 2) next.push_back(pts[i]);
+    const Rect box = laid.coarse().bounds();
+    for (int i = 0; i < 300; ++i) {
+      next.push_back(Point{rng.Uniform(box.lo.x, box.hi.x), rng.Uniform(box.lo.y, box.hi.y)});
+    }
+    next.push_back(box.lo);
+    next.push_back(box.hi);
+    const HierarchicalGrid grid(next, laid);
+    EXPECT_EQ(grid.layout(), laid.layout());
+    EXPECT_EQ(grid.coarse().bounds(), box);
+    EXPECT_EQ(grid.splits(), laid.splits());
+    ASSERT_EQ(grid.num_fine(), laid.num_fine());
+    for (std::size_t c = 0; c < grid.coarse().num_cells(); ++c) {
+      ASSERT_EQ(grid.split(c), laid.split(c));
+      ASSERT_EQ(grid.fine_begin(c), laid.fine_begin(c));
+    }
+    CheckStructure(next, grid);
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      EXPECT_TRUE(grid.FineRect(grid.fine_of_point(i)).Contains(next[i])) << "point " << i;
+    }
+    std::size_t ever = 0;
+    for (std::size_t c = 0; c < grid.coarse().num_cells(); ++c) {
+      bool coarse_ever = false;
+      for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
+        const bool laid_occupied = laid.fine_cell_end(f) > laid.fine_cell_begin(f);
+        const bool occupied = grid.fine_cell_end(f) > grid.fine_cell_begin(f);
+        // A freshly laid-out grid's set is exactly its occupied cells.
+        ASSERT_EQ(laid.ever_occupied_fine(f), laid_occupied);
+        ASSERT_EQ(grid.ever_occupied_fine(f), laid_occupied || occupied);
+        coarse_ever = coarse_ever || laid_occupied || occupied;
+        ever += laid_occupied || occupied ? 1 : 0;
+      }
+      ASSERT_EQ(grid.ever_occupied_coarse(c), coarse_ever);
+    }
+    EXPECT_EQ(grid.ever_occupied_cells(), ever);
+    EXPECT_GT(grid.ever_occupied_cells(), laid.ever_occupied_cells());
+  }
+}
+
+// A walk kept across a re-bucketing that does not grow the ever-occupied
+// set serves the new grid's occupied cells in brute-force order, with the
+// new grid's counts; the cells that emptied stay listed with count 0.
+TEST(HierRingWalkTest, KeptWalkServesAReBucketedGrid) {
+  const auto pts = ClusteredPoints(1500, 91);
+  const HierarchicalGrid laid(pts);
+  std::vector<Point> next;  // departures only
+  for (std::size_t i = 0; i < pts.size(); i += 3) next.push_back(pts[i]);
+  const HierarchicalGrid grid(next, laid);
+  ASSERT_EQ(grid.ever_occupied_cells(), laid.ever_occupied_cells());
+  for (const Point& q : {Point{500, 500}, Point{10, 990}, Point{1200, -40}}) {
+    HierRingWalk walk(laid, q);
+    // Grow part of the walk over the first grid, as an earlier solve would.
+    for (std::size_t i = 0; i < 12 && walk.At(i) != nullptr; ++i) {
+      std::size_t n = 0;
+      walk.Fines(i, &n);
+    }
+    walk.Bind(grid);
+    std::vector<std::size_t> served;
+    std::size_t seen = 0, listed = 0;
+    for (std::size_t i = 0; walk.At(i) != nullptr; ++i) {
+      const HierRingWalk::Entry e = *walk.At(i);
+      ++listed;
+      EXPECT_TRUE(laid.ever_occupied_coarse(e.cell));
+      EXPECT_EQ(e.count, grid.coarse_count(e.cell));
+      EXPECT_EQ(e.remaining_before, next.size() - seen);
+      seen += e.count;
+      if (e.count > 0) served.push_back(e.cell);
+      std::size_t n = 0;
+      const HierRingWalk::Fine* fines = walk.Fines(i, &n);
+      std::uint32_t residents = 0, cells = 0;
+      for (std::size_t k = n; k-- > 0;) {
+        const auto f = static_cast<std::size_t>(fines[k].fine);
+        EXPECT_TRUE(laid.ever_occupied_fine(f));
+        const auto r = static_cast<std::uint32_t>(grid.fine_cell_end(f) - grid.fine_cell_begin(f));
+        residents += r;
+        cells += r > 0 ? 1 : 0;
+        EXPECT_EQ(fines[k].suffix_residents, residents);
+      }
+      EXPECT_EQ(residents, e.count);
+      EXPECT_EQ(walk.At(i)->fines_occupied, cells);
+    }
+    EXPECT_EQ(seen, next.size());
+    EXPECT_EQ(listed, laid.nonempty_coarse().size());
+    const std::vector<RefCell> ref = BruteForceWalk(grid, q);
+    ASSERT_EQ(served.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(served[i], ref[i].cell) << i;
+  }
+}
+
+TEST(HierRingWalkTest, BindAssertsTheSameLayoutAndEverOccupiedSet) {
+  // Two clumps in opposite corners of [0, 1000]^2: the middle is inside the
+  // bounding box but never occupied.
+  std::vector<Point> pts;
+  Rng rng(93);
+  for (int i = 0; i < 400; ++i) {
+    const double base = i % 2 == 0 ? 0.0 : 900.0;
+    pts.push_back(Point{base + rng.Uniform(0.0, 100.0), base + rng.Uniform(0.0, 100.0)});
+  }
+  const HierarchicalGrid laid(pts);
+  const HierarchicalGrid same(std::vector<Point>(pts.begin(), pts.begin() + 300), laid);
+  HierRingWalk walk(laid, Point{500, 500});
+  walk.Bind(same);
+  EXPECT_NE(walk.At(0), nullptr);
+  const HierarchicalGrid other(pts);  // same points, another layout
+  EXPECT_DEBUG_DEATH(walk.Bind(other), "its own layout");
+  std::vector<Point> grown = pts;
+  grown.push_back(Point{500.0, 480.0});
+  const HierarchicalGrid grew(grown, laid);
+  ASSERT_GT(grew.ever_occupied_cells(), laid.ever_occupied_cells());
+  EXPECT_DEBUG_DEATH(walk.Bind(grew), "ever-occupied set grew");
+}
+
 // The aggregation invariant under randomized monotone raises: fine floors
 // stay the exact min of their residents, coarse floors the exact min of
 // their children, the global floor the exact min over everything.

@@ -11,9 +11,11 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "flow/sspa.h"
+#include "geo/grid_cursor.h"
 #include "geo/hier_grid.h"
 #include "runtime/query_runner.h"
 #include "test_util.h"
@@ -120,7 +122,7 @@ TEST(SspaHierEquivalence, SplitThresholdVariantsAgree) {
     options.split_threshold = threshold;
     const HierarchicalGrid grid(problem.customers, options);
     SspaConfig config;
-    config.shared_hier_grid = &grid;
+    config.shared_index.grid = &grid;
     const SspaResult got = SolveSspa(problem, config);
     ExpectSameTrajectory(got, reference, "threshold " + std::to_string(threshold));
     EXPECT_EQ(got.metrics.hier_splits, grid.splits()) << "threshold " << threshold;
@@ -148,6 +150,86 @@ TEST(SspaHierEquivalence, SharedIndexInjectionMatchesPrivateBuild) {
   EXPECT_EQ(outcome.metrics.coarse_tails_pruned, direct.metrics.coarse_tails_pruned);
   EXPECT_EQ(outcome.metrics.coarse_cells_descended, direct.metrics.coarse_cells_descended);
   EXPECT_EQ(outcome.metrics.hier_splits, direct.metrics.hier_splits);
+}
+
+TEST(SspaHierEquivalence, KeptWalksSkipEmptiedCellsLikeAFreshGrid) {
+  // Kept walks list every cell occupied since the layout was built; the
+  // relax must skip the ones that emptied, so a solve over a re-bucketed
+  // grid counts exactly like one over a freshly laid-out grid of the same
+  // layout and points. Construction: `subset` laid out on its own, and
+  // `full` = subset plus as many extra customers, laid out with twice the
+  // coarse target, so both get the same lattice. A tiny fine target splits
+  // exactly the coarse cells holding two or more residents 8x8, so the
+  // extras join only such cells, or sit alone in a coarse cell the subset
+  // leaves empty: the split factors agree too.
+  Rng rng(77);
+  std::vector<Point> subset = test::RandomPoints(500, 78);
+  subset.front() = Point{0.0, 0.0};
+  subset.back() = Point{1000.0, 1000.0};
+  HierarchicalGrid::Options sub_options;
+  sub_options.coarse_target_per_cell = 4.0;
+  sub_options.fine_target_per_cell = 1e-6;
+  const HierarchicalGrid fresh_grid(subset, sub_options);
+  const Rect box = fresh_grid.coarse().bounds();
+  std::vector<Point> extras;
+  std::vector<std::size_t> crowded;
+  for (std::size_t c = 0; c < fresh_grid.coarse().num_cells(); ++c) {
+    const Rect r = fresh_grid.coarse().CellRect(c);
+    const Point inside{std::min((r.lo.x + r.hi.x) / 2, box.hi.x),
+                       std::min((r.lo.y + r.hi.y) / 2, box.hi.y)};
+    if (fresh_grid.coarse_count(c) == 0) extras.push_back(inside);
+    if (fresh_grid.coarse_count(c) >= 2) crowded.push_back(c);
+  }
+  ASSERT_FALSE(crowded.empty());
+  while (extras.size() < subset.size()) {
+    const Rect r = fresh_grid.coarse().CellRect(crowded[rng.NextBelow(crowded.size())]);
+    extras.push_back(Point{rng.Uniform(r.lo.x, std::min(r.hi.x, box.hi.x)),
+                           rng.Uniform(r.lo.y, std::min(r.hi.y, box.hi.y))});
+  }
+  ASSERT_EQ(extras.size(), subset.size());
+  Problem full = MakeInstance("uniform", 8, 0, /*weighted=*/false, 31);
+  full.customers = subset;
+  full.customers.insert(full.customers.end(), extras.begin(), extras.end());
+  HierarchicalGrid::Options full_options = sub_options;
+  full_options.coarse_target_per_cell = 8.0;
+  const HierarchicalGrid laid(full.customers, full_options);
+  ASSERT_EQ(laid.coarse().cell_size(), fresh_grid.coarse().cell_size());
+  ASSERT_EQ(laid.coarse().num_cells(), fresh_grid.coarse().num_cells());
+  for (std::size_t c = 0; c < laid.coarse().num_cells(); ++c) {
+    ASSERT_EQ(laid.split(c), fresh_grid.split(c)) << "coarse cell " << c;
+  }
+
+  // Grow one walk per provider over the full population, then re-bucket.
+  std::vector<HierRingWalk> walks;
+  for (const Provider& q : full.providers) walks.emplace_back(laid, q.pos);
+  SspaConfig grow;
+  grow.shared_index = SspaSharedIndex{&laid, &walks};
+  EXPECT_GT(SolveSspa(full, grow).metrics.walk_cells_built, 0u);
+  Problem problem = full;
+  problem.customers = subset;
+  const HierarchicalGrid grid(subset, laid);
+  ASSERT_LT(fresh_grid.ever_occupied_cells(), grid.ever_occupied_cells());
+  SspaConfig kept;
+  kept.shared_index = SspaSharedIndex{&grid, &walks};
+  SspaConfig fresh;
+  fresh.shared_index.grid = &fresh_grid;
+  const SspaResult a = SolveSspa(problem, kept);
+  const SspaResult b = SolveSspa(problem, fresh);
+  EXPECT_EQ(a.matching.cost(), b.matching.cost());
+  const Metrics& m = a.metrics;
+  const Metrics& r = b.metrics;
+  EXPECT_EQ(m.dijkstra_pops, r.dijkstra_pops);
+  EXPECT_EQ(m.dijkstra_relaxes, r.dijkstra_relaxes);
+  EXPECT_EQ(m.augmentations, r.augmentations);
+  EXPECT_EQ(m.relaxes_pruned, r.relaxes_pruned);
+  EXPECT_EQ(m.distances_computed, r.distances_computed);
+  EXPECT_EQ(m.cells_pruned, r.cells_pruned);
+  EXPECT_EQ(m.coarse_tails_pruned, r.coarse_tails_pruned);
+  EXPECT_EQ(m.coarse_cells_descended, r.coarse_cells_descended);
+  EXPECT_EQ(m.grid_rings_scanned, r.grid_rings_scanned);
+  EXPECT_EQ(m.grid_cursor_cells, r.grid_cursor_cells);
+  EXPECT_EQ(m.hier_splits, r.hier_splits);
+  EXPECT_LT(m.walk_cells_built, r.walk_cells_built);
 }
 
 }  // namespace

@@ -63,6 +63,10 @@ COUNTER_KEYS = (
     # (cells_pruned and relaxes_pruned are reported but not gated: growth
     # there means *more* pruning, which is an improvement.)
     "distances_computed",
+    # Ring-walk cells materialised (Metrics::walk_cells_built): a warm
+    # engine keeps its walks across Resolves, so dispatch warm rows build
+    # few; a return to per-solve walks fails here.
+    "walk_cells_built",
     "esub",
     "node_accesses",
     "index_node_accesses",
@@ -85,9 +89,8 @@ COUNTER_KEYS = (
 FLOOR_KEYS = ("warm_units_adopted",)
 # Timing / latency fields: carried through and reported per row so drift
 # stays visible, but NEVER gated -- wall clock and percentile latencies are
-# machine-dependent (bench_engine_qps percentiles additionally
-# quantise to <= 12.5% histogram buckets, see common/histogram.h;
-# bench_engine_dispatch reports exact nearest-rank values).
+# machine-dependent (both serving benches report exact nearest-rank
+# values over each row's samples).
 REPORT_KEYS = ("qps", "wall_ms", "p50_ms", "p99_ms", "p999_ms", "mean_ms",
                "bootstrap_ms",
                # SSPA phase clocks (common/metrics.h), dispatch rows.
