@@ -6,8 +6,9 @@
 // departures every step, occasional provider churn — through two engines
 // fed the identical stream: one warm-started (duals + adopted flow from
 // the previous Resolve), one resolving cold every step. Every step's warm
-// cost is checked against the cold cost (exit non-zero on any mismatch:
-// the engine's correctness anchor), and the run reports sustained
+// cost is checked against the cold cost and every warm outcome against
+// its LP-duality certificate (exit non-zero on any mismatch or failed
+// certificate: the engine's correctness anchor), and the run reports sustained
 // re-solve QPS plus p50/p99 re-solve latency per mode over `samples`
 // re-solves (p999 only from 1000 samples up). The percentiles are exact
 // nearest-rank values over the retained samples (at most one per step),
@@ -47,6 +48,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "common/trace.h"
+#include "flow/oracle.h"
 #include "gen/generator.h"
 #include "runtime/engine.h"
 
@@ -98,12 +100,13 @@ std::size_t Poisson(cca::Rng& rng, double lambda) {
   return n;
 }
 
-// One timed Resolve; accumulates into `stats` and returns the cost. The
+// One timed Resolve; accumulates into `stats` and returns the outcome. The
 // bootstrap (step 0, a cold solve for both engines) is timed apart from
 // the steady-state latency samples; its cost and counters still count.
-double TimedResolve(cca::AssignmentEngine& engine, ModeStats& stats, bool bootstrap = false) {
+cca::AssignmentEngine::ResolveOutcome TimedResolve(cca::AssignmentEngine& engine,
+                                                   ModeStats& stats, bool bootstrap = false) {
   cca::Timer timer;
-  const cca::AssignmentEngine::ResolveOutcome out = engine.Resolve();
+  cca::AssignmentEngine::ResolveOutcome out = engine.Resolve();
   const double ms = timer.ElapsedMillis();
   if (bootstrap) {
     stats.bootstrap_ms = ms;
@@ -114,7 +117,7 @@ double TimedResolve(cca::AssignmentEngine& engine, ModeStats& stats, bool bootst
   }
   stats.cost += out.cost;
   stats.totals.Merge(out.metrics);
-  return out.cost;
+  return out;
 }
 
 void PrintRow(const Row& r) {
@@ -302,15 +305,24 @@ int main(int argc, char** argv) {
       }
       if (rng.NextDouble() < 0.05) arrive_provider();  // occasional fleet growth
 
-      const double warm_cost = TimedResolve(warm_engine, warm_stats);
-      const double cold_cost = TimedResolve(cold_engine, cold_stats);
+      const cca::AssignmentEngine::ResolveOutcome warm = TimedResolve(warm_engine, warm_stats);
+      const double cold_cost = TimedResolve(cold_engine, cold_stats).cost;
       if (!stats_path.empty()) stats_snapshots.push_back(warm_engine.stats().ToJson());
       const double tol = 1e-9 * std::max(1.0, std::abs(cold_cost));
-      if (std::abs(warm_cost - cold_cost) > tol) {
+      if (std::abs(warm.cost - cold_cost) > tol) {
         std::fprintf(stderr,
                      "WARM-START SOUNDNESS VIOLATION dist=%s step=%zu: warm cost %.17g != "
                      "cold cost %.17g\n",
-                     s.dist, step, warm_cost, cold_cost);
+                     s.dist, step, warm.cost, cold_cost);
+        return 1;
+      }
+      // Untimed: the duals the warm engine retains must prove its matching
+      // optimal. Release builds compile the engine's own check out.
+      const cca::Status cert =
+          cca::CertifyOptimal(warm_engine.problem(), warm.matching, warm_engine.potentials());
+      if (!cert.ok()) {
+        std::fprintf(stderr, "WARM RESOLVE NOT CERTIFIED dist=%s step=%zu: %s\n", s.dist, step,
+                     cert.message().c_str());
         return 1;
       }
     }

@@ -1,132 +1,92 @@
 #include "flow/oracle.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
-
-#include "flow/flow_network.h"
 
 namespace cca {
 namespace {
 
-// Node numbering inside the explicit flow graph.
-struct CcaGraph {
-  FlowNetwork net;
-  int s;
-  int t;
-  std::vector<std::vector<int>> qp_edges;  // [q][p] -> edge index
-  std::vector<int> sq_edges;               // [q] -> edge index
-  std::vector<int> pt_edges;               // [p] -> edge index
-};
+// a <= b up to the certificate's relative tolerance, which absorbs the
+// float noise potential updates accumulate. False when either is NaN.
+bool AtMost(double a, double b) { return a <= b + 1e-7 * std::max(1.0, std::abs(b)); }
 
-CcaGraph BuildCcaGraph(const Problem& problem) {
-  const int nq = static_cast<int>(problem.providers.size());
-  const int np = static_cast<int>(problem.customers.size());
-  CcaGraph g{FlowNetwork(nq + np + 2), nq + np, nq + np + 1, {}, {}, {}};
-  g.qp_edges.assign(static_cast<std::size_t>(nq), std::vector<int>(static_cast<std::size_t>(np)));
-  g.sq_edges.resize(static_cast<std::size_t>(nq));
-  g.pt_edges.resize(static_cast<std::size_t>(np));
-  const bool unit = problem.weights.empty();
-  for (int q = 0; q < nq; ++q) {
-    g.sq_edges[static_cast<std::size_t>(q)] =
-        g.net.AddEdge(g.s, q, problem.providers[static_cast<std::size_t>(q)].capacity, 0.0);
-  }
-  for (int p = 0; p < np; ++p) {
-    g.pt_edges[static_cast<std::size_t>(p)] =
-        g.net.AddEdge(nq + p, g.t, problem.weight(static_cast<std::size_t>(p)), 0.0);
-    for (int q = 0; q < nq; ++q) {
-      const double d = Distance(problem.providers[static_cast<std::size_t>(q)].pos,
-                                problem.customers[static_cast<std::size_t>(p)]);
-      // Unit problems cap provider->customer edges at 1 (paper Section
-      // 2.1); weighted (concise) problems leave them node-bounded.
-      const std::int64_t cap =
-          unit ? 1
-               : std::min<std::int64_t>(problem.providers[static_cast<std::size_t>(q)].capacity,
-                                        problem.weight(static_cast<std::size_t>(p)));
-      g.qp_edges[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)] =
-          g.net.AddEdge(q, nq + p, cap, d);
-    }
-  }
-  return g;
+Status Violated(const char* condition, const char* format, std::size_t i, std::size_t j, double x,
+                double y) {
+  char detail[160];
+  std::snprintf(detail, sizeof(detail), format, i, j, x, y);
+  return FailedPreconditionError(std::string(condition) + ": " + detail);
 }
 
 }  // namespace
 
-Matching SolveWithNetworkOracle(const Problem& problem) {
-  CcaGraph g = BuildCcaGraph(problem);
-  const auto result = g.net.MinCostFlow(g.s, g.t, problem.Gamma());
-  assert(result.flow == problem.Gamma());
-  (void)result;
-  Matching matching;
-  const int nq = static_cast<int>(problem.providers.size());
-  const int np = static_cast<int>(problem.customers.size());
-  for (int q = 0; q < nq; ++q) {
-    for (int p = 0; p < np; ++p) {
-      const std::int64_t units =
-          g.net.FlowOn(g.qp_edges[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)]);
-      if (units > 0) {
-        matching.Add(q, p, static_cast<std::int32_t>(units),
-                     Distance(problem.providers[static_cast<std::size_t>(q)].pos,
-                              problem.customers[static_cast<std::size_t>(p)]));
+Status CertifyOptimal(const Problem& problem, const Matching& matching,
+                      const SspaPotentials& potentials) {
+  std::string error;
+  if (!ValidateMatching(problem, matching, &error)) {
+    return FailedPreconditionError("(1) primal feasibility: " + error);
+  }
+  const std::size_t nq = problem.providers.size();
+  const std::size_t np = problem.customers.size();
+  if (potentials.tau_q.size() != nq || potentials.tau_p.size() != np) {
+    return InvalidArgumentError("potentials are not sized like the problem");
+  }
+  const std::vector<double>& tau_q = potentials.tau_q;
+  const std::vector<double>& tau_p = potentials.tau_p;
+  std::vector<std::int64_t> units(nq * np, 0);
+  for (const MatchPair& pair : matching.pairs) {
+    units[static_cast<std::size_t>(pair.provider) * np + static_cast<std::size_t>(pair.customer)] +=
+        pair.units;
+  }
+  const bool unit = problem.weights.empty();
+  for (std::size_t q = 0; q < nq; ++q) {
+    for (std::size_t p = 0; p < np; ++p) {
+      const double reach = Distance(problem.providers[q].pos, problem.customers[p]) + tau_p[p];
+      const std::int64_t flow = units[q * np + p];
+      const std::int64_t cap =
+          unit ? 1 : std::min<std::int64_t>(problem.providers[q].capacity, problem.weight(p));
+      if (flow < cap && !AtMost(tau_q[q], reach)) {
+        return Violated("(2) residual arc", "q=%zu p=%zu has reduced cost %g (tau_q %g)", q, p,
+                        reach - tau_q[q], tau_q[q]);
+      }
+      if (flow > 0 && !AtMost(reach, tau_q[q])) {
+        return Violated("(3) flow arc", "q=%zu p=%zu has reduced cost %g (tau_q %g)", q, p,
+                        reach - tau_q[q], tau_q[q]);
       }
     }
   }
-  return matching;
-}
-
-bool IsOptimalMatching(const Problem& problem, const Matching& matching) {
-  std::string error;
-  if (!ValidateMatching(problem, matching, &error)) return false;
-  // Install the matching as a flow, then apply Klein's condition.
-  CcaGraph g = BuildCcaGraph(problem);
-  const int nq = static_cast<int>(problem.providers.size());
-  std::vector<std::int64_t> q_load(problem.providers.size(), 0);
-  std::vector<std::int64_t> p_load(problem.customers.size(), 0);
-  // Re-add flows by solving trivially: push each matched pair along
-  // s -> q -> p -> t using targeted 3-edge paths.
-  for (const auto& pair : matching.pairs) {
-    q_load[static_cast<std::size_t>(pair.provider)] += pair.units;
-    p_load[static_cast<std::size_t>(pair.customer)] += pair.units;
-  }
-  // Manually set residual capacities.
-  FlowNetwork net(nq + static_cast<int>(problem.customers.size()) + 2);
-  const int s = nq + static_cast<int>(problem.customers.size());
-  const int t = s + 1;
-  const bool unit = problem.weights.empty();
-  for (int q = 0; q < nq; ++q) {
-    const std::int64_t cap = problem.providers[static_cast<std::size_t>(q)].capacity;
-    const std::int64_t used = q_load[static_cast<std::size_t>(q)];
-    if (cap - used > 0) net.AddEdge(s, q, cap - used, 0.0);
-    if (used > 0) net.AddEdge(q, s, used, 0.0);
-  }
-  for (int p = 0; p < static_cast<int>(problem.customers.size()); ++p) {
-    const std::int64_t cap = problem.weight(static_cast<std::size_t>(p));
-    const std::int64_t used = p_load[static_cast<std::size_t>(p)];
-    const int p_node = nq + p;
-    if (cap - used > 0) net.AddEdge(p_node, t, cap - used, 0.0);
-    if (used > 0) net.AddEdge(t, p_node, used, 0.0);
-  }
-  // Provider->customer edges with their matched flow reversed.
-  std::vector<std::vector<std::int64_t>> pair_units(
-      problem.providers.size(), std::vector<std::int64_t>(problem.customers.size(), 0));
-  for (const auto& pair : matching.pairs) {
-    pair_units[static_cast<std::size_t>(pair.provider)][static_cast<std::size_t>(pair.customer)] +=
-        pair.units;
-  }
-  for (int q = 0; q < nq; ++q) {
-    for (int p = 0; p < static_cast<int>(problem.customers.size()); ++p) {
-      const double d = Distance(problem.providers[static_cast<std::size_t>(q)].pos,
-                                problem.customers[static_cast<std::size_t>(p)]);
-      const std::int64_t flow = pair_units[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)];
-      const std::int64_t cap =
-          unit ? 1
-               : std::min<std::int64_t>(problem.providers[static_cast<std::size_t>(q)].capacity,
-                                        problem.weight(static_cast<std::size_t>(p)));
-      if (cap - flow > 0) net.AddEdge(q, nq + p, cap - flow, d);
-      if (flow > 0) net.AddEdge(nq + p, q, flow, -d);
+  // (4) and (5) are the threshold forms of the source and sink arcs'
+  // conditions: some source (sink) potential fits between the two sets.
+  const std::vector<std::int64_t> q_loads = matching.ProviderLoads(nq);
+  std::size_t flow_q = nq, spare_q = nq;
+  for (std::size_t q = 0; q < nq; ++q) {
+    if (q_loads[q] > 0 && (flow_q == nq || tau_q[q] > tau_q[flow_q])) flow_q = q;
+    if (q_loads[q] < problem.providers[q].capacity && (spare_q == nq || tau_q[q] < tau_q[spare_q])) {
+      spare_q = q;
     }
   }
-  return !net.HasNegativeCycle();
+  if (flow_q < nq && spare_q < nq && !AtMost(tau_q[flow_q], tau_q[spare_q])) {
+    return Violated("(4) source condition",
+                    "flow-carrying q=%zu and spare q=%zu have tau_q %g > %g", flow_q, spare_q,
+                    tau_q[flow_q], tau_q[spare_q]);
+  }
+  const std::vector<std::int64_t> p_loads = matching.CustomerLoads(np);
+  std::size_t unserved_p = np, served_p = np;
+  for (std::size_t p = 0; p < np; ++p) {
+    if (p_loads[p] < problem.weight(p) && (unserved_p == np || tau_p[p] > tau_p[unserved_p])) {
+      unserved_p = p;
+    }
+    if (p_loads[p] > 0 && (served_p == np || tau_p[p] < tau_p[served_p])) served_p = p;
+  }
+  if (unserved_p < np && served_p < np && !AtMost(tau_p[unserved_p], tau_p[served_p])) {
+    return Violated("(5) sink condition", "unserved p=%zu and served p=%zu have tau_p %g > %g",
+                    unserved_p, served_p, tau_p[unserved_p], tau_p[served_p]);
+  }
+  return OkStatus();
 }
 
 Matching BruteForceOptimal(const Problem& problem) {

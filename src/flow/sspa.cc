@@ -220,8 +220,10 @@ class SspaSolver {
         result.unassigned_units += gap;
       }
     }
-    // Export the final duals: they certify this matching's optimality and
-    // are the warm seed for a follow-up solve on a perturbed instance.
+    // Export the final duals: on a completed solve, warm or cold, they are
+    // the LP-duality witness of this matching's optimality (CertifyOptimal,
+    // flow/oracle.h), and they are the warm seed for a follow-up solve on a
+    // perturbed instance.
     // The virtual slot is internal and stripped — callers feed these back
     // as SspaWarmStart::potentials sized to the *real* provider array.
     result.potentials.tau_q.assign(tau_q_.begin(), tau_q_.begin() + static_cast<std::ptrdiff_t>(real_nq_));
@@ -305,9 +307,9 @@ class SspaSolver {
   // implicit source, which augmenting paths alone never cancel. Run()
   // cancels each one where a deficit run pops its closing provider, and
   // the certificate pass after the loop (CancelSourceCycles) proves none
-  // is left, so the final matching is cost-identical to a cold solve —
-  // asserted by AssignmentEngine::VerifyAgainstCold in Debug builds and
-  // enforced by bench_engine_dispatch's warm/cold cross-check.
+  // is left, so the exported duals certify the final matching optimal —
+  // checked by CertifyOptimal on every Debug Resolve of AssignmentEngine
+  // and on every warm outcome of bench_engine_dispatch.
   void AdoptFlow(Metrics* metrics) {
     CCA_TRACE_SPAN_VAR(span, "sspa.adopt_flow");
     struct Adopted {
@@ -508,8 +510,10 @@ class SspaSolver {
   // already cancel every such cycle they pop before the sink, so this pass
   // usually exits on its first O(|Q|) test: no spare provider seeds below
   // the highest flow-carrying dual. Otherwise one run and one cancellation
-  // per remaining cycle, until a run finds none; the deadline is checked
-  // once per cancellation, so a solve that cancels nothing never checks it.
+  // per remaining cycle, until a run finds none and raises the duals it
+  // labelled to B, so the next solve's exit test passes without a run; the
+  // deadline is checked once per cancellation, so a solve that cancels
+  // nothing never checks it.
   void CancelSourceCycles(SspaResult* result) {
     CCA_TRACE_SPAN("sspa.cancel_cycles");
     for (std::size_t p = 0; p < np_; ++p) assert(sink_flow_[p] == problem_.weight(p));
@@ -523,9 +527,20 @@ class SspaSolver {
         if (used_q_[q] > 0) bound = std::max(bound, tau_q_[q]);
         if (used_q_[q] < ProviderCapacity(q)) lowest_seed = std::min(lowest_seed, tau_q_[q]);
       }
-      if (lowest_seed >= bound) return;
+      // ClosesSourceCycle's epsilon: a previous cycle-free run leaves its
+      // raised spare duals at tau + (B - tau), which can land one ulp
+      // under B.
+      if (lowest_seed >= bound - 1e-9 * std::max(1.0, bound)) return;
       const RunEnd end = Dijkstra(bound, &result->metrics);
-      if (end.node < 0) return;
+      if (end.node < 0) {
+        // No cycle: every label below B is final and every pruned one is
+        // >= B, so raising the labelled nodes to B keeps every reduced
+        // cost >= 0 (CancelCycle's argument). It lifts each spare seed to
+        // >= B and leaves each flow-carrying dual <= B, so the exported
+        // duals meet the source condition of CertifyOptimal.
+        UpdatePotentials(bound);
+        return;
+      }
       CancelCycle(end, &result->metrics);
       if (DeadlineBreached(result)) return;
     }

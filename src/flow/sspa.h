@@ -157,8 +157,10 @@ struct UnassignedUnit {
 struct SspaResult {
   Matching matching;
   Metrics metrics;
-  // Final duals, feasible for this solve's flow; feed them back through
-  // SspaConfig::warm (with the matching) to warm-start a follow-up solve.
+  // Final duals. Unless the deadline fired, they witness the matching's
+  // optimality, warm or cold: CertifyOptimal (flow/oracle.h) accepts them.
+  // Feed them back through SspaConfig::warm (with the matching) to
+  // warm-start a follow-up solve.
   SspaPotentials potentials;
   std::uint64_t conceptual_edges = 0;  // |Q| * |P|
   // Units not served by any real provider, sorted by customer index: the

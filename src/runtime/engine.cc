@@ -9,6 +9,7 @@
 
 #include "common/timer.h"
 #include "common/trace.h"
+#include "flow/oracle.h"
 
 namespace cca {
 
@@ -220,8 +221,7 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
     out.unassigned_units = res.unassigned_units;
   }
   // Latency is clocked here — after the serving work (rebuild + warm-start
-  // assembly + solve), before the optional cold cross-check below, which a
-  // production engine never runs.
+  // assembly + solve), before the Debug builds' certificate below.
   const double latency_ms = timer.ElapsedMillis();
   span.Arg("warm", warm ? 1 : 0);
   span.Arg("pops", out.metrics.dijkstra_pops);
@@ -244,7 +244,15 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
     out.degraded = true;
     return out;
   }
-  if (warm) VerifyAgainstCold(out.cost);
+#ifndef NDEBUG
+  // The duals the solve exports prove its matching optimal; a failed
+  // certificate is a solver bug, warm or cold.
+  if (const Status cert = CertifyOptimal(problem_, out.matching, res.potentials); !cert.ok()) {
+    std::fprintf(stderr, "AssignmentEngine: Resolve not certified optimal (|Q|=%zu |P|=%zu): %s\n",
+                 problem_.providers.size(), problem_.customers.size(), cert.message().c_str());
+    std::abort();
+  }
+#endif
   warm_.potentials = std::move(res.potentials);
   last_flow_.clear();
   last_flow_.reserve(out.matching.pairs.size());
@@ -350,28 +358,6 @@ std::string AssignmentEngine::Stats::ToJson() const {
       resolve_latency_ms.Percentile(0.50), resolve_latency_ms.Percentile(0.99),
       resolve_latency_ms.Max());
   return std::string(buf);
-}
-
-void AssignmentEngine::VerifyAgainstCold(double warm_cost) {
-#ifdef NDEBUG
-  if (!options_.verify_cold) return;
-#endif
-  // A fresh config, not the Resolve's: the cold reference must run to
-  // completion, so it must not inherit the remaining Resolve deadline.
-  SspaConfig cold;
-  cold.shared_index.grid = solve_hier_.get();
-  const SspaResult res = SolveSspa(problem_, cold);
-  const double cold_cost = res.matching.cost();
-  // Both solves are exact optima of the same instance; anything beyond
-  // summation-order float noise is a warm-start soundness bug.
-  const double tol = 1e-9 * std::max(1.0, std::abs(cold_cost));
-  if (std::abs(warm_cost - cold_cost) > tol) {
-    std::fprintf(stderr,
-                 "AssignmentEngine: warm resolve cost %.17g != cold solve cost %.17g "
-                 "(|Q|=%zu |P|=%zu)\n",
-                 warm_cost, cold_cost, problem_.providers.size(), problem_.customers.size());
-    std::abort();
-  }
 }
 
 }  // namespace cca

@@ -33,11 +33,12 @@
 //     layout's bounding box; provider churn swap-removes or appends one
 //     walk (src/runtime/README.md, "The kept solve index").
 //
-// Correctness anchor: a warm-started Resolve is cost-identical to a cold
-// solve of the same snapshot. Debug builds assert it on every Resolve
-// (Options::verify_cold forces the cross-check in release builds too); the
-// randomized churn suite (tests/test_engine_churn.cc) and
-// bench_engine_dispatch enforce it in CI.
+// Correctness anchor: every Resolve that is not degraded returns an
+// optimal matching, and the duals it retains prove it (the LP-duality
+// certificate, CertifyOptimal in flow/oracle.h). Debug builds check the
+// certificate on every such Resolve, warm or cold, and abort if it fails;
+// the randomized churn suite (tests/test_engine_churn.cc) and
+// bench_engine_dispatch check it in CI, the latter in Release.
 //
 // The engine is deliberately single-threaded: one mutable owner. For
 // concurrent read-only query serving over an immutable snapshot, see
@@ -74,9 +75,6 @@ class AssignmentEngine {
     // carried over (the A/B switch the churn suite and
     // bench_engine_dispatch compare against).
     bool warm_start = true;
-    // Re-solve cold after every warm Resolve and abort on a cost mismatch
-    // even in release builds (Debug builds always run this cross-check).
-    bool verify_cold = false;
     // Wall-clock budget for one Resolve, in milliseconds; <= 0 disables.
     // The budget covers the whole serving path (index rebuild + warm-start
     // assembly + solve): whatever remains after the pre-solve work is
@@ -134,8 +132,8 @@ class AssignmentEngine {
   // one Metrics::Merge + one Histogram::Record per Resolve), so snapshots
   // are cheap enough to export per dispatch step. Latencies cover the
   // engine's own work (index rebuild + warm-start assembly + solve), not
-  // the VerifyAgainstCold cross-check, which is a correctness harness the
-  // serving path never pays for.
+  // the Debug builds' optimality certificate, which the Release serving
+  // path never pays for.
   struct Stats {
     std::uint64_t resolves = 0;
     std::uint64_t warm_resolves = 0;  // seeded with previous duals + flow
@@ -197,7 +195,6 @@ class AssignmentEngine {
  private:
   double WarmCustomerDual(const Point& pos) const;
   void RebuildIndexesIfStale();
-  void VerifyAgainstCold(double warm_cost);
   void BuildDegradedOutcome(ResolveOutcome* out) const;
 
   Options options_;

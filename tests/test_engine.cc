@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "flow/oracle.h"
+#include "flow/hungarian.h"
 #include "flow/sspa.h"
 #include "test_util.h"
 
@@ -215,7 +215,7 @@ TEST(EngineTest, WeightedCustomersViaGeneralPhase) {
   const Matching m = RunEngineAllEdges(problem, true, true);
   std::string error;
   EXPECT_TRUE(ValidateMatching(problem, m, &error)) << error;
-  EXPECT_NEAR(m.cost(), SolveWithNetworkOracle(problem).cost(), 1e-6);
+  EXPECT_NEAR(m.cost(), SolveHungarian(test::UnitExpanded(problem)).matching.cost(), 1e-6);
 }
 
 TEST(EngineTest, GammaZeroInstances) {

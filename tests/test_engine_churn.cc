@@ -1,8 +1,9 @@
 // Randomized churn suite for the incremental AssignmentEngine
-// (src/runtime/engine.h): the PR's correctness anchor is that a
-// warm-started Resolve is cost-identical to a cold solve of the same
-// snapshot, across insert/remove churn of both point sets, every point
-// distribution and unit/weighted customers.
+// (src/runtime/engine.h): every Resolve that is not degraded is certified
+// optimal by the duals it retains (CertifyOptimal), and a warm-started
+// Resolve is cost-identical to a cold solve of the same snapshot, across
+// insert/remove churn of both point sets, every point distribution and
+// unit/weighted customers.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "common/rng.h"
 #include "core/matching.h"
+#include "flow/oracle.h"
 #include "flow/sspa.h"
 #include "geo/point.h"
 #include "runtime/engine.h"
@@ -47,10 +49,20 @@ struct ChurnSpec {
 // no warm start — the reference the warm path must match.
 double ColdCost(const Problem& problem) { return SolveSspa(problem).matching.cost(); }
 
-// One Resolve, checked against a cold solve of the same snapshot; its
-// retained duals must be feasible for the matching it returned.
+// One Resolve whose retained duals, unless it degraded, certify the
+// matching it returned.
+AssignmentEngine::ResolveOutcome CertifiedResolve(AssignmentEngine* engine) {
+  AssignmentEngine::ResolveOutcome out = engine->Resolve();
+  if (!out.degraded) {
+    test::ExpectCertified(engine->problem(), out.matching, engine->potentials(),
+                          out.warm ? "warm" : "cold");
+  }
+  return out;
+}
+
+// One certified Resolve, checked against a cold solve of the same snapshot.
 void ExpectResolveMatchesCold(AssignmentEngine* engine, Metrics* totals, int* warm_resolves) {
-  const AssignmentEngine::ResolveOutcome out = engine->Resolve();
+  const AssignmentEngine::ResolveOutcome out = CertifiedResolve(engine);
   std::string error;
   ASSERT_TRUE(ValidateMatching(engine->problem(), out.matching, &error)) << error;
   const double cold = ColdCost(engine->problem());
@@ -58,8 +70,6 @@ void ExpectResolveMatchesCold(AssignmentEngine* engine, Metrics* totals, int* wa
   EXPECT_NEAR(out.cost, cold, tol)
       << "warm=" << out.warm << " |Q|=" << engine->num_providers()
       << " |P|=" << engine->num_customers();
-  test::ExpectFeasibleDuals(engine->problem(), out.matching, engine->potentials(),
-                            out.warm ? "warm" : "cold");
   totals->Merge(out.metrics);
   if (out.warm) ++*warm_resolves;
 }
@@ -132,66 +142,35 @@ TEST(EngineChurn, ClusteredWeighted) { RunChurn({Dist::kClustered, true, 14, 500
 TEST(EngineChurn, SkewedUnit) { RunChurn({Dist::kSkewed, false, 15, 500}); }
 TEST(EngineChurn, SkewedWeighted) { RunChurn({Dist::kSkewed, true, 16, 500}); }
 
-TEST(EngineChurn, VerifyColdOptionAgrees) {
-  // Options::verify_cold re-solves cold inside the engine and aborts on a
-  // mismatch; surviving a short churn run is the release-build flavour of
-  // the Debug assert.
+TEST(EngineChurn, DegradedResolveIsNotCertifiedAndDoesNotAbort) {
+  // Debug builds certify every Resolve that is not degraded and abort when
+  // the certificate fails. A degraded outcome is a greedy stop-gap, so it
+  // fails the certificate and must not be checked. The first Resolve, a
+  // cold 100x3000 solve that takes hundreds of milliseconds, breaches its
+  // 20 ms budget; after most customers leave, the next Resolve fits.
   AssignmentEngine::Options options;
-  options.verify_cold = true;
+  options.resolve_deadline_ms = 20.0;
   AssignmentEngine engine(options);
-  Rng rng(99);
-  const auto pts = test::RandomPoints(64, 21);
+  for (const Point& pos : test::RandomPoints(100, 81)) {
+    ASSERT_TRUE(engine.InsertProvider(pos, 40).ok());
+  }
   std::vector<AssignmentEngine::Id> ids;
-  for (int q = 0; q < 4; ++q) {
-    ASSERT_TRUE(engine.InsertProvider(pts[static_cast<std::size_t>(q)], 8).ok());
+  for (const Point& pos : test::RandomPoints(3000, 82)) {
+    ids.push_back(engine.InsertCustomer(pos).value());
   }
-  for (std::size_t p = 4; p < pts.size(); ++p) ids.push_back(engine.InsertCustomer(pts[p]).value());
-  engine.Resolve();
-  for (int round = 0; round < 5; ++round) {
-    for (int j = 0; j < 3; ++j) {
-      const std::size_t i = rng.NextBelow(ids.size());
-      ASSERT_TRUE(engine.RemoveCustomer(ids[i]));
-      ids[i] = ids.back();
-      ids.pop_back();
-    }
-    ids.push_back(engine.InsertCustomer(
-        Point{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)}).value());
-    const auto out = engine.Resolve();
-    EXPECT_TRUE(out.warm);
-  }
-}
-
-TEST(EngineChurn, VerifyColdIgnoresResolveDeadline) {
-  // The cold cross-check must run to completion whatever is left of the
-  // Resolve budget. Here the warm Resolve is cheap (every unit is adopted,
-  // zero augmentations, so its deadline is never even checked) while the
-  // cold re-solve of the same snapshot is not: 100000 far-away unit
-  // providers enter every Dijkstra run's heap. A cold solve that inherited
-  // the remaining budget would stop with a partial matching and the cost
-  // check would abort.
-  AssignmentEngine::Options options;
-  options.verify_cold = true;
-  options.resolve_deadline_ms = 50.0;
-  AssignmentEngine engine(options);
-  for (const Point& pos : test::RandomPoints(30, 81)) {
-    ASSERT_TRUE(engine.InsertProvider(pos, 20).ok());
-  }
-  for (const Point& pos : test::RandomPoints(20, 82)) {
-    ASSERT_TRUE(engine.InsertCustomer(pos).ok());
-  }
-  const auto first = engine.Resolve();
-  ASSERT_FALSE(first.warm);
-  ASSERT_FALSE(first.degraded);
-  // They contest nobody: every customer keeps its nearest provider.
-  for (int i = 0; i < 100000; ++i) {
-    ASSERT_TRUE(engine.InsertProvider(Point{1e6, 1e6}, 1).ok());
-  }
-  const auto second = engine.Resolve();
-  EXPECT_TRUE(second.warm);
-  EXPECT_FALSE(second.degraded);
-  EXPECT_EQ(second.metrics.augmentations, 0u);
-  EXPECT_EQ(second.metrics.warm_units_adopted, 20u);
-  EXPECT_EQ(second.cost, first.cost);
+  const auto degraded = CertifiedResolve(&engine);
+  ASSERT_TRUE(degraded.degraded);
+  EXPECT_FALSE(
+      CertifyOptimal(engine.problem(), degraded.matching, engine.potentials()).ok());
+  for (std::size_t i = 20; i < ids.size(); ++i) ASSERT_TRUE(engine.RemoveCustomer(ids[i]));
+  const auto cold = CertifiedResolve(&engine);
+  EXPECT_FALSE(cold.degraded);
+  EXPECT_FALSE(cold.warm);
+  ASSERT_TRUE(engine.InsertCustomer(Point{500.0, 500.0}).ok());
+  const auto warm = CertifiedResolve(&engine);
+  EXPECT_FALSE(warm.degraded);
+  EXPECT_TRUE(warm.warm);
+  EXPECT_EQ(engine.stats().degraded_resolves, 1u);
 }
 
 // Asserts the outcome's unassigned ledger is the exact per-customer
@@ -240,7 +219,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
   for (int i = 0; i < 12; ++i) ids.push_back(engine.InsertCustomer(p_pts[next++]).value());
   ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
   {
-    const auto out = engine.Resolve();
+    const auto out = CertifiedResolve(&engine);
     EXPECT_FALSE(out.degraded);
     EXPECT_TRUE(out.unassigned.empty());
     ExpectExactLedger(engine, out);
@@ -251,7 +230,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
     for (int i = 0; i < 10; ++i) ids.push_back(engine.InsertCustomer(p_pts[next++]).value());
     ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
     if (::testing::Test::HasFatalFailure()) return;
-    const auto out = engine.Resolve();
+    const auto out = CertifiedResolve(&engine);
     EXPECT_FALSE(out.degraded);
     EXPECT_FALSE(out.unassigned.empty());
     ExpectExactLedger(engine, out);
@@ -267,7 +246,7 @@ TEST(EngineChurn, CapacityExhaustionPhasesCrossFeasibilityBoundary) {
   }
   ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
   {
-    const auto out = engine.Resolve();
+    const auto out = CertifiedResolve(&engine);
     EXPECT_FALSE(out.degraded);
     EXPECT_TRUE(out.unassigned.empty());
     ExpectExactLedger(engine, out);
@@ -295,7 +274,7 @@ TEST(EngineChurn, DeadlineBreachDegradesWithoutCrashing) {
   for (const auto& p : p_pts) ids.push_back(engine.InsertCustomer(p).value());
 
   for (int round = 0; round < 3; ++round) {
-    const auto out = engine.Resolve();
+    const auto out = CertifiedResolve(&engine);
     EXPECT_TRUE(out.degraded);
     std::string error;
     EXPECT_TRUE(ValidateMatching(engine.problem(), out.matching, &error)) << error;
@@ -317,7 +296,7 @@ TEST(EngineChurn, DeadlineBreachDegradesWithoutCrashing) {
   for (std::size_t p = 0; p + 3 < p_pts.size(); ++p) {
     ASSERT_TRUE(reference.InsertCustomer(p_pts[p]).ok());
   }
-  const auto out = reference.Resolve();
+  const auto out = CertifiedResolve(&reference);
   EXPECT_FALSE(out.degraded);
   const SspaResult cold = SolveSspa(reference.problem(), SspaConfig{});
   EXPECT_NEAR(out.cost, cold.matching.cost(), 1e-9 * std::max(1.0, cold.matching.cost()));
@@ -352,7 +331,7 @@ TEST(EngineChurn, InsertValidationRejectsBadInputAndMutatesNothing) {
   ASSERT_TRUE(c.ok());
   const auto q = engine.InsertProvider(Point{3.0, 4.0}, 2);
   ASSERT_TRUE(q.ok());
-  const auto out = engine.Resolve();
+  const auto out = CertifiedResolve(&engine);
   EXPECT_EQ(out.matching.size(), 1);
   EXPECT_TRUE(out.unassigned.empty());
 }
@@ -405,7 +384,7 @@ TEST(EngineChurn, WarmStartReducesPopsOnSmallPerturbation) {
   }
   std::vector<AssignmentEngine::Id> ids;
   for (const auto& p : p_pts) ids.push_back(engine.InsertCustomer(p).value());
-  engine.Resolve();
+  CertifiedResolve(&engine);
 
   for (int j = 0; j < 3; ++j) {
     const std::size_t i = rng.NextBelow(ids.size());
@@ -418,7 +397,7 @@ TEST(EngineChurn, WarmStartReducesPopsOnSmallPerturbation) {
         Point{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)}).value());
   }
 
-  const auto warm = engine.Resolve();
+  const auto warm = CertifiedResolve(&engine);
   EXPECT_TRUE(warm.warm);
   const SspaResult cold = SolveSspa(engine.problem(), SspaConfig{});
   const double tol = 1e-9 * std::max(1.0, std::abs(cold.matching.cost()));
@@ -441,7 +420,7 @@ AssignmentEngine::ResolveOutcome SolveDispatchEngine(AssignmentEngine* engine,
   for (const Point& pos : test::RandomPoints(1500, seed + 1)) {
     EXPECT_TRUE(engine->InsertCustomer(pos).ok());
   }
-  AssignmentEngine::ResolveOutcome first = engine->Resolve();
+  AssignmentEngine::ResolveOutcome first = CertifiedResolve(engine);
   EXPECT_FALSE(first.warm);
   return first;
 }
@@ -462,30 +441,28 @@ TEST(EngineChurn, ArrivalNextToSpareProviderRelaxesLittle) {
   ASSERT_LT(spare, engine.num_providers());
   const Point at = engine.problem().providers[spare].pos;
   ASSERT_TRUE(engine.InsertCustomer(Point{at.x + 0.5, at.y - 0.5}).ok());
-  const auto warm = engine.Resolve();
+  const auto warm = CertifiedResolve(&engine);
   ASSERT_TRUE(warm.warm);
   const double cold = ColdCost(engine.problem());
   EXPECT_NEAR(warm.cost, cold, 1e-9 * std::max(1.0, cold));
-  test::ExpectFeasibleDuals(engine.problem(), warm.matching, engine.potentials(), "warm");
   EXPECT_EQ(warm.metrics.warm_units_adopted, 1500u);
   EXPECT_LE(warm.metrics.dijkstra_relaxes, 10u) << warm.metrics.ToString();
 }
 
 // A burst of 1000 arrivals onto a solved 30x1500 engine: one warm Resolve
 // routes the whole deficit, its lazy seed heap re-evaluating stale entries
-// as providers fill, and still matches cold with feasible duals.
+// as providers fill, and still matches cold with certified duals.
 TEST(EngineChurn, ThousandArrivalsMatchCold) {
   AssignmentEngine engine;
   SolveDispatchEngine(&engine, 53);
   for (const Point& pos : test::ClusteredPoints(1000, 55)) {
     ASSERT_TRUE(engine.InsertCustomer(pos).ok());
   }
-  const auto warm = engine.Resolve();
+  const auto warm = CertifiedResolve(&engine);
   ASSERT_TRUE(warm.warm);
   EXPECT_TRUE(warm.unassigned.empty());
   const double cold = ColdCost(engine.problem());
   EXPECT_NEAR(warm.cost, cold, 1e-9 * std::max(1.0, cold));
-  test::ExpectFeasibleDuals(engine.problem(), warm.matching, engine.potentials(), "warm");
 }
 
 // A provider arrival's dual is the solver's to derive: the engine seeds it
@@ -533,7 +510,7 @@ TEST(EngineChurn, ProviderArrivalDualIsDerivedBySolver) {
   // against, and the warm solve over zero customers completes.
   for (const AssignmentEngine::Id id : customers) ASSERT_TRUE(engine.RemoveCustomer(id));
   ASSERT_TRUE(engine.InsertProvider(Point{400.0, 300.0}, 3).ok());
-  const auto empty = engine.Resolve();
+  const auto empty = CertifiedResolve(&engine);
   EXPECT_TRUE(empty.warm);
   EXPECT_EQ(empty.cost, 0.0);
   EXPECT_TRUE(empty.matching.pairs.empty());
@@ -544,14 +521,13 @@ TEST(EngineChurn, ProviderArrivalDualIsDerivedBySolver) {
   ExpectResolveMatchesCold(&engine, &totals, &warm_resolves);
 }
 
-// One warm Resolve after churn, checked against a cold solve of the same
-// snapshot, with feasible retained duals.
+// One certified warm Resolve after churn, checked against a cold solve of
+// the same snapshot.
 AssignmentEngine::ResolveOutcome ExpectWarmResolveMatchesCold(AssignmentEngine* engine) {
-  AssignmentEngine::ResolveOutcome warm = engine->Resolve();
+  AssignmentEngine::ResolveOutcome warm = CertifiedResolve(engine);
   EXPECT_TRUE(warm.warm);
   const double cold = ColdCost(engine->problem());
   EXPECT_NEAR(warm.cost, cold, 1e-9 * std::max(1.0, cold));
-  test::ExpectFeasibleDuals(engine->problem(), warm.matching, engine->potentials(), "warm");
   return warm;
 }
 
@@ -601,7 +577,7 @@ TEST(EngineChurn, DispatchChurnRarelyRunsAnIdleDijkstra) {
   for (int p = 0; p < 1500; ++p) {
     ids.push_back(engine.InsertCustomer(customer_pool[next_customer++]).value());
   }
-  engine.Resolve();
+  CertifiedResolve(&engine);
   int idle = 0;
   std::uint64_t cycles = 0;
   for (int w = 0; w < kWindows; ++w) {
@@ -620,7 +596,7 @@ TEST(EngineChurn, DispatchChurnRarelyRunsAnIdleDijkstra) {
       const Point& pos = provider_pool[next_provider++ % provider_pool.size()];
       ASSERT_TRUE(engine.InsertProvider(pos, 80).ok());
     }
-    const auto out = engine.Resolve();
+    const auto out = CertifiedResolve(&engine);
     ASSERT_TRUE(out.warm);
     if (out.metrics.dijkstra_runs > out.metrics.augmentations) ++idle;
     cycles += out.metrics.source_cycles_cancelled;
@@ -628,7 +604,7 @@ TEST(EngineChurn, DispatchChurnRarelyRunsAnIdleDijkstra) {
   EXPECT_GT(cycles, 0u);
   EXPECT_LE(idle, kWindows / 10);
   const double cold = ColdCost(engine.problem());
-  EXPECT_NEAR(engine.Resolve().cost, cold, 1e-9 * std::max(1.0, cold));
+  EXPECT_NEAR(CertifiedResolve(&engine).cost, cold, 1e-9 * std::max(1.0, cold));
 }
 
 // An infeasible engine (demand above capacity) under departures and
@@ -646,7 +622,7 @@ TEST(EngineChurn, OverflowDeficitRunsCancelCyclesAndKeepExactLedger) {
   for (const Point& pos : test::RandomPoints(60, 5)) {
     ids.push_back(engine.InsertCustomer(pos).value());
   }
-  engine.Resolve();
+  CertifiedResolve(&engine);
   for (int d = 0; d < 4; ++d) {
     const std::size_t i = rng.NextBelow(ids.size());
     ASSERT_TRUE(engine.RemoveCustomer(ids[i]));
@@ -791,16 +767,19 @@ TEST(EngineChurn, RepeatedResolveWithoutChurnBuildsNoWalkCells) {
   AssignmentEngine engine = TwoClumpEngine(&customers, &providers);
   Metrics totals;
   int warm = 0;
-  const AssignmentEngine::ResolveOutcome first = engine.Resolve();
+  const AssignmentEngine::ResolveOutcome first = CertifiedResolve(&engine);
   EXPECT_GT(first.metrics.walk_cells_built, 0u);
   ASSERT_TRUE(engine.RemoveCustomer(customers[5]));
   ASSERT_TRUE(engine.InsertProvider(Point{500.0, 500.0}, 10).ok());
   ExpectResolveMatchesCold(&engine, &totals, &warm);
   for (int repeat = 0; repeat < 2; ++repeat) {
-    const AssignmentEngine::ResolveOutcome out = engine.Resolve();
+    const AssignmentEngine::ResolveOutcome out = CertifiedResolve(&engine);
     EXPECT_TRUE(out.warm);
     EXPECT_EQ(out.metrics.walk_cells_built, 0u) << "repeat " << repeat;
     EXPECT_EQ(out.metrics.warm_units_adopted, 1199u) << "repeat " << repeat;
+    // The Resolve before left duals that already meet the source
+    // condition, so the certificate pass exits without a run.
+    EXPECT_EQ(out.metrics.dijkstra_runs, 0u) << "repeat " << repeat;
   }
 }
 

@@ -1,5 +1,5 @@
 // RIA / NIA / IDA on small hand-checkable instances: each must equal the
-// brute-force optimum and pass the Klein optimality certificate.
+// brute-force optimum.
 #include <gtest/gtest.h>
 
 #include "core/exact.h"
@@ -80,8 +80,6 @@ TEST_P(ExactSmallTest, RandomTinyAgainstBruteForce) {
         << GetParam().name << " seed " << seed;
     std::string error;
     EXPECT_TRUE(ValidateMatching(problem, result.matching, &error)) << error;
-    EXPECT_TRUE(IsOptimalMatching(problem, result.matching))
-        << GetParam().name << " seed " << seed;
   }
 }
 

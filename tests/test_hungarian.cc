@@ -96,7 +96,7 @@ TEST_P(HungarianRandomTest, AgreesWithSspa) {
               1e-6 * (1.0 + sspa.matching.cost()));
   std::string error;
   EXPECT_TRUE(ValidateMatching(problem, hungarian.matching, &error)) << error;
-  EXPECT_TRUE(IsOptimalMatching(problem, hungarian.matching));
+  test::ExpectCertified(problem, sspa);
 }
 
 INSTANTIATE_TEST_SUITE_P(Regimes, HungarianRandomTest,

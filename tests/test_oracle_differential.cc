@@ -6,6 +6,8 @@
 // hand-built small cases: the oracle is a matrix-style solver that shares
 // no code with the incremental flow engine, the spatial indexes, or the
 // potential bookkeeping, so any cost drift in the solver stack trips it.
+// Every SSPA solve is also certified by its own duals (CertifyOptimal),
+// which reaches sizes the oracle cannot.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -104,6 +106,7 @@ TEST(OracleDifferential, SolversMatchHungarianOnRandomInstances) {
         EXPECT_NEAR(sspa.matching.cost(), oracle.matching.cost(), tol) << label << " sspa";
         EXPECT_EQ(ria.matching.size(), oracle.matching.size()) << label;
         EXPECT_EQ(sspa.matching.size(), oracle.matching.size()) << label;
+        test::ExpectCertified(problem, sspa, label);
       }
     }
   }
@@ -174,6 +177,7 @@ TEST(OracleDifferential, InfeasibleInstancesMatchHungarianPartialOptimum) {
           ledger_sum += u.units;
         }
         EXPECT_EQ(ledger_sum, overflow) << label;
+        test::ExpectCertified(problem, res, label + " warm");
 
         // The plain capacity-limited solve finds the same partial optimum,
         // and the ledger (computed uniformly as the matching's complement)
@@ -181,10 +185,31 @@ TEST(OracleDifferential, InfeasibleInstancesMatchHungarianPartialOptimum) {
         const SspaResult plain = SolveSspa(problem);
         EXPECT_NEAR(plain.matching.cost(), oracle.matching.cost(), tol) << label;
         EXPECT_EQ(plain.unassigned_units, overflow) << label;
+        test::ExpectCertified(problem, plain, label + " cold");
       }
     }
   }
   EXPECT_EQ(case_index, 24u);  // 3 distributions x {unit, weighted} x 4 seeds
+}
+
+// Sizes no independent solver reaches, where the ring relax prunes most
+// of the graph: the certificate alone proves these solves optimal, one
+// capacity-limited (4000 slots for 10000 customers) and one ample (4000
+// slots for 3000).
+TEST(OracleDifferential, CertifiesUniformSolvesBeyondTheOracles) {
+  for (const std::size_t np : {10000u, 3000u}) {
+    test::InstanceSpec spec;
+    spec.nq = 100;
+    spec.np = np;
+    spec.k_lo = 40;
+    spec.k_hi = 40;
+    spec.seed = 7;
+    const Problem problem = test::RandomProblem(spec);
+    const SspaResult res = SolveSspa(problem);
+    EXPECT_EQ(res.matching.size(), problem.Gamma());
+    EXPECT_GT(res.metrics.relaxes_pruned, res.metrics.dijkstra_relaxes);
+    test::ExpectCertified(problem, res, "100x" + std::to_string(np));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// SSPA baseline tests: paper worked example, optimality against oracles,
-// weighted customers, metric sanity, one solve's exact work counters,
-// warm starts under churn.
+// SSPA baseline tests: paper worked example, optimality against the
+// Hungarian solver and the duality certificate, weighted customers, metric
+// sanity, one solve's exact work counters, warm starts under churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "core/matching.h"
+#include "flow/hungarian.h"
 #include "flow/oracle.h"
 #include "flow/sspa.h"
 #include "gen/generator.h"
@@ -32,6 +33,7 @@ TEST(SspaTest, PaperFigure2Example) {
   EXPECT_EQ(result.matching.size(), 2);
   EXPECT_DOUBLE_EQ(result.matching.cost(), 11.0);
   EXPECT_EQ(result.conceptual_edges, 4u);
+  test::ExpectCertified(problem, result);
   bool q1_p1 = false, q2_p2 = false;
   for (const auto& pair : result.matching.pairs) {
     if (pair.provider == 0 && pair.customer == 0) q1_p1 = true;
@@ -57,7 +59,7 @@ TEST(SspaTest, SecondPathReroutesThroughResidualEdge) {
   // Options: q0-p0 + q1-p1 = 20 + 30 = 50; q0-p1 + q1-p0 = 30 + 40 = 70.
   const SspaResult result = SolveSspa(problem);
   EXPECT_DOUBLE_EQ(result.matching.cost(), 50.0);
-  EXPECT_TRUE(IsOptimalMatching(problem, result.matching));
+  test::ExpectCertified(problem, result);
 }
 
 struct SspaCase {
@@ -82,10 +84,9 @@ TEST_P(SspaRandomTest, OptimalAndValid) {
   const SspaResult result = SolveSspa(problem);
   std::string error;
   EXPECT_TRUE(ValidateMatching(problem, result.matching, &error)) << error;
-  EXPECT_TRUE(IsOptimalMatching(problem, result.matching));
-  // Cross-check the cost against the independent network solver.
-  const Matching oracle = SolveWithNetworkOracle(problem);
-  EXPECT_NEAR(result.matching.cost(), oracle.cost(), 1e-6);
+  test::ExpectCertified(problem, result);
+  // Cross-check the cost against the independent Hungarian solver.
+  EXPECT_NEAR(result.matching.cost(), SolveHungarian(problem).matching.cost(), 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -114,7 +115,8 @@ TEST(SspaTest, WeightedCustomersMatchOracle) {
     const SspaResult result = SolveSspa(problem);
     std::string error;
     EXPECT_TRUE(ValidateMatching(problem, result.matching, &error)) << error;
-    const Matching oracle = SolveWithNetworkOracle(problem);
+    test::ExpectCertified(problem, result, "seed " + std::to_string(seed));
+    const Matching oracle = SolveHungarian(test::UnitExpanded(problem)).matching;
     EXPECT_NEAR(result.matching.cost(), oracle.cost(), 1e-6) << "seed " << seed;
   }
 }
@@ -126,6 +128,7 @@ TEST(SspaTest, ZeroCapacityProvidersIgnored) {
   const SspaResult result = SolveSspa(problem);
   EXPECT_EQ(result.matching.size(), 2);
   for (const auto& pair : result.matching.pairs) EXPECT_EQ(pair.provider, 1);
+  test::ExpectCertified(problem, result);
 }
 
 TEST(SspaTest, EmptyCustomerSet) {
@@ -133,6 +136,7 @@ TEST(SspaTest, EmptyCustomerSet) {
   problem.providers = {Provider{{0, 0}, 3}};
   const SspaResult result = SolveSspa(problem);
   EXPECT_EQ(result.matching.size(), 0);
+  test::ExpectCertified(problem, result);
 }
 
 TEST(SspaTest, MetricsPopulated) {
@@ -146,6 +150,7 @@ TEST(SspaTest, MetricsPopulated) {
   EXPECT_GT(result.metrics.dijkstra_runs, 0u);
   EXPECT_EQ(result.metrics.augmentations, result.metrics.dijkstra_runs);
   EXPECT_GE(result.metrics.dijkstra_pops, result.metrics.dijkstra_runs);
+  test::ExpectCertified(problem, result);
 }
 
 // Pins one solve's traversal exactly: the 10x200 uniform row of
@@ -178,6 +183,7 @@ TEST(SspaTest, PinsBenchMicroFlowCounters) {
   EXPECT_EQ(m.coarse_tails_pruned, 0u);
   EXPECT_EQ(m.cells_pruned, 14400u);
   EXPECT_EQ(m.hier_splits, 4u);
+  test::ExpectCertified(problem, result);
 }
 
 // Successive shortest path costs are non-decreasing, so the matching cost
@@ -190,9 +196,13 @@ TEST(SspaTest, CostMonotoneInCapacity) {
   spec.k_hi = 2;
   spec.seed = 11;
   Problem problem = test::RandomProblem(spec);
-  const double cost_small = SolveSspa(problem).matching.cost();
+  const SspaResult small = SolveSspa(problem);
+  test::ExpectCertified(problem, small, "k=2");
   for (auto& q : problem.providers) q.capacity = 4;
-  const double cost_large = SolveSspa(problem).matching.cost();
+  const SspaResult large = SolveSspa(problem);
+  test::ExpectCertified(problem, large, "k=4");
+  const double cost_small = small.matching.cost();
+  const double cost_large = large.matching.cost();
   // More capacity => larger gamma => strictly more assigned pairs => cost
   // can only grow (every pair has non-negative distance).
   EXPECT_GE(cost_large, cost_small - 1e-9);
@@ -257,6 +267,8 @@ TEST(SspaWarmStartTest, OverflowProviderExactlyWhenWarmAndInfeasible) {
     EXPECT_TRUE(ValidateMatching(problem, warm.matching, &error)) << label << ": " << error;
     ExpectExactLedger(problem, cold, label + " cold");
     ExpectExactLedger(problem, warm, label + " warm");
+    test::ExpectCertified(problem, cold, label + " cold");
+    test::ExpectCertified(problem, warm, label + " warm");
   }
 }
 
@@ -289,6 +301,8 @@ TEST(SspaWarmStartTest, SelfWarmStartAdoptsFlowAndKeepsCost) {
       EXPECT_LT(warm.metrics.augmentations, static_cast<std::uint64_t>(problem.TotalWeight()))
           << label;
       EXPECT_EQ(warm.unassigned_units, cold.unassigned_units) << label;
+      test::ExpectCertified(problem, cold, label + " cold");
+      test::ExpectCertified(problem, warm, label + " warm");
     }
   }
 }
@@ -313,8 +327,8 @@ Problem WithoutCustomer(Problem problem, std::size_t gone) {
   return problem;
 }
 
-// Solves `problem` warm and cold, checks that they agree, and returns the
-// warm result.
+// Solves `problem` warm and cold, checks that they agree and that each is
+// certified by its own duals, and returns the warm result.
 SspaResult ExpectWarmEqualsCold(const Problem& problem, const SspaWarmStart& warm_start,
                                 bool use_grid, const std::string& label) {
   SspaConfig cfg;
@@ -328,6 +342,8 @@ SspaResult ExpectWarmEqualsCold(const Problem& problem, const SspaWarmStart& war
   std::string error;
   EXPECT_TRUE(ValidateMatching(problem, warm.matching, &error)) << label << ": " << error;
   EXPECT_EQ(warm.unassigned_units, cold.unassigned_units) << label;
+  test::ExpectCertified(problem, cold, label + " cold");
+  test::ExpectCertified(problem, warm, label + " warm");
   return warm;
 }
 
@@ -348,6 +364,7 @@ TEST(SspaWarmStartTest, TwoHopSourceCycleAfterDeparture) {
     cfg.use_grid = use_grid;
     const SspaResult solved = SolveSspa(before, cfg);
     ASSERT_NEAR(solved.matching.cost(), 11.0, 1e-9) << label;
+    test::ExpectCertified(before, solved, label);
     const SspaWarmStart warm_start = AfterCustomerDeparture(solved, 0);
     for (const MatchPair& pair : warm_start.matching.pairs) {
       const Point& pos = after.customers[static_cast<std::size_t>(pair.customer)];
@@ -388,6 +405,7 @@ TEST(SspaWarmStartTest, DepartureAtFullProviderCancelsFewCycles) {
     SspaConfig cfg;
     cfg.use_grid = use_grid;
     const SspaResult solved = SolveSspa(before, cfg);
+    test::ExpectCertified(before, solved, label);
     const auto loads = solved.matching.ProviderLoads(before.providers.size());
     std::size_t gone = before.customers.size();
     for (const MatchPair& pair : solved.matching.pairs) {
@@ -405,20 +423,20 @@ TEST(SspaWarmStartTest, DepartureAtFullProviderCancelsFewCycles) {
     EXPECT_LE(warm.metrics.augmentations, 10u) << label;
     EXPECT_GT(warm.metrics.source_cycles_cancelled, 0u) << label;
     EXPECT_EQ(warm.metrics.source_cycles_cancelled, warm.metrics.augmentations) << label;
-    test::ExpectFeasibleDuals(after, warm.matching, warm.potentials, label);
   }
 }
 
 // A provider arrival on the same instance, its dual seeded at the largest
 // feasible value, min_p(dist + tau_p), or left at +infinity for the clamp
 // pass to derive (how AssignmentEngine seeds one). Either way the warm
-// solve matches cold and exports finite, feasible duals.
+// solve matches cold and exports duals that certify it.
 TEST(SspaWarmStartTest, ProviderArrivalMatchesCold) {
   const Problem before = test::RandomProblem(ClusteredDispatchSpec());
   for (const bool use_grid : {true, false}) {
     SspaConfig cfg;
     cfg.use_grid = use_grid;
     const SspaResult solved = SolveSspa(before, cfg);
+    test::ExpectCertified(before, solved, use_grid ? "grid" : "reference");
     Problem after = before;
     // Arrive on a customer, i.e. inside the densest demand.
     const Point pos = before.customers[0];
@@ -439,7 +457,6 @@ TEST(SspaWarmStartTest, ProviderArrivalMatchesCold) {
       if (derive) {
         EXPECT_GE(warm.metrics.dual_repairs, 1u) << label;
       }
-      test::ExpectFeasibleDuals(after, warm.matching, warm.potentials, label);
     }
   }
 }
@@ -467,6 +484,7 @@ TEST(SspaWarmStartTest, WeightedPartialSinkFlowMatchesCold) {
     SspaConfig cfg;
     cfg.use_grid = use_grid;
     const SspaResult solved = SolveSspa(before, cfg);
+    test::ExpectCertified(before, solved, label);
     SspaWarmStart warm_start;
     warm_start.potentials = solved.potentials;
     warm_start.matching = solved.matching;
@@ -474,7 +492,6 @@ TEST(SspaWarmStartTest, WeightedPartialSinkFlowMatchesCold) {
     EXPECT_EQ(warm.metrics.warm_units_adopted, static_cast<std::uint64_t>(before.TotalWeight()))
         << label;
     EXPECT_TRUE(warm.unassigned.empty()) << label;
-    test::ExpectFeasibleDuals(after, warm.matching, warm.potentials, label);
   }
 }
 
@@ -497,6 +514,7 @@ TEST(SspaWarmStartTest, OverflowWithFullProvidersKeepsExactLedger) {
     cfg.use_grid = use_grid;
     const SspaResult solved = SolveSspa(before, cfg);
     ASSERT_EQ(solved.unassigned_units, before.TotalWeight() - before.TotalCapacity()) << label;
+    test::ExpectCertified(before, solved, label);
     // The engine's arrival seed: the smallest dual feasible against every
     // provider.
     SspaWarmStart warm_start;
@@ -535,6 +553,7 @@ TEST(SspaWarmStartTest, DerivedProviderDualWithoutCustomers) {
     EXPECT_FALSE(warm.deadline_exceeded);
     EXPECT_EQ(warm.metrics.augmentations, 0u);
     EXPECT_EQ(warm.potentials.tau_q.size(), 2u);
+    test::ExpectCertified(problem, warm);
   }
 }
 

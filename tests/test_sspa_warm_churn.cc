@@ -7,8 +7,9 @@
 //
 // Every step asserts that the warm solve matches a cold solve of the same
 // instance (1e-9 relative), passes ValidateMatching, reports an exact
-// unassigned ledger, exports duals feasible for its matching, and matches
-// the independent Hungarian oracle (every instance keeps |P| <= 64).
+// unassigned ledger, exports duals that certify its matching optimal
+// (CertifyOptimal, as do the cold solve's), and matches the independent
+// Hungarian oracle (every instance keeps |P| <= 64).
 // Odd-indexed streams leave an arriving provider's dual at +infinity for
 // the solver to derive, as the engine does; even-indexed streams seed it
 // at the largest feasible value themselves.
@@ -185,7 +186,9 @@ TEST(SspaWarmChurn, WarmMatchesColdAndHungarianAcrossChurn) {
         ASSERT_EQ(stream.problem().TotalCapacity() >= stream.problem().TotalWeight(), feasible);
         SspaConfig cfg;
         cfg.use_grid = use_grid;
-        stream.Retain(SolveSspa(stream.problem(), cfg));
+        const SspaResult first = SolveSspa(stream.problem(), cfg);
+        test::ExpectCertified(stream.problem(), first, "first");
+        stream.Retain(first);
         for (int step = 0; step < kSteps; ++step) {
           stream.Churn();
           const Problem& problem = stream.problem();
@@ -206,7 +209,8 @@ TEST(SspaWarmChurn, WarmMatchesColdAndHungarianAcrossChurn) {
           EXPECT_TRUE(ValidateMatching(problem, warm.matching, &error)) << label << ": " << error;
           ExpectExactLedger(problem, warm, label + " warm");
           ExpectExactLedger(problem, cold, label + " cold");
-          test::ExpectFeasibleDuals(problem, warm.matching, warm.potentials, label);
+          test::ExpectCertified(problem, warm, label + " warm");
+          test::ExpectCertified(problem, cold, label + " cold");
           EXPECT_FALSE(warm.deadline_exceeded) << label;
           warm_augmentations += warm.metrics.augmentations;
           stream.Retain(warm);

@@ -4,7 +4,6 @@
 #define CCA_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,6 +15,7 @@
 #include "core/customer_db.h"
 #include "core/matching.h"
 #include "core/problem.h"
+#include "flow/oracle.h"
 #include "flow/sspa.h"
 #include "geo/point.h"
 #include "geo/rect.h"
@@ -129,48 +129,18 @@ inline std::unique_ptr<CustomerDb> MakeDb(const Problem& problem, double buffer_
   return std::make_unique<CustomerDb>(problem.customers, options);
 }
 
-// Brute-force O(|Q||P|) dual feasibility of a solve's exported potentials
-// against its matching, with reduced cost r(q, p) = dist - tau_q + tau_p:
-//   * every residual forward arc has r >= -eps (a unit customer's arc that
-//     carries its unit is saturated; a weighted customer's arcs never are);
-//   * every flow-carrying arc, whose backward arc is residual, has r <= eps;
-//   * every dual is finite and >= 0.
-inline void ExpectFeasibleDuals(const Problem& problem, const Matching& matching,
-                                const SspaPotentials& potentials, const std::string& label = "") {
-  const std::size_t nq = problem.providers.size();
-  const std::size_t np = problem.customers.size();
-  ASSERT_EQ(potentials.tau_q.size(), nq) << label;
-  ASSERT_EQ(potentials.tau_p.size(), np) << label;
-  std::size_t bad_duals = 0;
-  for (const std::vector<double>* duals : {&potentials.tau_q, &potentials.tau_p}) {
-    for (const double tau : *duals) {
-      if (!std::isfinite(tau) || tau < 0.0) ++bad_duals;
-    }
-  }
-  EXPECT_EQ(bad_duals, 0u) << label << ": non-finite or negative duals";
-  std::vector<char> carries(nq * np, 0);
-  for (const MatchPair& pair : matching.pairs) {
-    carries[static_cast<std::size_t>(pair.provider) * np + static_cast<std::size_t>(pair.customer)] =
-        1;
-  }
-  std::size_t violations = 0;
-  std::string first;
-  for (std::size_t q = 0; q < nq; ++q) {
-    for (std::size_t p = 0; p < np; ++p) {
-      const double dist = Distance(problem.providers[q].pos, problem.customers[p]);
-      const double r = dist - potentials.tau_q[q] + potentials.tau_p[p];
-      const double eps = 1e-7 * std::max(1.0, dist + potentials.tau_p[p]);
-      const bool flow = carries[q * np + p] != 0;
-      const bool forward_residual = !flow || !problem.weights.empty();
-      if ((forward_residual && r < -eps) || (flow && r > eps)) {
-        if (violations++ == 0) {
-          first = "q=" + std::to_string(q) + " p=" + std::to_string(p) +
-                  " r=" + std::to_string(r) + (flow ? " (flow)" : "");
-        }
-      }
-    }
-  }
-  EXPECT_EQ(violations, 0u) << label << ": first infeasible arc " << first;
+// The LP-duality certificate (flow/oracle.h): `potentials` prove
+// `matching` optimal. A failure names the condition that broke.
+inline void ExpectCertified(const Problem& problem, const Matching& matching,
+                            const SspaPotentials& potentials, const std::string& label = "") {
+  const Status cert = CertifyOptimal(problem, matching, potentials);
+  EXPECT_TRUE(cert.ok()) << label << ": " << cert.message();
+}
+
+// A completed SSPA solve certifies itself with its own exported duals.
+inline void ExpectCertified(const Problem& problem, const SspaResult& result,
+                            const std::string& label = "") {
+  ExpectCertified(problem, result.matching, result.potentials, label);
 }
 
 }  // namespace cca::test
