@@ -3,34 +3,37 @@
 // arrival/departure stream.
 //
 // Each shape drives a Poisson-ish event stream — customer arrivals and
-// departures every step, occasional provider churn — through two engines
-// fed the identical stream: one warm-started (duals + adopted flow from
-// the previous Resolve), one resolving cold every step. Every step's warm
-// cost is checked against the cold cost and every warm outcome against
+// departures every step, occasional provider churn — through one engine,
+// warm-started at every Resolve (duals + adopted flow from the previous
+// one), and also solves every snapshot from scratch: the "cold" mode is a
+// plain SolveSspa of the engine's problem(), over a freshly laid-out grid
+// with private walks, nothing carried over. Every step's warm cost is
+// checked against the from-scratch cost and every warm outcome against
 // its LP-duality certificate (exit non-zero on any mismatch or failed
 // certificate: the engine's correctness anchor), and the run reports sustained
 // re-solve QPS plus p50/p99 re-solve latency per mode over `samples`
 // re-solves (p999 only from 1000 samples up). The percentiles are exact
 // nearest-rank values over the retained samples (at most one per step),
-// not histogram bucket bounds. The step-0 bootstrap — a
-// cold solve for both engines — is timed apart as `bootstrap_ms` and never
-// enters the latency samples; its cost and counters still count.
+// not histogram bucket bounds. The step-0 bootstrap — the engine's first
+// Resolve and the first from-scratch solve, both cold — is timed apart as
+// `bootstrap_ms` and never enters the latency samples; its cost and
+// counters still count.
 //
 // Shapes keep gamma == total weight (ample capacity), the regime a
 // dispatch service lives in and the one where flow adoption applies: on a
 // small-perturbation step the warm engine re-augments only the churned
-// units, so its dijkstra_pops must sit far below the cold engine's —
+// units, so its dijkstra_pops must sit far below the cold solves' —
 // that column is the gated headline (tools/bench_diff.py: cost, pops,
 // relaxes, augmentations, distances_computed and walk_cells_built — the
-// ring-walk cells the solves materialised, which a warm engine keeps
-// across Resolves — gate against BENCH_dispatch.json from above,
+// ring-walk cells the solves materialised, which the engine keeps across
+// Resolves — gate against BENCH_dispatch.json from above,
 // warm_units_adopted from below; timing and the `cycles` column, the
 // negative source cycles the warm solves cancelled, are reported but never
 // gated).
 // Every row also splits its re-solves' SSPA time into the solver's phase
 // clocks (adopt_ms, augment_ms, cancel_ms, extract_ms, summed over the
-// latency samples); wall_ms minus their sum is index and ring-walk set-up
-// plus the engine's own overhead.
+// latency samples); wall_ms minus their sum is index and ring-walk set-up,
+// plus the engine's own overhead on warm rows.
 //
 //   bench_engine_dispatch [--out BENCH_dispatch.json] [--max-np N]
 //                         [--stats-out FILE]  (per-step warm EngineStats JSON)
@@ -49,6 +52,7 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "flow/oracle.h"
+#include "flow/sspa.h"
 #include "gen/generator.h"
 #include "runtime/engine.h"
 
@@ -62,15 +66,17 @@ struct Shape {
 
 struct ModeStats {
   double cost = 0.0;  // summed over all resolves, the bootstrap included
-  double bootstrap_ms = 0.0;  // step 0: the cold solve of the initial snapshot
+  double bootstrap_ms = 0.0;  // step 0: the first (cold) solve of the initial snapshot
   double wall_ms = 0.0;       // every later step (the latency samples)
   std::vector<double> latency_ms;  // one per step >= 1: the percentile source
   cca::Metrics totals;
   cca::Metrics steady;  // steps >= 1 only: the source of the SSPA phase clocks
-  // Failure-model counters (engine-cumulative, snapshotted after the run).
-  // All three must stay 0 in committed baselines: the bench sets no
-  // deadline and its instances are feasible, so any nonzero value is a
-  // regression bench_diff flags (the baseline gates growth from 0).
+  // Failure-model counters: engine-cumulative for the warm mode,
+  // snapshotted after the run; the cold mode sums its solves' unassigned
+  // units and sets no deadline. All three must stay 0 in committed
+  // baselines: the bench sets no deadline and its instances are feasible,
+  // so any nonzero value is a regression bench_diff flags (the baseline
+  // gates growth from 0).
   std::uint64_t deadline_breaches = 0;
   std::uint64_t degraded_resolves = 0;
   std::uint64_t unassigned_units = 0;
@@ -100,24 +106,39 @@ std::size_t Poisson(cca::Rng& rng, double lambda) {
   return n;
 }
 
-// One timed Resolve; accumulates into `stats` and returns the outcome. The
-// bootstrap (step 0, a cold solve for both engines) is timed apart from
-// the steady-state latency samples; its cost and counters still count.
-cca::AssignmentEngine::ResolveOutcome TimedResolve(cca::AssignmentEngine& engine,
-                                                   ModeStats& stats, bool bootstrap = false) {
-  cca::Timer timer;
-  cca::AssignmentEngine::ResolveOutcome out = engine.Resolve();
-  const double ms = timer.ElapsedMillis();
+// Accumulates one timed solve into `stats`. The bootstrap (step 0) is
+// timed apart from the steady-state latency samples; its cost and
+// counters still count.
+void Record(ModeStats& stats, double ms, double cost, const cca::Metrics& metrics,
+            bool bootstrap) {
   if (bootstrap) {
     stats.bootstrap_ms = ms;
   } else {
     stats.wall_ms += ms;
     stats.latency_ms.push_back(ms);
-    stats.steady.Merge(out.metrics);
+    stats.steady.Merge(metrics);
   }
-  stats.cost += out.cost;
-  stats.totals.Merge(out.metrics);
+  stats.cost += cost;
+  stats.totals.Merge(metrics);
+}
+
+// One timed Resolve of the engine; returns the outcome.
+cca::AssignmentEngine::ResolveOutcome TimedResolve(cca::AssignmentEngine& engine,
+                                                   ModeStats& stats, bool bootstrap = false) {
+  cca::Timer timer;
+  cca::AssignmentEngine::ResolveOutcome out = engine.Resolve();
+  Record(stats, timer.ElapsedMillis(), out.cost, out.metrics, bootstrap);
   return out;
+}
+
+// One timed from-scratch solve of `problem`; returns its cost.
+double TimedColdSolve(const cca::Problem& problem, ModeStats& stats, bool bootstrap = false) {
+  cca::Timer timer;
+  const cca::SspaResult res = cca::SolveSspa(problem);
+  const double cost = res.matching.cost();
+  Record(stats, timer.ElapsedMillis(), cost, res.metrics, bootstrap);
+  stats.unassigned_units += static_cast<std::uint64_t>(res.unassigned_units);
+  return cost;
 }
 
 void PrintRow(const Row& r) {
@@ -255,37 +276,28 @@ int main(int argc, char** argv) {
     q_spec.distribution = p_spec.distribution;
     const std::vector<cca::Point> provider_pool = cca::GeneratePoints(net, q_spec);
 
-    // Both engines consume the identical stream; only warm_start differs.
-    cca::AssignmentEngine::Options warm_opts;
-    warm_opts.warm_start = true;
-    cca::AssignmentEngine::Options cold_opts;
-    cold_opts.warm_start = false;
-    cca::AssignmentEngine warm_engine(warm_opts);
-    cca::AssignmentEngine cold_engine(cold_opts);
-
-    std::vector<std::pair<cca::AssignmentEngine::Id, cca::AssignmentEngine::Id>> customers;
+    cca::AssignmentEngine engine;
+    std::vector<cca::AssignmentEngine::Id> customers;
     std::size_t next_customer = 0, next_provider = 0;
     auto arrive_customer = [&] {
       const cca::Point& pos = customer_pool[next_customer++ % customer_pool.size()];
-      customers.emplace_back(warm_engine.InsertCustomer(pos).value(),
-                             cold_engine.InsertCustomer(pos).value());
+      customers.push_back(engine.InsertCustomer(pos).value());
     };
     auto arrive_provider = [&] {
       const cca::Point& pos = provider_pool[next_provider++ % provider_pool.size()];
       // value() aborts on a rejected insert, like the customer path above.
-      warm_engine.InsertProvider(pos, s.k).value();
-      cold_engine.InsertProvider(pos, s.k).value();
+      engine.InsertProvider(pos, s.k).value();
     };
     for (std::size_t q = 0; q < s.nq; ++q) arrive_provider();
     for (std::size_t p = 0; p < s.np; ++p) arrive_customer();
 
     ModeStats warm_stats, cold_stats;
-    // Step 0 solves the initial snapshot (cold for both engines: nothing
-    // to warm from), then every step perturbs ~lambda customers each way
-    // and re-solves. Only the re-solves are latency samples.
-    TimedResolve(warm_engine, warm_stats, /*bootstrap=*/true);
-    TimedResolve(cold_engine, cold_stats, /*bootstrap=*/true);
-    if (!stats_path.empty()) stats_snapshots.push_back(warm_engine.stats().ToJson());
+    // Step 0 solves the initial snapshot (cold in both modes: nothing to
+    // warm from), then every step perturbs ~lambda customers each way and
+    // re-solves. Only the re-solves are latency samples.
+    TimedResolve(engine, warm_stats, /*bootstrap=*/true);
+    TimedColdSolve(engine.problem(), cold_stats, /*bootstrap=*/true);
+    if (!stats_path.empty()) stats_snapshots.push_back(engine.stats().ToJson());
 
     cca::Rng rng(s.np * 31 + s.nq);
     const double lambda = std::max(1.0, static_cast<double>(s.np) / 200.0);
@@ -298,16 +310,15 @@ int main(int argc, char** argv) {
       for (std::size_t a = 0; a < arrivals; ++a) arrive_customer();
       for (std::size_t d = 0; d < departures; ++d) {
         const std::size_t i = static_cast<std::size_t>(rng.NextBelow(customers.size()));
-        warm_engine.RemoveCustomer(customers[i].first);
-        cold_engine.RemoveCustomer(customers[i].second);
+        engine.RemoveCustomer(customers[i]);
         customers[i] = customers.back();
         customers.pop_back();
       }
       if (rng.NextDouble() < 0.05) arrive_provider();  // occasional fleet growth
 
-      const cca::AssignmentEngine::ResolveOutcome warm = TimedResolve(warm_engine, warm_stats);
-      const double cold_cost = TimedResolve(cold_engine, cold_stats).cost;
-      if (!stats_path.empty()) stats_snapshots.push_back(warm_engine.stats().ToJson());
+      const cca::AssignmentEngine::ResolveOutcome warm = TimedResolve(engine, warm_stats);
+      const double cold_cost = TimedColdSolve(engine.problem(), cold_stats);
+      if (!stats_path.empty()) stats_snapshots.push_back(engine.stats().ToJson());
       const double tol = 1e-9 * std::max(1.0, std::abs(cold_cost));
       if (std::abs(warm.cost - cold_cost) > tol) {
         std::fprintf(stderr,
@@ -319,7 +330,7 @@ int main(int argc, char** argv) {
       // Untimed: the duals the warm engine retains must prove its matching
       // optimal. Release builds compile the engine's own check out.
       const cca::Status cert =
-          cca::CertifyOptimal(warm_engine.problem(), warm.matching, warm_engine.potentials());
+          cca::CertifyOptimal(engine.problem(), warm.matching, engine.potentials());
       if (!cert.ok()) {
         std::fprintf(stderr, "WARM RESOLVE NOT CERTIFIED dist=%s step=%zu: %s\n", s.dist, step,
                      cert.message().c_str());
@@ -332,11 +343,12 @@ int main(int argc, char** argv) {
       row.shape = s;
       row.mode = st == &warm_stats ? "warm" : "cold";
       row.stats = *st;
-      const cca::AssignmentEngine::Stats& es =
-          (st == &warm_stats ? warm_engine : cold_engine).stats();
-      row.stats.deadline_breaches = es.deadline_breaches;
-      row.stats.degraded_resolves = es.degraded_resolves;
-      row.stats.unassigned_units = es.unassigned_units;
+      if (st == &warm_stats) {
+        const cca::AssignmentEngine::Stats& es = engine.stats();
+        row.stats.deadline_breaches = es.deadline_breaches;
+        row.stats.degraded_resolves = es.degraded_resolves;
+        row.stats.unassigned_units = es.unassigned_units;
+      }
       const std::vector<double>& latency = row.stats.latency_ms;
       const auto samples = static_cast<double>(latency.size());
       row.p50_ms = cca::bench::NearestRank(latency, 0.50);

@@ -123,8 +123,7 @@ class SspaSolver {
         owned_hier_ = std::make_unique<HierarchicalGrid>(problem.customers);
         hier_ = owned_hier_.get();
       }
-      floors_ = config_.warm != nullptr ? std::make_unique<HierTauTable>(*hier_, tau_p_)
-                                        : std::make_unique<HierTauTable>(*hier_);
+      floors_ = std::make_unique<HierTauTable>(*hier_, tau_p_);
       if (shared.walks != nullptr) {
         walks_ = shared.walks;
         assert(walks_->size() == real_nq_ && "lent walks must align with problem.providers");
@@ -770,9 +769,9 @@ class SspaSolver {
     for (std::size_t i = 0;; ++i) {
       const HierRingWalk::Entry* coarse = walk.At(i);
       if (coarse == nullptr) break;  // every coarse cell served, nothing left
-      // A cell the walk keeps from an earlier population but that is empty
-      // now: a fresh walk would not list it, and skipping it changes no
-      // bound (tail bounds are per entry, counts add 0).
+      // A cell a kept walk lists but that is empty in this grid: a private
+      // walk would not list it, and skipping it changes no bound (tail
+      // bounds are per entry, counts add 0).
       if (coarse->count == 0) continue;
       // `sink_ub` only shrinks while cells are scanned (run_ub_ picks up
       // completed s~>t paths), so re-read it per coarse cell.
@@ -815,7 +814,7 @@ class SspaSolver {
         }
         const auto f = static_cast<std::size_t>(fines[k].fine);
         const std::size_t residents = grid.fine_cell_end(f) - grid.fine_cell_begin(f);
-        if (residents == 0) continue;  // kept from an earlier population, empty now
+        if (residents == 0) continue;  // listed by a kept walk, empty in this grid
         --occupied_left;
         const double fine_bound = fines[k].min_dist + base + floors_->FineFloor(f);
         if (std::max(fine_bound, alpha_[q]) >= ub) {

@@ -109,13 +109,12 @@ struct SspaSharedIndex {
   // (Options, or a layout kept from an earlier population) moves the relax
   // counters, never the matching. Null = the solve builds a private one.
   const HierarchicalGrid* grid = nullptr;
-  // One HierRingWalk per provider, aligned with problem.providers, each
-  // built over `grid`'s layout with `grid`'s ever-occupied set (both
-  // asserted in Debug builds when the solve binds them to `grid`). The
-  // solve replays and grows them, and the caller may lend them again to a
-  // later solve over a grid re-bucketed into the same layout, as long as
-  // the ever-occupied set has not grown. Null = the solve builds private
-  // walks. Requires `grid`.
+  // One kept HierRingWalk per provider, aligned with problem.providers,
+  // each built over `grid`'s layout (asserted in Debug builds when the
+  // solve binds them to `grid`). The solve replays and grows them, and the
+  // caller may lend them again to a later solve over any grid re-bucketed
+  // into the same layout. Null = the solve builds private walks over the
+  // occupied cells of `grid`. Requires `grid`.
   std::vector<HierRingWalk>* walks = nullptr;
 };
 

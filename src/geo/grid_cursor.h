@@ -150,24 +150,26 @@ class GridNnCursor {
 
 // Memoized coarse ring walk around one fixed query over a HierarchicalGrid
 // layout (geo/hier_grid.h), the coarse-level sibling of GridRingCursor:
-// ever-occupied coarse cells in expanding coarse rings, nearest-first within
-// a ring (ties by ascending cell id). It keeps what it served, so a consumer
-// that returns to the same query (SSPA pops each provider once per Dijkstra
-// run, and a provider never moves) replays the walk instead of rebuilding
-// and re-sorting the rings and every descended cell's children.
+// coarse cells in expanding coarse rings, nearest-first within a ring (ties
+// by ascending cell id). It keeps what it served, so a consumer that
+// returns to the same query (SSPA pops each provider once per Dijkstra run,
+// and a provider never moves) replays the walk instead of rebuilding and
+// re-sorting the rings and every descended cell's children.
 //
-// The walk is bound to one grid at a time. Its geometry comes from the
-// layout, so it stays valid for every grid re-bucketed into that layout
-// whose ever-occupied set has not grown (Bind asserts both); cells of that
-// set that are empty in the bound grid carry count 0. The walk grows one
-// ring at a time when At() asks past its end. An Entry holds static
-// geometry plus two counts from the bound grid: `count` (the cell's
-// residents) and `remaining_before` (the residents of this cell and every
-// later one), next to `tail_before` (GridRingCursor::TailMinDist()'s
-// contract, over this cell and every later one). Fines(i) builds entry i's
-// ever-occupied fine children on first call. Counts (the entry's, and its
-// children's `suffix_residents` and `fines_occupied`) are re-read from the
-// bound grid once per Bind, lazily, as At() reaches each entry; nothing
+// Two kinds, named by how long the walk lives. A *private* walk lists the
+// occupied cells of the one grid it is built over and lives for one solve.
+// A *kept* walk lists every cell of its layout, so it stays valid for
+// every grid re-bucketed into that layout; Bind moves it from grid to grid
+// (asserting the layout in Debug builds), and listed cells that are empty
+// in the bound grid carry count 0. The walk grows one ring at a time when
+// At() asks past its end. An Entry holds static geometry plus two counts
+// from the bound grid: `count` (the cell's residents) and
+// `remaining_before` (the residents of this cell and every later one),
+// next to `tail_before` (GridRingCursor::TailMinDist()'s contract, over
+// this cell and every later one). Fines(i) builds entry i's listed fine
+// children on first call. Counts (the entry's, and its children's
+// `suffix_residents` and `fines_occupied`) are re-read from the bound grid
+// once per Bind, lazily, as At() reaches each entry; nothing
 // value-dependent (floors, labels, bounds) is cached.
 // Memory is O(entries reached + fine children built); the contract is in
 // src/geo/README.md.
@@ -194,23 +196,25 @@ class HierRingWalk {
     std::uint32_t suffix_residents = 0;  // residents of this child and the ones after it
   };
 
-  // A walk over `grid`'s layout, bound to `grid`.
+  // A private walk: `grid`'s occupied cells, bound to `grid` for good.
   HierRingWalk(const HierarchicalGrid& grid, const Point& query);
+  // A kept walk: every cell of `layout`, unbound until the first Bind.
+  HierRingWalk(std::shared_ptr<const HierarchicalGrid::Layout> layout, const Point& query);
 
-  // Binds the walk to `grid` for its counts: a grid of the same layout and
-  // the same ever-occupied set as the one the walk was built over. The
-  // bound grid must outlive every At()/Fines() call until the next Bind.
+  // Binds a kept walk to `grid` for its counts: a grid of the walk's
+  // layout. The bound grid must outlive every At()/Fines() call until the
+  // next Bind.
   void Bind(const HierarchicalGrid& grid);
 
   const Point& query() const { return query_; }
 
   // Entry i of the walk, extending it on first reach; nullptr once every
-  // ever-occupied coarse cell has been served (i >= the walk's full
+  // listed coarse cell has been served (i >= the walk's full
   // length). The pointer is valid until the next call that extends the
   // walk. Inline fast path: every replay re-reads the entries it reached.
   const Entry* At(std::size_t i) { return i < counted_ ? &entries_[i] : Reach(i); }
 
-  // Entry i's ever-occupied fine children (At(i) must have returned
+  // Entry i's listed fine children (At(i) must have returned
   // non-null), built on the first call; `*count` receives their number.
   // The pointer is valid until the next call that builds another entry's
   // children.
@@ -229,17 +233,17 @@ class HierRingWalk {
   // At() past the counted entries: extends the walk as far as entry i and
   // reads the counts of every entry up to it.
   const Entry* Reach(std::size_t i);
-  // Appends the next ring that holds ever-occupied cells, sorted; marks the
-  // walk exhausted when no ring remains.
+  // Appends the next ring that holds listed cells, sorted; marks the walk
+  // exhausted when no ring remains.
   void FillRing();
-  // Lists entry i's ever-occupied children, sorted, and counts them.
+  // Lists entry i's children, sorted, and counts them.
   void BuildFines(std::size_t i);
   // Reads entry e's children's counts from the bound grid.
   void CountFines(Entry* e);
 
   std::shared_ptr<const HierarchicalGrid::Layout> layout_;
-  const HierarchicalGrid* grid_;  // the bound grid: counts and the ever-occupied set
-  std::size_t ever_cells_;        // the bound grid's ever_occupied_cells()
+  const HierarchicalGrid* grid_;  // the bound grid: counts, and a private walk's cells
+  bool kept_;                     // lists every layout cell
   Point query_;
   int ring_ = 0;  // next ring to fill
   int max_ring_ = 0;

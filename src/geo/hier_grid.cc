@@ -52,18 +52,13 @@ HierarchicalGrid::HierarchicalGrid(const std::vector<Point>& points, const Optio
     }
   }
   layout_ = std::move(layout);
-  ever_coarse_.assign(num_coarse_cells, 0);
-  ever_fine_.assign(num_fine(), 0);
   Bucket(points);
 }
 
 HierarchicalGrid::HierarchicalGrid(const std::vector<Point>& points,
                                    const HierarchicalGrid& kept)
     : layout_(kept.layout_),
-      coarse_of_(kept.coarse().CellsOf(points)),
-      ever_coarse_(kept.ever_coarse_),
-      ever_fine_(kept.ever_fine_),
-      ever_cells_(kept.ever_cells_) {
+      coarse_of_(kept.coarse().CellsOf(points)) {
   assert(std::all_of(points.begin(), points.end(),
                      [&](const Point& p) { return coarse().bounds().Contains(p); }) &&
          "re-bucketed points must lie inside the layout's bounding box");
@@ -74,7 +69,6 @@ void HierarchicalGrid::Bucket(const std::vector<Point>& points) {
   // Pass 2: CSR over fine cells. Fine ids of a coarse cell are
   // consecutive, so the slot order clusters by coarse cell first, then by
   // fine child — coarse_count(c) is one subtraction on the CSR bounds.
-  // The occupied cells then join the ever-occupied set.
   const Layout& layout = *layout_;
   fine_of_.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -95,14 +89,7 @@ void HierarchicalGrid::Bucket(const std::vector<Point>& points) {
   }
   csr_ = CellCsr(points, fine_of_, num_fine());
   for (std::size_t c = 0; c < layout.coarse.num_cells(); ++c) {
-    if (coarse_count(c) == 0) continue;
-    nonempty_coarse_.push_back(static_cast<std::int32_t>(c));
-    ever_coarse_[c] = 1;
-    for (std::size_t f = fine_begin(c); f < fine_end(c); ++f) {
-      if (ever_fine_[f] || csr_.cell_end(f) == csr_.cell_begin(f)) continue;
-      ever_fine_[f] = 1;
-      ++ever_cells_;
-    }
+    if (coarse_count(c) > 0) nonempty_coarse_.push_back(static_cast<std::int32_t>(c));
   }
 }
 
@@ -118,19 +105,6 @@ Rect HierarchicalGrid::Layout::FineRect(std::size_t f) const {
   const double lx = rect.lo.x + fx * sub;
   const double ly = rect.lo.y + fy * sub;
   return Rect{{lx, ly}, {lx + sub, ly + sub}};
-}
-
-HierTauTable::HierTauTable(const HierarchicalGrid& grid)
-    : grid_(&grid),
-      values_(grid.size(), 0.0),
-      fine_floors_(grid.num_fine(), std::numeric_limits<double>::infinity()),
-      coarse_floors_(grid.coarse().num_cells(), std::numeric_limits<double>::infinity()) {
-  for (std::size_t f = 0; f < grid.num_fine(); ++f) {
-    if (grid.fine_cell_end(f) > grid.fine_cell_begin(f)) fine_floors_[f] = 0.0;
-  }
-  for (const std::int32_t c : grid.nonempty_coarse()) {
-    coarse_floors_[static_cast<std::size_t>(c)] = 0.0;
-  }
 }
 
 HierTauTable::HierTauTable(const HierarchicalGrid& grid, const std::vector<double>& initial)

@@ -89,7 +89,6 @@ class HierarchicalGrid {
   // the inverse maps. Every point must lie inside the layout's bounding box
   // (`coarse().bounds()`, asserted in Debug builds): a point outside it
   // would be clamped into an edge cell whose MinDist does not bound it.
-  // The ever-occupied set (below) carries over from `kept`.
   HierarchicalGrid(const std::vector<Point>& points, const HierarchicalGrid& kept);
 
   std::size_t size() const { return csr_.size(); }
@@ -114,17 +113,6 @@ class HierarchicalGrid {
   // Linear indices of the occupied coarse cells, ascending.
   const std::vector<std::int32_t>& nonempty_coarse() const { return nonempty_coarse_; }
 
-  // --- ever-occupied cells -----------------------------------------------
-  // Cells occupied by this grid or by any grid it was re-bucketed from,
-  // back to the one that laid the layout out (exactly the occupied cells
-  // of a freshly laid-out grid). A HierRingWalk enumerates this set, so it
-  // stays valid across re-bucketings that do not grow it.
-  bool ever_occupied_coarse(std::size_t c) const { return ever_coarse_[c] != 0; }
-  bool ever_occupied_fine(std::size_t f) const { return ever_fine_[f] != 0; }
-  // Number of ever-occupied fine cells; it only grows along a chain of
-  // re-bucketings, so equal counts mean equal sets.
-  std::size_t ever_occupied_cells() const { return ever_cells_; }
-
   // --- fine cells ---------------------------------------------------------
   // Owning coarse cell of fine cell `f`.
   std::size_t coarse_of_fine(std::size_t f) const {
@@ -147,8 +135,7 @@ class HierarchicalGrid {
 
  private:
   // Buckets `points` (coarse_of_ already set) into the layout's fine cells:
-  // fine_of_, the CSR, nonempty_coarse_, and ORs the occupied cells into
-  // the ever-occupied set.
+  // fine_of_, the CSR and nonempty_coarse_.
   void Bucket(const std::vector<Point>& points);
 
   std::shared_ptr<const Layout> layout_;
@@ -156,9 +143,6 @@ class HierarchicalGrid {
   std::vector<std::int32_t> fine_of_;      // point id -> fine index
   CellCsr csr_;                            // over fine cells
   std::vector<std::int32_t> nonempty_coarse_;
-  std::vector<char> ever_coarse_;          // per coarse cell
-  std::vector<char> ever_fine_;            // per fine cell
-  std::size_t ever_cells_ = 0;             // set fine cells in ever_fine_
 };
 
 // Two-level floor table of a per-point scalar that only ever increases (the
@@ -175,9 +159,8 @@ class HierarchicalGrid {
 // raised to +infinity drops out of every floor.
 class HierTauTable {
  public:
-  explicit HierTauTable(const HierarchicalGrid& grid);
-  // Seeded construction for warm starts: `initial[i]` seeds point id `i`;
-  // fine and coarse floors start exact over the seeds.
+  // `initial[i]` seeds point id `i` (all zeros on a cold solve); fine and
+  // coarse floors start exact over the seeds.
   HierTauTable(const HierarchicalGrid& grid, const std::vector<double>& initial);
 
   // Raises point `point_id` to `value` (lower values are ignored, keeping

@@ -79,7 +79,7 @@ StatusOr<AssignmentEngine::Id> AssignmentEngine::InsertProvider(const Point& pos
   problem_.providers.push_back(Provider{pos, capacity});
   warm_.potentials.tau_q.push_back(have_solution_ ? kInf : 0.0);
   // The arrival's walk is empty until its first solve grows it.
-  if (!walks_.empty()) walks_.emplace_back(*solve_hier_, pos);
+  if (!walks_.empty()) walks_.emplace_back(solve_hier_->layout(), pos);
   const Id id = next_id_++;
   provider_ids_.push_back(id);
   provider_index_.emplace(id, problem_.providers.size() - 1);
@@ -132,19 +132,13 @@ double AssignmentEngine::WarmCustomerDual(const Point& pos) const {
 void AssignmentEngine::RebuildIndexesIfStale() {
   if (customers_dirty_ || !solve_hier_) {
     // The grid uses problem indices as point ids, so the CSR is rebuilt —
-    // not patched with tombstones — to keep every id dense. A warm engine
-    // keeps the layout and re-buckets into it, which keeps the walks valid
-    // until a customer lands in a fine cell the walks do not enumerate. A
-    // customer outside the layout's bounding box would be clamped into an
-    // edge cell whose MinDist does not bound it, so only that lays the
-    // grid out again.
-    if (solve_hier_ && options_.warm_start && !outside_layout_) {
-      auto grid = std::make_unique<HierarchicalGrid>(problem_.customers, *solve_hier_);
-      if (grid->ever_occupied_cells() != solve_hier_->ever_occupied_cells()) {
-        walks_.clear();
-        ++stats_.walk_resets;
-      }
-      solve_hier_ = std::move(grid);
+    // not patched with tombstones — to keep every id dense. The engine
+    // keeps the layout and re-buckets into it, which keeps the walks valid:
+    // they list every cell of the layout. A customer outside the layout's
+    // bounding box would be clamped into an edge cell whose MinDist does
+    // not bound it, so only that lays the grid out again.
+    if (solve_hier_ && !outside_layout_) {
+      solve_hier_ = std::make_unique<HierarchicalGrid>(problem_.customers, *solve_hier_);
     } else {
       solve_hier_ = std::make_unique<HierarchicalGrid>(problem_.customers);
       walks_.clear();
@@ -153,10 +147,10 @@ void AssignmentEngine::RebuildIndexesIfStale() {
     }
     customers_dirty_ = false;
   }
-  if (options_.warm_start && walks_.size() != problem_.providers.size()) {
+  if (walks_.size() != problem_.providers.size()) {
     walks_.reserve(problem_.providers.size());
     for (const Provider& provider : problem_.providers) {
-      walks_.emplace_back(*solve_hier_, provider.pos);
+      walks_.emplace_back(solve_hier_->layout(), provider.pos);
     }
   }
 }
@@ -166,15 +160,14 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
   Timer timer;
   RebuildIndexesIfStale();
   SspaConfig cfg;
-  cfg.shared_index.grid = solve_hier_.get();
-  if (options_.warm_start) cfg.shared_index.walks = &walks_;
-  const bool warm = options_.warm_start && have_solution_;
+  cfg.shared_index = SspaSharedIndex{solve_hier_.get(), &walks_};
+  const bool warm = have_solution_;
   if (warm) {
     // Previous flow remapped through the churn: pairs whose endpoints left
     // drop out; the solver re-checks tightness and capacity on the rest.
-    // Infeasible snapshots degrade gracefully either way: a cold solve is
-    // the plain min-cost partial solve, a warm one routes the overflow to
-    // its virtual provider (SspaWarmStart); both report the unserved
+    // Infeasible snapshots degrade gracefully either way: the first solve
+    // is the plain min-cost partial solve, a warm one routes the overflow
+    // to its virtual provider (SspaWarmStart); both report the unserved
     // demand in the unassigned ledger.
     warm_.matching.pairs.clear();
     warm_.matching.pairs.reserve(last_flow_.size());
@@ -246,7 +239,7 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
   }
 #ifndef NDEBUG
   // The duals the solve exports prove its matching optimal; a failed
-  // certificate is a solver bug, warm or cold.
+  // certificate is a solver bug.
   if (const Status cert = CertifyOptimal(problem_, out.matching, res.potentials); !cert.ok()) {
     std::fprintf(stderr, "AssignmentEngine: Resolve not certified optimal (|Q|=%zu |P|=%zu): %s\n",
                  problem_.providers.size(), problem_.customers.size(), cert.message().c_str());
@@ -332,7 +325,7 @@ std::string AssignmentEngine::Stats::ToJson() const {
       "\"warm_adoption_ratio\": %.6f, "
       "\"deadline_breaches\": %llu, \"degraded_resolves\": %llu, "
       "\"unassigned_units\": %llu, "
-      "\"layout_rebuilds\": %llu, \"walk_resets\": %llu, "
+      "\"layout_rebuilds\": %llu, "
       "\"dijkstra_pops\": %llu, \"dijkstra_relaxes\": %llu, "
       "\"augmentations\": %llu, \"faults\": %llu, "
       "\"resolve_ms\": {\"count\": %llu, \"mean\": %.6f, \"p50\": %.6f, "
@@ -349,7 +342,6 @@ std::string AssignmentEngine::Stats::ToJson() const {
       static_cast<unsigned long long>(degraded_resolves),
       static_cast<unsigned long long>(unassigned_units),
       static_cast<unsigned long long>(layout_rebuilds),
-      static_cast<unsigned long long>(walk_resets),
       static_cast<unsigned long long>(totals.dijkstra_pops),
       static_cast<unsigned long long>(totals.dijkstra_relaxes),
       static_cast<unsigned long long>(totals.augmentations),

@@ -25,18 +25,18 @@
 //   * A kept solve layout and ring walks. The customer HierarchicalGrid
 //     keeps the layout (coarse lattice plus split factors) of the first
 //     solve: a Resolve that follows a customer insert/remove only
-//     re-buckets the customers into it, and one HierRingWalk per provider
-//     lives as long as the layout. Both are lent to the solver through
-//     SspaConfig::shared_index. The walks are dropped when a customer lands
-//     in a fine cell never occupied since the layout was built, and the
-//     grid is laid out again only when a customer arrives outside the
-//     layout's bounding box; provider churn swap-removes or appends one
-//     walk (src/runtime/README.md, "The kept solve index").
+//     re-buckets the customers into it, and one kept HierRingWalk per
+//     provider, listing every cell of the layout, lives as long as the
+//     layout. Both are lent to the solver through
+//     SspaConfig::shared_index. The grid is laid out again, and the walks
+//     dropped, only when a customer arrives outside the layout's bounding
+//     box; provider churn swap-removes or appends one walk
+//     (src/runtime/README.md, "The kept solve index").
 //
 // Correctness anchor: every Resolve that is not degraded returns an
 // optimal matching, and the duals it retains prove it (the LP-duality
 // certificate, CertifyOptimal in flow/oracle.h). Debug builds check the
-// certificate on every such Resolve, warm or cold, and abort if it fails;
+// certificate on every such Resolve and abort if it fails;
 // the randomized churn suite (tests/test_engine_churn.cc) and
 // bench_engine_dispatch check it in CI, the latter in Release.
 //
@@ -68,13 +68,11 @@ class AssignmentEngine {
   // Stable handle for an inserted customer/provider; never reused.
   using Id = std::int64_t;
 
+  // Every Resolve after the first is seeded with the previous solve's duals
+  // and flow over the kept layout and walks; a from-scratch SolveSspa of
+  // problem() is the cold reference the churn suite and
+  // bench_engine_dispatch compare against.
   struct Options {
-    // Seed each solve with the previous solve's duals and flow, and keep the
-    // grid layout and ring walks across Resolves. Off = every Resolve is a
-    // cold solve over a freshly laid-out grid with private walks, nothing
-    // carried over (the A/B switch the churn suite and
-    // bench_engine_dispatch compare against).
-    bool warm_start = true;
     // Wall-clock budget for one Resolve, in milliseconds; <= 0 disables.
     // The budget covers the whole serving path (index rebuild + warm-start
     // assembly + solve): whatever remains after the pre-solve work is
@@ -123,8 +121,7 @@ class AssignmentEngine {
     Metrics metrics;
   };
   // Solves the current snapshot (warm-started when a previous solution
-  // exists and Options::warm_start is on) and retains duals + indexes for
-  // the next round.
+  // exists) and retains duals + indexes for the next round.
   ResolveOutcome Resolve();
 
   // Cumulative runtime stats since construction: the serving engine's
@@ -153,12 +150,10 @@ class AssignmentEngine {
     std::uint64_t deadline_breaches = 0;
     std::uint64_t degraded_resolves = 0;
     std::uint64_t unassigned_units = 0;
-    // Solve-index lifecycle: grid layouts built (the first Resolve's
-    // included; a cold engine lays out on every Resolve after customer
-    // churn), and the times a warm engine dropped its kept ring walks
-    // because a customer landed in a never-occupied fine cell.
+    // Solve-index lifecycle: grid layouts built, the first Resolve's
+    // included (a customer outside the layout's bounding box lays it out
+    // again and drops the walks).
     std::uint64_t layout_rebuilds = 0;
-    std::uint64_t walk_resets = 0;
     // Solver counters merged across every Resolve (same ledger the batch
     // benches gate on, so regressions surface on the serving path too).
     Metrics totals;
@@ -222,8 +217,9 @@ class AssignmentEngine {
 
   // Shared solve index over the customers, re-bucketed (or laid out
   // again, see RebuildIndexesIfStale) only when the customer population
-  // changed since it was built, and one ring walk per provider over its
-  // layout: empty, or aligned with problem_.providers (warm engines only).
+  // changed since it was built, and one kept ring walk per provider over
+  // its layout: empty before the first Resolve, aligned with
+  // problem_.providers after it.
   std::unique_ptr<HierarchicalGrid> solve_hier_;
   std::vector<HierRingWalk> walks_;
   bool customers_dirty_ = true;

@@ -82,9 +82,7 @@ void RunChurn(const ChurnSpec& spec) {
   const auto provider_pool = MakePoints(spec.dist, 512, spec.seed * 5 + 2);
   std::size_t next_customer = 0, next_provider = 0;
 
-  AssignmentEngine::Options options;
-  options.warm_start = true;
-  AssignmentEngine engine(options);
+  AssignmentEngine engine;
 
   std::vector<AssignmentEngine::Id> customers, providers;
   auto insert_customer = [&] {
@@ -698,31 +696,28 @@ TEST(EngineChurn, ArrivalOutsideTheLayoutLaysTheGridOutAgain) {
   EXPECT_EQ(warm, 3);
 }
 
-TEST(EngineChurn, ArrivalInANeverOccupiedCellResetsTheWalks) {
+TEST(EngineChurn, ArrivalInAnEmptyCellKeepsTheWalks) {
   std::vector<AssignmentEngine::Id> customers, providers;
   AssignmentEngine engine = TwoClumpEngine(&customers, &providers);
   Metrics totals;
   int warm = 0;
   ExpectResolveMatchesCold(&engine, &totals, &warm);
-  // Departures and an arrival on top of a resident customer: every
-  // occupied cell was occupied at layout time, so the walks are kept.
-  ASSERT_TRUE(engine.RemoveCustomer(customers[3]));
-  ASSERT_TRUE(engine.RemoveCustomer(customers[10]));
-  ASSERT_TRUE(engine.InsertCustomer(engine.problem().customers[7]).ok());
-  ExpectResolveMatchesCold(&engine, &totals, &warm);
-  EXPECT_EQ(engine.stats().walk_resets, 0u);
   // The empty middle is inside the layout's bounding box but in a cell no
-  // customer ever occupied: the walks do not list it, so they are dropped.
+  // customer occupied at layout time. The kept walks list every cell of
+  // the layout, so the arrival is re-bucketed and served by them.
   ASSERT_TRUE(engine.InsertCustomer(Point{500.0, 480.0}).ok());
   ExpectResolveMatchesCold(&engine, &totals, &warm);
-  EXPECT_EQ(engine.stats().walk_resets, 1u);
   EXPECT_EQ(engine.stats().layout_rebuilds, 1u);
-  // Once occupied, the cell stays in the walks' set even after it empties.
+  // The walks survived: a Resolve without churn builds no walk cell.
+  const AssignmentEngine::ResolveOutcome out = CertifiedResolve(&engine);
+  EXPECT_TRUE(out.warm);
+  EXPECT_EQ(out.metrics.walk_cells_built, 0u);
+  // The cell empties and fills again, still on the same layout.
   ASSERT_TRUE(engine.RemoveCustomer(customers[0]));
   ASSERT_TRUE(engine.InsertCustomer(Point{500.0, 480.0}).ok());
   ExpectResolveMatchesCold(&engine, &totals, &warm);
-  EXPECT_EQ(engine.stats().walk_resets, 1u);
-  EXPECT_EQ(warm, 3);
+  EXPECT_EQ(engine.stats().layout_rebuilds, 1u);
+  EXPECT_EQ(warm, 2);
 }
 
 TEST(EngineChurn, ProviderChurnKeepsEachWalkWithItsProvider) {
@@ -757,8 +752,7 @@ TEST(EngineChurn, ProviderChurnKeepsEachWalkWithItsProvider) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_EQ(warm, 50);
-  // The walks lived through every swap-remove: no reset, no re-layout.
-  EXPECT_EQ(engine.stats().walk_resets, 0u);
+  // The walks lived through every swap-remove: no re-layout.
   EXPECT_EQ(engine.stats().layout_rebuilds, 1u);
 }
 

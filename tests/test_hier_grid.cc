@@ -183,23 +183,24 @@ TEST(HierRingWalkTest, CoversEveryCoarseCellWithSoundTailBound) {
   }
 }
 
-// Brute-force reference for one query: every occupied coarse cell with its
-// Chebyshev ring around the query's (clamped) coarse cell and its MinDist,
-// ordered by (ring, min_dist). Exact ties keep no particular order here, so
-// comparisons treat each (ring, min_dist) group as a set.
+// Brute-force reference for one query: every occupied coarse cell (every
+// cell of the layout when `all_cells`) with its Chebyshev ring around the
+// query's (clamped) coarse cell and its MinDist, ordered by (ring,
+// min_dist, cell id).
 struct RefCell {
   int ring;
   double min_dist;
   std::size_t cell;
 };
-std::vector<RefCell> BruteForceWalk(const HierarchicalGrid& grid, const Point& q) {
+std::vector<RefCell> BruteForceWalk(const HierarchicalGrid& grid, const Point& q,
+                                    bool all_cells = false) {
   int qx = 0, qy = 0;
   grid.coarse().Locate(q, &qx, &qy);
   std::vector<RefCell> cells;
   for (int cy = 0; cy < grid.coarse().rows(); ++cy) {
     for (int cx = 0; cx < grid.coarse().cols(); ++cx) {
       const std::size_t c = grid.coarse().CellIndex(cx, cy);
-      if (grid.coarse_count(c) == 0) continue;
+      if (!all_cells && grid.coarse_count(c) == 0) continue;
       cells.push_back(RefCell{std::max(std::abs(cx - qx), std::abs(cy - qy)),
                               MinDist(q, grid.coarse().CellRect(c)), c});
     }
@@ -212,28 +213,24 @@ std::vector<RefCell> BruteForceWalk(const HierarchicalGrid& grid, const Point& q
   return cells;
 }
 
+// Checks one walk over `grid` against brute force: a private walk lists
+// the occupied cells and children, a kept walk (bound to `grid`) every
+// cell of the layout and every child of each.
 void CheckWalkAgainstBruteForce(const std::vector<Point>& pts, const HierarchicalGrid& grid,
-                                const Point& q, const std::string& label) {
-  const std::vector<RefCell> ref = BruteForceWalk(grid, q);
-  HierRingWalk walk(grid, q);
+                                const Point& q, bool kept, const std::string& label) {
+  const std::vector<RefCell> ref = BruteForceWalk(grid, q, kept);
+  HierRingWalk walk = kept ? HierRingWalk(grid.layout(), q) : HierRingWalk(grid, q);
+  if (kept) walk.Bind(grid);
   // Copies: an Entry pointer only lives until the walk next grows.
   std::vector<HierRingWalk::Entry> seq;
   for (std::size_t i = 0; walk.At(i) != nullptr; ++i) seq.push_back(*walk.At(i));
   ASSERT_EQ(seq.size(), ref.size()) << label;
-  // Same coarse sequence: rings and min_dists entry by entry, cells equal
-  // as a set within each exact-tie group.
-  for (std::size_t i = 0; i < ref.size();) {
-    std::size_t j = i;
-    std::multiset<std::size_t> want, got;
-    while (j < ref.size() && ref[j].ring == ref[i].ring && ref[j].min_dist == ref[i].min_dist) {
-      ASSERT_EQ(seq[j].ring, ref[j].ring) << label << " entry " << j;
-      ASSERT_EQ(seq[j].min_dist, ref[j].min_dist) << label << " entry " << j;
-      want.insert(ref[j].cell);
-      got.insert(seq[j].cell);
-      ++j;
-    }
-    ASSERT_EQ(got, want) << label << " tie group at entry " << i;
-    i = j;
+  // Same coarse sequence, entry by entry: exact MinDist ties are served by
+  // ascending cell id.
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(seq[i].ring, ref[i].ring) << label << " entry " << i;
+    ASSERT_EQ(seq[i].min_dist, ref[i].min_dist) << label << " entry " << i;
+    ASSERT_EQ(seq[i].cell, ref[i].cell) << label << " entry " << i;
   }
   // Tail bounds and points_remaining: the cursor state before each cell,
   // and the tail bound is sound against the true distances behind it.
@@ -256,15 +253,19 @@ void CheckWalkAgainstBruteForce(const std::vector<Point>& pts, const Hierarchica
     EXPECT_LE(e.tail_before, true_tail[i] + 1e-9) << label << " entry " << i;
     if (i > 0) EXPECT_GE(e.tail_before, seq[i - 1].tail_before) << label << " entry " << i;
   }
-  // Fine lists: occupied children only, exactly the occupied ones, sorted
-  // by (min_dist, id), each with the residents of itself and its successors.
+  // Fine lists: the occupied children (every child for a kept walk),
+  // sorted by (min_dist, id), each with the residents of itself and its
+  // successors.
   for (std::size_t i = 0; i < seq.size(); ++i) {
     const std::size_t c = seq[i].cell;
     std::size_t n = 0;
     const HierRingWalk::Fine* fines = walk.Fines(i, &n);
     std::set<std::size_t> want, got;
+    std::uint32_t occupied = 0;
     for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
-      if (grid.fine_cell_end(f) > grid.fine_cell_begin(f)) want.insert(f);
+      const bool empty = grid.fine_cell_end(f) == grid.fine_cell_begin(f);
+      occupied += empty ? 0 : 1;
+      if (kept || !empty) want.insert(f);
     }
     std::size_t suffix = 0;
     for (std::size_t k = n; k-- > 0;) {
@@ -282,6 +283,7 @@ void CheckWalkAgainstBruteForce(const std::vector<Point>& pts, const Hierarchica
     }
     EXPECT_EQ(got, want) << label << " entry " << i;
     EXPECT_EQ(suffix, grid.coarse_count(c)) << label << " entry " << i;
+    EXPECT_EQ(walk.At(i)->fines_occupied, occupied) << label << " entry " << i;
   }
 }
 
@@ -307,9 +309,11 @@ TEST(HierRingWalkTest, MatchesBruteForceEnumeration) {
         Point{box.hi.x + 5.0, (box.lo.y + box.hi.y) / 2},             // exterior
     };
     for (const Point& q : queries) {
-      const std::string label = name + " q=(" + std::to_string(q.x) + "," + std::to_string(q.y) +
-                                ")";
-      CheckWalkAgainstBruteForce(pts, grid, q, label);
+      for (const bool kept : {false, true}) {
+        const std::string label = name + (kept ? " kept" : " private") + " q=(" +
+                                  std::to_string(q.x) + "," + std::to_string(q.y) + ")";
+        CheckWalkAgainstBruteForce(pts, grid, q, kept, label);
+      }
     }
   }
 }
@@ -366,8 +370,7 @@ TEST(HierRingWalkTest, PartialReplaysMatchAFullWalk) {
 }
 
 // Re-bucketing keeps the layout object, builds an exact CSR over the new
-// points, puts every point inside its fine rect and grows the
-// ever-occupied set by exactly the cells the new points occupy.
+// points and puts every point inside its fine rect.
 TEST(HierGridTest, RebucketKeepsTheLayoutAndBuildsAnExactCsr) {
   Rng rng(84);
   for (const auto& pts :
@@ -395,37 +398,33 @@ TEST(HierGridTest, RebucketKeepsTheLayoutAndBuildsAnExactCsr) {
     for (std::size_t i = 0; i < next.size(); ++i) {
       EXPECT_TRUE(grid.FineRect(grid.fine_of_point(i)).Contains(next[i])) << "point " << i;
     }
-    std::size_t ever = 0;
-    for (std::size_t c = 0; c < grid.coarse().num_cells(); ++c) {
-      bool coarse_ever = false;
-      for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
-        const bool laid_occupied = laid.fine_cell_end(f) > laid.fine_cell_begin(f);
-        const bool occupied = grid.fine_cell_end(f) > grid.fine_cell_begin(f);
-        // A freshly laid-out grid's set is exactly its occupied cells.
-        ASSERT_EQ(laid.ever_occupied_fine(f), laid_occupied);
-        ASSERT_EQ(grid.ever_occupied_fine(f), laid_occupied || occupied);
-        coarse_ever = coarse_ever || laid_occupied || occupied;
-        ever += laid_occupied || occupied ? 1 : 0;
-      }
-      ASSERT_EQ(grid.ever_occupied_coarse(c), coarse_ever);
-    }
-    EXPECT_EQ(grid.ever_occupied_cells(), ever);
-    EXPECT_GT(grid.ever_occupied_cells(), laid.ever_occupied_cells());
   }
 }
 
-// A walk kept across a re-bucketing that does not grow the ever-occupied
-// set serves the new grid's occupied cells in brute-force order, with the
-// new grid's counts; the cells that emptied stay listed with count 0.
+// A kept walk, grown over one grid and bound to another of its layout,
+// serves the new grid's occupied cells in brute-force order, with the new
+// grid's counts. It lists every cell of the layout: cells that emptied,
+// and cells the first grid left empty that the new points occupy.
 TEST(HierRingWalkTest, KeptWalkServesAReBucketedGrid) {
   const auto pts = ClusteredPoints(1500, 91);
   const HierarchicalGrid laid(pts);
-  std::vector<Point> next;  // departures only
+  std::vector<Point> next;  // departures, and arrivals anywhere in the box
   for (std::size_t i = 0; i < pts.size(); i += 3) next.push_back(pts[i]);
+  const Rect box = laid.coarse().bounds();
+  Rng rng(92);
+  for (int i = 0; i < 200; ++i) {
+    next.push_back(Point{rng.Uniform(box.lo.x, box.hi.x), rng.Uniform(box.lo.y, box.hi.y)});
+  }
   const HierarchicalGrid grid(next, laid);
-  ASSERT_EQ(grid.ever_occupied_cells(), laid.ever_occupied_cells());
+  std::size_t arrived_in_empty = 0;
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    const std::size_t f = grid.fine_of_point(i);
+    arrived_in_empty += laid.fine_cell_end(f) == laid.fine_cell_begin(f) ? 1 : 0;
+  }
+  ASSERT_GT(arrived_in_empty, 0u);
   for (const Point& q : {Point{500, 500}, Point{10, 990}, Point{1200, -40}}) {
-    HierRingWalk walk(laid, q);
+    HierRingWalk walk(laid.layout(), q);
+    walk.Bind(laid);
     // Grow part of the walk over the first grid, as an earlier solve would.
     for (std::size_t i = 0; i < 12 && walk.At(i) != nullptr; ++i) {
       std::size_t n = 0;
@@ -437,17 +436,16 @@ TEST(HierRingWalkTest, KeptWalkServesAReBucketedGrid) {
     for (std::size_t i = 0; walk.At(i) != nullptr; ++i) {
       const HierRingWalk::Entry e = *walk.At(i);
       ++listed;
-      EXPECT_TRUE(laid.ever_occupied_coarse(e.cell));
       EXPECT_EQ(e.count, grid.coarse_count(e.cell));
       EXPECT_EQ(e.remaining_before, next.size() - seen);
       seen += e.count;
       if (e.count > 0) served.push_back(e.cell);
       std::size_t n = 0;
       const HierRingWalk::Fine* fines = walk.Fines(i, &n);
+      EXPECT_EQ(n, grid.fine_end(e.cell) - grid.fine_begin(e.cell));
       std::uint32_t residents = 0, cells = 0;
       for (std::size_t k = n; k-- > 0;) {
         const auto f = static_cast<std::size_t>(fines[k].fine);
-        EXPECT_TRUE(laid.ever_occupied_fine(f));
         const auto r = static_cast<std::uint32_t>(grid.fine_cell_end(f) - grid.fine_cell_begin(f));
         residents += r;
         cells += r > 0 ? 1 : 0;
@@ -457,34 +455,25 @@ TEST(HierRingWalkTest, KeptWalkServesAReBucketedGrid) {
       EXPECT_EQ(walk.At(i)->fines_occupied, cells);
     }
     EXPECT_EQ(seen, next.size());
-    EXPECT_EQ(listed, laid.nonempty_coarse().size());
+    EXPECT_EQ(listed, laid.coarse().num_cells());
     const std::vector<RefCell> ref = BruteForceWalk(grid, q);
     ASSERT_EQ(served.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(served[i], ref[i].cell) << i;
   }
 }
 
-TEST(HierRingWalkTest, BindAssertsTheSameLayoutAndEverOccupiedSet) {
-  // Two clumps in opposite corners of [0, 1000]^2: the middle is inside the
-  // bounding box but never occupied.
-  std::vector<Point> pts;
-  Rng rng(93);
-  for (int i = 0; i < 400; ++i) {
-    const double base = i % 2 == 0 ? 0.0 : 900.0;
-    pts.push_back(Point{base + rng.Uniform(0.0, 100.0), base + rng.Uniform(0.0, 100.0)});
-  }
+TEST(HierRingWalkTest, BindDiesOnAnotherLayoutAndOnAPrivateWalk) {
+  const auto pts = ClusteredPoints(400, 93);
   const HierarchicalGrid laid(pts);
   const HierarchicalGrid same(std::vector<Point>(pts.begin(), pts.begin() + 300), laid);
-  HierRingWalk walk(laid, Point{500, 500});
+  HierRingWalk walk(laid.layout(), Point{500, 500});
   walk.Bind(same);
   EXPECT_NE(walk.At(0), nullptr);
   const HierarchicalGrid other(pts);  // same points, another layout
   EXPECT_DEBUG_DEATH(walk.Bind(other), "its own layout");
-  std::vector<Point> grown = pts;
-  grown.push_back(Point{500.0, 480.0});
-  const HierarchicalGrid grew(grown, laid);
-  ASSERT_GT(grew.ever_occupied_cells(), laid.ever_occupied_cells());
-  EXPECT_DEBUG_DEATH(walk.Bind(grew), "ever-occupied set grew");
+  // A private walk lists only its own grid's occupied cells.
+  HierRingWalk private_walk(laid, Point{500, 500});
+  EXPECT_DEBUG_DEATH(private_walk.Bind(laid), "only a kept walk rebinds");
 }
 
 // The aggregation invariant under randomized monotone raises: fine floors
@@ -493,8 +482,8 @@ TEST(HierRingWalkTest, BindAssertsTheSameLayoutAndEverOccupiedSet) {
 TEST(HierTauTableTest, FloorsStayExactUnderRandomizedRaises) {
   const auto pts = SkewedPoints(600, 51);
   const HierarchicalGrid grid(pts);
-  HierTauTable table(grid);
   std::vector<double> truth(pts.size(), 0.0);
+  HierTauTable table(grid, truth);
   Rng rng(99);
   for (int step = 0; step < 3000; ++step) {
     const std::size_t id = static_cast<std::size_t>(rng.NextBelow(pts.size()));

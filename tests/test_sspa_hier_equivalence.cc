@@ -153,15 +153,18 @@ TEST(SspaHierEquivalence, SharedIndexInjectionMatchesPrivateBuild) {
 }
 
 TEST(SspaHierEquivalence, KeptWalksSkipEmptiedCellsLikeAFreshGrid) {
-  // Kept walks list every cell occupied since the layout was built; the
-  // relax must skip the ones that emptied, so a solve over a re-bucketed
-  // grid counts exactly like one over a freshly laid-out grid of the same
-  // layout and points. Construction: `subset` laid out on its own, and
-  // `full` = subset plus as many extra customers, laid out with twice the
-  // coarse target, so both get the same lattice. A tiny fine target splits
-  // exactly the coarse cells holding two or more residents 8x8, so the
-  // extras join only such cells, or sit alone in a coarse cell the subset
-  // leaves empty: the split factors agree too.
+  // Kept walks list every cell of the layout; the relax must skip the ones
+  // empty in the bound grid, so a solve over a re-bucketed grid counts
+  // exactly like one over a freshly laid-out grid of the same layout and
+  // points. Construction: `subset` laid out on its own, and `full` = subset
+  // minus a few `moved` residents plus extra customers, twice subset's
+  // size, laid out with twice the coarse target, so both get the same
+  // lattice. A tiny fine target splits exactly the coarse cells holding two
+  // or more residents 8x8, so the split factors agree too: the extras join
+  // only such cells, or sit alone in a coarse cell the subset leaves empty,
+  // and a moved resident is alone in its coarse cell or one of three or
+  // more. Re-bucketed into full's layout, the subset leaves the extras'
+  // cells empty and puts the moved residents in cells full left empty.
   Rng rng(77);
   std::vector<Point> subset = test::RandomPoints(500, 78);
   subset.front() = Point{0.0, 0.0};
@@ -181,15 +184,26 @@ TEST(SspaHierEquivalence, KeptWalksSkipEmptiedCellsLikeAFreshGrid) {
     if (fresh_grid.coarse_count(c) >= 2) crowded.push_back(c);
   }
   ASSERT_FALSE(crowded.empty());
-  while (extras.size() < subset.size()) {
+  // At most one moved resident per coarse cell; the box corners stay.
+  Problem full = MakeInstance("uniform", 8, 0, /*weighted=*/false, 31);
+  std::vector<char> moved_from(fresh_grid.coarse().num_cells(), 0);
+  for (std::size_t i = 0; i < subset.size(); ++i) {
+    const std::size_t c = fresh_grid.coarse_of_point(i);
+    const std::size_t n = fresh_grid.coarse_count(c);
+    const bool corner = i == 0 || i + 1 == subset.size();
+    if (!corner && !moved_from[c] && (n == 1 || n >= 3)) {
+      moved_from[c] = 1;
+    } else {
+      full.customers.push_back(subset[i]);
+    }
+  }
+  while (full.customers.size() + extras.size() < 2 * subset.size()) {
     const Rect r = fresh_grid.coarse().CellRect(crowded[rng.NextBelow(crowded.size())]);
     extras.push_back(Point{rng.Uniform(r.lo.x, std::min(r.hi.x, box.hi.x)),
                            rng.Uniform(r.lo.y, std::min(r.hi.y, box.hi.y))});
   }
-  ASSERT_EQ(extras.size(), subset.size());
-  Problem full = MakeInstance("uniform", 8, 0, /*weighted=*/false, 31);
-  full.customers = subset;
   full.customers.insert(full.customers.end(), extras.begin(), extras.end());
+  ASSERT_EQ(full.customers.size(), 2 * subset.size());
   HierarchicalGrid::Options full_options = sub_options;
   full_options.coarse_target_per_cell = 8.0;
   const HierarchicalGrid laid(full.customers, full_options);
@@ -201,14 +215,26 @@ TEST(SspaHierEquivalence, KeptWalksSkipEmptiedCellsLikeAFreshGrid) {
 
   // Grow one walk per provider over the full population, then re-bucket.
   std::vector<HierRingWalk> walks;
-  for (const Provider& q : full.providers) walks.emplace_back(laid, q.pos);
+  for (const Provider& q : full.providers) walks.emplace_back(laid.layout(), q.pos);
   SspaConfig grow;
   grow.shared_index = SspaSharedIndex{&laid, &walks};
   EXPECT_GT(SolveSspa(full, grow).metrics.walk_cells_built, 0u);
   Problem problem = full;
   problem.customers = subset;
   const HierarchicalGrid grid(subset, laid);
-  ASSERT_LT(fresh_grid.ever_occupied_cells(), grid.ever_occupied_cells());
+  // Residents in coarse cells, and in fine cells of occupied coarse cells,
+  // that full left empty.
+  std::size_t new_coarse = 0, new_fine = 0;
+  for (std::size_t i = 0; i < subset.size(); ++i) {
+    const std::size_t f = grid.fine_of_point(i);
+    if (laid.coarse_count(grid.coarse_of_point(i)) == 0) {
+      ++new_coarse;
+    } else if (laid.fine_cell_end(f) == laid.fine_cell_begin(f)) {
+      ++new_fine;
+    }
+  }
+  ASSERT_GT(new_coarse, 0u);
+  ASSERT_GT(new_fine, 0u);
   SspaConfig kept;
   kept.shared_index = SspaSharedIndex{&grid, &walks};
   SspaConfig fresh;
@@ -229,7 +255,16 @@ TEST(SspaHierEquivalence, KeptWalksSkipEmptiedCellsLikeAFreshGrid) {
   EXPECT_EQ(m.grid_rings_scanned, r.grid_rings_scanned);
   EXPECT_EQ(m.grid_cursor_cells, r.grid_cursor_cells);
   EXPECT_EQ(m.hier_splits, r.hier_splits);
-  EXPECT_LT(m.walk_cells_built, r.walk_cells_built);
+  // The grown walks were replayed: new kept walks over the same grid build
+  // more cells. (A kept walk lists every child of a descended cell, so it
+  // may build more than the private walks of the fresh grid.)
+  std::vector<HierRingWalk> new_walks;
+  for (const Provider& q : problem.providers) new_walks.emplace_back(laid.layout(), q.pos);
+  SspaConfig unwalked;
+  unwalked.shared_index = SspaSharedIndex{&grid, &new_walks};
+  const SspaResult c = SolveSspa(problem, unwalked);
+  EXPECT_EQ(c.metrics.distances_computed, m.distances_computed);
+  EXPECT_LT(m.walk_cells_built, c.metrics.walk_cells_built);
 }
 
 }  // namespace
