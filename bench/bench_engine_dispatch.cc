@@ -6,11 +6,17 @@
 // departures every step, occasional provider churn — through one engine,
 // warm-started at every Resolve (duals + adopted flow from the previous
 // one), and also solves every snapshot from scratch: the "cold" mode is a
-// plain SolveSspa of the engine's problem(), over a freshly laid-out grid
-// with private walks, nothing carried over. Every step's warm cost is
-// checked against the from-scratch cost and every warm outcome against
-// its LP-duality certificate (exit non-zero on any mismatch or failed
-// certificate: the engine's correctness anchor), and the run reports sustained
+// default SolveSspa of the engine's problem(), over a freshly laid-out grid
+// with private walks, nothing carried over. Every shape here is ample, so
+// that from-scratch solve is the seeded cold solve (src/flow/README.md,
+// "Seeded cold solves"): the grid's coarse and fine cells seed the warm
+// path, and so does the engine's own step-0 bootstrap. Every step's warm
+// cost is checked against the from-scratch cost and every warm outcome
+// against its LP-duality certificate (exit non-zero on any mismatch or
+// failed certificate: the engine's correctness anchor); every solve of a
+// row, the bootstrap included, is certified untimed, and the row's
+// `certified` column says whether all of them passed (tools/bench_diff.py
+// fails on `false`). The run reports sustained
 // re-solve QPS plus p50/p99 re-solve latency per mode over `samples`
 // re-solves (p999 only from 1000 samples up). The percentiles are exact
 // nearest-rank values over the retained samples (at most one per step),
@@ -31,9 +37,10 @@
 // negative source cycles the warm solves cancelled, are reported but never
 // gated).
 // Every row also splits its re-solves' SSPA time into the solver's phase
-// clocks (adopt_ms, augment_ms, cancel_ms, extract_ms, summed over the
-// latency samples); wall_ms minus their sum is index and ring-walk set-up,
-// plus the engine's own overhead on warm rows.
+// clocks (seed_ms, adopt_ms, augment_ms, cancel_ms, extract_ms, summed over
+// the latency samples; seed_ms is the cold rows' concise levels, 0 on warm
+// rows); wall_ms minus their sum is index and ring-walk set-up, plus the
+// engine's own overhead on warm rows.
 //
 //   bench_engine_dispatch [--out BENCH_dispatch.json] [--max-np N]
 //                         [--stats-out FILE]  (per-step warm EngineStats JSON)
@@ -80,6 +87,8 @@ struct ModeStats {
   std::uint64_t deadline_breaches = 0;
   std::uint64_t degraded_resolves = 0;
   std::uint64_t unassigned_units = 0;
+  // Every solve of the mode, the bootstrap included, passed CertifyOptimal.
+  bool certified = true;
 };
 
 struct Row {
@@ -122,22 +131,29 @@ void Record(ModeStats& stats, double ms, double cost, const cca::Metrics& metric
   stats.totals.Merge(metrics);
 }
 
-// One timed Resolve of the engine; returns the outcome.
+// One timed Resolve of the engine, certified (untimed) against the duals
+// the engine retains; returns the outcome and the certificate.
 cca::AssignmentEngine::ResolveOutcome TimedResolve(cca::AssignmentEngine& engine,
-                                                   ModeStats& stats, bool bootstrap = false) {
+                                                   ModeStats& stats, cca::Status* cert,
+                                                   bool bootstrap = false) {
   cca::Timer timer;
   cca::AssignmentEngine::ResolveOutcome out = engine.Resolve();
   Record(stats, timer.ElapsedMillis(), out.cost, out.metrics, bootstrap);
+  *cert = cca::CertifyOptimal(engine.problem(), out.matching, engine.potentials());
+  stats.certified = stats.certified && cert->ok();
   return out;
 }
 
-// One timed from-scratch solve of `problem`; returns its cost.
+// One timed from-scratch solve of `problem`, certified untimed; returns its
+// cost.
 double TimedColdSolve(const cca::Problem& problem, ModeStats& stats, bool bootstrap = false) {
   cca::Timer timer;
   const cca::SspaResult res = cca::SolveSspa(problem);
   const double cost = res.matching.cost();
   Record(stats, timer.ElapsedMillis(), cost, res.metrics, bootstrap);
   stats.unassigned_units += static_cast<std::uint64_t>(res.unassigned_units);
+  stats.certified =
+      stats.certified && cca::CertifyOptimal(problem, res.matching, res.potentials).ok();
   return cost;
 }
 
@@ -171,17 +187,18 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  "\"k\": %d, \"mode\": \"%s\", \"samples\": %llu, "
                  "\"qps\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, %s"
                  "\"mean_ms\": %.3f, \"wall_ms\": %.1f, \"bootstrap_ms\": %.3f, "
-                 "\"adopt_ms\": %.3f, \"augment_ms\": %.3f, \"cancel_ms\": %.3f, "
-                 "\"extract_ms\": %.3f, "
+                 "\"seed_ms\": %.3f, \"adopt_ms\": %.3f, \"augment_ms\": %.3f, "
+                 "\"cancel_ms\": %.3f, \"extract_ms\": %.3f, "
                  "\"cost\": %.3f, \"pops\": %llu, \"relaxes\": %llu, "
                  "\"augmentations\": %llu, \"dual_repairs\": %llu, "
                  "\"distances_computed\": %llu, \"walk_cells_built\": %llu, "
                  "\"warm_units_adopted\": %llu, \"cycles\": %llu, "
                  "\"deadline_breaches\": %llu, \"degraded_resolves\": %llu, "
-                 "\"unassigned_units\": %llu}%s\n",
+                 "\"unassigned_units\": %llu, \"certified\": %s}%s\n",
                  r.shape.dist, r.shape.nq, r.shape.np, r.shape.k, r.mode,
                  static_cast<unsigned long long>(samples), r.qps, r.p50_ms, r.p99_ms, p999,
-                 r.mean_ms, r.stats.wall_ms, r.stats.bootstrap_ms, r.stats.steady.adopt_millis,
+                 r.mean_ms, r.stats.wall_ms, r.stats.bootstrap_ms, r.stats.steady.seed_millis,
+                 r.stats.steady.adopt_millis,
                  r.stats.steady.augment_millis, r.stats.steady.cancel_millis,
                  r.stats.steady.extract_millis, r.stats.cost,
                  static_cast<unsigned long long>(m.dijkstra_pops),
@@ -195,7 +212,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  static_cast<unsigned long long>(r.stats.deadline_breaches),
                  static_cast<unsigned long long>(r.stats.degraded_resolves),
                  static_cast<unsigned long long>(r.stats.unassigned_units),
-                 i + 1 < rows.size() ? "," : "");
+                 r.stats.certified ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
@@ -295,7 +312,8 @@ int main(int argc, char** argv) {
     // Step 0 solves the initial snapshot (cold in both modes: nothing to
     // warm from), then every step perturbs ~lambda customers each way and
     // re-solves. Only the re-solves are latency samples.
-    TimedResolve(engine, warm_stats, /*bootstrap=*/true);
+    cca::Status cert;
+    TimedResolve(engine, warm_stats, &cert, /*bootstrap=*/true);
     TimedColdSolve(engine.problem(), cold_stats, /*bootstrap=*/true);
     if (!stats_path.empty()) stats_snapshots.push_back(engine.stats().ToJson());
 
@@ -316,7 +334,7 @@ int main(int argc, char** argv) {
       }
       if (rng.NextDouble() < 0.05) arrive_provider();  // occasional fleet growth
 
-      const cca::AssignmentEngine::ResolveOutcome warm = TimedResolve(engine, warm_stats);
+      const cca::AssignmentEngine::ResolveOutcome warm = TimedResolve(engine, warm_stats, &cert);
       const double cold_cost = TimedColdSolve(engine.problem(), cold_stats);
       if (!stats_path.empty()) stats_snapshots.push_back(engine.stats().ToJson());
       const double tol = 1e-9 * std::max(1.0, std::abs(cold_cost));
@@ -327,10 +345,9 @@ int main(int argc, char** argv) {
                      s.dist, step, warm.cost, cold_cost);
         return 1;
       }
-      // Untimed: the duals the warm engine retains must prove its matching
-      // optimal. Release builds compile the engine's own check out.
-      const cca::Status cert =
-          cca::CertifyOptimal(engine.problem(), warm.matching, engine.potentials());
+      // The duals the warm engine retains must prove its matching optimal
+      // (TimedResolve's untimed certificate). Release builds compile the
+      // engine's own check out.
       if (!cert.ok()) {
         std::fprintf(stderr, "WARM RESOLVE NOT CERTIFIED dist=%s step=%zu: %s\n", s.dist, step,
                      cert.message().c_str());

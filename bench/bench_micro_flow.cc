@@ -4,7 +4,7 @@
 // Prints a human-readable table and writes a machine-readable
 // `BENCH_sspa.json` (array of runs: n_q, n_p, k, mode, dist, relaxes,
 // pruned, distances_computed, cells_pruned, pops, rings, cells, coarse
-// tail/descent counters, millis, cost) so successive PRs can track the
+// tail/descent counters, millis, cost, certified) so successive PRs can track the
 // perf trajectory — CI gates the distances_computed column (and the
 // hierarchical-grid counters) via tools/bench_diff.py so the relax scan's
 // quadratic distance term cannot silently regress. Usage:
@@ -16,7 +16,9 @@
 // 1000) additionally solves the shapes up to N customers with the
 // reference scan (SspaConfig::use_grid = false) as an unrecorded cost
 // cross-check; the bench exits 1 on any mismatch. The reference is
-// quadratic, so keep N small. --repeat replicates every solve R times and
+// quadratic, so keep N small. Every row's `certified` is CertifyOptimal
+// (flow/oracle.h) of its solve's matching and exported duals, untimed;
+// tools/bench_diff.py fails on `false`. --repeat replicates every solve R times and
 // --threads drives the replicas through the concurrent QueryRunner
 // (src/runtime) over one shared grid; reported counters stay per-solve
 // (replicas are bit-identical), and a throughput line is printed per run.
@@ -37,6 +39,7 @@
 
 #include "common/rng.h"
 #include "common/timer.h"
+#include "flow/oracle.h"
 #include "flow/sspa.h"
 #include "gen/generator.h"
 #include "runtime/query_runner.h"
@@ -94,11 +97,12 @@ struct Run {
   const char* mode;
   const char* dist;
   cca::SspaResult result;
+  bool certified = false;
 };
 
 void PrintRow(const Run& r) {
   std::printf("%6zu %8zu %4d %-9s %-9s %14llu %14llu %12llu %12llu %10llu %10llu %10llu "
-              "%8llu %8llu %10.1f %12.1f\n",
+              "%8llu %8llu %10.1f %12.1f %5s\n",
               r.nq, r.np, r.k, r.mode, r.dist,
               static_cast<unsigned long long>(r.result.metrics.dijkstra_relaxes),
               static_cast<unsigned long long>(r.result.metrics.relaxes_pruned),
@@ -109,7 +113,7 @@ void PrintRow(const Run& r) {
               static_cast<unsigned long long>(r.result.metrics.cells_pruned),
               static_cast<unsigned long long>(r.result.metrics.coarse_tails_pruned),
               static_cast<unsigned long long>(r.result.metrics.coarse_cells_descended),
-              r.result.metrics.cpu_millis, r.result.matching.cost());
+              r.result.metrics.cpu_millis, r.result.matching.cost(), r.certified ? "yes" : "NO");
   std::fflush(stdout);
 }
 
@@ -154,6 +158,9 @@ cca::SspaResult RunSspa(const cca::Problem& problem, const cca::SspaConfig& conf
   cca::SspaResult result;
   result.matching = std::move(outcomes.front().matching);
   result.metrics = outcomes.front().metrics;
+  // QueryOutcome carries no duals; a direct solve's certify the replica's
+  // matching, which is bit-identical to it.
+  result.potentials = cca::SolveSspa(problem, config).potentials;
   result.conceptual_edges =
       static_cast<std::uint64_t>(problem.providers.size()) * problem.customers.size();
   return result;
@@ -178,7 +185,7 @@ void WriteJson(const std::vector<Run>& runs, const std::string& path) {
                  "\"grid_rings_scanned\": %llu, \"grid_cursor_cells\": %llu, "
                  "\"shared_frontier_cell_fetches\": %llu, \"shared_frontier_fanout\": %llu, "
                  "\"augmentations\": %llu, "
-                 "\"millis\": %.3f, \"cost\": %.3f}%s\n",
+                 "\"millis\": %.3f, \"cost\": %.3f, \"certified\": %s}%s\n",
                  r.nq, r.np, r.k, r.mode, r.dist,
                  static_cast<unsigned long long>(m.dijkstra_relaxes),
                  static_cast<unsigned long long>(m.relaxes_pruned),
@@ -193,7 +200,8 @@ void WriteJson(const std::vector<Run>& runs, const std::string& path) {
                  static_cast<unsigned long long>(m.shared_frontier_cell_fetches),
                  static_cast<unsigned long long>(m.shared_frontier_fanout),
                  static_cast<unsigned long long>(m.augmentations), m.cpu_millis,
-                 r.result.matching.cost(), i + 1 < runs.size() ? "," : "");
+                 r.result.matching.cost(), r.certified ? "true" : "false",
+                 i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
@@ -250,9 +258,9 @@ int main(int argc, char** argv) {
       {50, 5000, 40}, {100, 10000, 40}, {100, 20000, 80},
   };
 
-  std::printf("%6s %8s %4s %-9s %-9s %14s %14s %12s %12s %10s %10s %10s %8s %8s %10s %12s\n",
+  std::printf("%6s %8s %4s %-9s %-9s %14s %14s %12s %12s %10s %10s %10s %8s %8s %10s %12s %5s\n",
               "nq", "np", "k", "mode", "dist", "relaxes", "pruned", "distances", "pops", "rings",
-              "cells", "cellspr", "ctailpr", "cdesc", "millis", "cost");
+              "cells", "cellspr", "ctailpr", "cdesc", "millis", "cost", "cert");
   std::vector<Run> runs;
   const auto run_grid = [&](const Shape& s, const char* dist) {
     const cca::Problem problem = MakeBenchProblem(s.nq, s.np, s.k, dist);
@@ -263,7 +271,9 @@ int main(int argc, char** argv) {
     const cca::SharedIndex index(problem.customers, index_options);
     runs.push_back(Run{s.nq, s.np, s.k, "grid", dist,
                        RunSspa(problem, cca::SspaConfig{}, index, threads, repeat, best_of)});
-    PrintRow(runs.back());
+    Run& run = runs.back();
+    run.certified = cca::CertifyOptimal(problem, run.result.matching, run.result.potentials).ok();
+    PrintRow(run);
     if (s.np > dense_max_np) return true;
     cca::SspaConfig reference;
     reference.use_grid = false;

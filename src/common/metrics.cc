@@ -5,25 +5,30 @@
 namespace cca {
 
 // Layout guard for the table-completeness check: Metrics must be exactly
-// kMetricsCounterCount uint64 counters followed by cpu_millis and the four
+// kMetricsCounterCount uint64 counters followed by cpu_millis and the five
 // phase clocks, with no padding. Since kMetricsCounterCount is derived from
 // CCA_METRICS_COUNTER_FIELDS, a counter present in the struct but missing
 // from the table (or listed but never declared) fails here; Merge and
 // ToString below are generated from the same table, so they can never
 // drift from it — the memcpy-view tests in tests/test_metrics.cc prove
 // both cover every slot.
-static_assert(sizeof(Metrics) == kMetricsCounterCount * sizeof(std::uint64_t) + 5 * sizeof(double),
+static_assert(sizeof(Metrics) == kMetricsCounterCount * sizeof(std::uint64_t) + 6 * sizeof(double),
               "Metrics layout changed: update CCA_METRICS_COUNTER_FIELDS to match");
 
 void Metrics::Merge(const Metrics& other) {
-#define CCA_METRICS_MERGE_ONE(field, label) field += other.field;
-  CCA_METRICS_COUNTER_FIELDS(CCA_METRICS_MERGE_ONE)
-#undef CCA_METRICS_MERGE_ONE
+  MergeCounters(other);
   cpu_millis += other.cpu_millis;
+  seed_millis += other.seed_millis;
   adopt_millis += other.adopt_millis;
   augment_millis += other.augment_millis;
   cancel_millis += other.cancel_millis;
   extract_millis += other.extract_millis;
+}
+
+void Metrics::MergeCounters(const Metrics& other) {
+#define CCA_METRICS_MERGE_ONE(field, label) field += other.field;
+  CCA_METRICS_COUNTER_FIELDS(CCA_METRICS_MERGE_ONE)
+#undef CCA_METRICS_MERGE_ONE
 }
 
 std::string Metrics::ToString() const {
@@ -45,7 +50,8 @@ std::string Metrics::ToString() const {
   const struct {
     const char* label;
     double millis;
-  } phases[] = {{"adopt", adopt_millis},
+  } phases[] = {{"seed", seed_millis},
+                {"adopt", adopt_millis},
                 {"augment", augment_millis},
                 {"cancel", cancel_millis},
                 {"extract", extract_millis}};

@@ -141,12 +141,15 @@ struct Metrics {
 
   // --- outcome ---------------------------------------------------------—--
   // Measured wall time of the compute phase (SSPA: from SolveSspa entry,
-  // a private index build included).
+  // a private index build and a seeded solve's concise levels included).
   double cpu_millis = 0.0;
   // SSPA phase clocks, each read once per phase (never per relax) and
   // summed by Merge. They are wall time, not counters, so they stay out of
   // CCA_METRICS_COUNTER_FIELDS: same-seed runs must keep identical
   // counters. cpu_millis minus their sum is the index and ring-walk set-up.
+  // Seeded cold solve: the concise levels, their solves and the seeds
+  // (src/flow/README.md, "Seeded cold solves"); 0 on every other solve.
+  double seed_millis = 0.0;
   double adopt_millis = 0.0;    // warm start: AdoptFlow's four passes
   double augment_millis = 0.0;  // the deficit loop and, warm, its seed heap build
   // Warm start: the certificate pass (CancelSourceCycles) only. Cycles a
@@ -168,6 +171,10 @@ struct Metrics {
   // stay exact under concurrency because no bundle is ever shared between
   // threads.
   void Merge(const Metrics& other);
+  // Merges the counters only, not cpu_millis or the phase clocks: how a
+  // seeded SSPA solve charges its concise levels' work, whose time is
+  // already inside its own seed_millis.
+  void MergeCounters(const Metrics& other);
 
   // Human-readable one-line summary, used by examples and benches:
   // `label=value` for every non-zero counter in the field table, then

@@ -20,7 +20,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Virtual-provider capacity: the demand the real providers cannot absorb
 // (0 on feasible instances and on cold solves — only a warm start needs the
-// ample regime, see SspaWarmStart).
+// ample regime, see SspaWarmStart; a seeded cold solve is ample by its
+// shape rule).
 std::int64_t ComputeOverflow(const Problem& problem, const SspaConfig& config) {
   if (config.warm == nullptr) return 0;
   return std::max<std::int64_t>(0, problem.TotalWeight() - problem.TotalCapacity());
@@ -69,8 +70,12 @@ double ComputeOverflowPenalty(const Problem& problem) {
 // path).
 class SspaSolver {
  public:
-  SspaSolver(const Problem& problem, const SspaConfig& config)
-      : problem_(problem),
+  // `clock` started at SolveSspa entry: cpu_millis and the deadline read
+  // it, so both cover the whole call, a seeded solve's concise levels
+  // included.
+  SspaSolver(const Problem& problem, const SspaConfig& config, const Timer& clock)
+      : timer_(clock),
+        problem_(problem),
         config_(config),
         real_nq_(problem.providers.size()),
         overflow_(ComputeOverflow(problem, config)),
@@ -145,7 +150,6 @@ class SspaSolver {
   }
 
   SspaResult Run() {
-    CCA_TRACE_SPAN_VAR(span, "sspa.solve");
     SspaResult result;
     result.conceptual_edges =
         static_cast<std::uint64_t>(real_nq_) * static_cast<std::uint64_t>(np_);
@@ -230,9 +234,6 @@ class SspaSolver {
     lap(&result.metrics.extract_millis);
     result.metrics.walk_cells_built = WalkCells() - walk_cells_before_;
     result.metrics.cpu_millis = mark;
-    span.Arg("augmentations", result.metrics.augmentations);
-    span.Arg("pops", result.metrics.dijkstra_pops);
-    span.Arg("adopted", result.metrics.warm_units_adopted);
     return result;
   }
 
@@ -1005,9 +1006,8 @@ class SspaSolver {
     std::int64_t units;
   };
 
-  // Declared first so the clock covers the whole solve, index build
-  // included (cpu_millis and the deadline both read it).
-  Timer timer_;
+  // Started at SolveSspa entry (cpu_millis and the deadline both read it).
+  const Timer& timer_;
   const Problem& problem_;
   SspaConfig config_;
   // Declaration order matters: the ctor init list derives overflow_ and
@@ -1040,10 +1040,173 @@ class SspaSolver {
   std::vector<int> touched_;  // popped this run (the last run until the next)
 };
 
+// --- seeded cold solves (src/flow/README.md, "Seeded cold solves") --------
+
+// The shape a cold solve is seeded in: grid-backed, unit customers, ample
+// capacity. The reference scan, capacity-limited, weighted and warm solves
+// run the plain path. SolveSeeded checks the last clause, two or more
+// occupied coarse cells, once it has the grid. The concise levels are
+// weighted and solved by SspaSolver directly, so they never seed again.
+bool SeedsCold(const Problem& problem, const SspaConfig& config) {
+  return config.warm == nullptr && config.use_grid && problem.weights.empty() &&
+         !problem.customers.empty() && problem.TotalCapacity() >= problem.TotalWeight();
+}
+
+// The two concise instances of paper Section 4.2's CA, read off `grid`:
+// one point per occupied coarse cell (`coarse`) and one per occupied fine
+// cell (`fine`), each at its residents' centroid and weighted by their
+// count, over the same providers.
+void BuildConciseLevels(const Problem& problem, const HierarchicalGrid& grid, Problem* coarse,
+                        Problem* fine) {
+  coarse->providers = problem.providers;
+  fine->providers = problem.providers;
+  const auto add = [](Problem* level, double sx, double sy, std::size_t n) {
+    const double count = static_cast<double>(n);
+    level->customers.push_back(Point{sx / count, sy / count});
+    level->weights.push_back(static_cast<std::int32_t>(n));
+  };
+  for (const std::int32_t c : grid.nonempty_coarse()) {
+    const auto cell = static_cast<std::size_t>(c);
+    double cx = 0.0, cy = 0.0;
+    for (std::size_t f = grid.fine_begin(cell); f < grid.fine_end(cell); ++f) {
+      const CellSlice slice = grid.FineCell(f);
+      if (slice.count == 0) continue;
+      double fx = 0.0, fy = 0.0;
+      for (std::size_t i = 0; i < slice.count; ++i) {
+        fx += slice.xs[i];
+        fy += slice.ys[i];
+      }
+      add(fine, fx, fy, slice.count);
+      cx += fx;
+      cy += fy;
+    }
+    add(coarse, cx, cy, grid.coarse_count(cell));
+  }
+}
+
+// A warm start for `to` from the provider duals `tau_q` of a coarser level
+// over the same providers: tau_p = max(0, max_q(tau_q - dist)), the least
+// customer dual feasible against every provider, and each point's best arc,
+// tight when its gain tau_q - dist is >= 0, adopted in decreasing gain up
+// to the provider's capacity. Any seed is sound (SspaWarmStart); this one
+// is close to the optimum's own, so the warm solve has little to repair.
+SspaWarmStart SeedFrom(const Problem& to, const std::vector<double>& tau_q, Metrics* metrics) {
+  struct Arc {
+    double gain;
+    std::int32_t q, p;
+  };
+  SspaWarmStart seed;
+  seed.potentials.tau_q = tau_q;
+  seed.potentials.tau_p.assign(to.customers.size(), 0.0);
+  std::vector<Arc> tight;
+  tight.reserve(to.customers.size());
+  for (std::size_t p = 0; p < to.customers.size(); ++p) {
+    Arc best{-kInf, -1, static_cast<std::int32_t>(p)};
+    for (std::size_t q = 0; q < to.providers.size(); ++q) {
+      const double gain = tau_q[q] - Distance(to.providers[q].pos, to.customers[p]);
+      if (gain > best.gain) best = Arc{gain, static_cast<std::int32_t>(q), best.p};
+    }
+    metrics->distances_computed += to.providers.size();
+    if (best.gain < 0.0) continue;
+    seed.potentials.tau_p[p] = best.gain;
+    tight.push_back(best);
+  }
+  std::sort(tight.begin(), tight.end(), [](const Arc& a, const Arc& b) {
+    return a.gain > b.gain || (a.gain == b.gain && a.p < b.p);
+  });
+  std::vector<std::int64_t> left(to.providers.size());
+  for (std::size_t q = 0; q < left.size(); ++q) left[q] = to.providers[q].capacity;
+  for (const Arc& arc : tight) {
+    const auto q = static_cast<std::size_t>(arc.q);
+    const std::int64_t units =
+        std::min<std::int64_t>(to.weight(static_cast<std::size_t>(arc.p)), left[q]);
+    if (units <= 0) continue;
+    seed.matching.Add(arc.q, arc.p, static_cast<std::int32_t>(units), 0.0);
+    left[q] -= units;
+  }
+  return seed;
+}
+
+// A deadline that fires inside a seed level leaves no flow on the
+// customers: a clean breach, every unit in the unassigned ledger, zero
+// duals of the problem's shape.
+SspaResult SeedLevelBreach(const Problem& problem, const Metrics& seed_metrics) {
+  SspaResult result;
+  result.metrics = seed_metrics;
+  result.conceptual_edges = static_cast<std::uint64_t>(problem.providers.size()) *
+                            static_cast<std::uint64_t>(problem.customers.size());
+  result.potentials.tau_q.assign(problem.providers.size(), 0.0);
+  result.potentials.tau_p.assign(problem.customers.size(), 0.0);
+  for (std::size_t p = 0; p < problem.customers.size(); ++p) {
+    result.unassigned.push_back(UnassignedUnit{static_cast<std::int32_t>(p), 1});
+  }
+  result.unassigned_units = static_cast<std::int64_t>(problem.customers.size());
+  result.deadline_exceeded = true;
+  return result;
+}
+
+// Coarse to fine: solve the coarse level cold, seed the fine level from it
+// and solve that warm, seed the customers from the fine level, and hand
+// the seed to the plain warm path, whose certificate pass keeps the result
+// exact. The levels' work counters are charged to the result, their time
+// to seed_millis.
+SspaResult SolveSeeded(const Problem& problem, const SspaConfig& config, const Timer& clock) {
+  std::unique_ptr<HierarchicalGrid> owned;
+  SspaConfig final_config = config;
+  if (config.shared_index.grid == nullptr) {
+    owned = std::make_unique<HierarchicalGrid>(problem.customers);
+    final_config.shared_index.grid = owned.get();
+  }
+  const HierarchicalGrid& grid = *final_config.shared_index.grid;
+  if (grid.nonempty_coarse().size() < 2) return SspaSolver(problem, final_config, clock).Run();
+
+  const double seed_begin = clock.ElapsedMillis();
+  Metrics seed_metrics;
+  SspaWarmStart seed;
+  {
+    CCA_TRACE_SPAN("sspa.seed");
+    Problem coarse, fine;
+    BuildConciseLevels(problem, grid, &coarse, &fine);
+    SspaConfig level_config;
+    level_config.deadline_ms = config.deadline_ms;
+    SspaResult level = SspaSolver(coarse, level_config, clock).Run();
+    seed_metrics.MergeCounters(level.metrics);
+    // Without splits the fine level is the coarse one again.
+    if (!level.deadline_exceeded && fine.customers.size() > coarse.customers.size()) {
+      const SspaWarmStart fine_seed = SeedFrom(fine, level.potentials.tau_q, &seed_metrics);
+      level_config.warm = &fine_seed;
+      level = SspaSolver(fine, level_config, clock).Run();
+      seed_metrics.MergeCounters(level.metrics);
+    }
+    // A level adopts weighted concise points, not units of this problem's
+    // demand: the result counts only the customers adopted from the seed.
+    seed_metrics.warm_units_adopted = 0;
+    if (level.deadline_exceeded) {
+      seed_metrics.cpu_millis = clock.ElapsedMillis();
+      seed_metrics.seed_millis = seed_metrics.cpu_millis - seed_begin;
+      return SeedLevelBreach(problem, seed_metrics);
+    }
+    seed = SeedFrom(problem, level.potentials.tau_q, &seed_metrics);
+  }
+  seed_metrics.seed_millis = clock.ElapsedMillis() - seed_begin;
+  final_config.warm = &seed;
+  SspaResult result = SspaSolver(problem, final_config, clock).Run();
+  result.metrics.MergeCounters(seed_metrics);
+  result.metrics.seed_millis = seed_metrics.seed_millis;
+  return result;
+}
+
 }  // namespace
 
 SspaResult SolveSspa(const Problem& problem, const SspaConfig& config) {
-  return SspaSolver(problem, config).Run();
+  CCA_TRACE_SPAN_VAR(span, "sspa.solve");
+  const Timer clock;
+  SspaResult result = SeedsCold(problem, config) ? SolveSeeded(problem, config, clock)
+                                                 : SspaSolver(problem, config, clock).Run();
+  span.Arg("augmentations", result.metrics.augmentations);
+  span.Arg("pops", result.metrics.dijkstra_pops);
+  span.Arg("adopted", result.metrics.warm_units_adopted);
+  return result;
 }
 
 SspaResult SolveSspa(const Problem& problem) { return SolveSspa(problem, SspaConfig{}); }

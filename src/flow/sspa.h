@@ -96,6 +96,11 @@ struct SspaPotentials {
 // per warm solve (src/flow/README.md). Both steps cost work in proportion
 // to the churn, which is what makes a small-perturbation re-solve cheap —
 // src/runtime/README.md has the full argument.
+//
+// The same warm path finishes every seeded cold solve (SspaConfig::warm
+// below): SolveSspa builds the warm start itself from concise levels of
+// its grid, and the adopt/clamp/certificate steps above are what keep the
+// result exact whatever the seed.
 struct SspaWarmStart {
   SspaPotentials potentials;
   Matching matching;
@@ -122,8 +127,9 @@ struct SspaConfig {
   // Hierarchical ring relax. Off = the reference scan of every customer on
   // every provider pop (index-free; it still applies the per-candidate
   // run_ub prune, so candidates that cannot beat the certified upper bound
-  // are never relaxed). Matchings, augmentation counts and (up to boundary
-  // ties) pop counts agree between the two.
+  // are never relaxed) and is never seeded (see `warm`). Matching costs
+  // agree between the two; on unseeded shapes so do augmentation counts
+  // and, up to boundary ties, pop counts.
   bool use_grid = true;
   // Prebuilt relax index, owned by the caller (the runtime's SharedIndex
   // shares one grid across concurrent queries, the AssignmentEngine a grid
@@ -132,18 +138,27 @@ struct SspaConfig {
   // reference scan.
   SspaSharedIndex shared_index;
   // Cooperative deadline for the whole solve, in wall milliseconds, timed
-  // from SolveSspa entry (a private grid's construction counts, like
-  // Metrics::cpu_millis); <= 0 disables. Checked once per augmentation (Dijkstra-run
+  // from SolveSspa entry (a private grid's construction and a seeded
+  // solve's concise levels count, like Metrics::cpu_millis); <= 0
+  // disables. Checked once per augmentation, in every level (Dijkstra-run
   // granularity — one run is the smallest unit that leaves the duals and
   // partial flow consistent). On breach the solver stops cleanly:
   // SspaResult::deadline_exceeded is set, the matching holds the
-  // (capacity-respecting, possibly partial) flow augmented so far, and
-  // the unassigned ledger accounts for every unit not served by a real
-  // provider. Callers own the degradation policy (AssignmentEngine falls
-  // back to its last-known-good matching, src/runtime/README.md).
+  // (capacity-respecting, possibly partial) flow augmented so far — none
+  // when the breach fell inside a seed level — and the unassigned ledger
+  // accounts for every unit not served by a real provider. Callers own the
+  // degradation policy (AssignmentEngine falls back to its last-known-good
+  // matching, src/runtime/README.md).
   double deadline_ms = 0.0;
   // Warm start (src/runtime/engine.h AssignmentEngine), owned by the
-  // caller. Null = cold start from zero duals and zero flow.
+  // caller. Null = a cold start. A cold, grid-backed solve of unit
+  // customers with ample capacity (TotalCapacity() >= TotalWeight()) and at
+  // least two occupied coarse cells is seeded: its grid's coarse and fine
+  // cells, as weighted concise instances, are solved coarse to fine and
+  // their duals seed this same warm path (src/flow/README.md, "Seeded cold
+  // solves"; Metrics::seed_millis times the levels). Every other cold
+  // solve — the reference scan, capacity-limited and weighted ones —
+  // starts from zero duals and zero flow.
   const SspaWarmStart* warm = nullptr;
 };
 

@@ -144,20 +144,25 @@ TEST(EngineChurn, DegradedResolveIsNotCertifiedAndDoesNotAbort) {
   // Debug builds certify every Resolve that is not degraded and abort when
   // the certificate fails. A degraded outcome is a greedy stop-gap, so it
   // fails the certificate and must not be checked. The first Resolve, a
-  // cold 100x3000 solve that takes hundreds of milliseconds, breaches its
-  // 20 ms budget; after most customers leave, the next Resolve fits.
+  // seeded cold 100x20000 solve whose seed phase alone takes well over
+  // 100 ms, breaches its 20 ms budget inside a seed level; after most
+  // customers leave, the next Resolve fits.
   AssignmentEngine::Options options;
   options.resolve_deadline_ms = 20.0;
   AssignmentEngine engine(options);
   for (const Point& pos : test::RandomPoints(100, 81)) {
-    ASSERT_TRUE(engine.InsertProvider(pos, 40).ok());
+    ASSERT_TRUE(engine.InsertProvider(pos, 240).ok());
   }
   std::vector<AssignmentEngine::Id> ids;
-  for (const Point& pos : test::RandomPoints(3000, 82)) {
+  for (const Point& pos : test::RandomPoints(20000, 82)) {
     ids.push_back(engine.InsertCustomer(pos).value());
   }
   const auto degraded = CertifiedResolve(&engine);
   ASSERT_TRUE(degraded.degraded);
+  // The breach fired inside a seed level: the seed phase ran, and no
+  // customer was adopted because the final warm solve never started.
+  EXPECT_GT(degraded.metrics.seed_millis, 0.0);
+  EXPECT_EQ(degraded.metrics.warm_units_adopted, 0u);
   EXPECT_FALSE(
       CertifyOptimal(engine.problem(), degraded.matching, engine.potentials()).ok());
   for (std::size_t i = 20; i < ids.size(); ++i) ASSERT_TRUE(engine.RemoveCustomer(ids[i]));

@@ -31,22 +31,49 @@ TEST(MetricsTest, MergeCoversEveryCounterSlot) {
   EXPECT_DOUBLE_EQ(a.cpu_millis, 3.0);
 }
 
+// MergeCounters adds every counter slot and leaves cpu_millis and the
+// phase clocks alone: a seeded SSPA solve charges its concise levels' work
+// that way, their time being inside its own seed_millis.
+TEST(MetricsTest, MergeCountersLeavesClocksAlone) {
+  Metrics a, b;
+  std::uint64_t vals[kMetricsCounterCount];
+  for (std::size_t i = 0; i < kMetricsCounterCount; ++i) vals[i] = i + 1;
+  std::memcpy(&b, vals, sizeof(vals));
+  b.cpu_millis = 2.0;
+  b.seed_millis = 1.0;
+  b.augment_millis = 0.5;
+  a.cpu_millis = 3.0;
+  a.MergeCounters(b);
+  std::uint64_t merged[kMetricsCounterCount];
+  std::memcpy(merged, &a, sizeof(merged));
+  for (std::size_t i = 0; i < kMetricsCounterCount; ++i) {
+    EXPECT_EQ(merged[i], i + 1) << "counter slot " << i << " not merged";
+  }
+  EXPECT_DOUBLE_EQ(a.cpu_millis, 3.0);
+  EXPECT_DOUBLE_EQ(a.seed_millis, 0.0);
+  EXPECT_DOUBLE_EQ(a.augment_millis, 0.0);
+}
+
 // The SSPA phase clocks are wall time, not counters: Merge sums them,
 // ToString prints the non-zero ones, and none of them is a counter slot
 // (same-seed runs must compare equal on counters alone).
 TEST(MetricsTest, PhaseClocksMergeAndPrint) {
   Metrics a, b;
+  a.seed_millis = 0.75;
   a.adopt_millis = 0.25;
   a.augment_millis = 1.5;
+  b.seed_millis = 1.0;
   b.augment_millis = 2.0;
   b.cancel_millis = 0.125;
   b.extract_millis = 0.5;
   a.Merge(b);
+  EXPECT_DOUBLE_EQ(a.seed_millis, 1.75);
   EXPECT_DOUBLE_EQ(a.adopt_millis, 0.25);
   EXPECT_DOUBLE_EQ(a.augment_millis, 3.5);
   EXPECT_DOUBLE_EQ(a.cancel_millis, 0.125);
   EXPECT_DOUBLE_EQ(a.extract_millis, 0.5);
   const std::string s = a.ToString();
+  EXPECT_NE(s.find("seed=1.750ms"), std::string::npos) << s;
   EXPECT_NE(s.find("adopt=0.250ms"), std::string::npos) << s;
   EXPECT_NE(s.find("augment=3.500ms"), std::string::npos) << s;
   EXPECT_NE(s.find("cancel=0.125ms"), std::string::npos) << s;

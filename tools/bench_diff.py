@@ -28,6 +28,11 @@ fails when
   * a counter where more is better (warm_units_adopted) falls below the
     baseline by more than the same slack.
 
+Independently of any baseline, a NEW row whose `certified` column is false
+(bench_micro_flow and bench_engine_dispatch: CertifyOptimal rejected the
+duals of one of the row's solves) fails the check: its cost is not proven
+optimal, whatever it matches.
+
 Timing fields (and the dispatch rows' `cycles`) are reported but never
 gated: wall clock is machine-dependent, the work counters are not.
 """
@@ -71,8 +76,10 @@ COUNTER_KEYS = (
     "node_accesses",
     "index_node_accesses",
     "nn_searches",
-    # Exact solvers run a fixed number of augmentations per instance; any
-    # drift is a correctness bug, not a perf trade (bench_engine_qps rows).
+    # Augmentations per instance: fixed for a plain cold solve, where any
+    # drift is a correctness bug; a seeded or warm SSPA solve re-augments
+    # only what its seed left, so growth there is lost seeding (qps and
+    # dispatch rows).
     "augmentations",
     # Failure-model counters (runtime/engine.h Stats). The dispatch bench
     # sets no deadline and generates feasible instances, so the committed
@@ -94,7 +101,7 @@ FLOOR_KEYS = ("warm_units_adopted",)
 REPORT_KEYS = ("qps", "wall_ms", "p50_ms", "p99_ms", "p999_ms", "mean_ms",
                "bootstrap_ms",
                # SSPA phase clocks (common/metrics.h), dispatch rows.
-               "adopt_ms", "augment_ms", "cancel_ms", "extract_ms",
+               "seed_ms", "adopt_ms", "augment_ms", "cancel_ms", "extract_ms",
                # Negative source cycles the warm solves cancelled (dispatch
                # rows). Deterministic, but which cycles exist depends on
                # where the deficit runs meet them, so neither direction
@@ -149,6 +156,11 @@ def main():
             print("  " + " ".join(f"{k}={v}" for k, v in key))
 
     failures = []
+    for key, new in sorted(new_rows.items()):
+        if new.get("certified") is False:
+            label = " ".join(f"{k}={v}" for k, v in key)
+            failures.append(f"{label}: certified is false (a solve failed "
+                            "its LP-duality certificate)")
     for key in shared:
         new, base = new_rows[key], base_rows[key]
         label = " ".join(f"{k}={v}" for k, v in key)
