@@ -7,7 +7,7 @@
 // warm-started at every Resolve (duals + adopted flow from the previous
 // one), and also solves every snapshot from scratch: the "cold" mode is a
 // default SolveSspa of the engine's problem(), over a freshly laid-out grid
-// with private walks, nothing carried over. Every shape here is ample, so
+// with the solve's own walks, nothing carried over. Every shape here is ample, so
 // that from-scratch solve is the seeded cold solve (src/flow/README.md,
 // "Seeded cold solves"): the grid's coarse and fine cells seed the warm
 // path, and so does the engine's own step-0 bootstrap. Every step's warm

@@ -3,7 +3,15 @@
 //
 // Expected shape: the incremental algorithms beat SSPA by 1-3 orders of
 // magnitude across all k.
+//
+// Every solver here is exact, so each row is also a check: the bench exits
+// 1 when the SSPA, RIA, NIA and IDA costs of a row differ by more than 1e-6
+// relative, or when CertifyOptimal rejects the SSPA solve's duals.
+#include <algorithm>
+#include <cmath>
+
 #include "bench_util.h"
+#include "flow/oracle.h"
 #include "flow/sspa.h"
 
 int main() {
@@ -36,6 +44,19 @@ int main() {
                 nia.metrics.cpu_millis / 1000.0, ida.metrics.cpu_millis / 1000.0,
                 ida.matching.cost());
     std::fflush(stdout);
+    const double want = sspa.matching.cost();
+    for (const double got : {ria.matching.cost(), nia.matching.cost(), ida.matching.cost()}) {
+      if (std::abs(got - want) > 1e-6 * std::max(1.0, want)) {
+        std::fprintf(stderr, "COST MISMATCH k=%d: SSPA %.6f RIA %.6f NIA %.6f IDA %.6f\n", k,
+                     want, ria.matching.cost(), nia.matching.cost(), ida.matching.cost());
+        return 1;
+      }
+    }
+    const Status certified = CertifyOptimal(w.problem, sspa.matching, sspa.potentials);
+    if (!certified.ok()) {
+      std::fprintf(stderr, "SSPA NOT CERTIFIED k=%d: %s\n", k, certified.ToString().c_str());
+      return 1;
+    }
   }
   return 0;
 }

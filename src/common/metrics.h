@@ -96,7 +96,7 @@ struct Metrics {
   // diagnostic for the per-region adaptation).
   std::uint64_t hier_splits = 0;
   // Coarse entries plus fine children the SSPA ring walks materialised
-  // (HierRingWalk, geo/grid_cursor.h): everything a solve's private walks
+  // (HierRingWalk, geo/grid_cursor.h): everything a solve's own walks
   // built, or what a solve added to walks its caller keeps across solves
   // (AssignmentEngine). A steady warm Resolve over kept walks builds
   // almost none.

@@ -27,25 +27,79 @@ std::int64_t ComputeOverflow(const Problem& problem, const SspaConfig& config) {
   return std::max<std::int64_t>(0, problem.TotalWeight() - problem.TotalCapacity());
 }
 
-// The virtual edge cost: 2x the bounding-box diagonal of all points + 1,
-// strictly above any real edge cost. The matching itself is
-// penalty-independent (the virtual capacity equals the overflow exactly,
-// so real capacity always saturates — see SspaWarmStart); staying above
-// every distance keeps Dijkstra's path ordering treating the virtual
-// provider as the strict last resort.
-double ComputeOverflowPenalty(const Problem& problem) {
-  double lo_x = kInf, lo_y = kInf, hi_x = -kInf, hi_y = -kInf;
-  const auto grow = [&](const Point& pt) {
-    lo_x = std::min(lo_x, pt.x);
-    lo_y = std::min(lo_y, pt.y);
-    hi_x = std::max(hi_x, pt.x);
-    hi_y = std::max(hi_y, pt.y);
+// The two concise instances of paper Section 4.2's CA, read off `grid`:
+// one point per occupied coarse cell (`coarse`) and one per occupied fine
+// cell (`fine`), each at its residents' centroid and weighted by their
+// count, over the same providers.
+void BuildConciseLevels(const Problem& problem, const HierarchicalGrid& grid, Problem* coarse,
+                        Problem* fine) {
+  coarse->providers = problem.providers;
+  fine->providers = problem.providers;
+  const auto add = [](Problem* level, double sx, double sy, std::size_t n) {
+    const double count = static_cast<double>(n);
+    level->customers.push_back(Point{sx / count, sy / count});
+    level->weights.push_back(static_cast<std::int32_t>(n));
   };
-  for (const Provider& q : problem.providers) grow(q.pos);
-  for (const Point& p : problem.customers) grow(p);
-  if (lo_x > hi_x) return 1.0;  // no points at all
-  const double diag = Distance(Point{lo_x, lo_y}, Point{hi_x, hi_y});
-  return 2.0 * diag + 1.0;
+  for (const std::int32_t c : grid.nonempty_coarse()) {
+    const auto cell = static_cast<std::size_t>(c);
+    double cx = 0.0, cy = 0.0;
+    for (std::size_t f = grid.fine_begin(cell); f < grid.fine_end(cell); ++f) {
+      const CellSlice slice = grid.FineCell(f);
+      if (slice.count == 0) continue;
+      double fx = 0.0, fy = 0.0;
+      for (std::size_t i = 0; i < slice.count; ++i) {
+        fx += slice.xs[i];
+        fy += slice.ys[i];
+      }
+      add(fine, fx, fy, slice.count);
+      cx += fx;
+      cy += fy;
+    }
+    add(coarse, cx, cy, grid.coarse_count(cell));
+  }
+}
+
+// A warm start for `to` from the provider duals `tau_q` of a coarser level
+// over the same providers: tau_p = max(0, max_q(tau_q - dist)), the least
+// customer dual feasible against every provider, and each point's best arc,
+// tight when its gain tau_q - dist is >= 0, adopted in decreasing gain up
+// to the provider's capacity. Any seed is sound (SspaWarmStart); this one
+// is close to the optimum's own, so the warm solve has little to repair.
+SspaWarmStart SeedFrom(const Problem& to, const std::vector<double>& tau_q, Metrics* metrics) {
+  struct Arc {
+    double gain;
+    std::int32_t q, p;
+  };
+  SspaWarmStart seed;
+  seed.potentials.tau_q = tau_q;
+  seed.potentials.tau_p.assign(to.customers.size(), 0.0);
+  std::vector<Arc> tight;
+  tight.reserve(to.customers.size());
+  for (std::size_t p = 0; p < to.customers.size(); ++p) {
+    Arc best{-kInf, -1, static_cast<std::int32_t>(p)};
+    for (std::size_t q = 0; q < to.providers.size(); ++q) {
+      const double gain = tau_q[q] - Distance(to.providers[q].pos, to.customers[p]);
+      if (gain > best.gain) best = Arc{gain, static_cast<std::int32_t>(q), best.p};
+    }
+    metrics->distances_computed += to.providers.size();
+    if (best.gain < 0.0) continue;
+    seed.potentials.tau_p[p] = best.gain;
+    tight.push_back(best);
+  }
+  std::sort(tight.begin(), tight.end(), [](const Arc& a, const Arc& b) {
+    return a.gain > b.gain || (a.gain == b.gain && a.p < b.p);
+  });
+  std::vector<std::int64_t> left(to.providers.size());
+  for (std::size_t q = 0; q < left.size(); ++q) left[q] = to.providers[q].capacity;
+  for (const Arc& arc : tight) {
+    const auto q = static_cast<std::size_t>(arc.q);
+    const std::int64_t units =
+        std::min<std::int64_t>(to.weight(static_cast<std::size_t>(arc.p)), left[q]);
+    if (units <= 0) continue;
+    seed.matching.Add(arc.q, arc.p, static_cast<std::int32_t>(units), 0.0);
+    left[q] -= units;
+  }
+  return seed;
 }
 
 // SSPA solver. Node ids: providers [0, nq), customers [nq, nq+np), sink
@@ -77,9 +131,12 @@ class SspaSolver {
       : timer_(clock),
         problem_(problem),
         config_(config),
+        warm_(config.warm),
         real_nq_(problem.providers.size()),
         overflow_(ComputeOverflow(problem, config)),
-        penalty_(overflow_ > 0 ? ComputeOverflowPenalty(problem) : 0.0),
+        // The virtual edge cost: 2x the bounding-box diagonal of all points
+        // + 1, strictly above any real edge cost (SspaWarmStart).
+        penalty_(overflow_ > 0 ? 2.0 * problem.World().Diagonal() + 1.0 : 0.0),
         nq_(real_nq_ + (overflow_ > 0 ? 1 : 0)),
         np_(problem.customers.size()),
         unit_customers_(problem.weights.empty()),
@@ -92,14 +149,30 @@ class SspaSolver {
         alpha_(nq_ + np_ + 1, kInf),
         prev_(nq_ + np_ + 1, -1),
         heap_(nq_ + np_ + 1) {
-    // Warm start: adopt the caller's duals before the floor table is built
-    // so it can be seeded consistently (the Dijkstra global-floor
-    // assert checks min_tau_p_ against tau_p_ on every run). Negative
-    // entries are clamped — the solver's invariants assume tau >= 0 — and
-    // feasibility around the adopted flow is restored by AdoptFlow before
-    // the first Dijkstra run.
-    if (config_.warm != nullptr) {
-      const SspaPotentials& init = config_.warm->potentials;
+    // The hierarchical ring relax owns (or borrows) the grid; the reference
+    // scan reads the customer SoA directly.
+    if (np_ > 0 && config_.use_grid) {
+      const SspaSharedIndex& shared = config_.shared_index;
+      assert((shared.walks == nullptr || shared.grid != nullptr) && "lent walks need their grid");
+      if (shared.grid != nullptr) {
+        hier_ = shared.grid;
+        assert(hier_->size() == np_ && "shared_index.grid must index problem.customers");
+      } else {
+        owned_hier_ = std::make_unique<HierarchicalGrid>(problem.customers);
+        hier_ = owned_hier_.get();
+      }
+    } else if (np_ > 0) {
+      coords_.Assign(problem.customers);
+    }
+    if (SeedsCold()) Seed();
+    // Warm start, the caller's or the seed's: adopt its duals before the
+    // floor table is built so it can be seeded consistently (the Dijkstra
+    // global-floor assert checks min_tau_p_ against tau_p_ on every run).
+    // Negative entries are clamped — the solver's invariants assume
+    // tau >= 0 — and feasibility around the adopted flow is restored by
+    // AdoptFlow before the first Dijkstra run.
+    if (warm_ != nullptr) {
+      const SspaPotentials& init = warm_->potentials;
       assert(init.tau_q.size() == real_nq_ && init.tau_p.size() == np_);
       for (std::size_t q = 0; q < real_nq_; ++q) tau_q_[q] = std::max(0.0, init.tau_q[q]);
       for (std::size_t p = 0; p < np_; ++p) {
@@ -112,45 +185,32 @@ class SspaSolver {
     // it keeps the virtual node at the bottom of the heap so real capacity
     // is exhausted before the overflow path is ever explored.
     if (overflow_ > 0) tau_q_[real_nq_] = penalty_;
-    // The hierarchical ring relax owns (or borrows) the grid and one
-    // memoized ring walk per real provider (a provider never moves, so its
-    // walk is replayed on every pop); the tau floors and everything else
-    // mutable stay per-solve. The reference scan reads the customer SoA
-    // directly.
-    if (np_ == 0) return;
-    if (config_.use_grid) {
-      const SspaSharedIndex& shared = config_.shared_index;
-      assert((shared.walks == nullptr || shared.grid != nullptr) && "lent walks need their grid");
-      if (shared.grid != nullptr) {
-        hier_ = shared.grid;
-        assert(hier_->size() == np_ && "shared_index.grid must index problem.customers");
-      } else {
-        owned_hier_ = std::make_unique<HierarchicalGrid>(problem.customers);
-        hier_ = owned_hier_.get();
-      }
-      floors_ = std::make_unique<HierTauTable>(*hier_, tau_p_);
-      if (shared.walks != nullptr) {
-        walks_ = shared.walks;
-        assert(walks_->size() == real_nq_ && "lent walks must align with problem.providers");
-        for (std::size_t q = 0; q < real_nq_; ++q) {
-          assert((*walks_)[q].query() == problem.providers[q].pos && "walk/provider misaligned");
-          (*walks_)[q].Bind(*hier_);
-        }
-      } else {
-        owned_walks_.reserve(real_nq_);
-        for (std::size_t q = 0; q < real_nq_; ++q) {
-          owned_walks_.emplace_back(*hier_, problem.providers[q].pos);
-        }
-        walks_ = &owned_walks_;
-      }
-      walk_cells_before_ = WalkCells();
+    if (hier_ == nullptr) return;
+    // Per-solve tau floors, and one memoized ring walk per real provider (a
+    // provider never moves, so its walk is replayed on every pop): the
+    // caller's kept walks, or the solver's own over the grid's layout. Both
+    // are bound to the grid the same way.
+    floors_ = std::make_unique<HierTauTable>(*hier_, tau_p_);
+    if (config_.shared_index.walks != nullptr) {
+      walks_ = config_.shared_index.walks;
     } else {
-      coords_.Assign(problem.customers);
+      owned_walks_.reserve(real_nq_);
+      for (const Provider& provider : problem.providers) {
+        owned_walks_.emplace_back(hier_->layout(), provider.pos);
+      }
+      walks_ = &owned_walks_;
     }
+    assert(walks_->size() == real_nq_ && "lent walks must align with problem.providers");
+    for (std::size_t q = 0; q < real_nq_; ++q) {
+      assert((*walks_)[q].query() == problem.providers[q].pos && "walk/provider misaligned");
+      (*walks_)[q].Bind(*hier_);
+    }
+    walk_cells_before_ = WalkCells();
   }
 
   SspaResult Run() {
     SspaResult result;
+    result.metrics = seed_metrics_;  // the seed phase's counters and clock
     result.conceptual_edges =
         static_cast<std::uint64_t>(real_nq_) * static_cast<std::uint64_t>(np_);
     // Build-shape diagnostic: how many coarse cells the (owned or shared)
@@ -163,7 +223,7 @@ class SspaSolver {
       *phase_millis += now - mark;
       mark = now;
     };
-    if (config_.warm != nullptr) {
+    if (warm_ != nullptr) {
       AdoptFlow(&result.metrics);
       lap(&result.metrics.adopt_millis);
       BuildDeficitSeeds(&result.metrics);
@@ -204,7 +264,7 @@ class SspaSolver {
     // cancelling any that no deficit run met. It needs every customer
     // saturated, so a deficit loop cut short (deadline or missed sink)
     // skips it.
-    if (config_.warm != nullptr && remaining == 0) {
+    if (warm_ != nullptr && remaining == 0) {
       CancelSourceCycles(&result);
       lap(&result.metrics.cancel_millis);
     }
@@ -232,13 +292,57 @@ class SspaSolver {
     result.potentials.tau_q.assign(tau_q_.begin(), tau_q_.begin() + static_cast<std::ptrdiff_t>(real_nq_));
     result.potentials.tau_p = tau_p_;
     lap(&result.metrics.extract_millis);
-    result.metrics.walk_cells_built = WalkCells() - walk_cells_before_;
+    result.metrics.walk_cells_built += WalkCells() - walk_cells_before_;
     result.metrics.cpu_millis = mark;
     return result;
   }
 
  private:
   int Sink() const { return static_cast<int>(nq_ + np_); }
+
+  // The shape a cold solve is seeded in: grid-backed, unit customers,
+  // ample capacity, and two or more occupied coarse cells to build the
+  // levels from. The reference scan, capacity-limited, weighted and warm
+  // solves run the plain path; the levels are weighted, so they never seed
+  // again.
+  bool SeedsCold() const {
+    return warm_ == nullptr && hier_ != nullptr && unit_customers_ &&
+           problem_.TotalCapacity() >= problem_.TotalWeight() &&
+           hier_->nonempty_coarse().size() >= 2;
+  }
+
+  // The seed phase (src/flow/README.md, "Seeded cold solves"): solve the
+  // coarse level cold and the fine level warm from it, both on this
+  // solve's clock, then seed the customers from the fine level and install
+  // that seed as this solve's warm start. The levels' work counters are
+  // charged to the result, their time to seed_millis. A level cut by the
+  // deadline installs no seed: Run() then takes its ordinary deadline exit
+  // before the first run, with no flow and zero duals.
+  void Seed() {
+    CCA_TRACE_SPAN("sspa.seed");
+    const double begin = timer_.ElapsedMillis();
+    Problem coarse, fine;
+    BuildConciseLevels(problem_, *hier_, &coarse, &fine);
+    SspaConfig level_config;
+    level_config.deadline_ms = config_.deadline_ms;
+    SspaResult level = SspaSolver(coarse, level_config, timer_).Run();
+    seed_metrics_.MergeCounters(level.metrics);
+    // Without splits the fine level is the coarse one again.
+    if (!level.deadline_exceeded && fine.customers.size() > coarse.customers.size()) {
+      const SspaWarmStart fine_seed = SeedFrom(fine, level.potentials.tau_q, &seed_metrics_);
+      level_config.warm = &fine_seed;
+      level = SspaSolver(fine, level_config, timer_).Run();
+      seed_metrics_.MergeCounters(level.metrics);
+    }
+    // A level adopts weighted concise points, not units of this problem's
+    // demand: the result counts only the customers adopted from the seed.
+    seed_metrics_.warm_units_adopted = 0;
+    if (!level.deadline_exceeded) {
+      seed_ = SeedFrom(problem_, level.potentials.tau_q, &seed_metrics_);
+      warm_ = &seed_;
+    }
+    seed_metrics_.seed_millis = timer_.ElapsedMillis() - begin;
+  }
 
   // Coarse entries plus fine children materialised by the ring walks.
   std::uint64_t WalkCells() const {
@@ -317,8 +421,8 @@ class SspaSolver {
       std::int64_t units;
     };
     std::vector<Adopted> adopted;
-    adopted.reserve(config_.warm->matching.pairs.size());
-    for (const MatchPair& pair : config_.warm->matching.pairs) {
+    adopted.reserve(warm_->matching.pairs.size());
+    for (const MatchPair& pair : warm_->matching.pairs) {
       if (pair.provider < 0 || pair.customer < 0 || pair.units <= 0) continue;
       const auto q = static_cast<std::size_t>(pair.provider);
       const auto p = static_cast<std::size_t>(pair.customer);
@@ -770,9 +874,8 @@ class SspaSolver {
     for (std::size_t i = 0;; ++i) {
       const HierRingWalk::Entry* coarse = walk.At(i);
       if (coarse == nullptr) break;  // every coarse cell served, nothing left
-      // A cell a kept walk lists but that is empty in this grid: a private
-      // walk would not list it, and skipping it changes no bound (tail
-      // bounds are per entry, counts add 0).
+      // A listed cell that is empty in this grid: skipping it changes no
+      // bound (tail bounds are per entry, counts add 0).
       if (coarse->count == 0) continue;
       // `sink_ub` only shrinks while cells are scanned (run_ub_ picks up
       // completed s~>t paths), so re-read it per coarse cell.
@@ -815,7 +918,7 @@ class SspaSolver {
         }
         const auto f = static_cast<std::size_t>(fines[k].fine);
         const std::size_t residents = grid.fine_cell_end(f) - grid.fine_cell_begin(f);
-        if (residents == 0) continue;  // listed by a kept walk, empty in this grid
+        if (residents == 0) continue;  // listed by the walk, empty in this grid
         --occupied_left;
         const double fine_bound = fines[k].min_dist + base + floors_->FineFloor(f);
         if (std::max(fine_bound, alpha_[q]) >= ub) {
@@ -1009,7 +1112,10 @@ class SspaSolver {
   // Started at SolveSspa entry (cpu_millis and the deadline both read it).
   const Timer& timer_;
   const Problem& problem_;
-  SspaConfig config_;
+  const SspaConfig& config_;
+  const SspaWarmStart* warm_;  // config_.warm, or &seed_ once Seed() installs it
+  SspaWarmStart seed_;         // a seeded cold solve's warm start
+  Metrics seed_metrics_;       // the seed levels' counters, and seed_millis
   // Declaration order matters: the ctor init list derives overflow_ and
   // penalty_ from the problem, then nq_ = real_nq_ + (overflow_ > 0).
   std::size_t real_nq_;        // providers the caller knows about
@@ -1040,169 +1146,12 @@ class SspaSolver {
   std::vector<int> touched_;  // popped this run (the last run until the next)
 };
 
-// --- seeded cold solves (src/flow/README.md, "Seeded cold solves") --------
-
-// The shape a cold solve is seeded in: grid-backed, unit customers, ample
-// capacity. The reference scan, capacity-limited, weighted and warm solves
-// run the plain path. SolveSeeded checks the last clause, two or more
-// occupied coarse cells, once it has the grid. The concise levels are
-// weighted and solved by SspaSolver directly, so they never seed again.
-bool SeedsCold(const Problem& problem, const SspaConfig& config) {
-  return config.warm == nullptr && config.use_grid && problem.weights.empty() &&
-         !problem.customers.empty() && problem.TotalCapacity() >= problem.TotalWeight();
-}
-
-// The two concise instances of paper Section 4.2's CA, read off `grid`:
-// one point per occupied coarse cell (`coarse`) and one per occupied fine
-// cell (`fine`), each at its residents' centroid and weighted by their
-// count, over the same providers.
-void BuildConciseLevels(const Problem& problem, const HierarchicalGrid& grid, Problem* coarse,
-                        Problem* fine) {
-  coarse->providers = problem.providers;
-  fine->providers = problem.providers;
-  const auto add = [](Problem* level, double sx, double sy, std::size_t n) {
-    const double count = static_cast<double>(n);
-    level->customers.push_back(Point{sx / count, sy / count});
-    level->weights.push_back(static_cast<std::int32_t>(n));
-  };
-  for (const std::int32_t c : grid.nonempty_coarse()) {
-    const auto cell = static_cast<std::size_t>(c);
-    double cx = 0.0, cy = 0.0;
-    for (std::size_t f = grid.fine_begin(cell); f < grid.fine_end(cell); ++f) {
-      const CellSlice slice = grid.FineCell(f);
-      if (slice.count == 0) continue;
-      double fx = 0.0, fy = 0.0;
-      for (std::size_t i = 0; i < slice.count; ++i) {
-        fx += slice.xs[i];
-        fy += slice.ys[i];
-      }
-      add(fine, fx, fy, slice.count);
-      cx += fx;
-      cy += fy;
-    }
-    add(coarse, cx, cy, grid.coarse_count(cell));
-  }
-}
-
-// A warm start for `to` from the provider duals `tau_q` of a coarser level
-// over the same providers: tau_p = max(0, max_q(tau_q - dist)), the least
-// customer dual feasible against every provider, and each point's best arc,
-// tight when its gain tau_q - dist is >= 0, adopted in decreasing gain up
-// to the provider's capacity. Any seed is sound (SspaWarmStart); this one
-// is close to the optimum's own, so the warm solve has little to repair.
-SspaWarmStart SeedFrom(const Problem& to, const std::vector<double>& tau_q, Metrics* metrics) {
-  struct Arc {
-    double gain;
-    std::int32_t q, p;
-  };
-  SspaWarmStart seed;
-  seed.potentials.tau_q = tau_q;
-  seed.potentials.tau_p.assign(to.customers.size(), 0.0);
-  std::vector<Arc> tight;
-  tight.reserve(to.customers.size());
-  for (std::size_t p = 0; p < to.customers.size(); ++p) {
-    Arc best{-kInf, -1, static_cast<std::int32_t>(p)};
-    for (std::size_t q = 0; q < to.providers.size(); ++q) {
-      const double gain = tau_q[q] - Distance(to.providers[q].pos, to.customers[p]);
-      if (gain > best.gain) best = Arc{gain, static_cast<std::int32_t>(q), best.p};
-    }
-    metrics->distances_computed += to.providers.size();
-    if (best.gain < 0.0) continue;
-    seed.potentials.tau_p[p] = best.gain;
-    tight.push_back(best);
-  }
-  std::sort(tight.begin(), tight.end(), [](const Arc& a, const Arc& b) {
-    return a.gain > b.gain || (a.gain == b.gain && a.p < b.p);
-  });
-  std::vector<std::int64_t> left(to.providers.size());
-  for (std::size_t q = 0; q < left.size(); ++q) left[q] = to.providers[q].capacity;
-  for (const Arc& arc : tight) {
-    const auto q = static_cast<std::size_t>(arc.q);
-    const std::int64_t units =
-        std::min<std::int64_t>(to.weight(static_cast<std::size_t>(arc.p)), left[q]);
-    if (units <= 0) continue;
-    seed.matching.Add(arc.q, arc.p, static_cast<std::int32_t>(units), 0.0);
-    left[q] -= units;
-  }
-  return seed;
-}
-
-// A deadline that fires inside a seed level leaves no flow on the
-// customers: a clean breach, every unit in the unassigned ledger, zero
-// duals of the problem's shape.
-SspaResult SeedLevelBreach(const Problem& problem, const Metrics& seed_metrics) {
-  SspaResult result;
-  result.metrics = seed_metrics;
-  result.conceptual_edges = static_cast<std::uint64_t>(problem.providers.size()) *
-                            static_cast<std::uint64_t>(problem.customers.size());
-  result.potentials.tau_q.assign(problem.providers.size(), 0.0);
-  result.potentials.tau_p.assign(problem.customers.size(), 0.0);
-  for (std::size_t p = 0; p < problem.customers.size(); ++p) {
-    result.unassigned.push_back(UnassignedUnit{static_cast<std::int32_t>(p), 1});
-  }
-  result.unassigned_units = static_cast<std::int64_t>(problem.customers.size());
-  result.deadline_exceeded = true;
-  return result;
-}
-
-// Coarse to fine: solve the coarse level cold, seed the fine level from it
-// and solve that warm, seed the customers from the fine level, and hand
-// the seed to the plain warm path, whose certificate pass keeps the result
-// exact. The levels' work counters are charged to the result, their time
-// to seed_millis.
-SspaResult SolveSeeded(const Problem& problem, const SspaConfig& config, const Timer& clock) {
-  std::unique_ptr<HierarchicalGrid> owned;
-  SspaConfig final_config = config;
-  if (config.shared_index.grid == nullptr) {
-    owned = std::make_unique<HierarchicalGrid>(problem.customers);
-    final_config.shared_index.grid = owned.get();
-  }
-  const HierarchicalGrid& grid = *final_config.shared_index.grid;
-  if (grid.nonempty_coarse().size() < 2) return SspaSolver(problem, final_config, clock).Run();
-
-  const double seed_begin = clock.ElapsedMillis();
-  Metrics seed_metrics;
-  SspaWarmStart seed;
-  {
-    CCA_TRACE_SPAN("sspa.seed");
-    Problem coarse, fine;
-    BuildConciseLevels(problem, grid, &coarse, &fine);
-    SspaConfig level_config;
-    level_config.deadline_ms = config.deadline_ms;
-    SspaResult level = SspaSolver(coarse, level_config, clock).Run();
-    seed_metrics.MergeCounters(level.metrics);
-    // Without splits the fine level is the coarse one again.
-    if (!level.deadline_exceeded && fine.customers.size() > coarse.customers.size()) {
-      const SspaWarmStart fine_seed = SeedFrom(fine, level.potentials.tau_q, &seed_metrics);
-      level_config.warm = &fine_seed;
-      level = SspaSolver(fine, level_config, clock).Run();
-      seed_metrics.MergeCounters(level.metrics);
-    }
-    // A level adopts weighted concise points, not units of this problem's
-    // demand: the result counts only the customers adopted from the seed.
-    seed_metrics.warm_units_adopted = 0;
-    if (level.deadline_exceeded) {
-      seed_metrics.cpu_millis = clock.ElapsedMillis();
-      seed_metrics.seed_millis = seed_metrics.cpu_millis - seed_begin;
-      return SeedLevelBreach(problem, seed_metrics);
-    }
-    seed = SeedFrom(problem, level.potentials.tau_q, &seed_metrics);
-  }
-  seed_metrics.seed_millis = clock.ElapsedMillis() - seed_begin;
-  final_config.warm = &seed;
-  SspaResult result = SspaSolver(problem, final_config, clock).Run();
-  result.metrics.MergeCounters(seed_metrics);
-  result.metrics.seed_millis = seed_metrics.seed_millis;
-  return result;
-}
-
 }  // namespace
 
 SspaResult SolveSspa(const Problem& problem, const SspaConfig& config) {
   CCA_TRACE_SPAN_VAR(span, "sspa.solve");
   const Timer clock;
-  SspaResult result = SeedsCold(problem, config) ? SolveSeeded(problem, config, clock)
-                                                 : SspaSolver(problem, config, clock).Run();
+  SspaResult result = SspaSolver(problem, config, clock).Run();
   span.Arg("augmentations", result.metrics.augmentations);
   span.Arg("pops", result.metrics.dijkstra_pops);
   span.Arg("adopted", result.metrics.warm_units_adopted);

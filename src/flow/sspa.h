@@ -98,7 +98,7 @@ struct SspaPotentials {
 // src/runtime/README.md has the full argument.
 //
 // The same warm path finishes every seeded cold solve (SspaConfig::warm
-// below): SolveSspa builds the warm start itself from concise levels of
+// below): the solver builds the warm start itself from concise levels of
 // its grid, and the adopt/clamp/certificate steps above are what keep the
 // result exact whatever the seed.
 struct SspaWarmStart {
@@ -114,12 +114,13 @@ struct SspaSharedIndex {
   // (Options, or a layout kept from an earlier population) moves the relax
   // counters, never the matching. Null = the solve builds a private one.
   const HierarchicalGrid* grid = nullptr;
-  // One kept HierRingWalk per provider, aligned with problem.providers,
-  // each built over `grid`'s layout (asserted in Debug builds when the
-  // solve binds them to `grid`). The solve replays and grows them, and the
+  // One HierRingWalk per provider, aligned with problem.providers, each
+  // built over `grid`'s layout (asserted in Debug builds when the solve
+  // binds them to `grid`). The solve replays and grows them, and the
   // caller may lend them again to a later solve over any grid re-bucketed
-  // into the same layout. Null = the solve builds private walks over the
-  // occupied cells of `grid`. Requires `grid`.
+  // into the same layout. Null = the solve builds the same walks over
+  // `grid`'s layout itself and frees them when it returns. Either way the
+  // counters and the matching are the same. Requires `grid`.
   std::vector<HierRingWalk>* walks = nullptr;
 };
 
@@ -133,9 +134,9 @@ struct SspaConfig {
   bool use_grid = true;
   // Prebuilt relax index, owned by the caller (the runtime's SharedIndex
   // shares one grid across concurrent queries, the AssignmentEngine a grid
-  // and its walks across Resolves). Empty means each solve builds a
-  // private grid with default Options and private walks. Ignored by the
-  // reference scan.
+  // and its walks across Resolves). Empty means each solve builds its own
+  // grid with default Options and its own walks. Ignored by the reference
+  // scan.
   SspaSharedIndex shared_index;
   // Cooperative deadline for the whole solve, in wall milliseconds, timed
   // from SolveSspa entry (a private grid's construction and a seeded
@@ -153,12 +154,13 @@ struct SspaConfig {
   // Warm start (src/runtime/engine.h AssignmentEngine), owned by the
   // caller. Null = a cold start. A cold, grid-backed solve of unit
   // customers with ample capacity (TotalCapacity() >= TotalWeight()) and at
-  // least two occupied coarse cells is seeded: its grid's coarse and fine
-  // cells, as weighted concise instances, are solved coarse to fine and
-  // their duals seed this same warm path (src/flow/README.md, "Seeded cold
-  // solves"; Metrics::seed_millis times the levels). Every other cold
-  // solve — the reference scan, capacity-limited and weighted ones —
-  // starts from zero duals and zero flow.
+  // least two occupied coarse cells seeds itself: its first phase solves
+  // its grid's coarse and fine cells, as weighted concise instances, coarse
+  // to fine, and their duals become the solve's own warm start for this
+  // same warm path (src/flow/README.md, "Seeded cold solves";
+  // Metrics::seed_millis times the phase). Every other cold solve — the
+  // reference scan, capacity-limited and weighted ones — starts from zero
+  // duals and zero flow.
   const SspaWarmStart* warm = nullptr;
 };
 

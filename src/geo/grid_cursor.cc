@@ -93,26 +93,12 @@ double GridNnCursor::PeekDistance() {
   return heap_.empty() ? std::numeric_limits<double>::infinity() : heap_.top().dist;
 }
 
-HierRingWalk::HierRingWalk(const HierarchicalGrid& grid, const Point& query)
-    : layout_(grid.layout()),
-      grid_(&grid),
-      kept_(false),
-      query_(query),
-      max_ring_(grid.coarse().MaxRing(query)) {}
-
 HierRingWalk::HierRingWalk(std::shared_ptr<const HierarchicalGrid::Layout> layout,
                            const Point& query)
-    : layout_(std::move(layout)),
-      grid_(nullptr),
-      kept_(true),
-      query_(query),
-      max_ring_(layout_->coarse.MaxRing(query)) {}
+    : layout_(std::move(layout)), query_(query), max_ring_(layout_->coarse.MaxRing(query)) {}
 
 void HierRingWalk::Bind(const HierarchicalGrid& grid) {
-  // A private walk lists only its own grid's occupied cells; a kept walk
-  // lists every cell of one layout, so it replays only against that layout.
-  assert(kept_ && "only a kept walk rebinds");
-  assert(grid.layout() == layout_ && "a kept walk replays only against its own layout");
+  assert(grid.layout() == layout_ && "a walk replays only against its own layout");
   grid_ = &grid;
   counted_ = 0;
 }
@@ -137,7 +123,6 @@ void HierRingWalk::FillRing() {
   while (ring_ <= max_ring_) {
     coarse.VisitRing(query_, ring_, [&](int cx, int cy) {
       const std::size_t c = coarse.CellIndex(cx, cy);
-      if (!kept_ && grid_->coarse_count(c) == 0) return;
       Entry e;
       e.min_dist = MinDist(query_, coarse.CellRect(c));
       e.cell = static_cast<std::uint32_t>(c);
@@ -148,8 +133,7 @@ void HierRingWalk::FillRing() {
     if (entries_.size() == first) continue;  // empty ring: skip it (no points to bound)
     // Nearest-first within a ring, same as GridRingCursor: the tail bound
     // tightens past the ring bound as the close coarse cells drain. Ties
-    // by ascending cell id, so a kept walk serves the occupied cells in the
-    // order a private walk over exactly those would.
+    // by ascending cell id keep the order deterministic.
     const auto begin = entries_.begin() + static_cast<std::ptrdiff_t>(first);
     if (entries_.size() - first > 1) {
       std::sort(begin, entries_.end(), [](const Entry& a, const Entry& b) {
@@ -169,7 +153,6 @@ void HierRingWalk::BuildFines(std::size_t i) {
   Entry& e = entries_[i];
   const std::size_t first = fines_.size();
   for (std::size_t f = layout_->fine_begin(e.cell); f < layout_->fine_end(e.cell); ++f) {
-    if (!kept_ && grid_->fine_cell_end(f) == grid_->fine_cell_begin(f)) continue;
     fines_.push_back(Fine{MinDist(query_, layout_->FineRect(f)), static_cast<std::int32_t>(f)});
   }
   // Ties by ascending fine id keep the descent order deterministic.

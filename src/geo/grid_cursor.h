@@ -156,21 +156,20 @@ class GridNnCursor {
 // and a provider never moves) replays the walk instead of rebuilding and
 // re-sorting the rings and every descended cell's children.
 //
-// Two kinds, named by how long the walk lives. A *private* walk lists the
-// occupied cells of the one grid it is built over and lives for one solve.
-// A *kept* walk lists every cell of its layout, so it stays valid for
-// every grid re-bucketed into that layout; Bind moves it from grid to grid
-// (asserting the layout in Debug builds), and listed cells that are empty
-// in the bound grid carry count 0. The walk grows one ring at a time when
-// At() asks past its end. An Entry holds static geometry plus two counts
-// from the bound grid: `count` (the cell's residents) and
-// `remaining_before` (the residents of this cell and every later one),
-// next to `tail_before` (GridRingCursor::TailMinDist()'s contract, over
-// this cell and every later one). Fines(i) builds entry i's listed fine
-// children on first call. Counts (the entry's, and its children's
-// `suffix_residents` and `fines_occupied`) are re-read from the bound grid
-// once per Bind, lazily, as At() reaches each entry; nothing
-// value-dependent (floors, labels, bounds) is cached.
+// A walk lists every cell of its layout, so it stays valid for every grid
+// bucketed into that layout: a solver builds one per provider and binds it
+// to its own grid, and a caller that keeps the layout (AssignmentEngine)
+// keeps the walks and binds them to each re-bucketed grid. Bind asserts the
+// layout in Debug builds; listed cells that are empty in the bound grid
+// carry count 0. The walk grows one ring at a time when At() asks past its
+// end. An Entry holds static geometry plus two counts from the bound grid:
+// `count` (the cell's residents) and `remaining_before` (the residents of
+// this cell and every later one), next to `tail_before`
+// (GridRingCursor::TailMinDist()'s contract, over this cell and every later
+// one). Fines(i) builds entry i's fine children on first call. Counts (the
+// entry's, and its children's `suffix_residents` and `fines_occupied`) are
+// re-read from the bound grid once per Bind, lazily, as At() reaches each
+// entry; nothing value-dependent (floors, labels, bounds) is cached.
 // Memory is O(entries reached + fine children built); the contract is in
 // src/geo/README.md.
 class HierRingWalk {
@@ -196,28 +195,25 @@ class HierRingWalk {
     std::uint32_t suffix_residents = 0;  // residents of this child and the ones after it
   };
 
-  // A private walk: `grid`'s occupied cells, bound to `grid` for good.
-  HierRingWalk(const HierarchicalGrid& grid, const Point& query);
-  // A kept walk: every cell of `layout`, unbound until the first Bind.
+  // A walk over every cell of `layout`, unbound until the first Bind.
   HierRingWalk(std::shared_ptr<const HierarchicalGrid::Layout> layout, const Point& query);
 
-  // Binds a kept walk to `grid` for its counts: a grid of the walk's
-  // layout. The bound grid must outlive every At()/Fines() call until the
-  // next Bind.
+  // Binds the walk to `grid` for its counts: a grid of the walk's layout.
+  // The bound grid must outlive every At()/Fines() call until the next
+  // Bind.
   void Bind(const HierarchicalGrid& grid);
 
   const Point& query() const { return query_; }
 
   // Entry i of the walk, extending it on first reach; nullptr once every
-  // listed coarse cell has been served (i >= the walk's full
-  // length). The pointer is valid until the next call that extends the
-  // walk. Inline fast path: every replay re-reads the entries it reached.
+  // coarse cell has been served (i >= the walk's full length). The pointer
+  // is valid until the next call that extends the walk. Inline fast path:
+  // every replay re-reads the entries it reached.
   const Entry* At(std::size_t i) { return i < counted_ ? &entries_[i] : Reach(i); }
 
-  // Entry i's listed fine children (At(i) must have returned
-  // non-null), built on the first call; `*count` receives their number.
-  // The pointer is valid until the next call that builds another entry's
-  // children.
+  // Entry i's fine children (At(i) must have returned non-null), built on
+  // the first call; `*count` receives their number. The pointer is valid
+  // until the next call that builds another entry's children.
   const Fine* Fines(std::size_t i, std::size_t* count) {
     const Entry& e = entries_[i];
     if (e.fines_begin == kNotBuilt) BuildFines(i);
@@ -233,8 +229,8 @@ class HierRingWalk {
   // At() past the counted entries: extends the walk as far as entry i and
   // reads the counts of every entry up to it.
   const Entry* Reach(std::size_t i);
-  // Appends the next ring that holds listed cells, sorted; marks the walk
-  // exhausted when no ring remains.
+  // Appends the next ring's cells, sorted; marks the walk exhausted when no
+  // ring remains.
   void FillRing();
   // Lists entry i's children, sorted, and counts them.
   void BuildFines(std::size_t i);
@@ -242,8 +238,7 @@ class HierRingWalk {
   void CountFines(Entry* e);
 
   std::shared_ptr<const HierarchicalGrid::Layout> layout_;
-  const HierarchicalGrid* grid_;  // the bound grid: counts, and a private walk's cells
-  bool kept_;                     // lists every layout cell
+  const HierarchicalGrid* grid_ = nullptr;  // the bound grid, for counts
   Point query_;
   int ring_ = 0;  // next ring to fill
   int max_ring_ = 0;

@@ -160,7 +160,8 @@ TEST(HierRingWalkTest, CoversEveryCoarseCellWithSoundTailBound) {
   const auto pts = SkewedPoints(900, 41);
   const HierarchicalGrid grid(pts);
   for (const Point& q : {Point{500, 500}, Point{40, 25}, Point{-60, 1100}}) {
-    HierRingWalk walk(grid, q);
+    HierRingWalk walk(grid.layout(), q);
+    walk.Bind(grid);
     std::set<std::size_t> seen_cells;
     std::size_t total = 0;
     double prev_tail = -1.0;
@@ -171,13 +172,13 @@ TEST(HierRingWalkTest, CoversEveryCoarseCellWithSoundTailBound) {
       prev_tail = e.tail_before;
       EXPECT_TRUE(seen_cells.insert(e.cell).second);
       EXPECT_EQ(e.count, grid.coarse_count(e.cell));
-      EXPECT_GT(e.count, 0u);
       EXPECT_EQ(e.remaining_before, pts.size() - total);
       // The tail bound published before the cell lower-bounds this cell.
       EXPECT_LE(e.tail_before, MinDist(q, grid.coarse().CellRect(e.cell)) + 1e-9);
       total += e.count;
     }
     EXPECT_EQ(walk.entries(), i);
+    EXPECT_EQ(i, grid.coarse().num_cells());
     EXPECT_EQ(total, pts.size());
     EXPECT_EQ(walk.At(i + 5), nullptr);
   }
@@ -213,14 +214,13 @@ std::vector<RefCell> BruteForceWalk(const HierarchicalGrid& grid, const Point& q
   return cells;
 }
 
-// Checks one walk over `grid` against brute force: a private walk lists
-// the occupied cells and children, a kept walk (bound to `grid`) every
-// cell of the layout and every child of each.
+// Checks one walk over `grid`'s layout, bound to `grid`, against brute
+// force: it lists every cell of the layout and every child of each.
 void CheckWalkAgainstBruteForce(const std::vector<Point>& pts, const HierarchicalGrid& grid,
-                                const Point& q, bool kept, const std::string& label) {
-  const std::vector<RefCell> ref = BruteForceWalk(grid, q, kept);
-  HierRingWalk walk = kept ? HierRingWalk(grid.layout(), q) : HierRingWalk(grid, q);
-  if (kept) walk.Bind(grid);
+                                const Point& q, const std::string& label) {
+  const std::vector<RefCell> ref = BruteForceWalk(grid, q, /*all_cells=*/true);
+  HierRingWalk walk(grid.layout(), q);
+  walk.Bind(grid);
   // Copies: an Entry pointer only lives until the walk next grows.
   std::vector<HierRingWalk::Entry> seq;
   for (std::size_t i = 0; walk.At(i) != nullptr; ++i) seq.push_back(*walk.At(i));
@@ -253,9 +253,8 @@ void CheckWalkAgainstBruteForce(const std::vector<Point>& pts, const Hierarchica
     EXPECT_LE(e.tail_before, true_tail[i] + 1e-9) << label << " entry " << i;
     if (i > 0) EXPECT_GE(e.tail_before, seq[i - 1].tail_before) << label << " entry " << i;
   }
-  // Fine lists: the occupied children (every child for a kept walk),
-  // sorted by (min_dist, id), each with the residents of itself and its
-  // successors.
+  // Fine lists: every child, sorted by (min_dist, id), each with the
+  // residents of itself and its successors.
   for (std::size_t i = 0; i < seq.size(); ++i) {
     const std::size_t c = seq[i].cell;
     std::size_t n = 0;
@@ -265,7 +264,7 @@ void CheckWalkAgainstBruteForce(const std::vector<Point>& pts, const Hierarchica
     for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
       const bool empty = grid.fine_cell_end(f) == grid.fine_cell_begin(f);
       occupied += empty ? 0 : 1;
-      if (kept || !empty) want.insert(f);
+      want.insert(f);
     }
     std::size_t suffix = 0;
     for (std::size_t k = n; k-- > 0;) {
@@ -309,11 +308,8 @@ TEST(HierRingWalkTest, MatchesBruteForceEnumeration) {
         Point{box.hi.x + 5.0, (box.lo.y + box.hi.y) / 2},             // exterior
     };
     for (const Point& q : queries) {
-      for (const bool kept : {false, true}) {
-        const std::string label = name + (kept ? " kept" : " private") + " q=(" +
-                                  std::to_string(q.x) + "," + std::to_string(q.y) + ")";
-        CheckWalkAgainstBruteForce(pts, grid, q, kept, label);
-      }
+      CheckWalkAgainstBruteForce(
+          pts, grid, q, name + " q=(" + std::to_string(q.x) + "," + std::to_string(q.y) + ")");
     }
   }
 }
@@ -326,7 +322,8 @@ TEST(HierRingWalkTest, PartialReplaysMatchAFullWalk) {
   const HierarchicalGrid grid(pts);
   Rng rng(72);
   for (const Point& q : {Point{500, 500}, Point{10, 990}, Point{1200, -40}}) {
-    HierRingWalk full(grid, q);
+    HierRingWalk full(grid.layout(), q);
+    full.Bind(grid);
     std::vector<HierRingWalk::Entry> want;
     std::vector<std::vector<std::pair<std::int32_t, std::uint32_t>>> want_fines;
     for (std::size_t i = 0; full.At(i) != nullptr; ++i) {
@@ -338,7 +335,8 @@ TEST(HierRingWalkTest, PartialReplaysMatchAFullWalk) {
         want_fines.back().emplace_back(fines[k].fine, fines[k].suffix_residents);
       }
     }
-    HierRingWalk walk(grid, q);
+    HierRingWalk walk(grid.layout(), q);
+    walk.Bind(grid);
     for (int replay = 0; replay < 60; ++replay) {
       const std::size_t stop = static_cast<std::size_t>(rng.NextBelow(want.size() + 2));
       for (std::size_t i = 0; i <= stop; ++i) {
@@ -462,7 +460,7 @@ TEST(HierRingWalkTest, KeptWalkServesAReBucketedGrid) {
   }
 }
 
-TEST(HierRingWalkTest, BindDiesOnAnotherLayoutAndOnAPrivateWalk) {
+TEST(HierRingWalkTest, BindDiesOnAnotherLayout) {
   const auto pts = ClusteredPoints(400, 93);
   const HierarchicalGrid laid(pts);
   const HierarchicalGrid same(std::vector<Point>(pts.begin(), pts.begin() + 300), laid);
@@ -471,9 +469,6 @@ TEST(HierRingWalkTest, BindDiesOnAnotherLayoutAndOnAPrivateWalk) {
   EXPECT_NE(walk.At(0), nullptr);
   const HierarchicalGrid other(pts);  // same points, another layout
   EXPECT_DEBUG_DEATH(walk.Bind(other), "its own layout");
-  // A private walk lists only its own grid's occupied cells.
-  HierRingWalk private_walk(laid, Point{500, 500});
-  EXPECT_DEBUG_DEATH(private_walk.Bind(laid), "only a kept walk rebinds");
 }
 
 // The aggregation invariant under randomized monotone raises: fine floors

@@ -153,10 +153,11 @@ TEST(SspaHierEquivalence, SharedIndexInjectionMatchesPrivateBuild) {
 }
 
 TEST(SspaHierEquivalence, KeptWalksSkipEmptiedCellsLikeAFreshGrid) {
-  // Kept walks list every cell of the layout; the relax must skip the ones
-  // empty in the bound grid, so a solve over a re-bucketed grid counts
-  // exactly like one over a freshly laid-out grid of the same layout and
-  // points. Construction: `subset` laid out on its own, and `full` = subset
+  // Every walk lists every cell of its layout, kept or built by the solve;
+  // the relax must skip the ones empty in the bound grid, so a solve over
+  // a re-bucketed grid with kept walks counts exactly like one over a
+  // freshly laid-out grid of the same lattice, splits and points with its
+  // own walks. Construction: `subset` laid out on its own, and `full` = subset
   // minus a few `moved` residents plus extra customers, twice subset's
   // size, laid out with twice the coarse target, so both get the same
   // lattice. A tiny fine target splits exactly the coarse cells holding two
@@ -255,9 +256,8 @@ TEST(SspaHierEquivalence, KeptWalksSkipEmptiedCellsLikeAFreshGrid) {
   EXPECT_EQ(m.grid_rings_scanned, r.grid_rings_scanned);
   EXPECT_EQ(m.grid_cursor_cells, r.grid_cursor_cells);
   EXPECT_EQ(m.hier_splits, r.hier_splits);
-  // The grown walks were replayed: new kept walks over the same grid build
-  // more cells. (A kept walk lists every child of a descended cell, so it
-  // may build more than the private walks of the fresh grid.)
+  // The grown walks were replayed: new walks over the same grid build more
+  // cells.
   std::vector<HierRingWalk> new_walks;
   for (const Provider& q : problem.providers) new_walks.emplace_back(laid.layout(), q.pos);
   SspaConfig unwalked;
@@ -265,6 +265,46 @@ TEST(SspaHierEquivalence, KeptWalksSkipEmptiedCellsLikeAFreshGrid) {
   const SspaResult c = SolveSspa(problem, unwalked);
   EXPECT_EQ(c.metrics.distances_computed, m.distances_computed);
   EXPECT_LT(m.walk_cells_built, c.metrics.walk_cells_built);
+}
+
+// A solve that builds its own walks builds the walks an engine would lend:
+// lending fresh walks over the same grid changes no cost and no counter,
+// walk_cells_built included, on seeded, capacity-limited and weighted
+// solves alike.
+TEST(SspaHierEquivalence, OwnWalksEqualFreshLentWalks) {
+  struct Shape {
+    const char* label;
+    std::size_t nq, np;
+    bool weighted, seeded;
+  };
+  const Shape shapes[] = {
+      {"seeded", 60, 200, false, true},
+      {"capacity-limited", 12, 500, false, false},
+      {"weighted", 40, 150, true, false},
+  };
+  for (const char* dist : {"uniform", "clustered"}) {
+    for (const Shape& shape : shapes) {
+      const std::string tag = std::string(dist) + " " + shape.label;
+      const Problem problem = MakeInstance(dist, shape.nq, shape.np, shape.weighted, 41);
+      ASSERT_EQ(problem.TotalCapacity() >= problem.TotalWeight(), shape.seeded) << tag;
+      const HierarchicalGrid grid(problem.customers);
+      SspaConfig own;
+      own.shared_index.grid = &grid;
+      std::vector<HierRingWalk> walks;
+      for (const Provider& q : problem.providers) walks.emplace_back(grid.layout(), q.pos);
+      SspaConfig lent;
+      lent.shared_index = SspaSharedIndex{&grid, &walks};
+      const SspaResult a = SolveSspa(problem, own);
+      const SspaResult b = SolveSspa(problem, lent);
+      EXPECT_EQ(a.metrics.seed_millis > 0.0, shape.seeded) << tag;
+      EXPECT_GT(a.metrics.walk_cells_built, 0u) << tag;
+      EXPECT_EQ(a.matching.cost(), b.matching.cost()) << tag;
+#define CCA_EXPECT_COUNTER_EQ(field, label) \
+  EXPECT_EQ(a.metrics.field, b.metrics.field) << tag << " " << label;
+      CCA_METRICS_COUNTER_FIELDS(CCA_EXPECT_COUNTER_EQ)
+#undef CCA_EXPECT_COUNTER_EQ
+    }
+  }
 }
 
 }  // namespace

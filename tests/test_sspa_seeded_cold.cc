@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "flow/oracle.h"
 #include "flow/sspa.h"
+#include "geo/grid_cursor.h"
 #include "geo/hier_grid.h"
 #include "test_util.h"
 
@@ -125,6 +127,32 @@ TEST(SspaSeededCold, LentGridIsSeeded) {
   EXPECT_EQ(lent.metrics.dijkstra_pops, own.metrics.dijkstra_pops);
   EXPECT_EQ(lent.metrics.distances_computed, own.metrics.distances_computed);
   test::ExpectCertified(problem, lent);
+}
+
+// The levels' work counters are charged to the result. A second solve
+// over walks the first one grew replays them without growing them, so what
+// it reports built is exactly its levels' own walks: the first solve's
+// count less what its lent walks grew.
+TEST(SspaSeededCold, ChargesTheLevelsWalkCells) {
+  const Problem problem = WithProviders(test::RandomPoints(800, 101), 20, 50, 102);
+  const HierarchicalGrid grid(problem.customers);
+  std::vector<HierRingWalk> walks;
+  for (const Provider& q : problem.providers) walks.emplace_back(grid.layout(), q.pos);
+  const auto lent_cells = [&walks] {
+    std::uint64_t cells = 0;
+    for (const HierRingWalk& walk : walks) cells += walk.entries() + walk.fines_built();
+    return cells;
+  };
+  SspaConfig config;
+  config.shared_index = SspaSharedIndex{&grid, &walks};
+  const SspaResult first = SolveSspa(problem, config);
+  const std::uint64_t grown = lent_cells();
+  const SspaResult second = SolveSspa(problem, config);
+  EXPECT_GT(first.metrics.seed_millis, 0.0);
+  EXPECT_EQ(lent_cells(), grown);
+  EXPECT_GT(second.metrics.walk_cells_built, 0u);
+  EXPECT_EQ(second.metrics.walk_cells_built, first.metrics.walk_cells_built - grown);
+  EXPECT_EQ(second.metrics.dijkstra_pops, first.metrics.dijkstra_pops);
 }
 
 // Same-input seeded solves are deterministic, counters included.
