@@ -27,19 +27,6 @@ void BM_BulkLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_BulkLoad)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_DynamicInsert(benchmark::State& state) {
-  const auto pts = MakePoints(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    cca::RTree tree;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      tree.Insert(pts[i], static_cast<std::uint32_t>(i));
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DynamicInsert)->Arg(1000)->Arg(10000);
-
 void BM_RangeSearch(benchmark::State& state) {
   const auto pts = MakePoints(100000);
   auto tree = cca::RTree::BulkLoad(pts);
@@ -54,21 +41,6 @@ void BM_RangeSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RangeSearch)->Arg(5)->Arg(50)->Arg(200);
-
-void BM_KnnSearch(benchmark::State& state) {
-  const auto pts = MakePoints(100000);
-  auto tree = cca::RTree::BulkLoad(pts);
-  tree->buffer().SetCapacity(tree->page_count() + 1);
-  const auto k = static_cast<std::size_t>(state.range(0));
-  cca::Rng rng(8);
-  std::vector<cca::RTree::Hit> hits;
-  for (auto _ : state) {
-    const cca::Point c{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-    tree->KnnSearch(c, k, &hits);
-    benchmark::DoNotOptimize(hits.size());
-  }
-}
-BENCHMARK(BM_KnnSearch)->Arg(1)->Arg(10)->Arg(100);
 
 void BM_IncrementalNnStream(benchmark::State& state) {
   const auto pts = MakePoints(100000);

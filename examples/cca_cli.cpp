@@ -32,7 +32,10 @@
 // solve's spans; it needs a tracing-enabled build (-DCCA_ENABLE_TRACING=ON)
 // and hard-errors otherwise, per the no-silently-ignored-flags rule.
 //
-// Output: one `key=value` line per metric (easy to grep / parse).
+// Output: one `key=value` line per metric (easy to grep / parse): the
+// run summary, then every Metrics counter under its struct field name
+// (zeros included), then cpu_ms, io_ms and the SSPA phase clocks seed_ms,
+// adopt_ms, augment_ms, cancel_ms and extract_ms.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/approx.h"
@@ -308,31 +312,20 @@ int main(int argc, char** argv) {
               static_cast<long long>(problem.TotalWeight() - matching.size()));
   std::printf("valid=%s%s%s\n", valid ? "yes" : "no", valid ? "" : " error=",
               valid ? "" : error.c_str());
-  std::printf("esub=%llu\n", static_cast<unsigned long long>(metrics.edges_inserted));
-  std::printf("dijkstra_runs=%llu\n", static_cast<unsigned long long>(metrics.dijkstra_runs));
-  std::printf("dijkstra_relaxes=%llu\n",
-              static_cast<unsigned long long>(metrics.dijkstra_relaxes));
-  std::printf("relaxes_pruned=%llu\n", static_cast<unsigned long long>(metrics.relaxes_pruned));
-  std::printf("cells_pruned=%llu\n", static_cast<unsigned long long>(metrics.cells_pruned));
-  std::printf("coarse_tails_pruned=%llu\n",
-              static_cast<unsigned long long>(metrics.coarse_tails_pruned));
-  std::printf("coarse_cells_descended=%llu\n",
-              static_cast<unsigned long long>(metrics.coarse_cells_descended));
-  std::printf("hier_splits=%llu\n", static_cast<unsigned long long>(metrics.hier_splits));
-  std::printf("grid_rings_scanned=%llu\n",
-              static_cast<unsigned long long>(metrics.grid_rings_scanned));
-  std::printf("node_accesses=%llu\n", static_cast<unsigned long long>(metrics.node_accesses));
-  std::printf("grid_cursor_cells=%llu\n",
-              static_cast<unsigned long long>(metrics.grid_cursor_cells));
-  std::printf("shared_frontier_cell_fetches=%llu\n",
-              static_cast<unsigned long long>(metrics.shared_frontier_cell_fetches));
-  std::printf("shared_frontier_fanout=%llu\n",
-              static_cast<unsigned long long>(metrics.shared_frontier_fanout));
-  std::printf("index_node_accesses=%llu\n",
-              static_cast<unsigned long long>(metrics.index_node_accesses));
-  std::printf("page_faults=%llu\n", static_cast<unsigned long long>(metrics.page_faults));
-  std::printf("cpu_ms=%.1f\n", metrics.cpu_millis);
-  std::printf("io_ms=%.1f\n", metrics.io_millis());
+  // Every Metrics counter, zeros included, named by its struct field; the
+  // list is generated from the field table, so it cannot miss a counter.
+#define CCA_CLI_PRINT_COUNTER(field, label) \
+  std::printf(#field "=%llu\n", static_cast<unsigned long long>(metrics.field));
+  CCA_METRICS_COUNTER_FIELDS(CCA_CLI_PRINT_COUNTER)
+#undef CCA_CLI_PRINT_COUNTER
+  const struct {
+    const char* key;
+    double millis;
+  } clocks[] = {{"cpu_ms", metrics.cpu_millis},        {"io_ms", metrics.io_millis()},
+                {"seed_ms", metrics.seed_millis},      {"adopt_ms", metrics.adopt_millis},
+                {"augment_ms", metrics.augment_millis}, {"cancel_ms", metrics.cancel_millis},
+                {"extract_ms", metrics.extract_millis}};
+  for (const auto& clock : clocks) std::printf("%s=%.3f\n", clock.key, clock.millis);
   if (!args.trace_out.empty()) {
     trace::Stop();
     if (!trace::WriteJson(args.trace_out)) {

@@ -93,10 +93,8 @@ class IncrementalEngine {
   double ProviderBound(int provider) const;
 
   bool IsProviderFull(int provider) const;
-  bool AnyProviderFull() const { return full_count_ > 0; }
   // Units still assignable to `customer` (weight - current sink flow).
   std::int64_t CustomerResidual(int customer) const;
-  bool IsCustomerSaturated(int customer) const { return CustomerResidual(customer) == 0; }
 
   std::int64_t assigned() const { return assigned_; }
   std::int64_t gamma() const { return gamma_; }

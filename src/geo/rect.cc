@@ -30,10 +30,6 @@ Rect Rect::Union(const Rect& a, const Rect& b) {
   return u;
 }
 
-double Rect::Enlargement(const Rect& a, const Rect& b) {
-  return Union(a, b).Area() - a.Area();
-}
-
 double MinDist(const Point& p, const Rect& r) {
   if (r.empty()) return std::numeric_limits<double>::infinity();
   const double dx = std::max({r.lo.x - p.x, 0.0, p.x - r.hi.x});

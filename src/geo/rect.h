@@ -29,8 +29,6 @@ struct Rect {
   double width() const { return empty() ? 0.0 : hi.x - lo.x; }
   double height() const { return empty() ? 0.0 : hi.y - lo.y; }
   double Area() const { return width() * height(); }
-  // Half-perimeter, the classic R-tree "margin" split objective.
-  double Margin() const { return width() + height(); }
   // Length of the MBR diagonal; the delta constraint of Section 4 bounds it.
   double Diagonal() const;
   Point Center() const { return {(lo.x + hi.x) * 0.5, (lo.y + hi.y) * 0.5}; }
@@ -53,9 +51,6 @@ struct Rect {
 
   // Smallest enclosing rectangle of the union.
   static Rect Union(const Rect& a, const Rect& b);
-  // Area increase caused by expanding `a` to also cover `b`; the Guttman
-  // insertion heuristic minimises this.
-  static double Enlargement(const Rect& a, const Rect& b);
 
   friend bool operator==(const Rect& a, const Rect& b) { return a.lo == b.lo && a.hi == b.hi; }
 };

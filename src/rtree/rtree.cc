@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <queue>
 
 namespace cca {
 namespace {
@@ -102,277 +100,6 @@ Rect RTree::bounding_box() {
   return ReadNode(root_).ComputeMbr();
 }
 
-// --- insertion ---------------------------------------------------------------
-
-PageId RTree::ChooseLeaf(const Point& p, std::vector<PathStep>* path) {
-  PageId page = root_;
-  while (true) {
-    RTreeNode node = ReadNode(page);
-    if (node.is_leaf) return page;
-    int best = 0;
-    double best_enlargement = std::numeric_limits<double>::infinity();
-    double best_area = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < node.entries.size(); ++i) {
-      const Rect& r = node.entries[i].mbr;
-      const double enlargement = Rect::Enlargement(r, Rect::FromPoint(p));
-      const double area = r.Area();
-      if (enlargement < best_enlargement ||
-          (enlargement == best_enlargement && area < best_area)) {
-        best = static_cast<int>(i);
-        best_enlargement = enlargement;
-        best_area = area;
-      }
-    }
-    path->push_back(PathStep{page, best});
-    page = node.entries[best].child;
-  }
-}
-
-template <typename Entry, typename RectOf>
-void RTree::QuadraticSplit(std::vector<Entry>* entries, std::vector<Entry>* left,
-                           std::vector<Entry>* right, RectOf rect_of, std::size_t min_fill) {
-  // Pick the pair of entries wasting the most area as seeds (Guttman).
-  std::size_t seed_a = 0, seed_b = 1;
-  double worst = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < entries->size(); ++i) {
-    for (std::size_t j = i + 1; j < entries->size(); ++j) {
-      const Rect ra = rect_of((*entries)[i]);
-      const Rect rb = rect_of((*entries)[j]);
-      const double waste = Rect::Union(ra, rb).Area() - ra.Area() - rb.Area();
-      if (waste > worst) {
-        worst = waste;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-  left->clear();
-  right->clear();
-  left->push_back((*entries)[seed_a]);
-  right->push_back((*entries)[seed_b]);
-  Rect mbr_left = rect_of((*entries)[seed_a]);
-  Rect mbr_right = rect_of((*entries)[seed_b]);
-
-  std::vector<Entry> rest;
-  for (std::size_t i = 0; i < entries->size(); ++i) {
-    if (i != seed_a && i != seed_b) rest.push_back((*entries)[i]);
-  }
-  std::size_t remaining = rest.size();
-  for (const Entry& e : rest) {
-    --remaining;
-    // Force-feed a side that otherwise cannot reach the minimum fill.
-    if (left->size() + remaining + 1 <= min_fill) {
-      left->push_back(e);
-      mbr_left.Expand(rect_of(e));
-      continue;
-    }
-    if (right->size() + remaining + 1 <= min_fill) {
-      right->push_back(e);
-      mbr_right.Expand(rect_of(e));
-      continue;
-    }
-    const double grow_left = Rect::Enlargement(mbr_left, rect_of(e));
-    const double grow_right = Rect::Enlargement(mbr_right, rect_of(e));
-    const bool to_left = grow_left < grow_right ||
-                         (grow_left == grow_right && mbr_left.Area() <= mbr_right.Area());
-    if (to_left) {
-      left->push_back(e);
-      mbr_left.Expand(rect_of(e));
-    } else {
-      right->push_back(e);
-      mbr_right.Expand(rect_of(e));
-    }
-  }
-}
-
-template <typename Entry, typename RectOf>
-void RTree::RStarAxisSplit(std::vector<Entry>* entries, std::vector<Entry>* left,
-                           std::vector<Entry>* right, RectOf rect_of, std::size_t min_fill) {
-  const std::size_t n = entries->size();
-  const std::size_t m = std::max<std::size_t>(1, min_fill);
-  // Evaluate both axes; sort keys are (lo, hi) on the axis.
-  double best_margin_sum = std::numeric_limits<double>::infinity();
-  int best_axis = 0;
-  std::vector<Entry> sorted_by[2] = {*entries, *entries};
-  for (int axis = 0; axis < 2; ++axis) {
-    auto& sorted = sorted_by[axis];
-    std::sort(sorted.begin(), sorted.end(), [&](const Entry& a, const Entry& b) {
-      const Rect ra = rect_of(a);
-      const Rect rb = rect_of(b);
-      const double alo = axis == 0 ? ra.lo.x : ra.lo.y;
-      const double blo = axis == 0 ? rb.lo.x : rb.lo.y;
-      if (alo != blo) return alo < blo;
-      const double ahi = axis == 0 ? ra.hi.x : ra.hi.y;
-      const double bhi = axis == 0 ? rb.hi.x : rb.hi.y;
-      return ahi < bhi;
-    });
-    // Prefix/suffix MBRs make margin sums O(n).
-    std::vector<Rect> prefix(n), suffix(n);
-    Rect acc;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc.Expand(rect_of(sorted[i]));
-      prefix[i] = acc;
-    }
-    acc = Rect{};
-    for (std::size_t i = n; i > 0; --i) {
-      acc.Expand(rect_of(sorted[i - 1]));
-      suffix[i - 1] = acc;
-    }
-    double margin_sum = 0.0;
-    for (std::size_t k = m; k + m <= n; ++k) {
-      margin_sum += prefix[k - 1].Margin() + suffix[k].Margin();
-    }
-    if (margin_sum < best_margin_sum) {
-      best_margin_sum = margin_sum;
-      best_axis = axis;
-    }
-  }
-  // On the winning axis: minimise overlap, tie-break on total area.
-  auto& sorted = sorted_by[best_axis];
-  std::vector<Rect> prefix(n), suffix(n);
-  Rect acc;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc.Expand(rect_of(sorted[i]));
-    prefix[i] = acc;
-  }
-  acc = Rect{};
-  for (std::size_t i = n; i > 0; --i) {
-    acc.Expand(rect_of(sorted[i - 1]));
-    suffix[i - 1] = acc;
-  }
-  std::size_t best_k = m;
-  double best_overlap = std::numeric_limits<double>::infinity();
-  double best_area = std::numeric_limits<double>::infinity();
-  for (std::size_t k = m; k + m <= n; ++k) {
-    const Rect& a = prefix[k - 1];
-    const Rect& b = suffix[k];
-    const double ox = std::max(0.0, std::min(a.hi.x, b.hi.x) - std::max(a.lo.x, b.lo.x));
-    const double oy = std::max(0.0, std::min(a.hi.y, b.hi.y) - std::max(a.lo.y, b.lo.y));
-    const double overlap = ox * oy;
-    const double area = a.Area() + b.Area();
-    if (overlap < best_overlap || (overlap == best_overlap && area < best_area)) {
-      best_overlap = overlap;
-      best_area = area;
-      best_k = k;
-    }
-  }
-  left->assign(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(best_k));
-  right->assign(sorted.begin() + static_cast<std::ptrdiff_t>(best_k), sorted.end());
-}
-
-template <typename Entry, typename RectOf>
-void RTree::SplitEntries(std::vector<Entry>* entries, std::vector<Entry>* left,
-                         std::vector<Entry>* right, RectOf rect_of, std::size_t min_fill) {
-  if (options_.split_policy == SplitPolicy::kRStarAxis) {
-    RStarAxisSplit(entries, left, right, rect_of, min_fill);
-  } else {
-    QuadraticSplit(entries, left, right, rect_of, min_fill);
-  }
-}
-
-RTreeNode RTree::SplitLeaf(RTreeNode* node) {
-  const auto cap = RTreeNode::LeafCapacity(options_.page_size);
-  const auto min_fill = static_cast<std::size_t>(
-      std::max(1.0, std::floor(options_.min_fill * static_cast<double>(cap))));
-  RTreeNode sibling;
-  sibling.is_leaf = true;
-  std::vector<LeafEntry> left, right;
-  SplitEntries(
-      &node->leaf_entries, &left, &right,
-      [](const LeafEntry& e) { return Rect::FromPoint(e.pos); }, min_fill);
-  node->leaf_entries = std::move(left);
-  sibling.leaf_entries = std::move(right);
-  return sibling;
-}
-
-RTreeNode RTree::SplitInternal(RTreeNode* node) {
-  const auto cap = RTreeNode::InternalCapacity(options_.page_size);
-  const auto min_fill = static_cast<std::size_t>(
-      std::max(1.0, std::floor(options_.min_fill * static_cast<double>(cap))));
-  RTreeNode sibling;
-  sibling.is_leaf = false;
-  std::vector<InternalEntry> left, right;
-  SplitEntries(
-      &node->entries, &left, &right, [](const InternalEntry& e) { return e.mbr; }, min_fill);
-  node->entries = std::move(left);
-  sibling.entries = std::move(right);
-  return sibling;
-}
-
-void RTree::Insert(const Point& p, std::uint32_t oid) {
-  if (root_ == kInvalidPage) {
-    RTreeNode leaf;
-    leaf.is_leaf = true;
-    leaf.leaf_entries.push_back(LeafEntry{p, oid});
-    root_ = file_.Allocate();
-    WriteNode(root_, leaf);
-    height_ = 1;
-    size_ = 1;
-    return;
-  }
-
-  std::vector<PathStep> path;
-  const PageId leaf_page = ChooseLeaf(p, &path);
-  RTreeNode leaf = ReadNode(leaf_page);
-  leaf.leaf_entries.push_back(LeafEntry{p, oid});
-  ++size_;
-
-  // `carry` holds a freshly created sibling that still needs a parent slot.
-  bool has_carry = false;
-  Rect carry_mbr;
-  PageId carry_page = kInvalidPage;
-  std::uint64_t carry_count = 0;
-
-  if (leaf.leaf_entries.size() > RTreeNode::LeafCapacity(options_.page_size)) {
-    RTreeNode sibling = SplitLeaf(&leaf);
-    carry_page = file_.Allocate();
-    carry_mbr = sibling.ComputeMbr();
-    carry_count = sibling.TotalCount();
-    WriteNode(carry_page, sibling);
-    has_carry = true;
-  }
-  WriteNode(leaf_page, leaf);
-  Rect child_mbr = leaf.ComputeMbr();
-  std::uint64_t child_count = leaf.TotalCount();
-
-  // Walk back up the path refreshing MBRs/counts and pushing splits upward.
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    RTreeNode parent = ReadNode(it->page);
-    parent.entries[it->entry_index].mbr = child_mbr;
-    parent.entries[it->entry_index].count = static_cast<std::uint32_t>(child_count);
-    if (has_carry) {
-      parent.entries.push_back(
-          InternalEntry{carry_mbr, carry_page, static_cast<std::uint32_t>(carry_count)});
-      has_carry = false;
-    }
-    if (parent.entries.size() > RTreeNode::InternalCapacity(options_.page_size)) {
-      RTreeNode sibling = SplitInternal(&parent);
-      carry_page = file_.Allocate();
-      carry_mbr = sibling.ComputeMbr();
-      carry_count = sibling.TotalCount();
-      WriteNode(carry_page, sibling);
-      has_carry = true;
-    }
-    WriteNode(it->page, parent);
-    child_mbr = parent.ComputeMbr();
-    child_count = parent.TotalCount();
-  }
-
-  if (has_carry) {
-    // Root split: grow the tree by one level.
-    RTreeNode new_root;
-    new_root.is_leaf = false;
-    RTreeNode old_root = ReadNode(root_);
-    new_root.entries.push_back(InternalEntry{old_root.ComputeMbr(), root_,
-                                             static_cast<std::uint32_t>(old_root.TotalCount())});
-    new_root.entries.push_back(
-        InternalEntry{carry_mbr, carry_page, static_cast<std::uint32_t>(carry_count)});
-    root_ = file_.Allocate();
-    WriteNode(root_, new_root);
-    ++height_;
-  }
-}
-
 // --- queries -----------------------------------------------------------------
 
 void RTree::RangeSearch(const Point& center, double radius, std::vector<Hit>* out) {
@@ -400,41 +127,6 @@ void RTree::AnnularRangeSearch(const Point& center, double lo, double hi,
         if (MinDist(center, e.mbr) > hi) continue;
         if (lo >= 0 && MaxDist(center, e.mbr) <= lo) continue;
         stack.push_back(e.child);
-      }
-    }
-  }
-}
-
-void RTree::KnnSearch(const Point& center, std::size_t k, std::vector<Hit>* out) {
-  out->clear();
-  if (root_ == kInvalidPage || k == 0) return;
-
-  // Best-first search over a single priority queue of nodes and points.
-  struct QueueItem {
-    double dist;
-    bool is_point;
-    PageId page;
-    std::uint32_t oid;
-    Point pos;
-  };
-  auto cmp = [](const QueueItem& a, const QueueItem& b) { return a.dist > b.dist; };
-  std::priority_queue<QueueItem, std::vector<QueueItem>, decltype(cmp)> heap(cmp);
-  heap.push(QueueItem{0.0, false, root_, 0, Point{}});
-  while (!heap.empty() && out->size() < k) {
-    const QueueItem item = heap.top();
-    heap.pop();
-    if (item.is_point) {
-      out->push_back(Hit{item.oid, item.pos, item.dist});
-      continue;
-    }
-    const RTreeNode node = ReadNode(item.page);
-    if (node.is_leaf) {
-      for (const auto& e : node.leaf_entries) {
-        heap.push(QueueItem{Distance(center, e.pos), true, kInvalidPage, e.oid, e.pos});
-      }
-    } else {
-      for (const auto& e : node.entries) {
-        heap.push(QueueItem{MinDist(center, e.mbr), false, e.child, 0, Point{}});
       }
     }
   }

@@ -1,12 +1,11 @@
 // Disk-based aggregate R-tree over 2-D points.
 //
 // This is the spatial access method assumed by the paper for the customer
-// set P (Section 2.3): a Guttman-style R-tree stored in fixed-size pages
-// behind an LRU buffer. Supported operations:
-//   * dynamic insertion (quadratic split),
-//   * STR bulk loading (see bulk_load.h),
+// set P (Section 2.3): an R-tree stored in fixed-size pages behind an LRU
+// buffer. The paper's algorithms only read it, so a tree is built once and
+// never written again. Supported operations:
+//   * STR bulk loading (bulk_load.cc), the one way to build a tree,
 //   * circular range search and annular range search (RIA),
-//   * best-first k-NN search [Hjaltason & Samet],
 //   * incremental NN iteration (nn_iterator.h) and grouped incremental
 //     all-NN search (ann_iterator.h, paper Section 3.4.2),
 //   * delta-bounded partition descent for CA (partition_scan.h).
@@ -70,12 +69,6 @@ class ScopedIoTally {
 
 class RTree {
  public:
-  // Node split strategy for dynamic insertion.
-  enum class SplitPolicy {
-    kQuadratic,   // Guttman's quadratic split (the default)
-    kRStarAxis,   // R*-style: margin-minimal axis, overlap-minimal cut
-  };
-
   struct Options {
     std::uint32_t page_size = kDefaultPageSize;
     // Buffer pool capacity in pages. The experiment harness later resizes
@@ -83,11 +76,6 @@ class RTree {
     std::uint32_t buffer_pages = 128;
     // Target fill factor for STR bulk loading.
     double bulk_fill = 0.85;
-    // Minimum fill ratio enforced by node splits (Guttman's m).
-    double min_fill = 0.4;
-    // Split strategy. kRStarAxis implements the R*-tree split of Beckmann
-    // et al. (paper Section 2.3 reference [2]) without forced reinsertion.
-    SplitPolicy split_policy = SplitPolicy::kQuadratic;
   };
 
   struct Hit {
@@ -105,10 +93,6 @@ class RTree {
 
   // --- construction --------------------------------------------------------
 
-  // Inserts one point with object id `oid` (Guttman ChooseLeaf + quadratic
-  // split). Aggregate counts along the path are maintained.
-  void Insert(const Point& p, std::uint32_t oid);
-
   // Builds a tree from `points` via Sort-Tile-Recursive bulk loading;
   // oid of points[i] is i. Defined in bulk_load.cc.
   static std::unique_ptr<RTree> BulkLoad(const std::vector<Point>& points,
@@ -125,9 +109,6 @@ class RTree {
   // a plain range search.
   void AnnularRangeSearch(const Point& center, double lo, double hi, std::vector<Hit>* out);
 
-  // The k nearest neighbours of `center` in ascending distance order.
-  void KnnSearch(const Point& center, std::size_t k, std::vector<Hit>* out);
-
   // --- structure -----------------------------------------------------------
 
   std::size_t size() const { return size_; }
@@ -142,13 +123,9 @@ class RTree {
   // Safe to call from multiple threads concurrently: the buffer pool
   // serializes page reads, the access counter is atomic, the scratch
   // buffer is thread-local, and the fault verdict is attributed to the
-  // calling thread's registered tallies (ScopedIoTally above). Tree
-  // *mutation* (Insert, bulk load) remains single-threaded.
+  // calling thread's registered tallies (ScopedIoTally above). Bulk
+  // loading, the only writer, runs once on one thread.
   RTreeNode ReadNode(PageId id);
-
-  // Serialises `node` into page `id`.
-  void WriteNode(PageId id, const RTreeNode& node);
-  PageId AllocateNode() { return file_.Allocate(); }
 
   // Sets the buffer pool to max(1, fraction * page_count) pages and clears
   // it, emulating a cold start with the paper's 1% buffer.
@@ -166,35 +143,8 @@ class RTree {
   bool CheckInvariants(std::string* error);
 
  private:
-  friend class BulkLoader;
-
-  struct PathStep {
-    PageId page;
-    int entry_index;  // index within the parent of the child we descended to
-  };
-
-  // Descends from the root picking minimal-enlargement children.
-  PageId ChooseLeaf(const Point& p, std::vector<PathStep>* path);
-
-  // Quadratic split of an overflowing node; returns the new sibling.
-  RTreeNode SplitLeaf(RTreeNode* node);
-  RTreeNode SplitInternal(RTreeNode* node);
-
-  // Quadratic seed selection / entry distribution shared by both splits.
-  template <typename Entry, typename RectOf>
-  void QuadraticSplit(std::vector<Entry>* entries, std::vector<Entry>* left,
-                      std::vector<Entry>* right, RectOf rect_of, std::size_t min_fill);
-
-  // R*-style split: pick the axis with the smallest margin sum over all
-  // admissible distributions, then the distribution with the smallest
-  // overlap between the two halves (ties: smaller total area).
-  template <typename Entry, typename RectOf>
-  void RStarAxisSplit(std::vector<Entry>* entries, std::vector<Entry>* left,
-                      std::vector<Entry>* right, RectOf rect_of, std::size_t min_fill);
-
-  template <typename Entry, typename RectOf>
-  void SplitEntries(std::vector<Entry>* entries, std::vector<Entry>* left,
-                    std::vector<Entry>* right, RectOf rect_of, std::size_t min_fill);
+  // Serialises `node` into page `id`; BulkLoad is its one caller.
+  void WriteNode(PageId id, const RTreeNode& node);
 
   void RecursiveCheck(PageId page, int depth, const Rect& parent_mbr, std::uint64_t parent_count,
                       bool has_parent, int leaf_depth, bool* ok, std::string* error);

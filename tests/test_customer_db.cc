@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/customer_db.h"
+#include "rtree/nn_iterator.h"
 #include "test_util.h"
 
 namespace cca {
@@ -41,7 +42,8 @@ TEST(CustomerDbTest, FullBufferFractionCachesEverything) {
   const auto faults_before = db.page_faults();
   std::vector<RTree::Hit> hits;
   db.tree()->RangeSearch({500, 500}, 400.0, &hits);
-  db.tree()->KnnSearch({100, 100}, 25, &hits);
+  NnIterator nn(db.tree(), {100, 100});
+  for (int i = 0; i < 25; ++i) ASSERT_TRUE(nn.Next().has_value());
   EXPECT_EQ(db.page_faults(), faults_before);  // all hits after prewarm
 }
 

@@ -64,10 +64,9 @@ TEST(RectTest, ExpandGrowsMonotonically) {
   EXPECT_EQ(r.hi, (Point{5, 9}));
 }
 
-TEST(RectTest, AreaMarginDiagonal) {
+TEST(RectTest, AreaDiagonal) {
   const Rect r = Rect::FromCorners({0, 0}, {3, 4});
   EXPECT_DOUBLE_EQ(r.Area(), 12.0);
-  EXPECT_DOUBLE_EQ(r.Margin(), 7.0);
   EXPECT_DOUBLE_EQ(r.Diagonal(), 5.0);
   EXPECT_EQ(r.Center(), (Point{1.5, 2.0}));
 }
@@ -85,13 +84,12 @@ TEST(RectTest, ContainsAndIntersects) {
   EXPECT_FALSE(a.Contains(Point{10.0001, 10}));
 }
 
-TEST(RectTest, UnionAndEnlargement) {
+TEST(RectTest, Union) {
   const Rect a = Rect::FromCorners({0, 0}, {2, 2});
   const Rect b = Rect::FromCorners({4, 4}, {6, 6});
   const Rect u = Rect::Union(a, b);
   EXPECT_EQ(u, Rect::FromCorners({0, 0}, {6, 6}));
-  EXPECT_DOUBLE_EQ(Rect::Enlargement(a, b), 36.0 - 4.0);
-  EXPECT_DOUBLE_EQ(Rect::Enlargement(a, a), 0.0);
+  EXPECT_EQ(Rect::Union(a, a), a);
 }
 
 TEST(MinDistTest, PointRectCases) {

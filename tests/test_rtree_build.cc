@@ -1,4 +1,4 @@
-// R-tree construction tests: dynamic inserts, STR bulk loading, structural
+// R-tree construction tests: STR bulk loading and its structural
 // invariants (MBR tightness, aggregate counts, balance).
 #include <memory>
 #include <string>
@@ -62,31 +62,17 @@ TEST(RTreeTest, EmptyTree) {
   EXPECT_TRUE(tree.CheckInvariants(&error));
 }
 
-TEST(RTreeTest, SingleInsert) {
-  RTree tree;
-  tree.Insert({5, 5}, 42);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.height(), 1);
+TEST(RTreeTest, SinglePointBulkLoad) {
+  auto tree = RTree::BulkLoad({Point{5, 5}});
+  EXPECT_EQ(tree->size(), 1u);
+  EXPECT_EQ(tree->height(), 1);
   std::vector<RTree::Hit> hits;
-  tree.RangeSearch({5, 5}, 0.1, &hits);
+  tree->RangeSearch({5, 5}, 0.1, &hits);
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].oid, 42u);
+  EXPECT_EQ(hits[0].oid, 0u);
 }
 
 class RTreeBuildParamTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(RTreeBuildParamTest, DynamicInsertInvariants) {
-  RTree::Options options;
-  options.page_size = 256;  // small pages force multi-level trees
-  RTree tree(options);
-  const auto points = RandomPoints(GetParam(), 11 + GetParam());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    tree.Insert(points[i], static_cast<std::uint32_t>(i));
-  }
-  EXPECT_EQ(tree.size(), points.size());
-  std::string error;
-  EXPECT_TRUE(tree.CheckInvariants(&error)) << error;
-}
 
 TEST_P(RTreeBuildParamTest, BulkLoadInvariants) {
   RTree::Options options;
@@ -124,30 +110,15 @@ TEST(RTreeTest, BulkLoadOidsMatchInput) {
   }
 }
 
-TEST(RTreeTest, InsertAfterBulkLoadKeepsInvariants) {
-  RTree::Options options;
-  options.page_size = 256;
-  const auto base = RandomPoints(400, 6);
-  auto tree = RTree::BulkLoad(base, options);
-  const auto extra = RandomPoints(200, 7);
-  for (std::size_t i = 0; i < extra.size(); ++i) {
-    tree->Insert(extra[i], static_cast<std::uint32_t>(base.size() + i));
-  }
-  EXPECT_EQ(tree->size(), base.size() + extra.size());
-  std::string error;
-  EXPECT_TRUE(tree->CheckInvariants(&error)) << error;
-}
-
 TEST(RTreeTest, DuplicatePointsSupported) {
   RTree::Options options;
   options.page_size = 256;
-  RTree tree(options);
-  for (int i = 0; i < 150; ++i) tree.Insert({7, 7}, static_cast<std::uint32_t>(i));
-  EXPECT_EQ(tree.size(), 150u);
+  auto tree = RTree::BulkLoad(std::vector<Point>(150, Point{7, 7}), options);
+  EXPECT_EQ(tree->size(), 150u);
   std::string error;
-  EXPECT_TRUE(tree.CheckInvariants(&error)) << error;
+  EXPECT_TRUE(tree->CheckInvariants(&error)) << error;
   std::vector<RTree::Hit> hits;
-  tree.RangeSearch({7, 7}, 0.0, &hits);
+  tree->RangeSearch({7, 7}, 0.0, &hits);
   EXPECT_EQ(hits.size(), 150u);
 }
 

@@ -43,19 +43,6 @@ TEST_P(PageSizeTest, BulkLoadStructureAndQueries) {
   }
 }
 
-TEST_P(PageSizeTest, DynamicInsertStructure) {
-  const auto& param = GetParam();
-  RTree::Options options;
-  options.page_size = param.page_size;
-  RTree tree(options);
-  const auto pts = test::ClusteredPoints(param.n / 2 + 10, 202 + param.page_size);
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    tree.Insert(pts[i], static_cast<std::uint32_t>(i));
-  }
-  std::string error;
-  EXPECT_TRUE(tree.CheckInvariants(&error)) << error;
-}
-
 INSTANTIATE_TEST_SUITE_P(Pages, PageSizeTest,
                          ::testing::Values(PageCase{128, 0.7, 400},   // fanout 5/3
                                            PageCase{256, 0.85, 800},  //

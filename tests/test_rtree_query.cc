@@ -1,5 +1,5 @@
-// R-tree query correctness against brute force: circular ranges, annular
-// ranges, and k-NN, across data distributions and query shapes.
+// R-tree query correctness against brute force: circular and annular
+// ranges across data distributions and query shapes.
 #include <algorithm>
 #include <memory>
 #include <set>
@@ -80,32 +80,6 @@ TEST_P(RangeQueryTest, AnnularRangeMatchesBruteForce) {
   }
 }
 
-TEST_P(RangeQueryTest, KnnMatchesBruteForce) {
-  const auto& param = GetParam();
-  const auto pts = param.clustered ? ClusteredPoints(param.n, param.seed)
-                                   : RandomPoints(param.n, param.seed);
-  RTree::Options options;
-  options.page_size = 256;
-  auto tree = RTree::BulkLoad(pts, options);
-  Rng rng(param.seed * 7 + 3);
-  std::vector<RTree::Hit> hits;
-  for (int iter = 0; iter < 15; ++iter) {
-    const Point c{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-    const std::size_t k = 1 + rng.NextBelow(std::min<std::size_t>(50, pts.size()));
-    tree->KnnSearch(c, k, &hits);
-    ASSERT_EQ(hits.size(), k);
-    // Ascending order.
-    for (std::size_t i = 1; i < hits.size(); ++i) {
-      EXPECT_LE(hits[i - 1].dist, hits[i].dist + 1e-12);
-    }
-    // Same distance multiset as brute force (point ties permitted).
-    std::vector<double> brute;
-    for (const auto& p : pts) brute.push_back(Distance(c, p));
-    std::sort(brute.begin(), brute.end());
-    for (std::size_t i = 0; i < k; ++i) EXPECT_NEAR(hits[i].dist, brute[i], 1e-9);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Distributions, RangeQueryTest,
                          ::testing::Values(QueryCase{false, 60, 1}, QueryCase{false, 500, 2},
                                            QueryCase{false, 3000, 3}, QueryCase{true, 500, 4},
@@ -138,14 +112,6 @@ TEST(RangeQueryEdgeTest, AnnulusBoundariesAreHalfOpen) {
   tree->AnnularRangeSearch({0, 0}, 10.0, 20.0, &hits);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].oid, 1u);
-}
-
-TEST(RangeQueryEdgeTest, KnnWithKLargerThanDataset) {
-  const auto pts = RandomPoints(20, 11);
-  auto tree = RTree::BulkLoad(pts);
-  std::vector<RTree::Hit> hits;
-  tree->KnnSearch({1, 1}, 50, &hits);
-  EXPECT_EQ(hits.size(), 20u);
 }
 
 TEST(RangeQueryEdgeTest, PruningTouchesFewNodesOnSmallRanges) {
