@@ -99,8 +99,7 @@ std::vector<cca::QuerySpec> MakeBatch(const cca::RoadNetwork& net,
 
 bool UsesRTree(const cca::QuerySpec& spec) {
   return spec.solver != cca::QuerySolver::kSspa &&
-         (spec.exact.discovery_backend == cca::DiscoveryBackend::kRTreePlain ||
-          spec.exact.discovery_backend == cca::DiscoveryBackend::kRTreeGrouped ||
+         (spec.exact.discovery_backend == cca::DiscoveryBackend::kRTreeGrouped ||
           spec.exact.discovery_backend == cca::DiscoveryBackend::kAuto);
 }
 

@@ -5,8 +5,8 @@
 // Usage:
 //   cca_cli [--solver ida|nia|ria|sspa|greedy|sa|ca] [--nq N] [--np N]
 //           [--k N] [--delta D] [--theta T] [--dist-q u|c] [--dist-p u|c]
-//           [--seed S] [--no-pua] [--dense]
-//           [--backend auto|rtree|ann|grid|grid-batched]
+//           [--seed S] [--dense]
+//           [--backend auto|ann|grid|grid-batched]
 //           [--threads N] [--repeat R] [--trace-out FILE]
 //
 // --repeat replicates the solve R times and --threads runs the replicas
@@ -20,14 +20,11 @@
 // test oracle; costs must agree. It is SSPA-only, so other solvers reject
 // it.
 // --backend selects the candidate-discovery backend of the exact solvers:
-// independent R-tree NN iterators, the grouped ANN traversal, grid ring
-// cursors over the memory-resident customer array, or the batched shared
-// frontier (grid-batched: Hilbert-grouped providers sharing one cell sweep
-// per group). `auto` is the grouped ANN traversal for more than one
-// provider, else the plain R-tree iterators.
-// --backend (other than auto) and --no-pua configure the exact solvers'
-// discovery and Dijkstra reuse; SSPA has neither, so --solver sspa rejects
-// them.
+// the grouped ANN traversal over the R-tree (`auto` and `ann`), grid ring
+// cursors over the memory-resident customer array, or the batched grid
+// (grid-batched: Hilbert-grouped providers sharing one fetched-cell ledger
+// per group). SSPA has no discovery backend, so --solver sspa rejects
+// --backend other than auto.
 // --trace-out writes a Chrome trace (chrome://tracing / perfetto) of the
 // solve's spans; it needs a tracing-enabled build (-DCCA_ENABLE_TRACING=ON)
 // and hard-errors otherwise, per the no-silently-ignored-flags rule.
@@ -66,7 +63,6 @@ struct Args {
   bool clustered_q = true;
   bool clustered_p = true;
   std::uint64_t seed = 1;
-  bool use_pua = true;
   bool dense_sspa = false;
   std::string backend = "auto";
   std::size_t threads = 1;
@@ -124,8 +120,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->clustered_p = std::strcmp(next(), "c") == 0;
     } else if (flag == "--seed") {
       args->seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (flag == "--no-pua") {
-      args->use_pua = false;
     } else if (flag == "--dense") {
       args->dense_sspa = true;
     } else if (flag == "--backend") {
@@ -171,8 +165,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: cca_cli [--solver ida|nia|ria|sspa|greedy|sa|ca] [--nq N] [--np N]\n"
                  "               [--k N] [--delta D] [--theta T] [--dist-q u|c] [--dist-p u|c]\n"
-                 "               [--seed S] [--no-pua] [--dense]\n"
-                 "               [--backend auto|rtree|ann|grid|grid-batched]\n"
+                 "               [--seed S] [--dense]\n"
+                 "               [--backend auto|ann|grid|grid-batched]\n"
                  "               [--threads N] [--repeat R] [--trace-out FILE]\n");
     return 2;
   }
@@ -199,10 +193,7 @@ int main(int argc, char** argv) {
 
   ExactConfig exact;
   exact.theta = args.theta;
-  exact.use_pua = args.use_pua;
-  if (args.backend == "rtree") {
-    exact.discovery_backend = DiscoveryBackend::kRTreePlain;
-  } else if (args.backend == "ann") {
+  if (args.backend == "ann") {
     exact.discovery_backend = DiscoveryBackend::kRTreeGrouped;
   } else if (args.backend == "grid") {
     exact.discovery_backend = DiscoveryBackend::kGrid;
@@ -221,9 +212,8 @@ int main(int argc, char** argv) {
   }
   SspaConfig sspa;
   if (args.solver == "sspa") {
-    if (args.backend != "auto" || !args.use_pua) {
-      std::fprintf(stderr, "%s does not apply to --solver sspa\n",
-                   args.backend != "auto" ? "--backend" : "--no-pua");
+    if (args.backend != "auto") {
+      std::fprintf(stderr, "--backend does not apply to --solver sspa\n");
       return 2;
     }
     sspa.use_grid = !args.dense_sspa;

@@ -6,10 +6,8 @@
 
 namespace cca {
 
-IncrementalEngine::IncrementalEngine(const Problem& problem, const Config& config,
-                                     Metrics* metrics)
+IncrementalEngine::IncrementalEngine(const Problem& problem, Metrics* metrics)
     : problem_(problem),
-      config_(config),
       metrics_(metrics),
       nq_(problem.providers.size()),
       unit_(problem.weights.empty()),
@@ -88,13 +86,7 @@ int IncrementalEngine::InsertEdge(int provider, int customer, double dist) {
   cust.edges.push_back(eid);
   cust.min_fwd = std::min(cust.min_fwd, dist);
   ++metrics_->edges_inserted;
-  if (run_live_) {
-    if (config_.use_pua) {
-      RepairAfterInsert(eid);
-    } else {
-      run_live_ = false;
-    }
-  }
+  if (run_live_) RepairAfterInsert(eid);
   return eid;
 }
 

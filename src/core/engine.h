@@ -26,7 +26,7 @@
 //     potentials maintained lazily in closed form;
 //   * PUA (paper Algorithm 5): inserting an edge into a live Dijkstra run
 //     repairs distances with a decrease-key cascade and resumes, instead of
-//     recomputing from scratch (switchable via Config::use_pua);
+//     recomputing from scratch;
 //   * weighted customers (sink capacities > 1, a non-empty
 //     Problem::weights) with bottleneck multi-unit augmentation, required
 //     by the CA concise matching (Section 4.2).
@@ -47,19 +47,13 @@ namespace cca {
 
 class IncrementalEngine {
  public:
-  struct Config {
-    // Reuse Dijkstra state across edge insertions within one iteration
-    // (paper Section 3.4.1). Off = recompute from scratch each time.
-    bool use_pua = true;
-  };
-
-  IncrementalEngine(const Problem& problem, const Config& config, Metrics* metrics);
+  IncrementalEngine(const Problem& problem, Metrics* metrics);
 
   // --- subgraph growth ------------------------------------------------------
 
   // Adds e(q, customer) with length `dist` to Esub and returns its edge id.
-  // If a Dijkstra run is live and PUA is enabled, the run is repaired in
-  // place; otherwise the next ComputeShortestPath() starts fresh.
+  // If a Dijkstra run is live, it is repaired in place (PUA); otherwise the
+  // next ComputeShortestPath() starts fresh.
   int InsertEdge(int provider, int customer, double dist);
 
   // --- Theorem-2 fast path --------------------------------------------------
@@ -167,7 +161,6 @@ class IncrementalEngine {
   void RepairAfterInsert(int edge_id);
 
   const Problem& problem_;
-  Config config_;
   Metrics* metrics_;
 
   std::size_t nq_;

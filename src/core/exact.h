@@ -13,10 +13,13 @@
 //        full provider q cost at least realdist(q) + edge length) and the
 //        Theorem-2 fast path that assigns without any Dijkstra runs while
 //        no provider is full.
+//
+// All three always run the paper's configuration: PUA repairs a live
+// Dijkstra run after every edge insert (3.4.1), IDA always lifts its
+// pending keys (3.3), and the R-tree backend is the Hilbert-grouped ANN
+// traversal (3.4.2) with a fixed group size.
 #ifndef CCA_CORE_EXACT_H_
 #define CCA_CORE_EXACT_H_
-
-#include <cstddef>
 
 #include "common/metrics.h"
 #include "core/customer_db.h"
@@ -31,8 +34,8 @@ class UniformGrid;
 // for the layer contract). All backends yield cost-identical matchings;
 // they differ in how the "next nearest candidate" primitive is served:
 //
-//   kRTreePlain    one independent best-first NN iterator per provider,
-//   kRTreeGrouped  the paper's shared Hilbert-grouped ANN traversal (3.4.2),
+//   kRTreeGrouped  the paper's shared Hilbert-grouped ANN traversal (3.4.2)
+//                  over the paged R-tree; a lone provider is a group of one,
 //   kGrid          uniform-grid ring cursors over the raw point array
 //                  (memory-resident customers: no R-tree, no page I/O),
 //   kGridBatched   the grid analogue of kRTreeGrouped: kGrid's cursors,
@@ -40,8 +43,7 @@ class UniformGrid;
 //                  — a cell is charged once per group, and each member
 //                  reads its points only when its own walk reaches it.
 enum class DiscoveryBackend {
-  kAuto = 0,  // kRTreeGrouped for more than one provider, else kRTreePlain
-  kRTreePlain,
+  kAuto = 0,  // kRTreeGrouped
   kRTreeGrouped,
   kGrid,
   kGridBatched,
@@ -50,15 +52,8 @@ enum class DiscoveryBackend {
 struct ExactConfig {
   // RIA: range increment theta (paper default 0.8 on the [0,1000]^2 world).
   double theta = 0.8;
-  // Reuse Dijkstra computations across edge insertions (paper 3.4.1).
-  bool use_pua = true;
-  // Providers per Hilbert group of the grouped ANN traversal (kRTreeGrouped).
-  std::size_t ann_group_size = 8;
   // How RIA/NIA/IDA (and the greedy baseline) discover spatial candidates.
   DiscoveryBackend discovery_backend = DiscoveryBackend::kAuto;
-  // IDA only: enable the full-provider distance lift in pending-edge keys.
-  // Disabling it reduces IDA's bound to NIA's (ablation switch).
-  bool ida_distance_lift = true;
   // Prebuilt grid for the kGrid/kGridBatched backends, owned by the caller
   // (the runtime's SharedIndex builds one per customer set and shares it
   // across concurrent queries). Must cover the same points the solver is

@@ -24,7 +24,7 @@ ExactResult SolveIda(const Problem& problem, CustomerDb* db, const ExactConfig& 
   Timer timer;
   IoScope io(db, &result.metrics);
 
-  IncrementalEngine engine(problem, IncrementalEngine::Config{config.use_pua}, &result.metrics);
+  IncrementalEngine engine(problem, &result.metrics);
 
   auto source = MakeNnSource(db, problem, config, &result.metrics);
   EdgeFrontier frontier(problem, source.get(), &result.metrics);
@@ -49,9 +49,7 @@ ExactResult SolveIda(const Problem& problem, CustomerDb* db, const ExactConfig& 
   }
 
   // Phase 2: NIA-style loop with lifted keys.
-  const auto lift = [&](int q) {
-    return config.ida_distance_lift ? engine.ProviderBound(q) : 0.0;
-  };
+  const auto lift = [&](int q) { return engine.ProviderBound(q); };
   while (!engine.Done()) {
     while (true) {
       const auto [q, key] = frontier.MinKey(lift);

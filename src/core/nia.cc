@@ -20,7 +20,7 @@ ExactResult SolveNia(const Problem& problem, CustomerDb* db, const ExactConfig& 
   Timer timer;
   IoScope io(db, &result.metrics);
 
-  IncrementalEngine engine(problem, IncrementalEngine::Config{config.use_pua}, &result.metrics);
+  IncrementalEngine engine(problem, &result.metrics);
 
   auto source = MakeNnSource(db, problem, config, &result.metrics);
   EdgeFrontier frontier(problem, source.get(), &result.metrics);

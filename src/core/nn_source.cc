@@ -6,11 +6,16 @@
 #include "geo/grid.h"
 #include "geo/grid_cursor.h"
 #include "rtree/ann_iterator.h"
-#include "rtree/nn_iterator.h"
 #include "rtree/rtree.h"
 
 namespace cca {
 namespace {
+
+// Providers per Hilbert group of the grouped ANN traversal (kRTreeGrouped,
+// paper Section 3.4.2). A provider's distance stream does not depend on
+// the group size; the size only trades shared page reads against
+// per-group heap work.
+constexpr std::size_t kAnnGroupSize = 8;
 
 // Providers per batched grid group (kGridBatched). Grid streaming cells
 // (~256 points) are fatter than R-tree leaf pages and a group's ledger is
@@ -23,26 +28,6 @@ std::optional<NnSource::Hit> FromRTreeHit(const std::optional<RTree::Hit>& hit) 
   if (!hit) return std::nullopt;
   return NnSource::Hit{static_cast<std::int32_t>(hit->oid), hit->dist};
 }
-
-// One independent best-first NN iterator per provider.
-class PlainNnSource : public NnSource {
- public:
-  PlainNnSource(RTree* tree, const std::vector<Provider>& providers) {
-    iterators_.reserve(providers.size());
-    for (const auto& q : providers) iterators_.emplace_back(tree, q.pos);
-  }
-
-  std::optional<Hit> NextNN(int q) override {
-    return FromRTreeHit(iterators_[static_cast<std::size_t>(q)].Next());
-  }
-
-  double PeekDistance(int q) override {
-    return iterators_[static_cast<std::size_t>(q)].PeekDistance();
-  }
-
- private:
-  std::vector<NnIterator> iterators_;
-};
 
 // Hilbert-grouped shared traversal (paper Algorithm 6).
 class GroupedNnSource : public NnSource {
@@ -148,14 +133,9 @@ class GridNnSource : public NnSource {
 
 }  // namespace
 
-DiscoveryBackend ResolveDiscoveryBackend(const ExactConfig& config, std::size_t num_providers) {
-  if (config.discovery_backend != DiscoveryBackend::kAuto) return config.discovery_backend;
-  return num_providers > 1 ? DiscoveryBackend::kRTreeGrouped : DiscoveryBackend::kRTreePlain;
-}
-
 std::unique_ptr<NnSource> MakeNnSource(CustomerDb* db, const Problem& problem,
                                        const ExactConfig& config, Metrics* metrics) {
-  switch (ResolveDiscoveryBackend(config, problem.providers.size())) {
+  switch (config.discovery_backend) {
     case DiscoveryBackend::kGrid:
       return std::make_unique<GridNnSource>(db->points(), problem.providers,
                                             config.shared_stream_grid, metrics,
@@ -164,12 +144,12 @@ std::unique_ptr<NnSource> MakeNnSource(CustomerDb* db, const Problem& problem,
       return std::make_unique<GridNnSource>(db->points(), problem.providers,
                                             config.shared_stream_grid, metrics, kBatchGroupSize,
                                             problem.World());
+    case DiscoveryBackend::kAuto:
     case DiscoveryBackend::kRTreeGrouped:
-      return std::make_unique<GroupedNnSource>(db->tree(), problem.providers,
-                                               config.ann_group_size, problem.World());
-    default:
-      return std::make_unique<PlainNnSource>(db->tree(), problem.providers);
+      break;
   }
+  return std::make_unique<GroupedNnSource>(db->tree(), problem.providers, kAnnGroupSize,
+                                           problem.World());
 }
 
 }  // namespace cca

@@ -2,14 +2,13 @@
 //
 // `NnSource` hands out, per service provider, the next nearest customer on
 // demand. The interface is backend-neutral — a `Hit` is just (customer id,
-// distance), with no R-tree types leaking through — and three classes
-// implement its four backends (see src/core/README.md for the layer
+// distance), with no R-tree types leaking through — and two classes
+// implement its three backends (see src/core/README.md for the layer
 // contract):
 //
-//   * PlainNnSource    independent best-first R-tree iterators, one per
-//                      provider (kRTreePlain);
 //   * GroupedNnSource  the shared Hilbert-grouped ANN traversal of paper
-//                      Section 3.4.2 (kRTreeGrouped);
+//                      Section 3.4.2 over the R-tree (kRTreeGrouped, and
+//                      kAuto); a lone provider is a group of one;
 //   * GridNnSource     uniform-grid ring cursors over the memory-resident
 //                      customer array (src/geo/grid_cursor.h), one per
 //                      provider — no R-tree nodes are touched and no page
@@ -22,7 +21,7 @@
 //                      reaches the cell, so its stream is the kGrid one.
 //
 // The concrete classes live in nn_source.cc; callers go through the
-// factory, which resolves ExactConfig::discovery_backend.
+// factory, which switches on ExactConfig::discovery_backend.
 #ifndef CCA_CORE_NN_SOURCE_H_
 #define CCA_CORE_NN_SOURCE_H_
 
@@ -65,13 +64,9 @@ class NnSource {
 // leaf page.
 inline constexpr double kNnStreamTargetPerCell = 256.0;
 
-// Resolves kAuto: the grouped ANN traversal when there is more than one
-// provider to group, otherwise the plain per-provider iterator.
-DiscoveryBackend ResolveDiscoveryBackend(const ExactConfig& config, std::size_t num_providers);
-
 // Factory honouring ExactConfig::discovery_backend. The grid backend reads
 // `db->points()` and reports its cursor cells into `metrics`
-// (grid_cursor_cells / index_node_accesses); the R-tree backends report
+// (grid_cursor_cells / index_node_accesses); the R-tree backend reports
 // through the tree's own counters (harvested by IoScope).
 std::unique_ptr<NnSource> MakeNnSource(CustomerDb* db, const Problem& problem,
                                        const ExactConfig& config, Metrics* metrics);

@@ -1,7 +1,6 @@
 #include "core/partition.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "geo/hilbert.h"
 
@@ -10,18 +9,12 @@ namespace cca {
 std::vector<ProviderGroup> PartitionProviders(const std::vector<Provider>& providers,
                                               double delta, const Rect& world) {
   // Process providers in Hilbert order (paper Section 4.1).
-  std::vector<int> order(providers.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<std::uint64_t> hv(providers.size());
-  for (std::size_t i = 0; i < providers.size(); ++i) {
-    hv[i] = HilbertValue(providers[i].pos, world);
-  }
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return hv[static_cast<std::size_t>(a)] < hv[static_cast<std::size_t>(b)];
-  });
+  std::vector<Point> positions;
+  positions.reserve(providers.size());
+  for (const auto& q : providers) positions.push_back(q.pos);
 
   std::vector<ProviderGroup> groups;
-  for (int idx : order) {
+  for (int idx : HilbertOrder(positions, world)) {
     const Point pos = providers[static_cast<std::size_t>(idx)].pos;
     ProviderGroup* target = nullptr;
     for (auto& g : groups) {
@@ -63,18 +56,12 @@ std::vector<CustomerGroup> PartitionCustomers(RTree* tree, double delta, const R
   // Merge step (paper Section 4.2): Hilbert-order the delta-entries by MBR
   // centre and first-fit them into hyper-entries under the same diagonal
   // constraint.
-  std::vector<int> order(base.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<std::uint64_t> hv(base.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    hv[i] = HilbertValue(base[i].rect.Center(), world);
-  }
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return hv[static_cast<std::size_t>(a)] < hv[static_cast<std::size_t>(b)];
-  });
+  std::vector<Point> centres;
+  centres.reserve(base.size());
+  for (const auto& entry : base) centres.push_back(entry.rect.Center());
 
   std::vector<CustomerGroup> groups;
-  for (int idx : order) {
+  for (int idx : HilbertOrder(centres, world)) {
     BaseEntry& entry = base[static_cast<std::size_t>(idx)];
     if (entry.count == 0) continue;
     CustomerGroup* target = nullptr;

@@ -7,12 +7,12 @@
 // and real path costs through it cannot be smaller (Theorem 1; see
 // DESIGN.md Section 3.2 for why no tau_max slack is needed).
 //
-// The annular batches are served by the configured discovery backend. The
-// R-tree path issues one AnnularRangeSearch per provider per batch. The
-// grid paths (memory-resident customer sets) hold a grid NnSource — per
-// provider cursors, or the batched shared frontier — and, per
-// batch, drain each provider's stream up to the new T against
-// PeekDistance(): successive annuli are nested (each batch's lo equals the
+// The annular batches are served by the configured discovery backend. On
+// the R-tree (kAuto, kRTreeGrouped) RIA needs no NN stream: it issues one
+// AnnularRangeSearch per provider per batch. The grid paths
+// (memory-resident customer sets, kGrid and kGridBatched) hold a grid
+// NnSource and, per batch, drain each provider's stream up to the new T
+// against PeekDistance(): successive annuli are nested (each batch's lo equals the
 // previous hi), so resuming the incremental NN stream yields exactly the
 // (lo, hi] batch without ever re-fetching inner-disk cells, charges no
 // page I/O, and keeps the grid semantics and cell accounting in
@@ -33,14 +33,14 @@ ExactResult SolveRia(const Problem& problem, CustomerDb* db, const ExactConfig& 
   Timer timer;
   IoScope io(db, &result.metrics);
 
-  IncrementalEngine engine(problem, IncrementalEngine::Config{config.use_pua}, &result.metrics);
+  IncrementalEngine engine(problem, &result.metrics);
 
   const double world_diag = problem.World().Diagonal();
   const auto nq = problem.providers.size();
 
   std::unique_ptr<NnSource> grid_source;  // grid backends: resumable stream per provider
-  const DiscoveryBackend backend = ResolveDiscoveryBackend(config, nq);
-  if (backend == DiscoveryBackend::kGrid || backend == DiscoveryBackend::kGridBatched) {
+  if (config.discovery_backend == DiscoveryBackend::kGrid ||
+      config.discovery_backend == DiscoveryBackend::kGridBatched) {
     grid_source = MakeNnSource(db, problem, config, &result.metrics);
   }
   std::vector<RTree::Hit> hits;

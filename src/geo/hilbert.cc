@@ -1,6 +1,7 @@
 #include "geo/hilbert.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace cca {
 namespace {
@@ -55,6 +56,17 @@ std::uint64_t HilbertValue(const Point& p, const Rect& world, int order) {
   fx = std::clamp(fx, 0.0, max_cell);
   fy = std::clamp(fy, 0.0, max_cell);
   return HilbertIndex(static_cast<std::uint32_t>(fx), static_cast<std::uint32_t>(fy), order);
+}
+
+std::vector<int> HilbertOrder(const std::vector<Point>& points, const Rect& world) {
+  std::vector<int> order(points.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::uint64_t> hv(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) hv[i] = HilbertValue(points[i], world);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return hv[static_cast<std::size_t>(a)] < hv[static_cast<std::size_t>(b)];
+  });
+  return order;
 }
 
 }  // namespace cca

@@ -8,6 +8,7 @@
 #define CCA_GEO_HILBERT_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "geo/point.h"
 #include "geo/rect.h"
@@ -28,6 +29,11 @@ void HilbertCell(std::uint64_t index, std::uint32_t* x, std::uint32_t* y,
 // Quantises `p` onto the `world` rectangle and returns its Hilbert index.
 // Points outside `world` are clamped.
 std::uint64_t HilbertValue(const Point& p, const Rect& world, int order = kHilbertOrder);
+
+// Indices of `points`, sorted by HilbertValue over `world`: the order that
+// both provider groupings (ANN groups, SA partitions) and CA's customer
+// merge step walk.
+std::vector<int> HilbertOrder(const std::vector<Point>& points, const Rect& world);
 
 }  // namespace cca
 

@@ -9,13 +9,7 @@ namespace cca {
 
 std::vector<std::vector<int>> FormHilbertGroups(const std::vector<Point>& points,
                                                 std::size_t max_group_size, const Rect& world) {
-  std::vector<int> order(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) order[i] = static_cast<int>(i);
-  std::vector<std::uint64_t> hv(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) hv[i] = HilbertValue(points[i], world);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return hv[static_cast<std::size_t>(a)] < hv[static_cast<std::size_t>(b)];
-  });
+  const std::vector<int> order = HilbertOrder(points, world);
   std::vector<std::vector<int>> groups;
   for (std::size_t begin = 0; begin < order.size(); begin += max_group_size) {
     const std::size_t end = std::min(order.size(), begin + max_group_size);

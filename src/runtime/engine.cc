@@ -42,13 +42,8 @@ StatusOr<AssignmentEngine::Id> AssignmentEngine::InsertCustomer(const Point& pos
   // The weights array stays empty while every customer is unit-weight so
   // the solver keeps its flat serving_ fast path; the first non-unit
   // weight materialises it.
-  if (weight != 1 && problem_.weights.empty() && !problem_.customers.empty()) {
-    problem_.weights.assign(problem_.customers.size(), 1);
-  }
   if (weight != 1 || !problem_.weights.empty()) {
-    if (problem_.weights.size() < problem_.customers.size()) {
-      problem_.weights.assign(problem_.customers.size(), 1);
-    }
+    if (problem_.weights.empty()) problem_.weights.assign(problem_.customers.size(), 1);
     problem_.weights.push_back(weight);
   }
   // Smallest dual feasible against every provider: tau_p >= tau_q - dist
@@ -318,7 +313,8 @@ std::string AssignmentEngine::Stats::ToJson() const {
   char buf[1536];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"resolves\": %llu, \"warm_resolves\": %llu, "
+      "{\"schema_version\": %d, "
+      "\"resolves\": %llu, \"warm_resolves\": %llu, "
       "\"customers_inserted\": %llu, \"customers_removed\": %llu, "
       "\"providers_inserted\": %llu, \"providers_removed\": %llu, "
       "\"units_matched\": %llu, \"warm_units_adopted\": %llu, "
@@ -330,7 +326,7 @@ std::string AssignmentEngine::Stats::ToJson() const {
       "\"augmentations\": %llu, \"faults\": %llu, "
       "\"resolve_ms\": {\"count\": %llu, \"mean\": %.6f, \"p50\": %.6f, "
       "\"p99\": %.6f, \"max\": %.6f}}",
-      static_cast<unsigned long long>(resolves),
+      kSchemaVersion, static_cast<unsigned long long>(resolves),
       static_cast<unsigned long long>(warm_resolves),
       static_cast<unsigned long long>(customers_inserted),
       static_cast<unsigned long long>(customers_removed),

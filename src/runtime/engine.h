@@ -169,7 +169,11 @@ class AssignmentEngine {
                  ? static_cast<double>(warm_units_adopted) / static_cast<double>(units_matched)
                  : 0.0;
     }
-    // One JSON object: counters, adoption ratio, latency percentiles.
+    // One JSON object: "schema_version" first, then the counters, the
+    // adoption ratio and the latency percentiles. Version 1's key set and
+    // invariants are checked by tools/check_stats.py; a change to either
+    // bumps the version there and here.
+    static constexpr int kSchemaVersion = 1;
     std::string ToJson() const;
   };
   // Snapshot of the cumulative stats (copy: the engine keeps mutating).

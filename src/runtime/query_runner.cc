@@ -1,5 +1,6 @@
 #include "runtime/query_runner.h"
 
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -103,9 +104,12 @@ void QueryRunner::WorkerLoop() {
 }
 
 QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
-  // Borrowing is gated on matching size: a spec whose problem carries a
-  // different customer set (documented as unsupported) silently keeps its
-  // private build, so a mismatched injection can never change results.
+  // QuerySpec's contract: the problem's customers are the index's, point
+  // for point (asserted in Debug builds, O(|P|) per query). Release only
+  // compares the counts before lending the shared grids, so a different
+  // set of the same size would be solved over the index's points instead.
+  assert(spec.problem.customers == index_->customers() &&
+         "QuerySpec customers must be the SharedIndex's customer set");
   const bool same_customers = spec.problem.customers.size() == index_->customers().size();
 
   QueryOutcome outcome;

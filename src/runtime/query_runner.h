@@ -88,11 +88,12 @@ enum class QuerySolver {
 };
 
 // One independent assignment query. `problem.customers` must be the shared
-// index's customer set (same points, same order) — providers, weights and
-// configs are free per query. The runner injects the shared grids into the
-// configs whenever the customer counts match: the SSPA relax grid for SSPA,
-// the streaming grid for the exact solvers and greedy (both are built at
-// the shape a private build would use, so borrowing never changes a
+// index's customer set (same points, same order; Debug builds assert it) —
+// providers, weights and configs are free per query. The runner injects the
+// shared grids into the configs whenever the customer counts match, which
+// is only safe under that contract: the SSPA relax grid for SSPA, the
+// streaming grid for the exact solvers and greedy (both are built at the
+// shape a private build would use, so borrowing never changes a
 // matching). Pre-set shared grids are honoured as-is. RIA/NIA/IDA/greedy
 // queries need the index's CustomerDb; running one on an index built
 // without it aborts with a one-line message.

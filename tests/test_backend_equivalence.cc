@@ -1,12 +1,12 @@
 // Cross-backend equivalence for the discovery layer: RIA/NIA/IDA must
 // produce cost-identical matchings whether candidates come from the R-tree
-// (plain or grouped-ANN) or from grid ring cursors, across uniform,
+// (the grouped-ANN traversal) or from grid ring cursors, across uniform,
 // clustered and skewed instances, unit and weighted; kGridBatched must
 // return kGrid's matching pair for pair. Plus the node-access
 // regression guard: at |P|=10k memory-resident, the grid backend must do
-// >= 5x less index work than independent R-tree NN iterators. Plus the
-// kAuto resolution pin: auto is the grouped ANN traversal for more than one
-// provider and the plain iterators otherwise, ledger for ledger.
+// >= 5x less index work than the grouped R-tree traversal. Plus the kAuto
+// pin: auto is the grouped ANN traversal at every provider count (a lone
+// provider is a group of one), ledger for ledger.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +15,6 @@
 #include "core/exact.h"
 #include "core/greedy.h"
 #include "core/matching.h"
-#include "core/nn_source.h"
 #include "test_util.h"
 
 namespace cca {
@@ -131,24 +130,26 @@ TEST(BackendEquivalence, WeightedCustomers) {
   }
 }
 
-TEST(BackendEquivalence, PlainBackendAndGreedyStillWork) {
+TEST(BackendEquivalence, GroupedBackendAndGreedyStillWork) {
   test::InstanceSpec spec;
   spec.nq = 6;
   spec.np = 90;
   spec.seed = 55;
   const Problem problem = test::RandomProblem(spec);
   auto db = test::MakeDb(problem);
-  const ExactResult plain = SolveIda(problem, db.get(), BackendConfig(DiscoveryBackend::kRTreePlain));
+  const ExactResult grouped =
+      SolveIda(problem, db.get(), BackendConfig(DiscoveryBackend::kRTreeGrouped));
   const ExactResult grid = SolveIda(problem, db.get(), BackendConfig(DiscoveryBackend::kGrid));
-  ExpectCostEqual(problem, plain, grid, "plain vs grid");
+  ExpectCostEqual(problem, grouped, grid, "grouped vs grid");
   const double g1 =
-      SolveGreedySm(problem, db.get(), BackendConfig(DiscoveryBackend::kRTreePlain)).matching.cost();
+      SolveGreedySm(problem, db.get(), BackendConfig(DiscoveryBackend::kRTreeGrouped))
+          .matching.cost();
   const double g2 =
       SolveGreedySm(problem, db.get(), BackendConfig(DiscoveryBackend::kGrid)).matching.cost();
   EXPECT_NEAR(g1, g2, 1e-9);
 }
 
-TEST(BackendEquivalence, AutoResolvesToGroupedOrPlainByProviderCount) {
+TEST(BackendEquivalence, AutoIsGroupedAtEveryProviderCount) {
   for (const std::size_t nq : {std::size_t{1}, std::size_t{6}}) {
     test::InstanceSpec spec;
     spec.nq = nq;
@@ -157,15 +158,13 @@ TEST(BackendEquivalence, AutoResolvesToGroupedOrPlainByProviderCount) {
     spec.k_hi = 12;
     spec.seed = 70 + nq;
     const Problem problem = test::RandomProblem(spec);
-    const DiscoveryBackend resolved =
-        nq > 1 ? DiscoveryBackend::kRTreeGrouped : DiscoveryBackend::kRTreePlain;
-    EXPECT_EQ(ResolveDiscoveryBackend(BackendConfig(DiscoveryBackend::kAuto), nq), resolved);
     auto db = test::MakeDb(problem);
     db->CoolDown();
     const ExactResult automatic =
         SolveIda(problem, db.get(), BackendConfig(DiscoveryBackend::kAuto));
     db->CoolDown();
-    const ExactResult pinned = SolveIda(problem, db.get(), BackendConfig(resolved));
+    const ExactResult pinned =
+        SolveIda(problem, db.get(), BackendConfig(DiscoveryBackend::kRTreeGrouped));
     const std::string label = "nq=" + std::to_string(nq);
     EXPECT_EQ(automatic.matching.cost(), pinned.matching.cost()) << label;
     EXPECT_EQ(automatic.metrics.node_accesses, pinned.metrics.node_accesses) << label;
@@ -216,8 +215,8 @@ TEST(BackendEquivalence, BatchedGridMatchesGridPairForPair) {
 
 // The acceptance-bar regression guard: grid-backed IDA at |P|=10k
 // (memory-resident customers) must do >= 5x fewer index accesses (grid
-// cells fetched) than PlainNnSource's R-tree node reads, with identical
-// cost.
+// cells fetched) than the grouped R-tree traversal's node reads, with
+// identical cost.
 TEST(BackendEquivalence, GridCutsIndexAccessesAtTenThousandCustomers) {
   test::InstanceSpec spec;
   spec.nq = 100;
@@ -228,15 +227,15 @@ TEST(BackendEquivalence, GridCutsIndexAccessesAtTenThousandCustomers) {
   const Problem problem = test::RandomProblem(spec);
   auto db = test::MakeDb(problem);  // buffer covers the whole tree
 
-  const ExactResult plain =
-      SolveIda(problem, db.get(), BackendConfig(DiscoveryBackend::kRTreePlain));
+  const ExactResult rtree =
+      SolveIda(problem, db.get(), BackendConfig(DiscoveryBackend::kRTreeGrouped));
   const ExactResult grid = SolveIda(problem, db.get(), BackendConfig(DiscoveryBackend::kGrid));
-  ExpectCostEqual(problem, plain, grid, "10k regression");
-  EXPECT_GT(plain.metrics.index_node_accesses, 0u);
+  ExpectCostEqual(problem, rtree, grid, "10k regression");
+  EXPECT_GT(rtree.metrics.index_node_accesses, 0u);
   EXPECT_GT(grid.metrics.index_node_accesses, 0u);
-  EXPECT_LE(grid.metrics.index_node_accesses * 5, plain.metrics.index_node_accesses)
+  EXPECT_LE(grid.metrics.index_node_accesses * 5, rtree.metrics.index_node_accesses)
       << "grid cells=" << grid.metrics.index_node_accesses
-      << " rtree nodes=" << plain.metrics.index_node_accesses;
+      << " rtree nodes=" << rtree.metrics.index_node_accesses;
 }
 
 }  // namespace

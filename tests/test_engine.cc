@@ -17,11 +17,9 @@ namespace {
 
 // Feeds every provider->customer edge up front and augments until done,
 // checking the reduced-cost invariant after each accepted path.
-Matching RunEngineAllEdges(const Problem& problem, bool use_pua, bool check_invariants) {
+Matching RunEngineAllEdges(const Problem& problem, bool check_invariants) {
   Metrics metrics;
-  IncrementalEngine::Config config;
-  config.use_pua = use_pua;
-  IncrementalEngine engine(problem, config, &metrics);
+  IncrementalEngine engine(problem, &metrics);
   for (std::size_t q = 0; q < problem.providers.size(); ++q) {
     for (std::size_t p = 0; p < problem.customers.size(); ++p) {
       engine.InsertEdge(static_cast<int>(q), static_cast<int>(p),
@@ -44,7 +42,7 @@ TEST(EngineTest, FullGraphMatchesSspaPaperExample) {
   Problem problem;
   problem.providers = {Provider{{0.0, 0.0}, 1}, Provider{{10.0, 0.0}, 2}};
   problem.customers = {Point{-4.0, 0.0}, Point{3.0, 0.0}};
-  const Matching m = RunEngineAllEdges(problem, true, true);
+  const Matching m = RunEngineAllEdges(problem, true);
   EXPECT_DOUBLE_EQ(m.cost(), 11.0);
 }
 
@@ -57,24 +55,11 @@ TEST(EngineTest, FullGraphOptimalAcrossSeeds) {
     spec.k_hi = 5;
     spec.seed = seed;
     const Problem problem = test::RandomProblem(spec);
-    const Matching m = RunEngineAllEdges(problem, true, true);
+    const Matching m = RunEngineAllEdges(problem, true);
     std::string error;
     EXPECT_TRUE(ValidateMatching(problem, m, &error)) << error << " seed " << seed;
     const double oracle = SolveSspa(problem).matching.cost();
     EXPECT_NEAR(m.cost(), oracle, 1e-6) << "seed " << seed;
-  }
-}
-
-TEST(EngineTest, PuaOnOffIdenticalCosts) {
-  for (std::uint64_t seed = 20; seed < 30; ++seed) {
-    test::InstanceSpec spec;
-    spec.nq = 4;
-    spec.np = 20;
-    spec.seed = seed;
-    const Problem problem = test::RandomProblem(spec);
-    const double with_pua = RunEngineAllEdges(problem, true, false).cost();
-    const double without = RunEngineAllEdges(problem, false, false).cost();
-    EXPECT_NEAR(with_pua, without, 1e-9) << "seed " << seed;
   }
 }
 
@@ -105,9 +90,7 @@ TEST(EngineTest, IncrementalInsertionWithPuaRepairs) {
     std::sort(all.begin(), all.end(), [](const E& a, const E& b) { return a.d < b.d; });
 
     Metrics metrics;
-    IncrementalEngine::Config config;
-    config.use_pua = true;
-    IncrementalEngine engine(problem, config, &metrics);
+    IncrementalEngine engine(problem, &metrics);
     std::size_t next = 0;
     while (!engine.Done()) {
       const double d = engine.ComputeShortestPath();
@@ -157,7 +140,7 @@ TEST(EngineTest, FastPathThenGeneralPhaseOptimal) {
     std::sort(all.begin(), all.end(), [](const E& a, const E& b) { return a.d < b.d; });
 
     Metrics metrics;
-    IncrementalEngine engine(problem, IncrementalEngine::Config{}, &metrics);
+    IncrementalEngine engine(problem, &metrics);
     std::size_t next = 0;
     while (!engine.Done() && engine.fast_mode() && next < all.size()) {
       const auto& e = all[next++];
@@ -192,7 +175,7 @@ TEST(EngineTest, ProviderBoundIsZeroUntilFull) {
   problem.providers = {Provider{{0, 0}, 2}};
   problem.customers = {Point{1, 0}, Point{2, 0}, Point{3, 0}};
   Metrics metrics;
-  IncrementalEngine engine(problem, IncrementalEngine::Config{}, &metrics);
+  IncrementalEngine engine(problem, &metrics);
   for (int p = 0; p < 3; ++p) {
     engine.InsertEdge(0, p, Distance(problem.providers[0].pos, problem.customers[p]));
   }
@@ -212,7 +195,7 @@ TEST(EngineTest, WeightedCustomersViaGeneralPhase) {
   problem.providers = {Provider{{0, 0}, 3}, Provider{{10, 0}, 3}};
   problem.customers = {Point{1, 0}, Point{9, 0}};
   problem.weights = {4, 1};
-  const Matching m = RunEngineAllEdges(problem, true, true);
+  const Matching m = RunEngineAllEdges(problem, true);
   std::string error;
   EXPECT_TRUE(ValidateMatching(problem, m, &error)) << error;
   EXPECT_NEAR(m.cost(), SolveHungarian(test::UnitExpanded(problem)).matching.cost(), 1e-6);
@@ -222,7 +205,7 @@ TEST(EngineTest, GammaZeroInstances) {
   Problem problem;
   problem.providers = {Provider{{0, 0}, 3}};
   Metrics metrics;
-  IncrementalEngine engine(problem, IncrementalEngine::Config{}, &metrics);
+  IncrementalEngine engine(problem, &metrics);
   EXPECT_TRUE(engine.Done());
   EXPECT_EQ(engine.BuildMatching().size(), 0);
 }

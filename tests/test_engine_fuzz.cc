@@ -48,7 +48,7 @@ TEST(EngineFuzzTest, RandomInsertionOrderStillOptimal) {
       std::swap(edges[i - 1], edges[static_cast<std::size_t>(rng.NextBelow(i))]);
     }
     Metrics metrics;
-    IncrementalEngine engine(problem, IncrementalEngine::Config{}, &metrics);
+    IncrementalEngine engine(problem, &metrics);
     for (const auto& e : edges) engine.InsertEdge(e.q, e.p, e.d);
     while (!engine.Done()) {
       ASSERT_LT(engine.ComputeShortestPath(), 1e30);
@@ -80,9 +80,7 @@ TEST(EngineFuzzTest, PuaRepairWithRandomArrivalOrder) {
       std::swap(edges[i - 1], edges[static_cast<std::size_t>(rng.NextBelow(i))]);
     }
     Metrics metrics;
-    IncrementalEngine::Config config;
-    config.use_pua = true;
-    IncrementalEngine engine(problem, config, &metrics);
+    IncrementalEngine engine(problem, &metrics);
     std::size_t next = 0;
     // Minimum length among edges not yet inserted (recomputed lazily).
     auto remaining_min = [&] {
@@ -123,8 +121,7 @@ TEST(EngineFuzzTest, WeightedCustomersRandomised) {
     for (auto& w : problem.weights) w = static_cast<std::int32_t>(rng.UniformInt(1, 5));
 
     Metrics metrics;
-    IncrementalEngine::Config config;
-    IncrementalEngine engine(problem, config, &metrics);
+    IncrementalEngine engine(problem, &metrics);
     for (std::size_t q = 0; q < problem.providers.size(); ++q) {
       for (std::size_t p = 0; p < problem.customers.size(); ++p) {
         engine.InsertEdge(static_cast<int>(q), static_cast<int>(p),

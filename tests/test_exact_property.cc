@@ -1,6 +1,6 @@
 // Cross-algorithm property sweep: RIA == NIA == IDA == SSPA optimal cost on
-// randomized instances across capacity regimes, distributions and solver
-// configurations; the SSPA optimum they are held to is certified by its
+// randomized instances across capacity regimes, distributions and RIA's
+// theta; the SSPA optimum they are held to is certified by its
 // own duals (CertifyOptimal).
 #include <string>
 
@@ -35,24 +35,6 @@ test::InstanceSpec Spec(std::size_t nq, std::size_t np, std::int32_t k_lo, std::
   s.clustered_p = cp;
   s.seed = seed;
   return s;
-}
-
-ExactConfig NoPua() {
-  ExactConfig c;
-  c.use_pua = false;
-  return c;
-}
-
-ExactConfig NoAnn() {
-  ExactConfig c;
-  c.discovery_backend = DiscoveryBackend::kRTreePlain;
-  return c;
-}
-
-ExactConfig NoLift() {
-  ExactConfig c;
-  c.ida_distance_lift = false;
-  return c;
 }
 
 ExactConfig BigTheta() {
@@ -115,10 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
         Case("UniformVsClustered", Spec(6, 80, 4, 8, false, true, 7)),
         Case("ClusteredVsUniform", Spec(6, 80, 4, 8, true, false, 8)),
         Case("ClusteredVsClustered", Spec(6, 80, 4, 8, true, true, 9)),
-        // Config ablations.
-        Case("NoPua", Spec(5, 50, 3, 6, false, true, 10), NoPua()),
-        Case("NoAnnGrouping", Spec(5, 50, 3, 6, true, false, 11), NoAnn()),
-        Case("NoDistanceLift", Spec(5, 50, 2, 5, false, false, 12), NoLift()),
+        // RIA's range increment, the one tunable exact-solver setting.
         Case("RiaBigTheta", Spec(5, 50, 3, 6, false, false, 13), BigTheta()),
         Case("RiaTinyTheta", Spec(4, 40, 3, 6, false, false, 14), TinyTheta()),
         // More seeds for the default config.

@@ -117,19 +117,14 @@ TEST(FaultChaos, RtreeSolveCostsBitIdenticalToFaultFreeTwin) {
   FaultInjector injector(ChaosConfig(3));
   faulty.tree()->buffer().file()->set_fault_injector(&injector);
 
-  for (const DiscoveryBackend backend :
-       {DiscoveryBackend::kRTreePlain, DiscoveryBackend::kRTreeGrouped}) {
-    ExactConfig config;
-    config.discovery_backend = backend;
-    const ExactResult with_faults = SolveRia(problem, &faulty, config);
-    const ExactResult without = SolveRia(problem, &clean, config);
-    // Bit-identical, not NEAR: retry returns the exact stored bytes, so
-    // the two solver trajectories are the same program on the same data.
-    EXPECT_EQ(with_faults.matching.cost(), without.matching.cost());
-    EXPECT_EQ(with_faults.matching.pairs.size(), without.matching.pairs.size());
-    faulty.CoolDown();  // next backend starts cold: fresh page traffic
-    clean.CoolDown();
-  }
+  ExactConfig config;
+  config.discovery_backend = DiscoveryBackend::kRTreeGrouped;
+  const ExactResult with_faults = SolveRia(problem, &faulty, config);
+  const ExactResult without = SolveRia(problem, &clean, config);
+  // Bit-identical, not NEAR: retry returns the exact stored bytes, so the
+  // two solver trajectories are the same program on the same data.
+  EXPECT_EQ(with_faults.matching.cost(), without.matching.cost());
+  EXPECT_EQ(with_faults.matching.pairs.size(), without.matching.pairs.size());
 
   const FaultInjector::Ledger& ledger = injector.ledger();
   EXPECT_GT(ledger.reads_seen, 0u);

@@ -73,10 +73,10 @@ TEST(GreedySmTest, DeterministicAcrossNnSources) {
     return test::RandomProblem(spec);
   }();
   auto db = test::MakeDb(problem);
-  ExactConfig plain;
-  plain.discovery_backend = DiscoveryBackend::kRTreePlain;
+  ExactConfig grid;
+  grid.discovery_backend = DiscoveryBackend::kGrid;
   ExactConfig grouped;
-  const double a = SolveGreedySm(problem, db.get(), plain).matching.cost();
+  const double a = SolveGreedySm(problem, db.get(), grid).matching.cost();
   const double b = SolveGreedySm(problem, db.get(), grouped).matching.cost();
   EXPECT_NEAR(a, b, 1e-9);
 }

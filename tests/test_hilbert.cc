@@ -77,9 +77,10 @@ TEST(HilbertValueTest, QuantisationAndClamping) {
 }
 
 TEST(HilbertValueTest, LocalityBeatsShuffledOrder) {
-  // The total tour length of Hilbert-consecutive points must be far below
-  // that of a random visiting order (the locality the ANN grouping and SA
-  // partitioning rely on).
+  // HilbertOrder is a permutation sorted by Hilbert value, and the total
+  // tour length of Hilbert-consecutive points must be far below that of a
+  // random visiting order (the locality the ANN grouping and SA
+  // partitioning rely on; both walk HilbertOrder).
   std::vector<Point> pts;
   const Rect world = Rect::FromCorners({0, 0}, {1000, 1000});
   for (int i = 0; i < 64; ++i) {
@@ -87,20 +88,24 @@ TEST(HilbertValueTest, LocalityBeatsShuffledOrder) {
       pts.push_back(Point{i * 1000.0 / 63, j * 1000.0 / 63});
     }
   }
-  std::vector<std::size_t> order(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return HilbertValue(pts[a], world) < HilbertValue(pts[b], world);
-  });
-  std::vector<std::size_t> shuffled = order;
+  const std::vector<int> order = HilbertOrder(pts, world);
+  // A permutation, sorted by Hilbert value.
+  ASSERT_EQ(std::set<int>(order.begin(), order.end()).size(), pts.size());
+  const auto at = [&](const std::vector<int>& o, std::size_t i) {
+    return pts[static_cast<std::size_t>(o[i])];
+  };
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    ASSERT_LE(HilbertValue(at(order, i - 1), world), HilbertValue(at(order, i), world));
+  }
+  std::vector<int> shuffled = order;
   Rng rng(5);
   for (std::size_t i = shuffled.size(); i > 1; --i) {
     std::swap(shuffled[i - 1], shuffled[static_cast<std::size_t>(rng.NextBelow(i))]);
   }
   double hilbert_total = 0.0, shuffled_total = 0.0;
   for (std::size_t i = 1; i < pts.size(); ++i) {
-    hilbert_total += Distance(pts[order[i - 1]], pts[order[i]]);
-    shuffled_total += Distance(pts[shuffled[i - 1]], pts[shuffled[i]]);
+    hilbert_total += Distance(at(order, i - 1), at(order, i));
+    shuffled_total += Distance(at(shuffled, i - 1), at(shuffled, i));
   }
   EXPECT_LT(hilbert_total, shuffled_total * 0.1);
 }

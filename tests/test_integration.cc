@@ -69,18 +69,6 @@ TEST_F(IntegrationTest, IoAccountingBehaves) {
   EXPECT_LT(db_->tree()->buffer().capacity(), db_->tree()->page_count());
 }
 
-TEST_F(IntegrationTest, GroupedAnnReducesIo) {
-  ExactConfig grouped;
-  ExactConfig plain;
-  plain.discovery_backend = DiscoveryBackend::kRTreePlain;
-  db_->CoolDown();
-  const ExactResult with_ann = SolveIda(problem_, db_.get(), grouped);
-  db_->CoolDown();
-  const ExactResult without_ann = SolveIda(problem_, db_.get(), plain);
-  EXPECT_NEAR(with_ann.matching.cost(), without_ann.matching.cost(), 1e-5);
-  EXPECT_LE(with_ann.metrics.node_accesses, without_ann.metrics.node_accesses);
-}
-
 TEST_F(IntegrationTest, ApproximationsWithinBoundsAndCheaper) {
   const ExactResult ida = SolveIda(problem_, db_.get(), ExactConfig{});
   const double optimal = ida.matching.cost();

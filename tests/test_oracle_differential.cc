@@ -69,8 +69,7 @@ const char* DistName(Dist dist) {
 TEST(OracleDifferential, SolversMatchHungarianOnRandomInstances) {
   // Rotate the discovery backend across instances so every backend faces
   // every distribution/weight combination at least once.
-  const DiscoveryBackend backends[] = {DiscoveryBackend::kRTreePlain,
-                                       DiscoveryBackend::kRTreeGrouped, DiscoveryBackend::kGrid,
+  const DiscoveryBackend backends[] = {DiscoveryBackend::kRTreeGrouped, DiscoveryBackend::kGrid,
                                        DiscoveryBackend::kGridBatched};
   std::size_t case_index = 0;
   for (const Dist dist : {Dist::kUniform, Dist::kClustered, Dist::kSkewed}) {
@@ -86,7 +85,7 @@ TEST(OracleDifferential, SolversMatchHungarianOnRandomInstances) {
 
         auto db = test::MakeDb(problem);
         ExactConfig config;
-        config.discovery_backend = backends[case_index % 4];
+        config.discovery_backend = backends[case_index % 3];
 
         const ExactResult ria = SolveRia(problem, db.get(), config);
         const ExactResult nia = SolveNia(problem, db.get(), config);

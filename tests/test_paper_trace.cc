@@ -30,8 +30,7 @@ Problem FigureTwoProblem() {
 TEST(PaperTraceTest, Figure3PotentialsAndPathCosts) {
   const Problem problem = FigureTwoProblem();
   Metrics metrics;
-  IncrementalEngine::Config config;
-  IncrementalEngine engine(problem, config, &metrics);
+  IncrementalEngine engine(problem, &metrics);
   // Full flow graph, as in plain SSPA.
   engine.InsertEdge(0, 0, 4.0);
   engine.InsertEdge(0, 1, 3.0);
@@ -78,9 +77,7 @@ TEST(PaperTraceTest, Figure3PotentialsAndPathCosts) {
 TEST(PaperTraceTest, Figure3WithIncrementalDiscovery) {
   const Problem problem = FigureTwoProblem();
   Metrics metrics;
-  IncrementalEngine::Config config;
-  config.use_pua = true;
-  IncrementalEngine engine(problem, config, &metrics);
+  IncrementalEngine engine(problem, &metrics);
 
   struct E {
     int q, p;
@@ -117,7 +114,7 @@ TEST(PaperTraceTest, AugmentingCostsMonotone) {
     problem.customers.push_back(Point{rng.Uniform(0, 1000), rng.Uniform(0, 1000)});
   }
   Metrics metrics;
-  IncrementalEngine engine(problem, IncrementalEngine::Config{}, &metrics);
+  IncrementalEngine engine(problem, &metrics);
   for (std::size_t q = 0; q < problem.providers.size(); ++q) {
     for (std::size_t p = 0; p < problem.customers.size(); ++p) {
       engine.InsertEdge(static_cast<int>(q), static_cast<int>(p),

@@ -44,7 +44,6 @@ std::vector<QuerySpec> MixedBatch(const std::vector<Point>& customers) {
       {QuerySolver::kIda, DiscoveryBackend::kGrid},
       {QuerySolver::kIda, DiscoveryBackend::kGridBatched},
       {QuerySolver::kIda, DiscoveryBackend::kRTreeGrouped},
-      {QuerySolver::kIda, DiscoveryBackend::kRTreePlain},
       {QuerySolver::kNia, DiscoveryBackend::kGrid},
       {QuerySolver::kRia, DiscoveryBackend::kGrid},
       {QuerySolver::kGreedy, DiscoveryBackend::kGrid},
@@ -217,8 +216,28 @@ TEST(QueryRunnerDeathTest, ExactQueryWithoutCustomerDbAborts) {
   spec.exact.discovery_backend = DiscoveryBackend::kGrid;
   EXPECT_DEATH(run(spec), "nia query needs the SharedIndex CustomerDb");
   spec.solver = QuerySolver::kGreedy;
-  spec.exact.discovery_backend = DiscoveryBackend::kRTreePlain;
+  spec.exact.discovery_backend = DiscoveryBackend::kRTreeGrouped;
   EXPECT_DEATH(run(spec), "greedy query needs the SharedIndex CustomerDb");
+}
+
+// QuerySpec's contract is the index's customer set, point for point. The
+// runner lends its shared grids on a count match, so a different set of the
+// same size must trip the Debug assert rather than be solved over the
+// index's points. Release builds only compare counts and run the query.
+TEST(QueryRunnerDeathTest, SameSizeDifferentCustomerSetAssertsInDebug) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<Point> customers = test::RandomPoints(60, 12);
+  const SharedIndex index(customers);
+  QuerySpec spec;
+  spec.solver = QuerySolver::kIda;
+  spec.exact.discovery_backend = DiscoveryBackend::kGrid;
+  spec.problem.customers = test::RandomPoints(60, 13);
+  spec.problem.providers.push_back(Provider{Point{500.0, 500.0}, 3});
+  const auto run = [&index](const QuerySpec& s) {
+    QueryRunner runner(&index, 1);
+    runner.Run({s});
+  };
+  EXPECT_DEBUG_DEATH(run(spec), "QuerySpec customers must be the SharedIndex's customer set");
 }
 
 // --- raw shared-structure stress --------------------------------------------

@@ -211,6 +211,7 @@ TEST(EngineStatsTest, ToJsonCarriesTheHeadlineFields) {
   engine.Resolve();
   engine.Resolve();
   const std::string json = engine.stats().ToJson();
+  EXPECT_EQ(json.rfind("{\"schema_version\": 1, ", 0), 0u) << json;
   for (const char* key :
        {"\"resolves\": 2", "\"warm_resolves\": 1", "\"customers_inserted\": 12",
         "\"providers_inserted\": 3", "\"units_matched\": 24", "\"warm_adoption_ratio\"",
